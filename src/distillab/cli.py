@@ -32,16 +32,11 @@ from .distillation import (
     argmax_accuracy,
     averaging_operator,
     pll_refine,
+    pll_student,
     trajectory,
 )
 from .errors import NumericalError, ValidationError
-from .gram_models import (
-    FeatureMatrix,
-    analytic_eigensystem,
-    build_gram,
-    gram_statistics,
-    numeric_eigensystem,
-)
+from .gram_models import FeatureMatrix, build_gram, eigensystem, gram_statistics
 from .noise_theory import (
     minimal_rounds,
     pll_accuracy_condition,
@@ -50,7 +45,9 @@ from .noise_theory import (
     sd_accuracy_condition,
     theory_constants,
 )
-from .oracle import measure_approx_error, solve_round
+from .oracle import measure_approx_error, oracle_trajectory
+# kept importable from here: bench/test_bench.py checks the tracer rebinds it
+from .oracle import solve_round  # noqa: F401
 
 __all__ = [
     "cmd_trajectory",
@@ -74,6 +71,12 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path, report: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def simplex_projection(columns: np.ndarray) -> np.ndarray:
     """Project output columns to 2-D: classes sit on a regular polygon.
 
@@ -88,12 +91,6 @@ def simplex_projection(columns: np.ndarray) -> np.ndarray:
     return columns.T @ verts
 
 
-def _eigensystem(model):
-    if model.perturbation_amplitude == 0.0:
-        return analytic_eigensystem(model)
-    return numeric_eigensystem(build_gram(model))
-
-
 def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     """Write per-round outputs, the 2-D projection table, and the operator
     eigenvalue table; with the oracle mode enabled, also the exact outputs."""
@@ -102,7 +99,7 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     model = config.gram_model()
     C = config.corruption_matrix()
     assignment = realize_labels(C, model.n, seed=config.seed)
-    eig = _eigensystem(model)
+    eig = eigensystem(model)
     Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
     traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
     written: list[str] = []
@@ -146,30 +143,17 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     if "pll" in config.modes and config.t_max >= 1:
         refined = pll_refine(traj[1])
         emit("pll_targets.csv", refined.to_csv)
-        op1 = averaging_operator(eig, config.lam, model.K, model.n, 1)
-        student = (refined.columns - 1.0 / model.K) @ op1.matrix + 1.0 / model.K
-        emit(
-            "pll_outputs.csv",
-            OutputMatrix(columns=student, round=2).to_csv,
-        )
+        student = pll_student(refined, eig, config.lam, model.K, model.n)
+        emit("pll_outputs.csv", student.to_csv)
     if "oracle" in config.modes:
-        gram = build_gram(model)
-        current = Y0
-        for t in range(1, config.t_max + 1):
-            result = solve_round(
-                current, gram, config.lam, model.K, model.n, config.solver()
-            )
-            if not result.converged:
-                raise NumericalError(f"oracle failed to converge at round {t}")
-            current = result.outputs
-            emit(f"oracle_round_{t:03d}.csv", current.to_csv)
-
-            def write_report(path, report=result.convergence_report()):
-                with open(path, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-
-            emit(f"oracle_round_{t:03d}.json", write_report)
+        rounds = oracle_trajectory(
+            Y0, build_gram(model), config.lam, model.K, model.n, config.t_max,
+            config.solver(),
+        )
+        for t, result in enumerate(rounds, start=1):
+            report = result.convergence_report()
+            emit(f"oracle_round_{t:03d}.csv", result.outputs.to_csv)
+            emit(f"oracle_round_{t:03d}.json", lambda p, r=report: _write_json(p, r))
     return written
 
 
@@ -183,32 +167,24 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     empirical: dict[object, float] = {}
     if "closed_form" in config.modes or "oracle" in config.modes:
         assignment = realize_labels(C, model.n, seed=config.seed)
-        eig = _eigensystem(model)
+        eig = eigensystem(model)
         Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
         traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
+        outputs = traj[1:]
         if "oracle" in config.modes:
-            gram = build_gram(model)
-            current = Y0
-            for t in range(1, config.t_max + 1):
-                result = solve_round(
-                    current, gram, config.lam, model.K, model.n, config.solver()
+            try:
+                rounds = oracle_trajectory(
+                    Y0, build_gram(model), config.lam, model.K, model.n,
+                    config.t_max, config.solver(),
                 )
-                if not result.converged:
-                    raise NumericalError(
-                        f"oracle failed to converge at eta={eta}, round {t}"
-                    )
-                current = result.outputs
-                empirical[t] = argmax_accuracy(current, assignment.true_labels)
-        else:
-            for t in range(1, config.t_max + 1):
-                empirical[t] = argmax_accuracy(traj[t], assignment.true_labels)
+            except NumericalError as exc:
+                raise NumericalError(f"eta={eta}: {exc}") from exc
+            outputs = [result.outputs for result in rounds]
+        for t, mat in enumerate(outputs, start=1):
+            empirical[t] = argmax_accuracy(mat, assignment.true_labels)
         if "pll" in config.modes:
-            refined = pll_refine(traj[1])
-            op1 = averaging_operator(eig, config.lam, model.K, model.n, 1)
-            student = (refined.columns - 1.0 / model.K) @ op1.matrix + 1.0 / model.K
-            empirical["PLL"] = argmax_accuracy(
-                OutputMatrix(columns=student, round=2), assignment.true_labels
-            )
+            student = pll_student(pll_refine(traj[1]), eig, config.lam, model.K, model.n)
+            empirical["PLL"] = argmax_accuracy(student, assignment.true_labels)
     for t in range(1, config.t_max + 1):
         pred = predicted_population_accuracy(C, tc, t, "sd")
         emp = empirical.get(t)
@@ -327,9 +303,7 @@ def cmd_theory(config: ExperimentConfig) -> str:
         "pairs": pairs,
     }
     path = os.path.join(config.output_dir, "theory.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     return path
 
 
@@ -401,9 +375,7 @@ def cmd_ingest(
         "suggested_lambda": suggestions,
     }
     path = os.path.join(output_dir, "ingest.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     return path
 
 

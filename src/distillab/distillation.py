@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .gram_models import EigenSystem, SuperclassMap
 from .noise_theory import (
+    TIE_TOL,
     CorruptionMatrix,
     TheoryConstants,
     _check_block_confined,
@@ -37,6 +38,7 @@ __all__ = [
     "closed_form_output",
     "extended_output",
     "pll_refine",
+    "pll_student",
     "pll_output",
     "argmax_accuracy",
 ]
@@ -350,20 +352,43 @@ def extended_output(
     )
 
 
+def _within_tie_band(cols: np.ndarray) -> np.ndarray:
+    """Entries within ``TIE_TOL`` of their column's maximum (all tied)."""
+    return cols >= cols.max(axis=0) - TIE_TOL
+
+
 def pll_refine(teacher: OutputMatrix) -> PartialLabelMatrix:
     """Two-hot refinement of the teacher's outputs.
 
-    Each sample keeps its two largest output entries at weight 1/2 each;
-    ties go to the lowest class index.
+    Each sample keeps its two largest output entries at weight 1/2 each.
+    Entries within ``TIE_TOL`` (1e-12) of the largest remaining entry are
+    tied, and ties go to the lowest class index, so rounding noise in the
+    teacher cannot reorder classes the closed forms rank equal.
     """
-    K = teacher.K
-    if K < 2:
+    if teacher.K < 2:
         raise ValidationError("top-2 refinement needs at least two classes")
-    cols = np.zeros_like(teacher.columns)
-    for i in range(teacher.num_samples):
-        order = np.lexsort((np.arange(K), -teacher.columns[:, i]))
-        cols[order[:2], i] = 0.5
+    samples = np.arange(teacher.num_samples)
+    rest = teacher.columns.copy()
+    cols = np.zeros_like(rest)
+    for _ in range(2):
+        # argmax of a boolean picks the lowest index in the tie band
+        top = np.argmax(_within_tie_band(rest), axis=0)
+        cols[top, samples] = 0.5
+        rest[top, samples] = -np.inf
     return PartialLabelMatrix(columns=cols, source_round=teacher.round)
+
+
+def pll_student(
+    targets: PartialLabelMatrix, eig: EigenSystem, lam: float, K: int, n: int
+) -> OutputMatrix:
+    """Outputs of the student trained one round on two-hot ``targets``.
+
+    Applies the one-round averaging operator to the centered targets:
+    ``(targets - 1/K) @ A_1 + 1/K``, one round after the targets' source.
+    """
+    matrix = averaging_operator(eig, lam, K, n, 1).matrix
+    student = (targets.columns - 1.0 / K) @ matrix + 1.0 / K
+    return OutputMatrix(columns=student, round=targets.source_round + 1)
 
 
 class PllOutput(NamedTuple):
@@ -424,13 +449,13 @@ def pll_output(
 def argmax_accuracy(outputs: OutputMatrix, true_labels: Sequence[int]) -> float:
     """Fraction of samples whose strict output argmax is the true label.
 
-    A tie for the maximum counts as incorrect.
+    Entries within ``TIE_TOL`` (1e-12) of the column maximum are tied with
+    it, and a tie for the maximum counts as incorrect.
     """
     labels = np.asarray(true_labels, dtype=int)
     if labels.shape != (outputs.num_samples,):
         raise ValidationError("true labels must have one entry per sample")
-    cols = outputs.columns
-    maxima = cols.max(axis=0)
-    unique = (cols == maxima).sum(axis=0) == 1
-    hits = cols[labels - 1, np.arange(labels.size)] == maxima
+    tied = _within_tie_band(outputs.columns)
+    unique = tied.sum(axis=0) == 1
+    hits = tied[labels - 1, np.arange(labels.size)]
     return float(np.mean(unique & hits)) if labels.size else 0.0

@@ -42,6 +42,7 @@ __all__ = [
     "build_gram",
     "analytic_eigensystem",
     "numeric_eigensystem",
+    "eigensystem",
     "gram_statistics",
 ]
 
@@ -210,21 +211,6 @@ class GramModel:
         """True class (1-based) of each of the ``Kn`` canonical samples."""
         return np.repeat(np.arange(1, self.K + 1), self.n)
 
-    def unperturbed(self) -> "GramModel":
-        if self.perturbation_amplitude == 0.0:
-            return self
-        return GramModel(
-            case=self.case,
-            K=self.K,
-            n=self.n,
-            c=self.c,
-            d=self.d,
-            e=self.e,
-            superclass_map=self.superclass_map,
-            perturbation_amplitude=0.0,
-            seed=self.seed,
-        )
-
 
 @dataclass(frozen=True)
 class EigenGroup:
@@ -239,8 +225,11 @@ class EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues descending.
 
     ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
-    ``groups`` partitions the indices by eigenvalue family (analytic
-    construction) or by numerically clustered value (dense fallback).
+    Eigenpairs with exactly equal values keep the order in which they were
+    constructed (family by family for the analytic form, the solver's order
+    for the dense one).  ``groups`` partitions the indices by eigenvalue
+    family (analytic construction) or by numerically clustered value (dense
+    fallback).
     """
 
     values: np.ndarray
@@ -349,18 +338,13 @@ def _lift_class_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
 def _sort_eigensystem(
     values: np.ndarray, vectors: np.ndarray, family: list[str]
 ) -> tuple[np.ndarray, np.ndarray, tuple[EigenGroup, ...]]:
-    """Sort descending; break exact value ties by eigenvector lex order."""
-    order = sorted(
-        range(values.size),
-        key=lambda i: (-values[i], tuple(vectors[:, i])),
-    )
-    values = values[order]
-    vectors = vectors[:, order]
+    """Sort descending; exact value ties keep their construction order."""
+    order = np.argsort(-values, kind="stable")
     by_label: dict[str, list[int]] = {}
-    for new_idx, old_idx in enumerate(order):
+    for new_idx, old_idx in enumerate(order.tolist()):
         by_label.setdefault(family[old_idx], []).append(new_idx)
     groups = tuple(EigenGroup(label, tuple(idx)) for label, idx in by_label.items())
-    return values, vectors, groups
+    return values[order], vectors[:, order], groups
 
 
 def analytic_eigensystem(model: GramModel) -> EigenSystem:
@@ -488,6 +472,14 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
         family.append(f"cluster{cluster}")
     values, vectors, groups = _sort_eigensystem(vals.copy(), vecs, family)
     return EigenSystem(values=values, vectors=vectors, groups=groups)
+
+
+def eigensystem(model: GramModel) -> EigenSystem:
+    """Eigensystem of ``model``'s Gram matrix: the closed form when the model
+    is unperturbed, else the dense decomposition of the realized matrix."""
+    if model.perturbation_amplitude == 0.0:
+        return analytic_eigensystem(model)
+    return numeric_eigensystem(build_gram(model))
 
 
 @dataclass(frozen=True)

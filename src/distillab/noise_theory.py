@@ -89,10 +89,11 @@ class CorruptionMatrix:
         return float(self.entries[k - 1, kp - 1])
 
     def is_block_confined(self, smap: SuperclassMap) -> bool:
-        """True when mislabeling never crosses superclass boundaries."""
+        """True when mislabeling never crosses superclass boundaries (cross
+        mass within the stochasticity tolerance counts as none)."""
         sup = np.asarray(smap.assignments)
         cross = sup[:, None] != sup[None, :]
-        return bool(np.all(self.entries[cross] == 0.0))
+        return bool(np.all(np.abs(self.entries[cross]) <= STOCHASTIC_TOL))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -317,22 +318,17 @@ class Case5Constants:
 
     ``superclass_ratio`` plays the role ``r_s`` plays at ``e = 0`` but with
     ``d`` replaced by ``d - e``; ``global_ratio`` is the ratio of the
-    all-samples eigenvalue.  ``delta`` is the per-superclass increment of
-    the coupled core matrix over the class-contrast ratio ``q``.
+    all-samples eigenvalue.
     """
 
     e: float
     superclass_ratio: np.ndarray
     global_ratio: float
-    delta: np.ndarray
 
     def __post_init__(self):
         sr = np.array(self.superclass_ratio, dtype=float)
-        dl = np.array(self.delta, dtype=float)
         sr.flags.writeable = False
-        dl.flags.writeable = False
         object.__setattr__(self, "superclass_ratio", sr)
-        object.__setattr__(self, "delta", dl)
 
 
 @dataclass(frozen=True)
@@ -394,11 +390,6 @@ class TheoryConstants:
             return math.inf
         return 1.0 / (ratio_t - 1.0)
 
-    def r_of_class(self, k: int) -> float:
-        if self.r is None:
-            raise ValidationError("superclass ratios are not defined for this model")
-        return float(self.r[self.superclass_map.superclass_of(k) - 1])
-
     def mu(self, s: int, t: int) -> float:
         """Superclass-averaging weight after ``t`` rounds."""
         self._require_scalar()
@@ -456,20 +447,9 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
             ks = sizes[0]
             wr = np.array([ratio(a_q + ks * n * (d - model.e))] * len(sizes))
             wg = ratio(a_q + ks * n * (d - model.e) + K * n * model.e)
-            q_val = ratio(a_q)
-            case5 = Case5Constants(
-                e=model.e,
-                superclass_ratio=wr,
-                global_ratio=wg,
-                delta=(wr - q_val) / ks,
-            )
+            case5 = Case5Constants(e=model.e, superclass_ratio=wr, global_ratio=wg)
         elif model.e == 0.0:
-            case5 = Case5Constants(
-                e=0.0,
-                superclass_ratio=r.copy(),
-                global_ratio=float(r[0]),
-                delta=(r - ratio(a_q)) / np.asarray(sizes),
-            )
+            case5 = Case5Constants(e=0.0, superclass_ratio=r.copy(), global_ratio=float(r[0]))
     return TheoryConstants(
         lam=lam,
         K=K,
@@ -522,6 +502,15 @@ def _strictly_exceeds(lhs: float, rhs: float) -> bool:
     return lhs - rhs > TIE_TOL
 
 
+def _failing_cells(C: CorruptionMatrix, thr: float) -> list[tuple[int, int]]:
+    """Realized mislabeled cells ``(k, k')`` (1-based, with mass) whose gap
+    ``C[k,k] - C[k,k']`` does not strictly exceed ``thr``."""
+    cells = [(k, kp) for k in range(1, C.K + 1) for kp in range(1, C.K + 1)
+             if kp != k and C.entry(k, kp) > 0.0]
+    return [(k, kp) for k, kp in cells
+            if not _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr)]
+
+
 def _check_block_confined(C: CorruptionMatrix, smap: SuperclassMap):
     if smap.num_superclasses > 1 and not C.is_block_confined(smap):
         raise ValidationError(
@@ -549,13 +538,7 @@ def sd_accuracy_condition(
         raise ValidationError("corruption matrix size does not match the constants")
     _check_block_confined(C, tc.superclass_map)
     thr = tc.threshold(t)
-    failing = []
-    for k in range(1, C.K + 1):
-        for kp in range(1, C.K + 1):
-            if kp == k or C.entry(k, kp) <= 0.0:
-                continue
-            if not _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr):
-                failing.append((k, kp))
+    failing = _failing_cells(C, thr)
     return ConditionResult(
         achieves_100=not failing, failing_pairs=tuple(failing), threshold=thr
     )
@@ -641,13 +624,7 @@ def evolving_condition(
     for tc_i in rounds[:t]:
         prod *= tc_i.qp_ratio()
     thr = math.inf if prod <= 1.0 else 1.0 / (prod - 1.0)
-    for k in range(1, C.K + 1):
-        for kp in range(1, C.K + 1):
-            if kp == k or C.entry(k, kp) <= 0.0:
-                continue
-            if not _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr):
-                return False
-    return True
+    return not _failing_cells(C, thr)
 
 
 def _tilde_label(C: CorruptionMatrix, k: int) -> int:

@@ -10,9 +10,12 @@ Jacobian; step sizes come from a Barzilai-Borwein estimate safeguarded by
 a nonmonotone backtracking line search, so the update direction is always
 the plain gradient.  Convergence is declared on the max-norm residual.
 
-The solver doubles as the ground-truth oracle for measuring how far the
-linearized closed forms drift from the true softmax outputs, and for
-checking that temperature scaling leaves the optimum unchanged.
+Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
+solved from the previous round's oracle outputs; a round that does not
+converge stops the chain with a :class:`NumericalError`.  The solver doubles
+as the ground-truth oracle for measuring how far the linearized closed forms
+drift from the true softmax outputs, and for checking that temperature
+scaling leaves the optimum unchanged.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .distillation import OutputMatrix, trajectory
+from .distillation import OutputMatrix, _operator_ratios, trajectory
 from .errors import NumericalError, ValidationError
-from .gram_models import GramModel, analytic_eigensystem, build_gram, numeric_eigensystem
+from .gram_models import GramModel, build_gram, eigensystem, numeric_eigensystem
+# kept importable from here: bench/test_bench.py checks the tracer rebinds it
+from .gram_models import analytic_eigensystem  # noqa: F401
 from .noise_theory import CorruptionMatrix, nearest_realizable, realize_labels
 
 __all__ = [
@@ -35,6 +40,7 @@ __all__ = [
     "fixed_point_residual",
     "objective_and_gradient",
     "solve_round",
+    "oracle_trajectory",
     "measure_approx_error",
 ]
 
@@ -185,8 +191,7 @@ def _initial_iterate(
     if config.warm_start:
         eig = numeric_eigensystem(gram)
         # single linearized step from the previous outputs
-        clipped = np.clip(eig.values, 0.0, None)
-        ratios = clipped / (K * K * n * lam + clipped)
+        ratios = _operator_ratios(eig, lam, K, n)
         centered = Y_prev.columns - 1.0 / K
         return (centered @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
     rng = np.random.default_rng(config.seed)
@@ -272,6 +277,33 @@ def solve_round(
     )
 
 
+def oracle_trajectory(
+    Y0: OutputMatrix,
+    gram: np.ndarray,
+    lam: float,
+    K: int,
+    n: int,
+    t_max: int,
+    config: Optional[SolverConfig] = None,
+) -> list[OracleResult]:
+    """Oracle results for rounds ``1..t_max``, each solved from the previous
+    round's oracle outputs (round 1 from ``Y0``).  A round that fails to
+    converge raises :class:`NumericalError` naming the round, its residual
+    and its iteration count."""
+    results: list[OracleResult] = []
+    current = Y0
+    for t in range(1, t_max + 1):
+        result = solve_round(current, gram, lam, K, n, config)
+        if not result.converged:
+            raise NumericalError(
+                f"oracle failed to converge at round {t} (residual "
+                f"{result.final_loss:.3e} after {result.iterations_used} iterations)"
+            )
+        results.append(result)
+        current = result.outputs
+    return results
+
+
 def measure_approx_error(
     gram_model: GramModel,
     C: CorruptionMatrix,
@@ -298,23 +330,11 @@ def measure_approx_error(
         # (both the oracle and the closed form consume the same labels)
         snapped = nearest_realizable(C, gram_model.n)
         assignment = realize_labels(snapped, gram_model.n, seed=config.seed)
-    gram = build_gram(gram_model)
-    if gram_model.perturbation_amplitude == 0.0:
-        eig = analytic_eigensystem(gram_model)
-    else:
-        eig = numeric_eigensystem(gram)
-    Y0 = OutputMatrix.from_labels(assignment.given_labels, gram_model.K)
-    closed = trajectory(Y0, eig, lam, gram_model.K, gram_model.n, t)
-    worst = 0.0
-    current = Y0
-    for round_idx in range(1, t + 1):
-        result = solve_round(current, gram, lam, gram_model.K, gram_model.n, config)
-        if not result.converged:
-            raise NumericalError(
-                f"oracle failed to converge at round {round_idx} "
-                f"(residual {result.final_loss:.3e} after {result.iterations_used} iterations)"
-            )
-        current = result.outputs
-        gap = float(np.abs(current.columns - closed[round_idx].columns).max())
-        worst = max(worst, gap)
-    return worst
+    K, n = gram_model.K, gram_model.n
+    Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
+    closed = trajectory(Y0, eigensystem(gram_model), lam, K, n, t)
+    rounds = oracle_trajectory(Y0, build_gram(gram_model), lam, K, n, t, config)
+    return max(
+        float(np.abs(r.outputs.columns - c.columns).max())
+        for r, c in zip(rounds, closed[1:])
+    )

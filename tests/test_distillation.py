@@ -344,6 +344,47 @@ class TestPllRefine:
         with pytest.raises(ValidationError):
             pll_refine(m)
 
+    @pytest.mark.parametrize(
+        "column, expected",
+        [
+            # rounding-level differences at the top are ties
+            ([0.4, 0.4 + 1e-15, 0.1, 0.1 - 1e-15], [0.5, 0.5, 0.0, 0.0]),
+            ([0.3, 0.3 - 1e-15, 0.3 + 1e-15, 0.1], [0.5, 0.5, 0.0, 0.0]),
+            # ... and for the second slot
+            ([0.5, 0.2 - 1e-15, 0.2, 0.1], [0.5, 0.5, 0.0, 0.0]),
+            ([0.1, 0.1 - 1e-15, 0.4 + 1e-15, 0.4], [0.0, 0.0, 0.5, 0.5]),
+            # differences above the tie band still rank
+            ([0.5, 0.2 - 1e-9, 0.2 + 1e-9, 0.1], [0.5, 0.0, 0.5, 0.0]),
+        ],
+    )
+    def test_near_ties_break_to_lowest_index(self, column, expected):
+        m = OutputMatrix(np.array([column]).T, round=1)
+        np.testing.assert_array_equal(pll_refine(m).columns[:, 0], expected)
+
+    @pytest.mark.parametrize(
+        "case, K, n, eta, kind, sizes",
+        [
+            (GramCase.III, 4, 60, 0.0, "symmetric", None),
+            (GramCase.III, 4, 60, 0.5, "symmetric", None),
+            (GramCase.IV, 6, 40, 0.25, "superclass", (3, 3)),
+            (GramCase.V, 6, 40, 0.0, "superclass", (3, 3)),
+        ],
+    )
+    def test_targets_agree_between_analytic_and_dense_eigensystems(
+        self, case, K, n, eta, kind, sizes
+    ):
+        # the two eigen paths differ only by rounding, which the tie band absorbs
+        smap = SuperclassMap.from_sizes(sizes) if sizes else None
+        model = GramModel(case=case, K=K, n=n, c=0.4, d=0.15,
+                          e=0.05 if case is GramCase.V else 0.0, superclass_map=smap)
+        C = make_corruption(kind, eta, K, superclass_map=smap)
+        Y0 = one_hot_from(realize_labels(C, n, seed=0))
+        targets = [
+            pll_refine(trajectory(Y0, eig, SETUP_A_LAMBDA, K, n, 1)[1]).columns
+            for eig in (analytic_eigensystem(model), numeric_eigensystem(build_gram(model)))
+        ]
+        np.testing.assert_array_equal(targets[0], targets[1])
+
 
 class TestPllOutput:
     def test_identity_corruption_clean_component(self):
@@ -415,6 +456,13 @@ class TestArgmaxAccuracy:
     def test_uniform_outputs_are_all_ties(self):
         m = OutputMatrix(np.full((4, 5), 0.25), round=1)
         assert argmax_accuracy(m, np.array([1, 2, 3, 4, 1])) == 0.0
+
+    def test_near_tie_for_the_maximum_is_incorrect(self):
+        cols = np.array([[0.4, 0.4 + 1e-15, 0.1, 0.1 - 1e-15],
+                         [0.4, 0.4 + 1e-9, 0.1, 0.1 - 1e-9]]).T
+        m = OutputMatrix(cols, round=1)
+        assert argmax_accuracy(m, np.array([1, 2])) == 0.5
+        assert argmax_accuracy(m, np.array([2, 2])) == 0.5
 
     def test_closed_form_round3_reaches_full_accuracy(self):
         K, n = 4, 102

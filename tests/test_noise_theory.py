@@ -231,6 +231,25 @@ class TestSdCondition:
         C = make_corruption("superclass", 0.3, 4, superclass_map=smap)
         assert sd_accuracy_condition(C, tc, 4).achieves_100 in (True, False)
 
+    @pytest.mark.parametrize("leak, confined", [(1e-13, True), (1e-6, False)])
+    def test_cross_superclass_mass_within_stochastic_tolerance(self, leak, confined):
+        smap = SuperclassMap((1, 1, 2, 2))
+        model = GramModel(case=GramCase.IV, K=4, n=60, c=0.4, d=0.1, superclass_map=smap)
+        tc = theory_constants(model, 1e-3)
+        m = make_corruption("superclass", 0.3, 4, superclass_map=smap).entries.copy()
+        # a doubly stochastic cycle moving `leak` across the superclasses
+        m[0, 2] += leak
+        m[0, 0] -= leak
+        m[2, 0] += leak
+        m[2, 2] -= leak
+        C = CorruptionMatrix(m)
+        assert C.is_block_confined(smap) is confined
+        if confined:
+            assert sd_accuracy_condition(C, tc, 4).achieves_100
+        else:
+            with pytest.raises(ValidationError, match="superclass"):
+                sd_accuracy_condition(C, tc, 4)
+
     def test_monotone_in_rounds_for_positive_gaps(self):
         rng = np.random.default_rng(5)
         tc = setup_a_constants()
