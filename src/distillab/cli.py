@@ -16,7 +16,6 @@ input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -65,10 +64,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Comma-separated rows with ``\\r\\n`` line ends, each field written with
+    ``str``: the bytes ``csv.writer`` writes for fields that need no quoting
+    (numbers and bare words, as every field here is), in one join."""
+    lines = [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(lines))
 
 
 def _write_json(path, report: dict) -> None:
@@ -99,7 +100,8 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     model = config.gram_model()
     C = config.corruption_matrix()
     assignment = realize_labels(C, model.n, seed=config.seed)
-    eig = eigensystem(model)
+    gram = build_gram(model) if "oracle" in config.modes else None
+    eig = eigensystem(model, gram)
     Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
     traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
     written: list[str] = []
@@ -113,15 +115,15 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     emit("labels.csv", assignment.to_csv)
     for t, mat in enumerate(traj):
         emit(f"outputs_round_{t:03d}.csv", mat.to_csv)
+    labels = list(zip(assignment.true_labels.tolist(), assignment.given_labels.tolist()))
     proj_rows = []
     for t, mat in enumerate(traj):
-        xy = simplex_projection(mat.columns)
-        for i in range(mat.num_samples):
-            proj_rows.append(
-                [t, i, int(assignment.true_labels[i]), int(assignment.given_labels[i]),
-                 _fmt(xy[i, 0]), _fmt(xy[i, 1])]
-                + [_fmt(v) for v in mat.columns[:, i]]
-            )
+        # per sample: x, y, then the output column
+        table = np.column_stack([simplex_projection(mat.columns), mat.columns.T])
+        proj_rows += [
+            [t, i, y, yhat, *map(_fmt, values)]
+            for i, ((y, yhat), values) in enumerate(zip(labels, table.tolist()))
+        ]
     emit(
         "projection.csv",
         lambda p: _write_csv(
@@ -133,8 +135,10 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     )
     eig_rows = []
     for t in range(config.t_max + 1):
-        op = averaging_operator(eig, config.lam, model.K, model.n, t)
-        for idx, val in enumerate(sorted(op.eigenvalues, reverse=True)):
+        # keep only the spectrum, so no earlier round's matrix stays alive
+        # while the next one is built
+        values = averaging_operator(eig, config.lam, model.K, model.n, t).eigenvalues
+        for idx, val in enumerate(sorted(values, reverse=True)):
             eig_rows.append([t, idx, _fmt(val)])
     emit(
         "eigenvalues.csv",
@@ -147,8 +151,7 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         emit("pll_outputs.csv", student.to_csv)
     if "oracle" in config.modes:
         rounds = oracle_trajectory(
-            Y0, build_gram(model), config.lam, model.K, model.n, config.t_max,
-            config.solver(),
+            Y0, gram, config.lam, model.K, model.n, config.t_max, config.solver()
         )
         for t, result in enumerate(rounds, start=1):
             report = result.convergence_report()
@@ -167,15 +170,16 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     empirical: dict[object, float] = {}
     if "closed_form" in config.modes or "oracle" in config.modes:
         assignment = realize_labels(C, model.n, seed=config.seed)
-        eig = eigensystem(model)
+        gram = build_gram(model) if "oracle" in config.modes else None
+        eig = eigensystem(model, gram)
         Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
         traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
         outputs = traj[1:]
         if "oracle" in config.modes:
             try:
                 rounds = oracle_trajectory(
-                    Y0, build_gram(model), config.lam, model.K, model.n,
-                    config.t_max, config.solver(),
+                    Y0, gram, config.lam, model.K, model.n, config.t_max,
+                    config.solver(),
                 )
             except NumericalError as exc:
                 raise NumericalError(f"eta={eta}: {exc}") from exc

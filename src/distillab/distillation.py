@@ -115,13 +115,16 @@ class OutputMatrix:
 
 
 def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
+    """One ``round,sample_index,class_index,value`` row per entry, sample
+    major, values to 12 significant digits and ``\\r\\n`` line ends: the
+    bytes ``csv.writer`` writes for these fields, in one join."""
+    lines = [
+        f"{round_idx},{i},{k},{v:.12g}\r\n"
+        for i, col in enumerate(columns.T.tolist())
+        for k, v in enumerate(col, start=1)
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "sample_index", "class_index", "value"])
-        K, m = columns.shape
-        for i in range(m):
-            for k in range(K):
-                writer.writerow([round_idx, i, k + 1, f"{columns[k, i]:.12g}"])
+        fh.write("round,sample_index,class_index,value\r\n" + "".join(lines))
 
 
 def _read_long_csv(path) -> tuple[np.ndarray, int]:
@@ -172,7 +175,11 @@ class PartialLabelMatrix:
 
 @dataclass(frozen=True)
 class AveragingOperator:
-    """The round-``t`` label-averaging matrix and its spectrum."""
+    """The round-``t`` label-averaging matrix and its spectrum.
+
+    Takes ownership of ``matrix``: a float array is kept without a copy and
+    marked read-only, so the caller must not write to it afterwards.
+    """
 
     matrix: np.ndarray
     t: int
@@ -180,7 +187,7 @@ class AveragingOperator:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float)
         ev = np.array(self.eigenvalues, dtype=float)
         # the round-0 operator is the identity; from round 1 on the spectrum
         # contracts strictly below 1
@@ -206,21 +213,47 @@ def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray
     return clipped / (K * K * n * lam + clipped)
 
 
+def _bulk_value(powered: np.ndarray) -> float:
+    """The value shared by the most entries (the smallest such value on a
+    tie), or 0 when no value repeats."""
+    values, counts = np.unique(powered, return_counts=True)
+    top = int(np.argmax(counts))
+    return float(values[top]) if counts[top] > 1 else 0.0
+
+
 def averaging_operator(
     eig: EigenSystem, lam: float, K: int, n: int, t: int
 ) -> AveragingOperator:
     """Spectral power of the one-round label-averaging map.
 
     Shares the Gram eigenvectors; eigenvalue ``lambda_i`` maps to
-    ``(lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is the identity.
-    Source eigenvalues below ``-1e-8`` are rejected; tiny negatives from a
-    perturbed matrix are clipped to zero.
+    ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is the
+    identity.  Source eigenvalues below ``-1e-8`` are rejected; tiny
+    negatives from a perturbed matrix are clipped to zero.
+
+    The matrix is built deflated: with ``mu`` the powered eigenvalue shared
+    by the most eigenpairs (0 when no value repeats) and ``S`` the indices
+    whose powered eigenvalue differs from ``mu``, it is
+    ``mu I + V_S diag(rho_S^t - mu) V_S^T``.  The bulk family of an
+    unperturbed model thus costs nothing: ``|S| <= K`` except in case II,
+    where the bulk value differs by class, and the cost is
+    ``O(|S| N^2)``.  By orthonormality this equals the plain product
+    ``(V rho^t) V^T`` up to rounding; when no value repeats (a dense
+    eigensystem) ``mu = 0``, ``S`` is every index and the arithmetic is
+    exactly that product.  At ``t = 0`` every value is 1, so the matrix is
+    exactly the identity.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
     ratios = _operator_ratios(eig, lam, K, n)
     powered = ratios**t
-    matrix = (eig.vectors * powered) @ eig.vectors.T
+    bulk = _bulk_value(powered)
+    rest = np.flatnonzero(powered != bulk)
+    # indexing copies the vectors; skip it when every column is kept
+    vectors = eig.vectors if rest.size == powered.size else eig.vectors[:, rest]
+    matrix = (vectors * (powered[rest] - bulk)) @ vectors.T
+    if bulk:
+        matrix[np.diag_indices(powered.size)] += bulk
     return AveragingOperator(matrix=matrix, t=t, lam=lam, eigenvalues=powered)
 
 

@@ -474,12 +474,16 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors, groups=groups)
 
 
-def eigensystem(model: GramModel) -> EigenSystem:
+def eigensystem(model: GramModel, gram: Optional[np.ndarray] = None) -> EigenSystem:
     """Eigensystem of ``model``'s Gram matrix: the closed form when the model
-    is unperturbed, else the dense decomposition of the realized matrix."""
+    is unperturbed, else the dense decomposition of the realized matrix.
+
+    ``gram``, when given, must be ``build_gram(model)``; a caller that needs
+    the realized matrix anyway passes it so that it is built only once.
+    """
     if model.perturbation_amplitude == 0.0:
         return analytic_eigensystem(model)
-    return numeric_eigensystem(build_gram(model))
+    return numeric_eigensystem(build_gram(model) if gram is None else gram)
 
 
 @dataclass(frozen=True)

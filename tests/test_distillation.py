@@ -20,6 +20,7 @@ from distillab import (
     numeric_eigensystem,
 )
 from distillab.distillation import (
+    AveragingOperator,
     OutputMatrix,
     PartialLabelMatrix,
     argmax_accuracy,
@@ -28,6 +29,7 @@ from distillab.distillation import (
     extended_output,
     pll_output,
     pll_refine,
+    pll_student,
     trajectory,
 )
 from distillab.noise_theory import (
@@ -71,6 +73,76 @@ class TestAveragingOperator:
         bad = numeric_eigensystem(np.array([[1.0, 0.0], [0.0, -0.5]]))
         with pytest.raises(ValidationError):
             averaging_operator(bad, 1e-3, 2, 1, 1)
+
+
+# one model per Gram case (II with distinct class correlations, V with
+# coupled superclasses), plus n=1, which has no within-class bulk family
+STRUCTURED_MODELS = {
+    "I": GramModel(case=GramCase.I, K=3, n=8, c=0.4),
+    "II": GramModel(case=GramCase.II, K=3, n=8, c=(0.3, 0.5, 0.7)),
+    "III": GramModel(case=GramCase.III, K=4, n=6, c=0.4, d=0.1),
+    "IV": GramModel(case=GramCase.IV, K=4, n=6, c=0.5, d=0.2,
+                    superclass_map=SuperclassMap((1, 1, 2, 2))),
+    "V": GramModel(case=GramCase.V, K=6, n=5, c=0.5, d=0.2, e=0.05,
+                   superclass_map=SuperclassMap.from_sizes([3, 3])),
+    "III_n1": GramModel(case=GramCase.III, K=4, n=1, c=0.4, d=0.1),
+}
+PERTURBED_MODEL = GramModel(case=GramCase.III, K=3, n=8, c=0.4, d=0.1,
+                            perturbation_amplitude=0.01, seed=5)
+
+
+def plain_operator(eig, lam, K, n, t):
+    """The undeflated product ``(V rho^t) V^T``."""
+    ratios = eig.values / (K * K * n * lam + eig.values)
+    return (eig.vectors * ratios**t) @ eig.vectors.T
+
+
+class TestDeflatedAveragingOperator:
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS))
+    def test_matches_plain_product_on_analytic_eigensystems(self, name, t):
+        model = STRUCTURED_MODELS[name]
+        eig = analytic_eigensystem(model)
+        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        np.testing.assert_allclose(
+            op.matrix, plain_operator(eig, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
+        )
+        if t == 0:
+            np.testing.assert_array_equal(op.matrix, np.eye(model.size))
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_dense_eigensystem_is_the_plain_product(self, t):
+        model = PERTURBED_MODEL
+        eig = numeric_eigensystem(build_gram(model))
+        assert np.unique(eig.values).size == eig.size  # no bulk value to deflate
+        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        # every round-0 value is 1, so round 0 deflates to the exact identity
+        expected = np.eye(model.size) if t == 0 else plain_operator(eig, 1e-3, model.K, model.n, t)
+        np.testing.assert_array_equal(op.matrix, expected)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
+    def test_pll_student_matches_eigen_form(self, name):
+        model = STRUCTURED_MODELS.get(name, PERTURBED_MODEL)
+        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+               else analytic_eigensystem(model))
+        K, n, lam = model.K, model.n, 1e-3
+        rng = np.random.default_rng(0)
+        cols = np.zeros((K, model.size))
+        for i in range(model.size):
+            cols[rng.choice(K, size=2, replace=False), i] = 0.5
+        targets = PartialLabelMatrix(columns=cols)
+        ratios = eig.values / (K * K * n * lam + eig.values)
+        expected = ((cols - 1.0 / K) @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
+        student = pll_student(targets, eig, lam, K, n)
+        np.testing.assert_allclose(student.columns, expected, rtol=0, atol=1e-13)
+        assert student.round == 2
+
+    def test_takes_the_matrix_without_copying(self):
+        eig = analytic_eigensystem(STRUCTURED_MODELS["III"])
+        op = averaging_operator(eig, 1e-3, 4, 6, 1)
+        assert not op.matrix.flags.writeable
+        op2 = AveragingOperator(matrix=op.matrix, t=1, lam=1e-3, eigenvalues=op.eigenvalues)
+        assert op2.matrix is op.matrix
 
 
 class TestTrajectory:
