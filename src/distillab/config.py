@@ -87,7 +87,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "out"
     workers: int = 1
-    solver_learning_rate: float = 0.5
     solver_max_iterations: int = 50_000
     solver_tolerance: float = 1e-10
     solver_warm_start: bool = False
@@ -131,7 +130,6 @@ class ExperimentConfig:
 
     def solver(self) -> SolverConfig:
         return SolverConfig(
-            learning_rate=self.solver_learning_rate,
             max_iterations=self.solver_max_iterations,
             tolerance=self.solver_tolerance,
             seed=self.seed,

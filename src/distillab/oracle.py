@@ -4,11 +4,19 @@ The optimal outputs of a round solve, column by column,
 
     y_i = softmax( sum_j gram[i, j] * (y_prev_j - y_j) / (K n lam) ),
 
-with no linearization.  The solver minimises the squared Frobenius norm of
-the fixed-point residual by gradient descent through the exact softmax
-Jacobian; step sizes come from a Barzilai-Borwein estimate safeguarded by
-a nonmonotone backtracking line search, so the update direction is always
-the plain gradient.  Convergence is declared on the max-norm residual.
+with no linearization.  With dual coefficients ``A = Y_prev - Y`` and
+logits ``Z = A G / c`` (``c = K n lam``) this is the stationarity condition
+of the strictly convex kernel-logistic objective
+
+    Phi(A) = sum_i logsumexp(Z_i) - <Y_prev, Z> + <A, Z> / 2,
+
+whose gradient is ``(softmax(Z) - Y_prev + A) G / c`` (Keerthi et al., "A
+fast dual algorithm for kernel logistic regression", 2005).  The solver
+minimises ``Phi`` by damped inexact Newton steps: conjugate gradients in
+the ``G``-inner product solve each Newton system, and a backtracking line
+search on ``Phi`` damps the step.  Convergence is declared on the max-norm
+residual of the fixed-point equation itself, evaluated at
+``Y = softmax(Z)``.
 
 Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
 solved from the previous round's oracle outputs; a round that does not
@@ -45,6 +53,8 @@ __all__ = [
 ]
 
 ZERO_MEAN_LOGIT_TOL = 1e-9
+# backtracking stops here and takes its last, 2**-29-scaled trial step
+_MAX_HALVINGS = 30
 
 
 def softmax(v: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -72,28 +82,24 @@ def linearized_softmax(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the fixed-point solver.
+    """Settings for the Newton-CG fixed-point solver.
 
-    ``learning_rate`` seeds the step size; the line search rescales it per
-    iteration.  ``tolerance`` is the max-norm residual below which the
-    round counts as converged.  ``warm_start`` initialises at the
-    linearized closed-form prediction instead of random normalized columns.
+    ``max_iterations`` caps the Newton steps of one round.  ``tolerance``
+    is the max-norm fixed-point residual below which the round counts as
+    converged.  ``seed`` draws the random normalized starting columns;
+    ``warm_start`` starts at the linearized closed-form prediction instead.
     """
 
-    learning_rate: float = 0.5
     max_iterations: int = 50_000
     tolerance: float = 1e-10
     seed: int = 0
     warm_start: bool = False
-    nonmonotone_window: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValidationError("learning rate must be positive")
         if self.tolerance <= 0.0:
             raise ValidationError("tolerance must be positive")
-        if self.max_iterations < 1 or self.nonmonotone_window < 1:
-            raise ValidationError("iteration counts must be positive")
+        if self.max_iterations < 1:
+            raise ValidationError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,49 @@ def _initial_iterate(
     return raw / raw.sum(axis=0, keepdims=True)
 
 
+def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray) -> float:
+    """``Phi(A)`` from its logits ``Z = A G / c``."""
+    top = Z.max(axis=0)
+    lse = top + np.log(np.exp(Z - top).sum(axis=0))
+    return float(lse.sum() - (Y_prev * Z).sum() + 0.5 * (A * Z).sum())
+
+
+def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, gram: np.ndarray,
+                      c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inexact solution ``d`` of ``d + J_S(d G) / c = -r`` and its ``d G``.
+
+    The operator is self-adjoint and positive definite in
+    ``<x, y>_G = tr(x G y^T)`` when ``G`` is, so conjugate gradients run in
+    that inner product; carrying ``p G`` next to each direction ``p`` costs
+    one ``K x N`` by ``N x N`` product per step.  Stops once
+    ``||res||_G <= min(0.5, ||r||_G^(1/2)) ||r||_G``.
+    """
+    d, dG = np.zeros_like(r), np.zeros_like(r)
+    res, resG = -r, -rG
+    p, pG = res, resG
+    rho = rho0 = float((res * resG).sum())
+    for _ in range(r.size):
+        pGp = float((p * pG).sum())
+        if pGp <= 0.0:
+            raise NumericalError(
+                f"Gram matrix is not positive definite: CG direction has "
+                f"tr(p G p^T) = {pGp:.3e}"
+            )
+        # softmax Jacobian applied columnwise to the direction's logits
+        sp = S * pG
+        Mp = p + (sp - S * sp.sum(axis=0)) / c
+        alpha = rho / float((pG * Mp).sum())
+        d, dG = d + alpha * p, dG + alpha * pG
+        res = res - alpha * Mp
+        resG = res @ gram
+        rho_new = float((res * resG).sum())
+        if rho_new <= min(0.25, rho0 ** 0.5) * rho0:
+            break
+        beta, rho = rho_new / rho, rho_new
+        p, pG = res + beta * p, resG + beta * pG
+    return d, dG
+
+
 def solve_round(
     Y_prev: OutputMatrix,
     gram: np.ndarray,
@@ -210,11 +259,19 @@ def solve_round(
 ) -> OracleResult:
     """Solve one distillation round's softmax fixed point exactly.
 
-    Starts from seed-deterministic normalized uniform random columns,
-    iterates gradient steps on the squared residual, and stops when the
-    max-norm residual drops below the tolerance or the iteration budget
-    runs out (returning the best iterate found, flagged unconverged).
-    A non-finite loss reports the iteration at which it appeared.
+    Starts from dual coefficients ``A = Y_prev - Y0``, with ``Y0`` the
+    seed-deterministic normalized uniform random columns (or the linearized
+    prediction under ``warm_start``), and takes damped Newton-CG steps on
+    the convex objective ``Phi`` of the module docstring.  A step is
+    accepted when it passes an Armijo test on ``Phi`` or halves the
+    max-norm gradient residual ``A - (Y_prev - softmax(Z))``; the second
+    test carries the last steps, where differences of ``Phi`` fall below
+    rounding.  Stops when the max-norm fixed-point residual at
+    ``Y = softmax(Z)`` drops below the tolerance or after
+    ``max_iterations`` Newton steps (returning the best iterate found,
+    flagged unconverged).  A non-finite residual reports the iteration at
+    which it appeared; a Gram matrix that is not positive definite raises
+    :class:`NumericalError`.
     """
     config = config or SolverConfig()
     gram = np.asarray(gram, dtype=float)
@@ -222,55 +279,38 @@ def solve_round(
         raise ValidationError("Gram matrix size does not match the previous outputs")
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
-    Y = _initial_iterate(Y_prev, gram, lam, K, n, config)
+    c = K * n * lam
     Yp = Y_prev.columns
-    loss, grad, R = objective_and_gradient(Y, Yp, gram, lam, K, n, tau,
-                                           check_zero_mean=True)
-    best_Y, best_linf = Y, float(np.abs(R).max())
-    history = [loss]
-    step = config.learning_rate
+    A = Yp - _initial_iterate(Y_prev, gram, lam, K, n, config)
+    Z = (A @ gram) / c
+    best_S, best_linf = None, np.inf
     iterations = 0
-    for it in range(config.max_iterations):
-        if not np.isfinite(loss):
-            raise NumericalError(f"loss became non-finite at iteration {it}")
-        linf = float(np.abs(R).max())
+    while True:
+        S = softmax(Z)
+        linf = float(np.abs(fixed_point_residual(S, Yp, gram, lam, K, n, tau)).max())
+        if not np.isfinite(linf):
+            raise NumericalError(f"residual became non-finite at iteration {iterations}")
         if linf < best_linf:
-            best_Y, best_linf = Y, linf
-        if linf < config.tolerance:
-            return OracleResult(
-                outputs=OutputMatrix(columns=Y, round=Y_prev.round + 1),
-                converged=True,
-                final_loss=linf,
-                iterations_used=iterations,
-            )
-        gnorm2 = float((grad * grad).sum())
-        reference = max(history[-config.nonmonotone_window :])
-        trial = step
-        for _ in range(60):
-            Y_new = Y - trial * grad
-            loss_new, grad_new, R_new = objective_and_gradient(
-                Y_new, Yp, gram, lam, K, n, tau, check_zero_mean=True
-            )
-            if np.isfinite(loss_new) and loss_new <= reference - 1e-4 * trial * gnorm2:
+            best_S, best_linf = S, linf
+        if linf < config.tolerance or iterations == config.max_iterations:
+            break
+        r = A - Yp + S
+        rG = r @ gram
+        d, dG = _newton_direction(r, rG, S, gram, c)
+        phi = _dual_objective(A, Z, Yp)
+        slope = float((rG * d).sum()) / c
+        r_max = float(np.abs(r).max())
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            A_new, Z_new = A + step * d, Z + (step / c) * dG
+            if (_dual_objective(A_new, Z_new, Yp) <= phi + 1e-4 * step * slope
+                    or np.abs(A_new - Yp + softmax(Z_new)).max() <= 0.5 * r_max):
                 break
-            trial *= 0.5
-        # Barzilai-Borwein secant step for the next iteration
-        sk = (Y_new - Y).ravel()
-        yk = (grad_new - grad).ravel()
-        curvature = float(sk @ yk)
-        if curvature > 0.0:
-            step = float((sk @ sk) / curvature)
-        else:
-            step = trial * 2.0
-        step = min(max(step, 1e-14), 10.0)
-        Y, loss, grad, R = Y_new, loss_new, grad_new, R_new
-        history.append(loss)
-        iterations = it + 1
-    linf = float(np.abs(R).max())
-    if linf < best_linf:
-        best_Y, best_linf = Y, linf
+            step *= 0.5
+        A, Z = A_new, Z_new
+        iterations += 1
     return OracleResult(
-        outputs=OutputMatrix(columns=best_Y, round=Y_prev.round + 1),
+        outputs=OutputMatrix(columns=best_S, round=Y_prev.round + 1),
         converged=bool(best_linf < config.tolerance),
         final_loss=best_linf,
         iterations_used=iterations,
@@ -332,8 +372,13 @@ def measure_approx_error(
         assignment = realize_labels(snapped, gram_model.n, seed=config.seed)
     K, n = gram_model.K, gram_model.n
     Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
-    closed = trajectory(Y0, eigensystem(gram_model), lam, K, n, t)
-    rounds = oracle_trajectory(Y0, build_gram(gram_model), lam, K, n, t, config)
+    # a perturbed model's eigensystem is the dense one of its Gram, so that
+    # Gram is built once for both; an unperturbed model's Gram is built only
+    # after the closed form, which frees the analytic N x N eigenvectors
+    gram = build_gram(gram_model) if gram_model.perturbation_amplitude else None
+    closed = trajectory(Y0, eigensystem(gram_model, gram), lam, K, n, t)
+    gram = build_gram(gram_model) if gram is None else gram
+    rounds = oracle_trajectory(Y0, gram, lam, K, n, t, config)
     return max(
         float(np.abs(r.outputs.columns - c.columns).max())
         for r, c in zip(rounds, closed[1:])

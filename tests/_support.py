@@ -13,6 +13,18 @@ def setup_a_model():
 
 SETUP_A_LAMBDA = 3.125e-4
 
+# one small model per Gram case (II with distinct class correlations, V with
+# coupled superclasses)
+CASE_MODELS = {
+    "I": GramModel(case=GramCase.I, K=3, n=8, c=0.4),
+    "II": GramModel(case=GramCase.II, K=3, n=8, c=(0.3, 0.5, 0.7)),
+    "III": GramModel(case=GramCase.III, K=4, n=6, c=0.4, d=0.1),
+    "IV": GramModel(case=GramCase.IV, K=4, n=6, c=0.5, d=0.2,
+                    superclass_map=SuperclassMap((1, 1, 2, 2))),
+    "V": GramModel(case=GramCase.V, K=6, n=5, c=0.5, d=0.2, e=0.05,
+                   superclass_map=SuperclassMap.from_sizes([3, 3])),
+}
+
 
 def setup_a_constants():
     return theory_constants(setup_a_model(), SETUP_A_LAMBDA)

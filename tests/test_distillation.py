@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import (
+    CASE_MODELS,
     SETUP_A_LAMBDA,
     random_block_confined,
     random_doubly_stochastic,
@@ -75,18 +76,10 @@ class TestAveragingOperator:
             averaging_operator(bad, 1e-3, 2, 1, 1)
 
 
-# one model per Gram case (II with distinct class correlations, V with
-# coupled superclasses), plus n=1, which has no within-class bulk family
-STRUCTURED_MODELS = {
-    "I": GramModel(case=GramCase.I, K=3, n=8, c=0.4),
-    "II": GramModel(case=GramCase.II, K=3, n=8, c=(0.3, 0.5, 0.7)),
-    "III": GramModel(case=GramCase.III, K=4, n=6, c=0.4, d=0.1),
-    "IV": GramModel(case=GramCase.IV, K=4, n=6, c=0.5, d=0.2,
-                    superclass_map=SuperclassMap((1, 1, 2, 2))),
-    "V": GramModel(case=GramCase.V, K=6, n=5, c=0.5, d=0.2, e=0.05,
-                   superclass_map=SuperclassMap.from_sizes([3, 3])),
-    "III_n1": GramModel(case=GramCase.III, K=4, n=1, c=0.4, d=0.1),
-}
+# the five Gram cases plus n=1, which has no within-class bulk family
+STRUCTURED_MODELS = dict(
+    CASE_MODELS, III_n1=GramModel(case=GramCase.III, K=4, n=1, c=0.4, d=0.1)
+)
 PERTURBED_MODEL = GramModel(case=GramCase.III, K=3, n=8, c=0.4, d=0.1,
                             perturbation_amplitude=0.01, seed=5)
 

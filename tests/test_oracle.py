@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from _support import SETUP_A_LAMBDA
+from _support import CASE_MODELS, SETUP_A_LAMBDA, setup_a_model
 from distillab import (
     GramCase,
     GramModel,
     NumericalError,
+    SuperclassMap,
     ValidationError,
     analytic_eigensystem,
     build_gram,
 )
 from distillab.distillation import OutputMatrix, trajectory
-from distillab.noise_theory import make_corruption, realize_labels
+from distillab import gram_models, oracle
+from distillab.noise_theory import make_corruption, nearest_realizable, realize_labels
 from distillab.oracle import (
     OracleResult,
     SolverConfig,
@@ -22,6 +24,7 @@ from distillab.oracle import (
     linearized_softmax,
     measure_approx_error,
     objective_and_gradient,
+    oracle_trajectory,
     softmax,
     solve_round,
 )
@@ -179,6 +182,57 @@ class TestSolveRound:
             assert rel < 1e-4
 
 
+class TestNewtonSolver:
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_every_case_converges_to_one_fixed_point(self, name):
+        model = CASE_MODELS[name]
+        K, n, lam, tol = model.K, model.n, 1e-3, 1e-10
+        gram = build_gram(model)
+        labels = np.random.default_rng(7).integers(1, K + 1, size=model.size)
+        Y_prev = OutputMatrix.from_labels(labels, K)
+        results = [
+            solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=tol, **cfg))
+            for cfg in ({"seed": 1}, {"seed": 2}, {"warm_start": True})
+        ]
+        for res in results:
+            assert res.converged
+            R = fixed_point_residual(res.outputs.columns, Y_prev.columns, gram, lam, K, n)
+            assert np.abs(R).max() < tol
+        for res in results[1:]:
+            np.testing.assert_allclose(
+                res.outputs.columns, results[0].outputs.columns, rtol=0, atol=1e-8
+            )
+
+    def test_criterion_6_round_takes_few_newton_steps(self):
+        model = setup_a_model()
+        C = make_corruption("symmetric", 0.5, model.K)
+        la = realize_labels(nearest_realizable(C, model.n), model.n, seed=0)
+        Y_prev = OutputMatrix.from_labels(la.given_labels, model.K)
+        res = solve_round(Y_prev, build_gram(model), SETUP_A_LAMBDA, model.K, model.n,
+                          SolverConfig(tolerance=1e-10))
+        assert res.converged
+        assert res.iterations_used <= 30
+
+    def test_chained_perturbed_rounds_take_few_newton_steps(self):
+        K, n, lam = 4, 60, 1e-3
+        model = GramModel(case=GramCase.IV, K=K, n=n, c=0.4, d=0.1,
+                          superclass_map=SuperclassMap((1, 1, 2, 2)),
+                          perturbation_amplitude=0.01, seed=3)
+        C = make_corruption("superclass", 0.3, K, superclass_map=model.effective_map())
+        la = realize_labels(C, n, seed=0)
+        Y0 = OutputMatrix.from_labels(la.given_labels, K)
+        rounds = oracle_trajectory(Y0, build_gram(model), lam, K, n, 3,
+                                   SolverConfig(tolerance=1e-9))
+        assert len(rounds) == 3
+        assert max(r.iterations_used for r in rounds) <= 30, [r.iterations_used for r in rounds]
+
+    def test_gram_not_positive_definite_raises(self):
+        K, n = 3, 2
+        Y_prev = OutputMatrix.from_labels(np.array([1, 2, 3, 1, 2, 3]), K)
+        with pytest.raises(NumericalError, match="positive definite"):
+            solve_round(Y_prev, -np.eye(K * n), 0.1, K, n, SolverConfig())
+
+
 class TestMeasureApproxError:
     def test_identity_gram_two_class_gap_matches_scalar_analysis(self):
         K, n, lam = 2, 2, 0.05
@@ -229,3 +283,20 @@ class TestMeasureApproxError:
             cur = solve_round(cur, gram, lam, K, n, config).outputs
             worst = max(worst, float(np.abs(cur.columns - closed[t].columns).max()))
         assert gap == pytest.approx(worst, abs=1e-12)
+
+    def test_perturbed_model_builds_gram_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_gram(model):
+            calls.append(model)
+            return build_gram(model)
+
+        monkeypatch.setattr(gram_models, "build_gram", counting_build_gram)
+        monkeypatch.setattr(oracle, "build_gram", counting_build_gram)
+        K, n = 3, 8
+        model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1,
+                          perturbation_amplitude=0.01, seed=5)
+        C = make_corruption("symmetric", 0.25, K)
+        gap = measure_approx_error(model, C, 0.02, t=2, config=SolverConfig())
+        assert np.isfinite(gap)
+        assert len(calls) == 1
