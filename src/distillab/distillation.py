@@ -213,12 +213,42 @@ def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray
     return clipped / (K * K * n * lam + clipped)
 
 
-def _bulk_value(powered: np.ndarray) -> float:
-    """The value shared by the most entries (the smallest such value on a
-    tie), or 0 when no value repeats."""
+def _deflate(eig: EigenSystem, powered: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Split the spectral function ``V diag(powered) V^T`` as
+    ``mu I + V_S diag(w) V_S^T`` and return ``(mu, V_S, w)``.
+
+    ``mu`` is the value shared by the most eigenpairs (the smallest such
+    value on a tie), ``S`` the indices whose value differs from it and
+    ``w = powered_S - mu``.  The bulk family of an unperturbed model thus
+    drops out and ``|S| <= K``.  When ``S`` would hold more than half the
+    indices (a dense eigensystem, whose values rarely repeat, or case II,
+    whose bulk value differs by class) indexing would copy most of the
+    columns, so the plain product is kept: ``mu = 0``, ``V_S`` is
+    ``eig.vectors`` itself and ``w`` is ``powered``.
+    """
     values, counts = np.unique(powered, return_counts=True)
-    top = int(np.argmax(counts))
-    return float(values[top]) if counts[top] > 1 else 0.0
+    bulk = float(values[int(np.argmax(counts))])
+    rest = np.flatnonzero(powered != bulk)
+    if 2 * rest.size > powered.size:
+        return 0.0, eig.vectors, powered
+    return bulk, eig.vectors[:, rest], powered[rest] - bulk
+
+
+def _average_labels(
+    columns: np.ndarray, eig: EigenSystem, powered: np.ndarray, K: int
+) -> np.ndarray:
+    """``1/K + (Y - 1/K) V diag(powered) V^T`` for the ``K x N`` label
+    columns ``Y``.
+
+    Deflated (:func:`_deflate`): ``mu (Y - 1/K) + ((Y - 1/K) V_S) diag(w)
+    V_S^T + 1/K``, ``O(K |S| N)`` instead of ``O(K N^2)``.
+    """
+    centered = columns - 1.0 / K
+    bulk, vectors, weights = _deflate(eig, powered)
+    out = (centered @ vectors * weights) @ vectors.T
+    if bulk:
+        out += bulk * centered
+    return out + 1.0 / K
 
 
 def averaging_operator(
@@ -231,27 +261,18 @@ def averaging_operator(
     identity.  Source eigenvalues below ``-1e-8`` are rejected; tiny
     negatives from a perturbed matrix are clipped to zero.
 
-    The matrix is built deflated: with ``mu`` the powered eigenvalue shared
-    by the most eigenpairs (0 when no value repeats) and ``S`` the indices
-    whose powered eigenvalue differs from ``mu``, it is
-    ``mu I + V_S diag(rho_S^t - mu) V_S^T``.  The bulk family of an
-    unperturbed model thus costs nothing: ``|S| <= K`` except in case II,
-    where the bulk value differs by class, and the cost is
-    ``O(|S| N^2)``.  By orthonormality this equals the plain product
-    ``(V rho^t) V^T`` up to rounding; when no value repeats (a dense
-    eigensystem) ``mu = 0``, ``S`` is every index and the arithmetic is
-    exactly that product.  At ``t = 0`` every value is 1, so the matrix is
-    exactly the identity.
+    The matrix is built deflated (:func:`_deflate`) as
+    ``mu I + V_S diag(rho_S^t - mu) V_S^T``, in ``O(|S| N^2)``.  By
+    orthonormality this equals the plain product ``(V rho^t) V^T`` up to
+    rounding, and exactly where :func:`_deflate` keeps the plain product
+    (a dense eigensystem, case II).  At ``t = 0`` every
+    value is 1, so the matrix is exactly the identity.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    ratios = _operator_ratios(eig, lam, K, n)
-    powered = ratios**t
-    bulk = _bulk_value(powered)
-    rest = np.flatnonzero(powered != bulk)
-    # indexing copies the vectors; skip it when every column is kept
-    vectors = eig.vectors if rest.size == powered.size else eig.vectors[:, rest]
-    matrix = (vectors * (powered[rest] - bulk)) @ vectors.T
+    powered = _operator_ratios(eig, lam, K, n) ** t
+    bulk, vectors, weights = _deflate(eig, powered)
+    matrix = (vectors * weights) @ vectors.T
     if bulk:
         matrix[np.diag_indices(powered.size)] += bulk
     return AveragingOperator(matrix=matrix, t=t, lam=lam, eigenvalues=powered)
@@ -264,7 +285,7 @@ def trajectory(
 
     Evaluates the eigen form: center the targets at the uniform vector,
     scale each eigencomponent by its round-``t`` operator eigenvalue, and
-    shift back.
+    shift back; each round is applied deflated (:func:`_average_labels`).
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -275,11 +296,9 @@ def trajectory(
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
     ratios = _operator_ratios(eig, lam, K, n)
-    centered = Y0.columns - 1.0 / K
-    basis = centered @ eig.vectors
     out = [Y0]
     for t in range(1, t_max + 1):
-        cols = (basis * ratios**t) @ eig.vectors.T + 1.0 / K
+        cols = _average_labels(Y0.columns, eig, ratios**t, K)
         out.append(OutputMatrix(columns=cols, round=t))
     return out
 

@@ -238,7 +238,7 @@ class EigenSystem:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        vectors = np.array(self.vectors, dtype=float)
+        vectors = np.asarray(self.vectors, dtype=float)
         if vectors.shape != (values.size, values.size):
             raise ValidationError("eigenvector matrix must be square and match values")
         if np.any(np.diff(values) > 1e-12):
@@ -304,11 +304,12 @@ def build_gram(model: GramModel) -> np.ndarray:
     np.fill_diagonal(gram, 1.0)
     if model.perturbation_amplitude > 0.0:
         rng = np.random.default_rng(model.seed)
-        noise = rng.uniform(
+        upper = np.triu(rng.uniform(
             -model.perturbation_amplitude, model.perturbation_amplitude, size=gram.shape
-        )
-        upper = np.triu(noise, k=1)
-        gram = gram + upper + upper.T
+        ), k=1)
+        # in place, so that at most three N x N arrays are alive at once
+        gram += upper
+        gram += upper.T
     return gram
 
 
@@ -318,33 +319,52 @@ def _helmert_vectors(m: int) -> np.ndarray:
     Returns an ``m x (m-1)`` matrix; column ``j`` has ``j+1`` leading entries
     ``1/sqrt((j+1)(j+2))`` followed by ``-(j+1)/sqrt((j+1)(j+2))``.
     """
-    out = np.zeros((m, m - 1))
-    for j in range(1, m):
-        norm = math.sqrt(j * (j + 1))
-        out[:j, j - 1] = 1.0 / norm
-        out[j, j - 1] = -j / norm
+    j = np.arange(1, m)
+    norm = np.sqrt(j * (j + 1))
+    out = np.triu(np.broadcast_to(1.0 / norm, (m, m - 1)))
+    out[j, j - 1] = -j / norm
     return out
 
 
-def _lift_class_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Map class-space coefficients to a unit sample-space vector.
+def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The ``K`` eigenpairs that are constant on each class.
 
-    A unit vector ``u`` over classes lifts to the unit vector assigning
-    ``u_k / sqrt(n)`` to every sample of class ``k``.
+    Returns their eigenvalues, a ``K x K`` matrix whose column ``j`` holds
+    the class-space coefficients of eigenvector ``j`` (lifted to samples by
+    repeating ``coeff_k / sqrt(n)`` over class ``k``), and their family
+    labels, in construction order: superclass directions, then per
+    superclass the Helmert contrasts between its classes.
     """
-    return np.repeat(coeffs / math.sqrt(n), n)
-
-
-def _sort_eigensystem(
-    values: np.ndarray, vectors: np.ndarray, family: list[str]
-) -> tuple[np.ndarray, np.ndarray, tuple[EigenGroup, ...]]:
-    """Sort descending; exact value ties keep their construction order."""
-    order = np.argsort(-values, kind="stable")
-    by_label: dict[str, list[int]] = {}
-    for new_idx, old_idx in enumerate(order.tolist()):
-        by_label.setdefault(family[old_idx], []).append(new_idx)
-    groups = tuple(EigenGroup(label, tuple(idx)) for label, idx in by_label.items())
-    return values[order], vectors[:, order], groups
+    K, n = model.K, model.n
+    omega = model.omega
+    if model.case in (GramCase.I, GramCase.II):
+        return n * omega + 1.0 - omega, np.eye(K), ["class"] * K
+    c = float(model.c)  # type: ignore[arg-type]
+    a_class = n * (c - model.d) + 1.0 - c
+    smap = model.effective_map()
+    sizes = np.asarray(smap.sizes)
+    r = sizes.size
+    sup = np.asarray(smap.assignments) - 1
+    if model.case is GramCase.V and model.e > 0.0:
+        # Superclass directions couple through e: diagonalise the R x R core
+        # acting on normalised superclass indicators.
+        core = np.diag(a_class + n * (model.d - model.e) * sizes)
+        core += n * model.e * np.sqrt(np.outer(sizes, sizes))
+        values, core_vecs = np.linalg.eigh(core)
+        coeffs = core_vecs[sup] / np.sqrt(sizes)[sup, None]
+    else:
+        values = sizes * n * model.d + a_class
+        coeffs = np.where(sup[:, None] == np.arange(r), 1.0 / np.sqrt(sizes), 0.0)
+    contrasts = np.zeros((K, K - r))
+    row = col = 0
+    for k_s in sizes.tolist():
+        contrasts[row:row + k_s, col:col + k_s - 1] = _helmert_vectors(k_s)
+        row, col = row + k_s, col + k_s - 1
+    return (
+        np.concatenate([values, np.full(K - r, a_class)]),
+        np.hstack([coeffs, contrasts]),
+        ["superclass"] * r + ["class"] * (K - r),
+    )
 
 
 def analytic_eigensystem(model: GramModel) -> EigenSystem:
@@ -361,6 +381,13 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
     Cases I and II have no superclass family and per-class eigenvalues.
     Perturbed models are rejected; use :func:`numeric_eigensystem` on the
     realized matrix instead.
+
+    The eigenpairs are constructed in a fixed order (the ``K`` class-constant
+    columns of :func:`_head_columns`, then class by class the ``n-1``
+    within-class Helmert contrasts) and sorted by a stable descending sort
+    of the values alone; each column is written once, straight into its
+    sorted position of one zeroed ``N x N`` array (column-major, so every
+    column is one contiguous block).
     """
     if model.perturbation_amplitude != 0.0:
         raise ValidationError(
@@ -368,75 +395,29 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
             "use numeric_eigensystem on build_gram output"
         )
     K, n, size = model.K, model.n, model.size
-    values = np.empty(size)
-    vectors = np.zeros((size, size))
-    family: list[str] = []
-    col = 0
-
-    def put(value: float, vec: np.ndarray, label: str):
-        nonlocal col
-        values[col] = value
-        vectors[:, col] = vec
-        family.append(label)
-        col += 1
-
-    omega = model.omega
-    if model.case in (GramCase.I, GramCase.II):
-        for k in range(K):
-            coeff = np.zeros(K)
-            coeff[k] = 1.0
-            put(n * omega[k] + 1.0 - omega[k], _lift_class_coeffs(coeff, n), "class")
-    else:
-        c = float(model.c)  # type: ignore[arg-type]
-        a_class = n * (c - model.d) + 1.0 - c
-        smap = model.effective_map()
-        sizes = smap.sizes
-        if model.case is GramCase.V and model.e > 0.0:
-            # Superclass directions couple through e: diagonalise the R x R
-            # core acting on normalised superclass indicators.
-            r = smap.num_superclasses
-            core = np.zeros((r, r))
-            for i in range(r):
-                core[i, i] = a_class + n * (model.d - model.e) * sizes[i]
-                for j in range(r):
-                    core[i, j] += n * model.e * math.sqrt(sizes[i] * sizes[j])
-            core_vals, core_vecs = np.linalg.eigh(core)
-            for m in range(r):
-                coeff = np.zeros(K)
-                for s in range(r):
-                    for k in smap.classes_of(s + 1):
-                        coeff[k - 1] = core_vecs[s, m] / math.sqrt(sizes[s])
-                put(core_vals[m], _lift_class_coeffs(coeff, n), "superclass")
-        else:
-            d_eff = model.d if model.case is not GramCase.I else 0.0
-            for s in range(1, smap.num_superclasses + 1):
-                k_s = sizes[s - 1]
-                coeff = np.zeros(K)
-                for k in smap.classes_of(s):
-                    coeff[k - 1] = 1.0 / math.sqrt(k_s)
-                put(k_s * n * d_eff + a_class, _lift_class_coeffs(coeff, n), "superclass")
-        for s in range(1, smap.num_superclasses + 1):
-            classes = smap.classes_of(s)
-            if len(classes) < 2:
-                continue
-            basis = _helmert_vectors(len(classes))
-            for jcol in range(basis.shape[1]):
-                coeff = np.zeros(K)
-                for pos, k in enumerate(classes):
-                    coeff[k - 1] = basis[pos, jcol]
-                put(a_class, _lift_class_coeffs(coeff, n), "class")
-    # Within-class contrasts: eigenvalue 1 - omega(k) for every class.
+    head_values, coeffs, head_family = _head_columns(model)
+    # within-class contrasts: eigenvalue 1 - omega(k), n-1 per class
+    values = np.concatenate([head_values, np.repeat(1.0 - model.omega, n - 1)])
+    family = np.array(head_family + ["bulk"] * (size - K))
+    order = np.argsort(-values, kind="stable")
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    vectors = np.zeros((size, size), order="F")
+    vectors[:, position[:K]] = np.repeat(coeffs / math.sqrt(n), n, axis=0)
     if n > 1:
         basis = _helmert_vectors(n)
         for k in range(K):
-            block = slice(k * n, (k + 1) * n)
-            for jcol in range(n - 1):
-                vec = np.zeros(size)
-                vec[block] = basis[:, jcol]
-                put(1.0 - omega[k], vec, "bulk")
-    assert col == size
-    values, vectors, groups = _sort_eigensystem(values, vectors, family)
-    return EigenSystem(values=values, vectors=vectors, groups=groups)
+            # one class's contrasts share a value and are consecutive in
+            # construction order, so the stable sort keeps them adjacent
+            start = position[K + k * (n - 1)]
+            vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
+    ranked = family[order]
+    labels, first = np.unique(ranked, return_index=True)
+    groups = tuple(
+        EigenGroup(str(labels[i]), tuple(np.flatnonzero(ranked == labels[i]).tolist()))
+        for i in np.argsort(first)
+    )
+    return EigenSystem(values=values[order], vectors=vectors, groups=groups)
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
@@ -448,15 +429,21 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """
     a = _validate_symmetric(matrix)
     vals, vecs = np.linalg.eigh(a)
+    # Descending order and a deterministic sign (first non-negligible
+    # component positive; a unit column always has one), both in place: a
+    # reordered copy would stay alive through the residual check below and
+    # raise the peak memory of the dense path.
     vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    # Deterministic sign: first non-negligible component positive.
-    for i in range(vecs.shape[1]):
-        nz = np.nonzero(np.abs(vecs[:, i]) > 1e-12)[0]
-        if nz.size and vecs[nz[0], i] < 0:
-            vecs[:, i] = -vecs[:, i]
+    for start in range(0, vecs.shape[0], 256):
+        rows = vecs[start:start + 256]
+        rows[:] = rows[:, ::-1]
+    first = (np.abs(vecs) > 1e-12).argmax(axis=0)
+    np.negative(vecs, out=vecs, where=vecs[first, np.arange(vecs.shape[1])] < 0)
     scale = float(np.abs(a).max()) if a.size else 0.0
-    resid = np.abs(a @ vecs - vecs * vals).max(axis=0)
+    # in place for the same reason
+    resid = a @ vecs
+    resid -= vecs * vals
+    resid = np.abs(resid, out=resid).max(axis=0)
     bound = EIGEN_RESIDUAL_REL_TOL * max(scale, 1e-300)
     if np.any(resid > bound):
         raise NumericalError(
@@ -464,14 +451,12 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
         )
     # Cluster near-equal eigenvalues into multiplicity groups.
     tol = max(1e-8, 1e-10 * scale)
-    family: list[str] = []
-    cluster = 0
-    for i in range(vals.size):
-        if i > 0 and vals[i - 1] - vals[i] > tol:
-            cluster += 1
-        family.append(f"cluster{cluster}")
-    values, vectors, groups = _sort_eigensystem(vals.copy(), vecs, family)
-    return EigenSystem(values=values, vectors=vectors, groups=groups)
+    bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
+    groups = tuple(
+        EigenGroup(f"cluster{i}", tuple(range(lo, hi)))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    )
+    return EigenSystem(values=vals, vectors=vecs, groups=groups)
 
 
 def eigensystem(model: GramModel, gram: Optional[np.ndarray] = None) -> EigenSystem:

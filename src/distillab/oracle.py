@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distillation import OutputMatrix, _operator_ratios, trajectory
+from .distillation import OutputMatrix, _average_labels, _operator_ratios, trajectory
 from .errors import NumericalError, ValidationError
 from .gram_models import GramModel, build_gram, eigensystem, numeric_eigensystem
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
@@ -197,9 +197,7 @@ def _initial_iterate(
     if config.warm_start:
         eig = numeric_eigensystem(gram)
         # single linearized step from the previous outputs
-        ratios = _operator_ratios(eig, lam, K, n)
-        centered = Y_prev.columns - 1.0 / K
-        return (centered @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
+        return _average_labels(Y_prev.columns, eig, _operator_ratios(eig, lam, K, n), K)
     rng = np.random.default_rng(config.seed)
     raw = rng.uniform(0.0, 1.0, size=Y_prev.columns.shape)
     return raw / raw.sum(axis=0, keepdims=True)

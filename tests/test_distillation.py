@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,8 @@ from distillab.distillation import (
     pll_student,
     trajectory,
 )
+from distillab import oracle
+from distillab.oracle import SolverConfig, solve_round
 from distillab.noise_theory import (
     CorruptionMatrix,
     make_corruption,
@@ -136,6 +140,81 @@ class TestDeflatedAveragingOperator:
         assert not op.matrix.flags.writeable
         op2 = AveragingOperator(matrix=op.matrix, t=1, lam=1e-3, eigenvalues=op.eigenvalues)
         assert op2.matrix is op.matrix
+
+
+def eigen_form(Y0, eig, lam, K, n, t):
+    """Round-``t`` outputs ``((Y0 - 1/K) V rho^t) V^T + 1/K``, undeflated."""
+    ratios = eig.values / (K * K * n * lam + eig.values)
+    return ((Y0.columns - 1.0 / K) @ eig.vectors * ratios**t) @ eig.vectors.T + 1.0 / K
+
+
+def random_one_hot(model, seed=0):
+    labels = np.random.default_rng(seed).integers(1, model.K + 1, size=model.size)
+    return OutputMatrix.from_labels(labels, model.K)
+
+
+class TestDeflatedTrajectory:
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS))
+    def test_matches_eigen_form_on_analytic_eigensystems(self, name):
+        model = STRUCTURED_MODELS[name]
+        eig = analytic_eigensystem(model)
+        Y0 = random_one_hot(model)
+        traj = trajectory(Y0, eig, 1e-3, model.K, model.n, 4)
+        for t in range(1, 5):
+            np.testing.assert_allclose(
+                traj[t].columns, eigen_form(Y0, eig, 1e-3, model.K, model.n, t),
+                rtol=0, atol=1e-13,
+            )
+
+    def test_case_ii_copies_no_eigenvector_columns(self):
+        # the bulk value differs by class, so deflating would copy about
+        # (K-1)/K of the N x N eigenvectors each round
+        model = GramModel(case=GramCase.II, K=3, n=200, c=(0.3, 0.7, 0.5))
+        eig = analytic_eigensystem(model)
+        Y0 = random_one_hot(model)
+        tracemalloc.start()
+        try:
+            trajectory(Y0, eig, 1e-3, model.K, model.n, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * model.size**2 * 8
+
+    def test_dense_eigensystem_keeps_the_eigen_form_arithmetic(self):
+        model = PERTURBED_MODEL
+        eig = numeric_eigensystem(build_gram(model))
+        Y0 = random_one_hot(model)
+        K, n = model.K, model.n
+        ratios = eig.values / (K * K * n * 1e-3 + eig.values)
+        basis = (Y0.columns - 1.0 / K) @ eig.vectors
+        traj = trajectory(Y0, eig, 1e-3, K, n, 3)
+        for t in range(1, 4):
+            expected = (basis * ratios**t) @ eig.vectors.T + 1.0 / K
+            assert np.array_equal(traj[t].columns, expected)
+
+    # the operator eigenvalues of the unperturbed model's dense eigensystem
+    # repeat exactly (5 distinct among 24, at most 8 equal), but no value
+    # covers half the indices, so the plain product is kept
+    @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
+    def test_warm_start_round_is_unchanged(self, monkeypatch, name):
+        model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["I"]
+        K, n, lam = model.K, model.n, 1e-3
+        gram = build_gram(model)
+        Y_prev = random_one_hot(model)
+        config = SolverConfig(warm_start=True, tolerance=1e-10)
+        new = solve_round(Y_prev, gram, lam, K, n, config)
+
+        def eigen_form_start(Y_prev, gram, lam, K, n, config):
+            eig = numeric_eigensystem(gram)
+            ratios = eig.values / (K * K * n * lam + eig.values)
+            return (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
+
+        start = oracle._initial_iterate(Y_prev, gram, lam, K, n, config)
+        assert np.array_equal(start, eigen_form_start(Y_prev, gram, lam, K, n, config))
+        monkeypatch.setattr(oracle, "_initial_iterate", eigen_form_start)
+        old = solve_round(Y_prev, gram, lam, K, n, config)
+        assert new.converged and new.iterations_used == old.iterations_used
+        assert np.array_equal(new.outputs.columns, old.outputs.columns)
 
 
 class TestTrajectory:

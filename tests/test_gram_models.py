@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distillab import (
+    EigenGroup,
+    EigenSystem,
     FeatureMatrix,
     GramCase,
     GramModel,
@@ -105,6 +110,9 @@ class TestBuildGram:
         np.testing.assert_array_equal(g1, build_gram(pert))
         g2 = build_gram(model_case(GramCase.III, K=3, n=4, c=0.5, d=0.2, amp=0.05, seed=8))
         assert not np.array_equal(g1, g2)
+        # the seeded upper-triangular draw, mirrored: (G0 + U) + U^T
+        upper = np.triu(np.random.default_rng(7).uniform(-0.05, 0.05, size=(12, 12)), k=1)
+        assert np.array_equal(g1, g0 + upper + upper.T)
 
 
 class TestAnalyticEigensystem:
@@ -207,6 +215,156 @@ class TestNumericEigensystem:
         e1, e2 = numeric_eigensystem(a), numeric_eigensystem(a)
         np.testing.assert_array_equal(e1.values, e2.values)
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
+
+
+def put_then_sort_eigensystem(model):
+    """Reference closed form: every eigencolumn written into construction
+    order, then the whole eigenvector matrix reordered by a stable
+    descending sort of the values."""
+    K, n, size = model.K, model.n, model.size
+
+    def helmert(m):
+        out = np.zeros((m, m - 1))
+        for j in range(1, m):
+            norm = math.sqrt(j * (j + 1))
+            out[:j, j - 1] = 1.0 / norm
+            out[j, j - 1] = -j / norm
+        return out
+
+    values, columns, family = [], [], []
+
+    def put(value, coeff, label):
+        values.append(value)
+        columns.append(np.repeat(coeff / math.sqrt(n), n))
+        family.append(label)
+
+    omega = model.omega
+    if model.case in (GramCase.I, GramCase.II):
+        for k in range(K):
+            put(n * omega[k] + 1.0 - omega[k], np.eye(K)[k], "class")
+    else:
+        c = float(model.c)
+        a_class = n * (c - model.d) + 1.0 - c
+        smap = model.effective_map()
+        sizes = smap.sizes
+        r = smap.num_superclasses
+        if model.case is GramCase.V and model.e > 0.0:
+            core = np.zeros((r, r))
+            for i in range(r):
+                core[i, i] = a_class + n * (model.d - model.e) * sizes[i]
+                for j in range(r):
+                    core[i, j] += n * model.e * math.sqrt(sizes[i] * sizes[j])
+            core_vals, core_vecs = np.linalg.eigh(core)
+            for m in range(r):
+                coeff = np.zeros(K)
+                for s in range(r):
+                    for k in smap.classes_of(s + 1):
+                        coeff[k - 1] = core_vecs[s, m] / math.sqrt(sizes[s])
+                put(core_vals[m], coeff, "superclass")
+        else:
+            for s in range(1, r + 1):
+                coeff = np.zeros(K)
+                for k in smap.classes_of(s):
+                    coeff[k - 1] = 1.0 / math.sqrt(sizes[s - 1])
+                put(sizes[s - 1] * n * model.d + a_class, coeff, "superclass")
+        for s in range(1, r + 1):
+            classes = smap.classes_of(s)
+            if len(classes) < 2:
+                continue
+            basis = helmert(len(classes))
+            for jcol in range(basis.shape[1]):
+                coeff = np.zeros(K)
+                for pos, k in enumerate(classes):
+                    coeff[k - 1] = basis[pos, jcol]
+                put(a_class, coeff, "class")
+    vectors = np.zeros((size, size))
+    vectors[:, :len(columns)] = np.array(columns).T
+    col = len(columns)
+    if n > 1:
+        basis = helmert(n)
+        for k in range(K):
+            for jcol in range(n - 1):
+                vectors[k * n:(k + 1) * n, col] = basis[:, jcol]
+                values.append(1.0 - omega[k])
+                family.append("bulk")
+                col += 1
+    values = np.array(values)
+    order = np.argsort(-values, kind="stable")
+    by_label = {}
+    for new_idx, old_idx in enumerate(order.tolist()):
+        by_label.setdefault(family[old_idx], []).append(new_idx)
+    groups = tuple(EigenGroup(label, tuple(idx)) for label, idx in by_label.items())
+    return values[order], vectors[:, order], groups
+
+
+LAYOUT_MODELS = {
+    "I": dict(case=GramCase.I, K=3, c=0.4),
+    # class values sort by omega, not class order; the three bulk values
+    # interleave by class
+    "II": dict(case=GramCase.II, K=3, c=(0.3, 0.7, 0.5)),
+    "III": dict(case=GramCase.III, K=4, c=0.4, d=0.1),
+    # d = 0: the superclass value ties with the class family
+    "III_d0": dict(case=GramCase.III, K=4, c=0.4, d=0.0),
+    "IV": dict(case=GramCase.IV, K=4, c=0.5, d=0.2, sizes=(2, 2)),
+    "V": dict(case=GramCase.V, K=6, c=0.5, d=0.2, e=0.05, sizes=(3, 3)),
+    "V_131": dict(case=GramCase.V, K=5, c=0.5, d=0.2, e=0.05, sizes=(1, 3, 1)),
+}
+
+
+class TestEigensystemLayout:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
+    def test_bitwise_equal_to_put_then_sort(self, name, n):
+        model = model_case(n=n, **LAYOUT_MODELS[name])
+        values, vectors, groups = put_then_sort_eigensystem(model)
+        es = analytic_eigensystem(model)
+        assert np.array_equal(es.values, values)
+        assert np.array_equal(es.vectors, vectors)
+        assert es.vectors.strides == vectors.strides  # same (column-major) layout
+        assert es.groups == groups
+
+    # n=100 spans more than one 256-row block of the in-place reversal
+    @pytest.mark.parametrize("n", [8, 100])
+    def test_numeric_bitwise_equal_to_column_loops(self, n):
+        model = model_case(GramCase.III, K=3, n=n, c=0.4, d=0.1, amp=0.01, seed=5)
+        gram = build_gram(model)
+        vals, vecs = np.linalg.eigh(gram)
+        vals, vecs = vals[::-1], vecs[:, ::-1].copy()
+        for i in range(vecs.shape[1]):
+            nz = np.nonzero(np.abs(vecs[:, i]) > 1e-12)[0]
+            if nz.size and vecs[nz[0], i] < 0:
+                vecs[:, i] = -vecs[:, i]
+        tol = max(1e-8, 1e-10 * float(np.abs(gram).max()))
+        labels, cluster = [], 0
+        for i in range(vals.size):
+            if i > 0 and vals[i - 1] - vals[i] > tol:
+                cluster += 1
+            labels.append(f"cluster{cluster}")
+        es = numeric_eigensystem(gram)
+        assert np.array_equal(es.values, vals)
+        assert np.array_equal(es.vectors, vecs)
+        assert [g.label for g in es.groups] == sorted(set(labels), key=labels.index)
+        assert [labels[i] for g in es.groups for i in g.indices] == labels
+
+    def test_takes_the_vectors_without_copying(self):
+        vectors = np.eye(3)
+        es = EigenSystem(values=np.ones(3), vectors=vectors,
+                         groups=(EigenGroup("all", (0, 1, 2)),))
+        assert es.vectors is vectors
+        assert not vectors.flags.writeable
+        assert not analytic_eigensystem(model_case(GramCase.I, K=2, n=3, c=0.4)).vectors.flags.writeable
+
+    def test_peak_memory_is_one_eigenvector_matrix(self):
+        # the phase_eta benchmark model; a put-then-sort build holds two
+        # N x N matrices at once
+        model = model_case(GramCase.V, K=6, n=200, c=0.4, d=0.15, e=0.05, sizes=(3, 3))
+        tracemalloc.start()
+        try:
+            analytic_eigensystem(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * model.size**2 * 8
 
 
 class TestGramStatistics:
