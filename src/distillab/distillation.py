@@ -2,11 +2,13 @@
 
 Centered one-hot targets evolve under powers of the label-averaging
 operator, whose eigenvalues are ``(lambda_i / (K^2 n lam + lambda_i))^t``
-for the Gram eigenvalues ``lambda_i``.  Per-sample outputs admit closed
-forms in the corruption matrix: a shrinking weight on the given label, a
-growing weight on the class- and superclass-averaged labels, and a uniform
-remainder.  The partial-label student replaces the teacher's soft output
-with a two-hot vector on its top two entries.
+for the Gram eigenvalues ``lambda_i``.  For an unperturbed Gram every such
+power is a combination of the identity and of class, superclass and global
+means, so a sample's round-``t`` output depends only on its (true class,
+given label) cell: :func:`cell_outputs` evaluates all ``K^2`` cells at once
+in ``O(K^3)``, for every Gram case, and :func:`closed_form_output` reads one
+of them.  The partial-label student replaces the teacher's soft output with
+a two-hot vector on its top two entries.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gram_models import EigenSystem, SuperclassMap
+from .gram_models import EigenSystem, SuperclassMap, _head_columns
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
@@ -35,8 +37,8 @@ __all__ = [
     "PllOutput",
     "averaging_operator",
     "trajectory",
+    "cell_outputs",
     "closed_form_output",
-    "extended_output",
     "pll_refine",
     "pll_student",
     "pll_output",
@@ -213,42 +215,54 @@ def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray
     return clipped / (K * K * n * lam + clipped)
 
 
-def _deflate(eig: EigenSystem, powered: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _deflate(powered: np.ndarray) -> tuple[Optional[int], np.ndarray | slice]:
     """Split the spectral function ``V diag(powered) V^T`` as
-    ``mu I + V_S diag(w) V_S^T`` and return ``(mu, V_S, w)``.
+    ``mu I + V_S diag(powered_S - mu) V_S^T``.
 
-    ``mu`` is the value shared by the most eigenpairs (the smallest such
-    value on a tie), ``S`` the indices whose value differs from it and
-    ``w = powered_S - mu``.  The bulk family of an unperturbed model thus
-    drops out and ``|S| <= K``.  When ``S`` would hold more than half the
-    indices (a dense eigensystem, whose values rarely repeat, or case II,
-    whose bulk value differs by class) indexing would copy most of the
-    columns, so the plain product is kept: ``mu = 0``, ``V_S`` is
-    ``eig.vectors`` itself and ``w`` is ``powered``.
+    Returns ``(b, S)``: ``mu = powered[b]`` is the value shared by the most
+    eigenpairs (the smallest such value on a tie) and ``S`` the indices
+    whose value differs from it.  The bulk family of an unperturbed model
+    thus drops out and ``|S| <= K``.  When ``S`` would hold more than half
+    the indices (a dense eigensystem, whose values rarely repeat, or case
+    II, whose bulk value differs by class) indexing would copy most of the
+    columns, so the plain product is kept: ``(None, slice(None))``, that is
+    ``mu = 0`` and ``V_S`` a view of all of ``V``.
+
+    Only which values are equal matters, and ``x -> x^t`` keeps that, so
+    the split of the one-round ratios serves every round.
     """
     values, counts = np.unique(powered, return_counts=True)
-    bulk = float(values[int(np.argmax(counts))])
-    rest = np.flatnonzero(powered != bulk)
+    is_bulk = powered == values[int(np.argmax(counts))]
+    rest = np.flatnonzero(~is_bulk)
     if 2 * rest.size > powered.size:
-        return 0.0, eig.vectors, powered
-    return bulk, eig.vectors[:, rest], powered[rest] - bulk
+        return None, slice(None)
+    return int(np.argmax(is_bulk)), rest
 
 
 def _average_labels(
-    columns: np.ndarray, eig: EigenSystem, powered: np.ndarray, K: int
-) -> np.ndarray:
-    """``1/K + (Y - 1/K) V diag(powered) V^T`` for the ``K x N`` label
-    columns ``Y``.
+    columns: np.ndarray, eig: EigenSystem, ratios: np.ndarray, K: int, t_max: int
+) -> list[np.ndarray]:
+    """``1/K + (Y - 1/K) V diag(ratios^t) V^T`` for ``t = 1..t_max`` and the
+    ``K x N`` label columns ``Y``.
 
-    Deflated (:func:`_deflate`): ``mu (Y - 1/K) + ((Y - 1/K) V_S) diag(w)
-    V_S^T + 1/K``, ``O(K |S| N)`` instead of ``O(K N^2)``.
+    Deflated (:func:`_deflate`, split once): the projection
+    ``(Y - 1/K) V_S`` is formed once, and each round is
+    ``mu_t (Y - 1/K) + (proj diag(ratios_S^t - mu_t)) V_S^T + 1/K``, one
+    ``O(K |S| N)`` product instead of ``O(K N^2)``.
     """
     centered = columns - 1.0 / K
-    bulk, vectors, weights = _deflate(eig, powered)
-    out = (centered @ vectors * weights) @ vectors.T
-    if bulk:
-        out += bulk * centered
-    return out + 1.0 / K
+    b, S = _deflate(ratios)
+    vectors = eig.vectors[:, S]
+    proj = centered @ vectors
+    out = []
+    for t in range(1, t_max + 1):
+        powered = ratios**t
+        bulk = powered[b] if b is not None else 0.0
+        cols = (proj * (powered[S] - bulk)) @ vectors.T
+        if bulk:
+            cols += bulk * centered
+        out.append(cols + 1.0 / K)
+    return out
 
 
 def averaging_operator(
@@ -271,8 +285,10 @@ def averaging_operator(
     if t < 0:
         raise ValidationError("round must be >= 0")
     powered = _operator_ratios(eig, lam, K, n) ** t
-    bulk, vectors, weights = _deflate(eig, powered)
-    matrix = (vectors * weights) @ vectors.T
+    b, S = _deflate(powered)
+    bulk = powered[b] if b is not None else 0.0
+    vectors = eig.vectors[:, S]
+    matrix = (vectors * (powered[S] - bulk)) @ vectors.T
     if bulk:
         matrix[np.diag_indices(powered.size)] += bulk
     return AveragingOperator(matrix=matrix, t=t, lam=lam, eigenvalues=powered)
@@ -285,7 +301,8 @@ def trajectory(
 
     Evaluates the eigen form: center the targets at the uniform vector,
     scale each eigencomponent by its round-``t`` operator eigenvalue, and
-    shift back; each round is applied deflated (:func:`_average_labels`).
+    shift back; the rounds share one deflated projection
+    (:func:`_average_labels`).
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -295,12 +312,52 @@ def trajectory(
         )
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    ratios = _operator_ratios(eig, lam, K, n)
-    out = [Y0]
-    for t in range(1, t_max + 1):
-        cols = _average_labels(Y0.columns, eig, ratios**t, K)
-        out.append(OutputMatrix(columns=cols, round=t))
-    return out
+    rounds = _average_labels(Y0.columns, eig, _operator_ratios(eig, lam, K, n), K, t_max)
+    return [Y0] + [OutputMatrix(columns=cols, round=t) for t, cols in enumerate(rounds, 1)]
+
+
+def cell_outputs(
+    targets: np.ndarray, C: CorruptionMatrix, tc: TheoryConstants, t: int
+) -> np.ndarray:
+    """Round-``t`` outputs of every (true class, given label) cell.
+
+    ``targets[:, k, k']`` is the label vector shared by the samples of true
+    class ``k + 1`` given label ``k' + 1`` (0-based array indices), and
+    ``C`` weights the cells of each class.  On the unperturbed Gram of
+    ``tc.model`` a sample's output splits into its deviation from its class
+    mean, scaled by the bulk ratio ``rb_k = (1 - omega_k) / (K^2 n lam + 1 -
+    omega_k)`` per round, and the class mean itself, which lives on the
+    ``K`` class-constant eigenvectors of
+    :func:`~distillab.gram_models._head_columns` (class-space coefficients
+    ``coeffs``, ratios ``rh``).  With ``M[:, k] = sum_k' C[k, k']
+    (targets[:, k, k'] - 1/K)`` the matrix of centered class means::
+
+        out[:, k, k'] = rb_k^t (targets[:, k, k'] - 1/K - M[:, k])
+                        + (M coeffs diag(rh^t) coeffs^T)[:, k] + 1/K
+
+    That is exact for all five Gram cases and any ``C`` whose cells the
+    samples realise, at a cost of ``O(K^3)`` independent of ``n``; at
+    ``t = 0`` the targets are returned unchanged.
+    """
+    if t < 0:
+        raise ValidationError("round must be >= 0")
+    K = tc.K
+    if C.K != K:
+        raise ValidationError("corruption matrix size does not match the constants")
+    targets = np.array(targets, dtype=float)
+    if targets.shape != (K, K, K):
+        raise ValidationError(f"cell targets must have shape {(K, K, K)}, got {targets.shape}")
+    if t == 0:
+        return targets
+    damping = K * K * tc.n * tc.lam
+    head_values, coeffs, _ = _head_columns(tc.model)
+    head = (head_values / (damping + head_values)) ** t
+    bulk_values = 1.0 - tc.model.omega
+    bulk = (bulk_values / (damping + bulk_values)) ** t
+    centered = targets - 1.0 / K
+    means = np.einsum("ikj,kj->ik", centered, C.entries)
+    class_part = (means @ coeffs * head) @ coeffs.T
+    return bulk[:, None] * (centered - means[:, :, None]) + class_part[:, :, None] + 1.0 / K
 
 
 def _superclass_uniform(smap: SuperclassMap, s: int, K: int) -> np.ndarray:
@@ -318,90 +375,22 @@ def _check_sample(sample: tuple[int, int], K: int) -> tuple[int, int]:
 
 
 def closed_form_output(
-    sample: tuple[int, int],
-    C: CorruptionMatrix,
-    tc: TheoryConstants,
-    t: int,
-    superclass_map: Optional[SuperclassMap] = None,
+    sample: tuple[int, int], C: CorruptionMatrix, tc: TheoryConstants, t: int
 ) -> np.ndarray:
     """Round-``t`` output for a sample of true class ``y`` given label ``yhat``.
 
-    ``p^t`` weights the given label, ``q^t - p^t`` the row of the corruption
-    matrix (the class-averaged labels), ``r_s^t - q^t`` the uniform vector on
-    the sample's superclass, and the remainder the global uniform vector.
-    Models with per-class constants drop the superclass term and use the
-    sample class's own ratio pair.  Coupled superclasses (nonzero
-    inter-superclass correlation) are handled by :func:`extended_output`.
+    The ``(y, yhat)`` cell of :func:`cell_outputs` on one-hot targets, so it
+    holds for every Gram case, coupled and unequal superclasses included.
+    Like the phase conditions it requires noise confined within
+    superclasses.
     """
-    if t < 0:
-        raise ValidationError("round must be >= 0")
     K = tc.K
     if C.K != K:
         raise ValidationError("corruption matrix size does not match the constants")
-    smap = superclass_map or tc.superclass_map
-    _check_block_confined(C, smap)
+    _check_block_confined(C, tc.superclass_map)
     y, yhat = _check_sample(sample, K)
-    row = C.entries[y - 1]
-    e_given = np.zeros(K)
-    e_given[yhat - 1] = 1.0
-    if not tc.scalar:
-        p = float(tc.per_class_p[y - 1])
-        q = float(tc.per_class_q[y - 1])
-        return p**t * e_given + (q**t - p**t) * row + (1.0 - q**t) / K
-    if tc.case5 is not None and tc.case5.e > 0.0:
-        raise ValidationError(
-            "constants describe coupled superclasses; use extended_output"
-        )
-    s = smap.superclass_of(y)
-    p, q = float(tc.p), float(tc.q)
-    r_s = float(tc.r[s - 1])
-    return (
-        p**t * e_given
-        + (q**t - p**t) * row
-        + (r_s**t - q**t) * _superclass_uniform(smap, s, K)
-        + (1.0 - r_s**t) / K
-    )
-
-
-def extended_output(
-    sample: tuple[int, int],
-    C: CorruptionMatrix,
-    tc: TheoryConstants,
-    t: int,
-) -> np.ndarray:
-    """Per-sample closed form with coupled superclasses.
-
-    The superclass-averaging weight becomes ``mu_s(t)`` and the uniform
-    remainder ``1 - mu_s(t) - q^t``; at zero inter-superclass correlation
-    ``mu_s(t) = r_s^t - q^t`` and this reduces to :func:`closed_form_output`.
-    Scalar per-superclass weights exist only for equal-size superclasses,
-    which :func:`~distillab.noise_theory.theory_constants` enforces.
-    """
-    if t < 0:
-        raise ValidationError("round must be >= 0")
-    if tc.case5 is None:
-        raise ValidationError(
-            "constants lack the coupled-superclass extension (it needs either "
-            "zero inter-superclass correlation or equal superclass sizes)"
-        )
-    K = tc.K
-    if C.K != K:
-        raise ValidationError("corruption matrix size does not match the constants")
-    smap = tc.superclass_map
-    _check_block_confined(C, smap)
-    y, yhat = _check_sample(sample, K)
-    s = smap.superclass_of(y)
-    row = C.entries[y - 1]
-    e_given = np.zeros(K)
-    e_given[yhat - 1] = 1.0
-    p, q = float(tc.p), float(tc.q)
-    mu = tc.mu(s, t)
-    return (
-        p**t * e_given
-        + (q**t - p**t) * row
-        + mu * _superclass_uniform(smap, s, K)
-        + (1.0 - mu - q**t) / K
-    )
+    one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
+    return cell_outputs(one_hot, C, tc, t)[:, y - 1, yhat - 1]
 
 
 def _within_tie_band(cols: np.ndarray) -> np.ndarray:
@@ -455,24 +444,27 @@ class PllOutput(NamedTuple):
     premise_ok: bool
 
 
-def pll_output(
-    sample: tuple[int, int],
-    C: CorruptionMatrix,
-    tc: TheoryConstants,
-    superclass_map: Optional[SuperclassMap] = None,
-) -> PllOutput:
+def pll_output(sample: tuple[int, int], C: CorruptionMatrix, tc: TheoryConstants) -> PllOutput:
     """Closed-form output of the student trained on top-2 refined targets.
 
     The sample's two-hot target pairs the true label with the dominant
     wrong label of its class (clean samples) or with the given label
     (mislabeled samples); class and superclass averages follow from the
     balanced corruption rows.
+
+    It assumes a superclass-uniform remainder: the two-hot class means of
+    each superclass sum to a multiple of the uniform vector on it, as the
+    one-hot means of a block-confined doubly stochastic ``C`` do.  Two-hot
+    means need not, and the coupling ``e`` of case V is not modelled, so
+    this can differ from the exact student, :func:`pll_student` (on the
+    cells: :func:`cell_outputs` of the two-hot targets that
+    :func:`pll_refine` picks from the round-1 cells).
     """
     tc._require_scalar()
     K = tc.K
     if C.K != K:
         raise ValidationError("corruption matrix size does not match the constants")
-    smap = superclass_map or tc.superclass_map
+    smap = tc.superclass_map
     _check_block_confined(C, smap)
     y, yhat = _check_sample(sample, K)
     tilde = _tilde_label(C, y)

@@ -4,11 +4,12 @@ The corruption matrix ``C`` records, for each true class ``k``, the fraction
 of its ``n`` samples carrying each given label ``k'``.  Balanced datasets
 make ``C`` doubly stochastic.  The scalar constants derived from a
 structured Gram model (``p`` for the bulk eigenspace, ``q`` for class
-contrasts, ``r_s`` per superclass) drive every closed-form prediction:
-after ``t`` distillation rounds a gap ``C[k,k] - C[k,k']`` must exceed
+contrasts, ``r_s`` per superclass) drive the phase conditions: after ``t``
+distillation rounds a gap ``C[k,k] - C[k,k']`` must exceed
 ``1/((q/p)^t - 1)`` for the mislabeled cell ``(k, k')`` to be classified
 correctly, while the one-round top-2 partial-label student only needs the
-gap to be positive.
+gap to be positive.  The exact outputs of every cell, for all five Gram
+cases, come from :func:`distillab.distillation.cell_outputs`.
 """
 
 from __future__ import annotations
@@ -312,46 +313,29 @@ def realize_labels(C: CorruptionMatrix, n: int, seed: int = 0) -> LabelAssignmen
 
 
 @dataclass(frozen=True)
-class Case5Constants:
-    """Eigen-ratio constants coupling superclasses through a nonzero
-    inter-superclass correlation ``e`` (equal superclass sizes).
-
-    ``superclass_ratio`` plays the role ``r_s`` plays at ``e = 0`` but with
-    ``d`` replaced by ``d - e``; ``global_ratio`` is the ratio of the
-    all-samples eigenvalue.
-    """
-
-    e: float
-    superclass_ratio: np.ndarray
-    global_ratio: float
-
-    def __post_init__(self):
-        sr = np.array(self.superclass_ratio, dtype=float)
-        sr.flags.writeable = False
-        object.__setattr__(self, "superclass_ratio", sr)
-
-
-@dataclass(frozen=True)
 class TheoryConstants:
     """Eigen-ratio constants of the label-averaging operator.
 
-    ``p`` (bulk), ``q`` (class contrasts) and ``r[s-1]`` (superclass ``s``)
-    are each ``lambda_eig / (K^2 n lam + lambda_eig)`` for the matching Gram
-    eigenvalue.  Per-class models fill ``per_class_p``/``per_class_q``
-    instead of the scalars.  Coupled-superclass models additionally fill
-    ``case5``.
+    ``p`` (bulk), ``q`` (class contrasts) and ``r[s-1]`` (superclass ``s``,
+    taken at zero inter-superclass correlation) are each
+    ``lambda_eig / (K^2 n lam + lambda_eig)`` for the matching Gram
+    eigenvalue; the phase conditions read them.  Per-class models fill
+    ``per_class_p``/``per_class_q`` instead of the scalars.  ``model`` is
+    the Gram model the ratios were derived from: the exact per-cell outputs
+    (:func:`~distillab.distillation.cell_outputs`) take every eigen-ratio
+    from it, coupled superclasses included.
     """
 
     lam: float
     K: int
     n: int
     superclass_map: SuperclassMap
+    model: GramModel
     p: Optional[float] = None
     q: Optional[float] = None
     r: Optional[np.ndarray] = None
     per_class_p: Optional[np.ndarray] = None
     per_class_q: Optional[np.ndarray] = None
-    case5: Optional[Case5Constants] = None
 
     def __post_init__(self):
         for name in ("r", "per_class_p", "per_class_q"):
@@ -390,30 +374,9 @@ class TheoryConstants:
             return math.inf
         return 1.0 / (ratio_t - 1.0)
 
-    def mu(self, s: int, t: int) -> float:
-        """Superclass-averaging weight after ``t`` rounds."""
-        self._require_scalar()
-        if self.case5 is not None:
-            return float(self.case5.superclass_ratio[s - 1] ** t - self.q**t)
-        return float(self.r[s - 1] ** t - self.q**t)  # type: ignore[index]
-
-    def nu(self, t: int) -> float:
-        """Global-averaging weight after ``t`` rounds (zero when labels are
-        balanced or superclasses are uncoupled)."""
-        self._require_scalar()
-        if self.case5 is None:
-            return 0.0
-        wr = float(self.case5.superclass_ratio[0])
-        return (self.case5.global_ratio**t - wr**t) / self.K
-
 
 def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
-    """Derive the label-averaging eigen-ratios for an unperturbed model.
-
-    The coupled-superclass extension (case V with ``e > 0``) admits scalar
-    per-superclass constants only when all superclasses have equal size;
-    unequal sizes leave the extension unset.
-    """
+    """Derive the label-averaging eigen-ratios for an unperturbed model."""
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
     if model.perturbation_amplitude != 0.0:
@@ -432,6 +395,7 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
             K=K,
             n=n,
             superclass_map=smap,
+            model=model,
             per_class_p=np.array([ratio(1.0 - w) for w in omega]),
             per_class_q=np.array([ratio(1.0 - w + n * w) for w in omega]),
         )
@@ -441,24 +405,15 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
     a_q = 1.0 - c + n * (c - d)
     sizes = smap.sizes
     r = np.array([ratio(a_q + ks * n * d) for ks in sizes])
-    case5 = None
-    if model.case is GramCase.V:
-        if len(set(sizes)) == 1:
-            ks = sizes[0]
-            wr = np.array([ratio(a_q + ks * n * (d - model.e))] * len(sizes))
-            wg = ratio(a_q + ks * n * (d - model.e) + K * n * model.e)
-            case5 = Case5Constants(e=model.e, superclass_ratio=wr, global_ratio=wg)
-        elif model.e == 0.0:
-            case5 = Case5Constants(e=0.0, superclass_ratio=r.copy(), global_ratio=float(r[0]))
     return TheoryConstants(
         lam=lam,
         K=K,
         n=n,
         superclass_map=smap,
+        model=model,
         p=ratio(a_p),
         q=ratio(a_q),
         r=r,
-        case5=case5,
     )
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "softmax",
     "linearized_softmax",
     "fixed_point_residual",
-    "objective_and_gradient",
     "solve_round",
     "oracle_trajectory",
     "measure_approx_error",
@@ -124,20 +123,6 @@ class OracleResult:
         }
 
 
-def _logits(Y: np.ndarray, Y_prev: np.ndarray, gram: np.ndarray, knlam: float,
-            tau: float, check_zero_mean: bool) -> np.ndarray:
-    logits = tau * ((Y_prev - Y) @ gram) / knlam
-    if check_zero_mean:
-        # holds whenever both output matrices keep unit column sums, i.e. on
-        # every solver iterate; off-manifold probes skip it
-        col = float(np.abs(logits.sum(axis=0)).max()) if logits.size else 0.0
-        if not np.isfinite(col):
-            raise NumericalError("non-finite logits in residual evaluation")
-        if col > ZERO_MEAN_LOGIT_TOL * max(1.0, float(np.abs(logits).max())):
-            raise NumericalError(f"logit columns drifted off zero mean: {col:.3e}")
-    return logits
-
-
 def fixed_point_residual(
     Y: np.ndarray,
     Y_prev: np.ndarray,
@@ -152,38 +137,15 @@ def fixed_point_residual(
     Also asserts the zero-mean-logit invariant: coupled logits of unit-sum
     output columns sum to zero per sample.
     """
-    knlam = K * n * lam
-    logits = _logits(Y, Y_prev, gram, knlam, tau, check_zero_mean=True)
+    logits = tau * ((Y_prev - Y) @ gram) / (K * n * lam)
+    # holds whenever both output matrices keep unit column sums, as on every
+    # solver iterate
+    col = float(np.abs(logits.sum(axis=0)).max()) if logits.size else 0.0
+    if not np.isfinite(col):
+        raise NumericalError("non-finite logits in residual evaluation")
+    if col > ZERO_MEAN_LOGIT_TOL * max(1.0, float(np.abs(logits).max())):
+        raise NumericalError(f"logit columns drifted off zero mean: {col:.3e}")
     return Y - softmax(logits, tau)
-
-
-def objective_and_gradient(
-    Y: np.ndarray,
-    Y_prev: np.ndarray,
-    gram: np.ndarray,
-    lam: float,
-    K: int,
-    n: int,
-    tau: float = 1.0,
-    check_zero_mean: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared-Frobenius residual loss, its exact gradient, and the residual.
-
-    The gradient passes through the softmax Jacobian: with residual
-    ``R = Y - S`` and ``S`` the softmax of the coupled logits,
-    ``grad = 2 R + (2 / (K n lam)) * (J S applied to R) @ gram``.
-    """
-    knlam = K * n * lam
-    logits = _logits(Y, Y_prev, gram, knlam, tau, check_zero_mean)
-    S = softmax(logits, tau)
-    R = Y - S
-    loss = float((R * R).sum())
-    # softmax Jacobian applied columnwise: J_i r = s*(r - s.r); temperature
-    # scales the Jacobian by 1/tau and the logits by tau, which cancels.
-    sr = S * R
-    jac_r = sr - S * sr.sum(axis=0, keepdims=True)
-    grad = 2.0 * R + (2.0 / knlam) * (jac_r @ gram)
-    return loss, grad, R
 
 
 def _initial_iterate(
@@ -197,7 +159,7 @@ def _initial_iterate(
     if config.warm_start:
         eig = numeric_eigensystem(gram)
         # single linearized step from the previous outputs
-        return _average_labels(Y_prev.columns, eig, _operator_ratios(eig, lam, K, n), K)
+        return _average_labels(Y_prev.columns, eig, _operator_ratios(eig, lam, K, n), K, 1)[0]
     rng = np.random.default_rng(config.seed)
     raw = rng.uniform(0.0, 1.0, size=Y_prev.columns.shape)
     return raw / raw.sum(axis=0, keepdims=True)

@@ -23,12 +23,10 @@ from distillab import (
     build_gram,
     closed_form_output,
     evolving_condition,
-    extended_output,
     make_corruption,
     measure_approx_error,
     minimal_rounds,
     numeric_eigensystem,
-    objective_and_gradient,
     pll_accuracy_condition,
     pll_output,
     predicted_population_accuracy,
@@ -40,7 +38,7 @@ from distillab import (
 )
 from distillab.cli import main
 from distillab.distillation import averaging_operator
-from distillab.oracle import SolverConfig
+from distillab.oracle import SolverConfig, _dual_objective, softmax
 
 
 def verdict(number: int, description: str):
@@ -259,19 +257,22 @@ def test_criterion_08_gradient_check():
         Y_prev = OutputMatrix.from_labels(rng.integers(1, K + 1, size=K * n), K)
         raw = rng.uniform(0.2, 1.0, size=(K, K * n))
         Y = raw / raw.sum(axis=0, keepdims=True)
-        _, grad, _ = objective_and_gradient(Y, Y_prev.columns, gram, lam, K, n)
+        # the solver's objective Phi over the dual coefficients A = Y_prev - Y
+        c = K * n * lam
+        A = Y_prev.columns - Y
+        grad = (softmax(A @ gram / c) - Y_prev.columns + A) @ gram / c
         fd = np.zeros_like(grad)
         h = 1e-6
-        for idx in np.ndindex(*Y.shape):
-            bump = np.zeros_like(Y)
+        for idx in np.ndindex(*A.shape):
+            bump = np.zeros_like(A)
             bump[idx] = h
-            lp, _, _ = objective_and_gradient(Y + bump, Y_prev.columns, gram, lam, K, n)
-            lm, _, _ = objective_and_gradient(Y - bump, Y_prev.columns, gram, lam, K, n)
+            lp = _dual_objective(A + bump, (A + bump) @ gram / c, Y_prev.columns)
+            lm = _dual_objective(A - bump, (A - bump) @ gram / c, Y_prev.columns)
             fd[idx] = (lp - lm) / (2 * h)
         rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-300))
         worst = max(worst, rel)
         assert rel <= 1e-4
-    verdict(8, f"analytic gradient vs central differences: worst relative "
+    verdict(8, f"dual-objective gradient vs central differences: worst relative "
                f"error {worst:.2e} over 10 instances")
 
 
@@ -286,16 +287,19 @@ def test_criterion_09_case_v_reduction_and_evolving_schedules():
         c = float(rng.uniform(0.3, 0.8))
         d = float(rng.uniform(0.05, c - 0.05))
         smap = SuperclassMap.from_sizes(sizes)
-        model = GramModel(case=GramCase.V, K=K, n=n, c=c, d=d, e=0.0,
-                          superclass_map=smap)
-        tc = theory_constants(model, float(rng.uniform(1e-4, 1e-2)))
+        lam = float(rng.uniform(1e-4, 1e-2))
+        tc5, tc4 = (
+            theory_constants(GramModel(case=case, K=K, n=n, c=c, d=d, e=0.0,
+                                       superclass_map=smap), lam)
+            for case in (GramCase.V, GramCase.IV)
+        )
         C, _ = random_block_confined(K, sizes, rng)
         y = int(rng.integers(1, K + 1))
         yhat = int(rng.choice(list(smap.classes_of(smap.superclass_of(y)))))
         t = int(rng.integers(0, 7))
         gap = np.abs(
-            extended_output((y, yhat), C, tc, t)
-            - closed_form_output((y, yhat), C, tc, t)
+            closed_form_output((y, yhat), C, tc5, t)
+            - closed_form_output((y, yhat), C, tc4, t)
         ).max()
         assert gap <= 1e-12
     # constant schedules reproduce the fixed-correlation verdicts
@@ -313,7 +317,7 @@ def test_criterion_09_case_v_reduction_and_evolving_schedules():
         evolving = evolving_condition(C, [(c, d)] * t, lam, K, n, t)
         assert fixed == evolving
         agreements += 1
-    verdict(9, f"coupling-free extended outputs equal the plain closed form "
+    verdict(9, f"coupling-free case-V closed forms equal the case-IV ones "
                f"(1e-12, 20 draws); constant schedules match fixed verdicts "
                f"on {agreements} grid points")
 

@@ -28,8 +28,8 @@ from distillab.distillation import (
     PartialLabelMatrix,
     argmax_accuracy,
     averaging_operator,
+    cell_outputs,
     closed_form_output,
-    extended_output,
     pll_output,
     pll_refine,
     pll_student,
@@ -398,8 +398,8 @@ def _round_to_n(C, n):
     return CorruptionMatrix(counts / n)
 
 
-class TestExtendedOutput:
-    def test_zero_coupling_equals_plain_closed_form(self):
+class TestCoupledSuperclasses:
+    def test_zero_coupling_equals_case_four(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             sizes = [(2, 2), (1, 3), (2, 2, 2)][int(rng.integers(0, 3))]
@@ -408,17 +408,20 @@ class TestExtendedOutput:
             c = float(rng.uniform(0.3, 0.8))
             d = float(rng.uniform(0.05, c - 0.05))
             smap = SuperclassMap.from_sizes(sizes)
-            model = GramModel(case=GramCase.V, K=K, n=n, c=c, d=d, e=0.0,
-                              superclass_map=smap)
-            tc = theory_constants(model, float(rng.uniform(1e-4, 1e-2)))
+            lam = float(rng.uniform(1e-4, 1e-2))
+            tc5, tc4 = (
+                theory_constants(GramModel(case=case, K=K, n=n, c=c, d=d, e=0.0,
+                                           superclass_map=smap), lam)
+                for case in (GramCase.V, GramCase.IV)
+            )
             C, _ = random_block_confined(K, sizes, rng)
             y = int(rng.integers(1, K + 1))
             yhat_choices = [k for k in smap.classes_of(smap.superclass_of(y))]
             yhat = int(rng.choice(yhat_choices))
             t = int(rng.integers(0, 6))
             np.testing.assert_allclose(
-                extended_output((y, yhat), C, tc, t),
-                closed_form_output((y, yhat), C, tc, t),
+                closed_form_output((y, yhat), C, tc5, t),
+                closed_form_output((y, yhat), C, tc4, t),
                 atol=1e-12,
             )
 
@@ -428,7 +431,7 @@ class TestExtendedOutput:
                           superclass_map=smap)
         tc = theory_constants(model, 1e-3)
         C = make_corruption("superclass", 0.2, 4, superclass_map=smap)
-        out = extended_output((2, 1), C, tc, 0)
+        out = closed_form_output((2, 1), C, tc, 0)
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0, 0.0])
 
     def test_matches_trajectory_with_coupling(self):
@@ -443,20 +446,127 @@ class TestExtendedOutput:
         traj = trajectory(one_hot_from(la), eig, lam, K, n, 3)
         for t in (1, 2, 3):
             for i in (0, 60, 120, 199):
-                expected = extended_output(
+                expected = closed_form_output(
                     (int(la.true_labels[i]), int(la.given_labels[i])), C, tc, t
                 )
                 np.testing.assert_allclose(traj[t].columns[:, i], expected, atol=1e-9)
 
-    def test_unequal_sizes_with_coupling_rejected(self):
-        smap = SuperclassMap((1, 2, 2, 2))
-        model = GramModel(case=GramCase.V, K=4, n=10, c=0.5, d=0.2, e=0.05,
+    def test_unequal_sizes_with_coupling_match_trajectory(self):
+        K, n, lam = 7, 4, 1e-3
+        smap = SuperclassMap.from_sizes([2, 3, 2])
+        model = GramModel(case=GramCase.V, K=K, n=n, c=0.5, d=0.2, e=0.05,
                           superclass_map=smap)
-        tc = theory_constants(model, 1e-3)
-        assert tc.case5 is None
-        C = make_corruption("symmetric", 0.0, 4)
+        tc = theory_constants(model, lam)
+        C = make_corruption("superclass", 0.5, K, superclass_map=smap)
+        la = realize_labels(C, n=n, seed=3)
+        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, K, n, 3)
+        for t in (1, 2, 3):
+            for i in range(model.size):
+                expected = closed_form_output(
+                    (int(la.true_labels[i]), int(la.given_labels[i])), C, tc, t
+                )
+                np.testing.assert_allclose(traj[t].columns[:, i], expected, rtol=0, atol=1e-12)
+
+
+# one realisable eta > 0 per model of CASE_MODELS
+CASE_NOISE = {
+    "I": ("symmetric", 0.25),
+    "II": ("symmetric", 0.25),
+    "III": ("symmetric", 0.5),
+    "IV": ("superclass", 1.0 / 3.0),
+    "V": ("superclass", 0.4),
+}
+
+
+def _one_hot_cells(K):
+    return np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
+
+
+def _realizable_corruption(K, n, smap, confined, rng):
+    """Counts of n random permutations, each within superclasses if confined."""
+    counts = np.zeros((K, K))
+    sup = np.asarray(smap.assignments)
+    for _ in range(n):
+        perm = rng.permutation(K)
+        if confined:
+            for s in range(1, smap.num_superclasses + 1):
+                block = np.flatnonzero(sup == s)
+                perm[block] = rng.permutation(block)
+        counts[np.arange(K), perm] += 1.0
+    return CorruptionMatrix(counts / n)
+
+
+class TestCellOutputs:
+    @given(st.sampled_from(list(GramCase)), st.booleans(), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_trajectory_on_every_case(self, case, confined, seed):
+        rng = np.random.default_rng(seed)
+        sizes = None
+        if case in (GramCase.IV, GramCase.V):
+            sizes = [(2, 2), (1, 3), (2, 3, 2), (3, 1, 2)][int(rng.integers(0, 4))]
+        K = int(sum(sizes)) if sizes else int(rng.integers(2, 6))
+        n = int(rng.integers(1, 7))
+        c = float(rng.uniform(0.2, 0.8))
+        d = float(rng.uniform(0.0, c))
+        kwargs = dict(case=case, K=K, n=n, c=c)
+        if case is GramCase.II:
+            kwargs["c"] = tuple(rng.uniform(0.1, 0.9, size=K))
+        elif case is not GramCase.I:
+            kwargs["d"] = d
+        if sizes:
+            kwargs["superclass_map"] = SuperclassMap.from_sizes(sizes)
+        if case is GramCase.V:
+            kwargs["e"] = float(rng.uniform(0.0, d))
+        model = GramModel(**kwargs)
+        smap = model.effective_map()
+        C = _realizable_corruption(K, n, smap, confined, rng)
+        lam = float(rng.uniform(1e-4, 1e-2))
+        tc = theory_constants(model, lam)
+        la = realize_labels(C, n, seed=seed)
+        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, K, n, 3)
+        cells = [(int(y), int(g)) for y, g in zip(la.true_labels, la.given_labels)]
+        for t in range(4):
+            engine = cell_outputs(_one_hot_cells(K), C, tc, t)
+            per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
+            np.testing.assert_allclose(per_sample, traj[t].columns, rtol=0, atol=1e-12)
+            if C.is_block_confined(smap):
+                closed = np.stack([closed_form_output(cell, C, tc, t) for cell in cells], axis=1)
+                np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
+
+    def test_round_zero_returns_targets(self):
+        model = CASE_MODELS["V"]
+        K = model.K
+        C = make_corruption("superclass", 0.4, K, superclass_map=model.effective_map())
+        targets = np.random.default_rng(0).uniform(size=(K, K, K))
+        np.testing.assert_array_equal(
+            cell_outputs(targets, C, theory_constants(model, 1e-3), 0), targets
+        )
+
+    def test_rejects_misshaped_targets(self):
+        model = CASE_MODELS["III"]
+        C = make_corruption("symmetric", 0.5, model.K)
         with pytest.raises(ValidationError):
-            extended_output((1, 1), C, tc, 1)
+            cell_outputs(np.eye(model.K), C, theory_constants(model, 1e-3), 1)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_refined_teacher_cells_give_pll_student(self, name, noisy):
+        model = CASE_MODELS[name]
+        K, n, lam = model.K, model.n, 1e-3
+        kind, eta = CASE_NOISE[name] if noisy else ("symmetric", 0.0)
+        C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
+        tc = theory_constants(model, lam)
+        teacher = cell_outputs(_one_hot_cells(K), C, tc, 1).reshape(K, K * K)
+        targets = pll_refine(OutputMatrix(teacher, round=1)).columns.reshape(K, K, K)
+        cells = cell_outputs(targets, C, tc, 1)
+        la = realize_labels(C, n, seed=0)
+        eig = analytic_eigensystem(model)
+        refined = pll_refine(trajectory(one_hot_from(la), eig, lam, K, n, 1)[1])
+        student = pll_student(refined, eig, lam, K, n)
+        np.testing.assert_allclose(
+            student.columns, cells[:, la.true_labels - 1, la.given_labels - 1],
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestPllRefine:

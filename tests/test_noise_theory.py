@@ -167,15 +167,6 @@ class TestTheoryConstants:
         tc = theory_constants(model, 1e-3)
         assert tc.q == pytest.approx(tc.p, abs=1e-15)
 
-    def test_case5_zero_coupling_recovers_superclass_ratios(self):
-        smap = SuperclassMap((1, 1, 2, 2))
-        m5 = GramModel(case=GramCase.V, K=4, n=50, c=0.5, d=0.2, e=0.0, superclass_map=smap)
-        tc = theory_constants(m5, 1e-3)
-        for t in (1, 2, 5):
-            assert tc.nu(t) == 0.0
-            for s in (1, 2):
-                assert tc.mu(s, t) == pytest.approx(tc.r[s - 1] ** t - tc.q**t, abs=1e-15)
-
     def test_ordering_invariant(self):
         smap = SuperclassMap((1, 1, 2, 2))
         model = GramModel(case=GramCase.IV, K=4, n=30, c=0.5, d=0.2, superclass_map=smap)

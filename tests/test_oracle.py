@@ -23,7 +23,6 @@ from distillab.oracle import (
     fixed_point_residual,
     linearized_softmax,
     measure_approx_error,
-    objective_and_gradient,
     oracle_trajectory,
     softmax,
     solve_round,
@@ -169,14 +168,17 @@ class TestSolveRound:
             Y_prev = OutputMatrix.from_labels(rng.integers(1, K + 1, size=K * n), K)
             raw = rng.uniform(0.2, 1.0, size=(K, K * n))
             Y = raw / raw.sum(axis=0, keepdims=True)
-            _, grad, _ = objective_and_gradient(Y, Y_prev.columns, gram, lam, K, n)
+            # the solver's objective Phi over the dual coefficients A = Y_prev - Y
+            c = K * n * lam
+            A = Y_prev.columns - Y
+            grad = (softmax(A @ gram / c) - Y_prev.columns + A) @ gram / c
             fd = np.zeros_like(grad)
             h = 1e-6
-            for idx in np.ndindex(*Y.shape):
-                bump = np.zeros_like(Y)
+            for idx in np.ndindex(*A.shape):
+                bump = np.zeros_like(A)
                 bump[idx] = h
-                lp, _, _ = objective_and_gradient(Y + bump, Y_prev.columns, gram, lam, K, n)
-                lm, _, _ = objective_and_gradient(Y - bump, Y_prev.columns, gram, lam, K, n)
+                lp = oracle._dual_objective(A + bump, (A + bump) @ gram / c, Y_prev.columns)
+                lm = oracle._dual_objective(A - bump, (A - bump) @ gram / c, Y_prev.columns)
                 fd[idx] = (lp - lm) / (2 * h)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
