@@ -34,9 +34,11 @@ from .distillation import (
     pll_student,
     trajectory,
 )
+from .csvio import fmt, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, build_gram, eigensystem, gram_statistics
 from .noise_theory import (
+    _gaps,
     minimal_rounds,
     pll_accuracy_condition,
     predicted_population_accuracy,
@@ -57,19 +59,6 @@ __all__ = [
     "simplex_projection",
     "main",
 ]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Comma-separated rows with ``\\r\\n`` line ends, each field written with
-    ``str``: the bytes ``csv.writer`` writes for fields that need no quoting
-    (numbers and bare words, as every field here is), in one join."""
-    lines = [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
 
 
 def _write_json(path, report: dict) -> None:
@@ -116,34 +105,24 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     for t, mat in enumerate(traj):
         emit(f"outputs_round_{t:03d}.csv", mat.to_csv)
     labels = list(zip(assignment.true_labels.tolist(), assignment.given_labels.tolist()))
-    proj_rows = []
+    proj_rows = [["round", "sample_index", "true_label", "given_label", "x", "y"]
+                 + [f"y_{k}" for k in range(1, model.K + 1)]]
     for t, mat in enumerate(traj):
         # per sample: x, y, then the output column
         table = np.column_stack([simplex_projection(mat.columns), mat.columns.T])
         proj_rows += [
-            [t, i, y, yhat, *map(_fmt, values)]
+            (t, i, y, yhat, *map(fmt, values))
             for i, ((y, yhat), values) in enumerate(zip(labels, table.tolist()))
         ]
-    emit(
-        "projection.csv",
-        lambda p: _write_csv(
-            p,
-            ["round", "sample_index", "true_label", "given_label", "x", "y"]
-            + [f"y_{k}" for k in range(1, model.K + 1)],
-            proj_rows,
-        ),
-    )
-    eig_rows = []
+    emit("projection.csv", lambda p: write_csv(p, proj_rows))
+    eig_rows = [["round", "index", "eigenvalue"]]
     for t in range(config.t_max + 1):
         # keep only the spectrum, so no earlier round's matrix stays alive
         # while the next one is built
         values = averaging_operator(eig, config.lam, model.K, model.n, t).eigenvalues
         for idx, val in enumerate(sorted(values, reverse=True)):
-            eig_rows.append([t, idx, _fmt(val)])
-    emit(
-        "eigenvalues.csv",
-        lambda p: _write_csv(p, ["round", "index", "eigenvalue"], eig_rows),
-    )
+            eig_rows.append([t, idx, fmt(val)])
+    emit("eigenvalues.csv", lambda p: write_csv(p, eig_rows))
     if "pll" in config.modes and config.t_max >= 1:
         refined = pll_refine(traj[1])
         emit("pll_targets.csv", refined.to_csv)
@@ -192,11 +171,11 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     for t in range(1, config.t_max + 1):
         pred = predicted_population_accuracy(C, tc, t, "sd")
         emp = empirical.get(t)
-        rows.append([_fmt(eta), str(t), _fmt(pred), "" if emp is None else _fmt(emp)])
+        rows.append([fmt(eta), str(t), fmt(pred), "" if emp is None else fmt(emp)])
     if "pll" in config.modes:
         pred = predicted_population_accuracy(C, tc, 1, "pll")
         emp = empirical.get("PLL")
-        rows.append([_fmt(eta), "PLL", _fmt(pred), "" if emp is None else _fmt(emp)])
+        rows.append([fmt(eta), "PLL", fmt(pred), "" if emp is None else fmt(emp)])
     return rows
 
 
@@ -219,10 +198,10 @@ def cmd_phase(config: ExperimentConfig) -> str:
     os.makedirs(config.output_dir, exist_ok=True)
     chunks = _run_sweep(config, values, _phase_point)
     path = os.path.join(config.output_dir, "phase.csv")
-    _write_csv(
+    write_csv(
         path,
-        ["eta", "model", "predicted_accuracy", "empirical_accuracy"],
-        [row for chunk in chunks for row in chunk],
+        [["eta", "model", "predicted_accuracy", "empirical_accuracy"],
+         *(row for chunk in chunks for row in chunk)],
     )
     return path
 
@@ -236,7 +215,7 @@ def _approx_point(payload: tuple[str, float]) -> list[str]:
         gap = measure_approx_error(
             model, C, config.lam, max(1, config.t_max), config.solver()
         )
-        return [str(n), _fmt(gap), "true"]
+        return [str(n), fmt(gap), "true"]
     except NumericalError:
         return [str(n), "", "false"]
 
@@ -254,7 +233,7 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
     os.makedirs(config.output_dir, exist_ok=True)
     rows = _run_sweep(config, values, _approx_point)
     path = os.path.join(config.output_dir, "approx_error.csv")
-    _write_csv(path, ["n", "max_linf_error", "converged"], rows)
+    write_csv(path, [["n", "max_linf_error", "converged"], *rows])
     return path
 
 
@@ -276,19 +255,12 @@ def cmd_theory(config: ExperimentConfig) -> str:
             "predicted_accuracy": predicted_population_accuracy(C, tc, t, "sd"),
         }
     pll = pll_accuracy_condition(C)
-    pairs = []
-    for k in range(1, C.K + 1):
-        for kp in range(1, C.K + 1):
-            if kp == k:
-                continue
-            pairs.append(
-                {
-                    "true_class": k,
-                    "given_class": kp,
-                    "mass": C.entry(k, kp),
-                    "gap": C.entry(k, k) - C.entry(k, kp),
-                }
-            )
+    gap, off = _gaps(C)
+    pairs = [
+        {"true_class": k + 1, "given_class": kp + 1,
+         "mass": float(C.entries[k, kp]), "gap": float(gap[k, kp])}
+        for k, kp in np.argwhere(off).tolist()
+    ]
     report = {
         "K": model.K,
         "n": model.n,

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .errors import ValidationError
 from .gram_models import EigenSystem, SuperclassMap, _head_columns
 from .noise_theory import (
@@ -26,7 +28,6 @@ from .noise_theory import (
     CorruptionMatrix,
     TheoryConstants,
     _check_block_confined,
-    _tilde_label,
     pll_accuracy_condition,
 )
 
@@ -118,15 +119,13 @@ class OutputMatrix:
 
 def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
     """One ``round,sample_index,class_index,value`` row per entry, sample
-    major, values to 12 significant digits and ``\\r\\n`` line ends: the
-    bytes ``csv.writer`` writes for these fields, in one join."""
-    lines = [
-        f"{round_idx},{i},{k},{v:.12g}\r\n"
-        for i, col in enumerate(columns.T.tolist())
-        for k, v in enumerate(col, start=1)
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write("round,sample_index,class_index,value\r\n" + "".join(lines))
+    major: each sample index ``K`` times, the class index cycling ``1..K``."""
+    K, m = columns.shape
+    write_csv(path, chain(
+        [("round", "sample_index", "class_index", "value")],
+        zip(repeat(round_idx), chain.from_iterable(map(repeat, range(m), repeat(K))),
+            cycle(range(1, K + 1)), map(fmt, columns.T.ravel().tolist())),
+    ))
 
 
 def _read_long_csv(path) -> tuple[np.ndarray, int]:
@@ -467,7 +466,8 @@ def pll_output(sample: tuple[int, int], C: CorruptionMatrix, tc: TheoryConstants
     smap = tc.superclass_map
     _check_block_confined(C, smap)
     y, yhat = _check_sample(sample, K)
-    tilde = _tilde_label(C, y)
+    # dominant wrong label of class y, lowest index on ties
+    tilde = int(np.argmax(np.where(np.arange(K) == y - 1, -np.inf, C.entries[y - 1]))) + 1
     pair = tilde if yhat == y else yhat
     ybar = np.zeros(K)
     ybar[y - 1] += 0.5

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -254,9 +255,6 @@ class EigenSystem:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
 
     def orthonormality_error(self) -> float:
         m = self.vectors.T @ self.vectors
@@ -530,10 +528,8 @@ class FeatureMatrix:
 
     def to_csv(self, path) -> None:
         """One row per sample: feature components then the integer label."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row, label in zip(self.features, self.labels):
-                writer.writerow([f"{x:.12g}" for x in row] + [int(label)])
+        write_csv(path, [[*map(fmt, row), label]
+                         for row, label in zip(self.features.tolist(), self.labels.tolist())])
 
     @classmethod
     def from_csv(

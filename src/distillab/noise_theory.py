@@ -4,12 +4,16 @@ The corruption matrix ``C`` records, for each true class ``k``, the fraction
 of its ``n`` samples carrying each given label ``k'``.  Balanced datasets
 make ``C`` doubly stochastic.  The scalar constants derived from a
 structured Gram model (``p`` for the bulk eigenspace, ``q`` for class
-contrasts, ``r_s`` per superclass) drive the phase conditions: after ``t``
-distillation rounds a gap ``C[k,k] - C[k,k']`` must exceed
-``1/((q/p)^t - 1)`` for the mislabeled cell ``(k, k')`` to be classified
-correctly, while the one-round top-2 partial-label student only needs the
-gap to be positive.  The exact outputs of every cell, for all five Gram
-cases, come from :func:`distillab.distillation.cell_outputs`.
+contrasts, ``r_s`` per superclass) set the round-``t`` threshold
+``1/((q/p)^t - 1)``.  Every verdict and prediction here is one boolean
+expression over the ``K x K`` gap matrix ``C[k,k] - C[k,k']`` and its
+off-diagonal mask (:func:`_gaps`): after ``t`` distillation rounds the gap of
+a mislabeled cell ``(k, k')`` must exceed the threshold for the cell to be
+classified correctly, while the one-round top-2 partial-label student only
+needs every gap to be positive.  Strict comparisons keep a ``TIE_TOL`` band;
+an infinite threshold needs no special case, since ``gap - inf`` is
+``-inf``.  The exact outputs of every cell, for all five Gram cases, come
+from :func:`distillab.distillation.cell_outputs`.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvio import fmt, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap
 
@@ -97,10 +103,7 @@ class CorruptionMatrix:
         return bool(np.all(np.abs(self.entries[cross]) <= STOCHASTIC_TOL))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in self.entries:
-                writer.writerow([f"{x:.12g}" for x in row])
+        write_csv(path, [list(map(fmt, row)) for row in self.entries.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":
@@ -144,25 +147,22 @@ def make_corruption(
             raise ValidationError("asymmetric corruption needs K >= 2")
         m = np.full((K, K), eta / K)
         np.fill_diagonal(m, 1.0 - eta)
-        for k in range(1, K + 1):
-            succ = (k % K) + 1
-            m[k - 1, succ - 1] = 2.0 * eta / K
+        m[np.arange(K), (np.arange(K) + 1) % K] = 2.0 * eta / K
     else:  # superclass
         if superclass_map is None:
             raise ValidationError("superclass corruption requires a superclass map")
         if superclass_map.num_classes != K:
             raise ValidationError("superclass map size does not match K")
-        m = np.zeros((K, K))
-        for k in range(1, K + 1):
-            omega_k = superclass_map.classes_of(superclass_map.superclass_of(k))
-            if len(omega_k) < 2:
-                raise ValidationError(
-                    f"superclass of class {k} is a singleton; corruption rate {eta} has nowhere to go"
-                )
-            m[k - 1, k - 1] = 1.0 - eta
-            for kp in omega_k:
-                if kp != k:
-                    m[k - 1, kp - 1] = eta / (len(omega_k) - 1)
+        sup = np.asarray(superclass_map.assignments)
+        same = sup[:, None] == sup[None, :]
+        size = same.sum(axis=1)
+        if np.any(size < 2):
+            raise ValidationError(
+                f"superclass of class {int(np.argmax(size < 2)) + 1} is a singleton; "
+                f"corruption rate {eta} has nowhere to go"
+            )
+        m = np.where(same, eta / (size[:, None] - 1), 0.0)
+        np.fill_diagonal(m, 1.0 - eta)
     return CorruptionMatrix(m)
 
 
@@ -199,18 +199,14 @@ class LabelAssignment:
         return self.true_labels.size // self.K
 
     def empirical_corruption(self) -> CorruptionMatrix:
-        K, n = self.K, self.n
-        m = np.zeros((K, K))
-        for yt, yg in zip(self.true_labels, self.given_labels):
-            m[yt - 1, yg - 1] += 1.0
-        return CorruptionMatrix(m / n)
+        m = np.zeros((self.K, self.K))
+        np.add.at(m, (self.true_labels - 1, self.given_labels - 1), 1.0)
+        return CorruptionMatrix(m / self.n)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "true_label", "given_label"])
-            for i, (yt, yg) in enumerate(zip(self.true_labels, self.given_labels)):
-                writer.writerow([i, int(yt), int(yg)])
+        t, g = self.true_labels.tolist(), self.given_labels.tolist()
+        write_csv(path, chain([("index", "true_label", "given_label")],
+                              zip(range(len(t)), t, g)))
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":
@@ -246,12 +242,9 @@ def nearest_realizable(C: CorruptionMatrix, n: int) -> CorruptionMatrix:
     K = C.K
     target = C.entries * n
     counts = np.floor(target).astype(int)
-    for k in range(K):
-        deficit = n - int(counts[k].sum())
-        if deficit:
-            remainders = target[k] - counts[k]
-            for kp in np.argsort(-remainders, kind="stable")[:deficit]:
-                counts[k, kp] += 1
+    # each row's deficit goes to its largest remainders (stable order)
+    rank = np.argsort(np.argsort(counts - target, axis=1, kind="stable"), axis=1)
+    counts += rank < (n - counts.sum(axis=1))[:, None]
     col = counts.sum(axis=0)
     guard = 0
     while not np.all(col == n):
@@ -287,19 +280,14 @@ def realize_labels(C: CorruptionMatrix, n: int, seed: int = 0) -> LabelAssignmen
     K = C.K
     counts = np.rint(C.entries * n).astype(int)
     err = np.abs(C.entries * n - counts)
-    for k in range(K):
-        for kp in range(K):
-            if kp == k:
-                continue
-            if err[k, kp] > 1e-9:
-                raise ValidationError(
-                    f"cell ({k + 1},{kp + 1}) needs {C.entries[k, kp] * n:.6g} samples, "
-                    f"which is not an integer; smallest feasible n is {_minimal_feasible_n(C.entries)}"
-                )
-    if np.any(err[np.diag_indices(K)] > 1e-9):
-        k = int(np.argmax(err[np.diag_indices(K)]))
+    # an off-diagonal cell is named first (row-major), else the worst diagonal one
+    bad = np.argwhere((err > 1e-9) & ~np.eye(K, dtype=bool))
+    if not bad.size and np.any(np.diag(err) > 1e-9):
+        bad = np.full((1, 2), np.argmax(np.diag(err)))
+    if bad.size:
+        k, kp = bad[0]
         raise ValidationError(
-            f"cell ({k + 1},{k + 1}) needs {C.entries[k, k] * n:.6g} samples, "
+            f"cell ({k + 1},{kp + 1}) needs {C.entries[k, kp] * n:.6g} samples, "
             f"which is not an integer; smallest feasible n is {_minimal_feasible_n(C.entries)}"
         )
     rng = np.random.default_rng(seed)
@@ -450,20 +438,21 @@ class ConditionResult:
     threshold: float
 
 
-def _strictly_exceeds(lhs: float, rhs: float) -> bool:
-    """Strict inequality with a tie band: equality to 1e-12 is a failure."""
-    if math.isinf(rhs):
-        return rhs < 0
-    return lhs - rhs > TIE_TOL
+def _gaps(C: CorruptionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The gap matrix ``C[k,k] - C[k,k']`` and its off-diagonal mask."""
+    return np.diag(C.entries)[:, None] - C.entries, ~np.eye(C.K, dtype=bool)
 
 
-def _failing_cells(C: CorruptionMatrix, thr: float) -> list[tuple[int, int]]:
+def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The cells of ``mask`` as 1-based ``(k, k')`` pairs, row-major."""
+    return tuple(map(tuple, (np.argwhere(mask) + 1).tolist()))
+
+
+def _failing_cells(C: CorruptionMatrix, thr: float) -> tuple[tuple[int, int], ...]:
     """Realized mislabeled cells ``(k, k')`` (1-based, with mass) whose gap
     ``C[k,k] - C[k,k']`` does not strictly exceed ``thr``."""
-    cells = [(k, kp) for k in range(1, C.K + 1) for kp in range(1, C.K + 1)
-             if kp != k and C.entry(k, kp) > 0.0]
-    return [(k, kp) for k, kp in cells
-            if not _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr)]
+    gap, off = _gaps(C)
+    return _pairs(off & (C.entries > 0.0) & ~(gap - thr > TIE_TOL))
 
 
 def _check_block_confined(C: CorruptionMatrix, smap: SuperclassMap):
@@ -494,9 +483,7 @@ def sd_accuracy_condition(
     _check_block_confined(C, tc.superclass_map)
     thr = tc.threshold(t)
     failing = _failing_cells(C, thr)
-    return ConditionResult(
-        achieves_100=not failing, failing_pairs=tuple(failing), threshold=thr
-    )
+    return ConditionResult(achieves_100=not failing, failing_pairs=failing, threshold=thr)
 
 
 def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
@@ -511,15 +498,11 @@ def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
     ratio = tc.qp_ratio()
     if ratio <= 1.0:
         raise ValidationError("minimal rounds needs q > p (a positive class-contrast gap)")
-    gaps = [
-        C.entry(k, k) - C.entry(k, kp)
-        for k in range(1, C.K + 1)
-        for kp in range(1, C.K + 1)
-        if kp != k and C.entry(k, kp) > 0.0
-    ]
-    if not gaps:
+    gap, off = _gaps(C)
+    gaps = gap[off & (C.entries > 0.0)]
+    if not gaps.size:
         return 1
-    g = min(gaps)
+    g = float(gaps.min())
     if g <= TIE_TOL:
         return None
     t = max(1, math.floor(math.log1p(1.0 / g) / math.log(ratio)) + 1)
@@ -532,25 +515,16 @@ def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
     return t
 
 
-def pll_accuracy_condition(
-    C: CorruptionMatrix, superclass_map: Optional[SuperclassMap] = None
-) -> ConditionResult:
+def pll_accuracy_condition(C: CorruptionMatrix) -> ConditionResult:
     """Does the one-round top-2 partial-label student reach 100% accuracy?
 
     True iff every diagonal entry strictly dominates its row.  This is what
     guarantees the teacher ranks the true label within its top two outputs
     for every sample.
     """
-    if superclass_map is not None:
-        _check_block_confined(C, superclass_map)
-    failing = []
-    for k in range(1, C.K + 1):
-        for kp in range(1, C.K + 1):
-            if kp != k and not _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), 0.0):
-                failing.append((k, kp))
-    return ConditionResult(
-        achieves_100=not failing, failing_pairs=tuple(failing), threshold=0.0
-    )
+    gap, off = _gaps(C)
+    failing = _pairs(off & ~(gap > TIE_TOL))
+    return ConditionResult(achieves_100=not failing, failing_pairs=failing, threshold=0.0)
 
 
 def evolving_condition(
@@ -582,73 +556,45 @@ def evolving_condition(
     return not _failing_cells(C, thr)
 
 
-def _tilde_label(C: CorruptionMatrix, k: int) -> int:
-    """Most frequent wrong label of class ``k`` (lowest index on ties)."""
-    row = C.entries[k - 1].copy()
-    row[k - 1] = -np.inf
-    return int(np.argmax(row)) + 1
-
-
 def predicted_population_accuracy(
     C: CorruptionMatrix, tc: TheoryConstants, t: int, mode: str = "sd"
 ) -> float:
     """Population accuracy predicted by the piecewise closed forms.
 
-    Sums, over the ``K x K`` cells of the corruption matrix, the cell mass
-    times an indicator of correct classification.  In ``sd`` mode a clean
-    cell of class ``k`` is correct iff the row gap stays above the negated
-    round-``t`` threshold, and a mislabeled cell ``(k, k')`` additionally
-    needs the gap to exceed the positive threshold with ``C[k,k]``
-    dominating the rest of the row.  In ``pll`` mode the one-round top-2
-    student is correct on a cell iff the top-2 target mass
-    ``C[k,k] + max_{k' != k} C[k,k']`` stays below 1 (a tie otherwise), with
-    cells mislabeled away from the dominant wrong label always correct.
+    The mass ``C[k,k']`` of every cell that is classified correctly, summed
+    exactly (``math.fsum``) and divided by ``K``; which cells count is one
+    boolean expression over the gap matrix ``G = C[k,k] - C[k,k']``
+    (comparisons strict beyond ``TIE_TOL``; cells ``(k, k')`` off the
+    diagonal count only with mass).  In ``sd`` mode, with the round-``t``
+    threshold ``thr``, the clean cell of class ``k`` is correct iff every
+    gap of its row exceeds ``-thr``, and a mislabeled cell ``(k, k')`` iff
+    ``G[k,k'] > thr`` and every gap of the row is positive (``thr >= 0``,
+    so its own already is).  In
+    ``pll`` mode the one-round top-2 student pairs each class with its
+    dominant wrong label ``k~`` (the masked row argmax, lowest index on
+    ties): the cells ``(k, k)`` and ``(k, k~)`` are correct iff the top-2
+    target mass ``C[k,k] + C[k,k~]`` stays below 1 (a tie otherwise), and
+    any other cell iff its own mass is below 1.
     """
     if mode not in ("sd", "pll"):
         raise ValidationError(f"mode must be 'sd' or 'pll', got {mode!r}")
     if C.K != tc.K:
         raise ValidationError("corruption matrix size does not match the constants")
     _check_block_confined(C, tc.superclass_map)
-    K = C.K
-    total = 0.0
+    E = C.entries
+    gap, off = _gaps(C)
     if mode == "sd":
         if t < 1:
             raise ValidationError("distillation round must be >= 1")
         thr = tc.threshold(t)
-        for k in range(1, K + 1):
-            clean_ok = all(
-                _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), -thr)
-                for kp in range(1, K + 1)
-                if kp != k
-            )
-            if clean_ok:
-                total += C.entry(k, k)
-            for kp in range(1, K + 1):
-                if kp == k or C.entry(k, kp) <= 0.0:
-                    continue
-                noisy_ok = _strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr) and all(
-                    _strictly_exceeds(C.entry(k, k) - C.entry(k, kpp), 0.0)
-                    for kpp in range(1, K + 1)
-                    if kpp not in (k, kp)
-                )
-                if noisy_ok:
-                    total += C.entry(k, kp)
+        clean = np.all(~off | (gap + thr > TIE_TOL), axis=1)
+        dominant = np.all(~off | (gap > TIE_TOL), axis=1)
+        correct = np.where(off, (gap - thr > TIE_TOL) & dominant[:, None], clean[:, None])
     else:
         tc._require_scalar()
-        for k in range(1, K + 1):
-            tilde = _tilde_label(C, k)
-            two_hot_ok = _strictly_exceeds(
-                1.0, C.entry(k, k) + C.entry(k, tilde)
-            )
-            if two_hot_ok:
-                total += C.entry(k, k)
-            for kp in range(1, K + 1):
-                if kp == k or C.entry(k, kp) <= 0.0:
-                    continue
-                if kp == tilde:
-                    if two_hot_ok:
-                        total += C.entry(k, kp)
-                else:
-                    if _strictly_exceeds(1.0, C.entry(k, kp)):
-                        total += C.entry(k, kp)
-    return total / K
+        tilde = np.argmax(np.where(off, E, -np.inf), axis=1)
+        pair = ~off
+        pair[np.arange(C.K), tilde] = True
+        two_hot_ok = 1.0 - (np.diag(E) + E[np.arange(C.K), tilde]) > TIE_TOL
+        correct = np.where(pair, two_hot_ok[:, None], 1.0 - E > TIE_TOL)
+    return math.fsum(E[correct & (~off | (E > 0.0))]) / C.K

@@ -22,8 +22,9 @@ Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
 solved from the previous round's oracle outputs; a round that does not
 converge stops the chain with a :class:`NumericalError`.  The solver doubles
 as the ground-truth oracle for measuring how far the linearized closed forms
-drift from the true softmax outputs, and for checking that temperature
-scaling leaves the optimum unchanged.
+drift from the true softmax outputs.  A temperature ``tau`` on a round's
+logits rescales the regularization: the fixed point with ``softmax(., tau)``
+is the one at ``lam * tau``, so the solver takes no temperature.
 """
 
 from __future__ import annotations
@@ -130,14 +131,13 @@ def fixed_point_residual(
     lam: float,
     K: int,
     n: int,
-    tau: float = 1.0,
 ) -> np.ndarray:
     """Residual ``Y - softmax_map(Y)`` of the fixed-point equation.
 
     Also asserts the zero-mean-logit invariant: coupled logits of unit-sum
     output columns sum to zero per sample.
     """
-    logits = tau * ((Y_prev - Y) @ gram) / (K * n * lam)
+    logits = ((Y_prev - Y) @ gram) / (K * n * lam)
     # holds whenever both output matrices keep unit column sums, as on every
     # solver iterate
     col = float(np.abs(logits.sum(axis=0)).max()) if logits.size else 0.0
@@ -145,7 +145,7 @@ def fixed_point_residual(
         raise NumericalError("non-finite logits in residual evaluation")
     if col > ZERO_MEAN_LOGIT_TOL * max(1.0, float(np.abs(logits).max())):
         raise NumericalError(f"logit columns drifted off zero mean: {col:.3e}")
-    return Y - softmax(logits, tau)
+    return Y - softmax(logits)
 
 
 def _initial_iterate(
@@ -215,7 +215,6 @@ def solve_round(
     K: int,
     n: int,
     config: Optional[SolverConfig] = None,
-    tau: float = 1.0,
 ) -> OracleResult:
     """Solve one distillation round's softmax fixed point exactly.
 
@@ -247,7 +246,7 @@ def solve_round(
     iterations = 0
     while True:
         S = softmax(Z)
-        linf = float(np.abs(fixed_point_residual(S, Yp, gram, lam, K, n, tau)).max())
+        linf = float(np.abs(fixed_point_residual(S, Yp, gram, lam, K, n)).max())
         if not np.isfinite(linf):
             raise NumericalError(f"residual became non-finite at iteration {iterations}")
         if linf < best_linf:

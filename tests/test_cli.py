@@ -1,6 +1,8 @@
 import filecmp
+import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,9 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base))
     return path
+
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def read_csv_rows(path):
@@ -186,6 +191,23 @@ class TestPhaseCommand:
         # the one-round top-2 student holds out to much heavier corruption
         for eta in ("0.3", "0.5", "0.7"):
             assert table[(eta, "PLL")][0] == pytest.approx(1.0)
+
+    def test_predictions_match_the_benchmark_reference(self, tmp_path, monkeypatch):
+        # the phase_eta workload pins these predictions; predictions only, so
+        # no trajectory runs, and the reference file is only read
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(BENCH_DIR, "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        config = dict(workloads.WORKLOADS["phase_eta"].config, modes=["pll", "theory"])
+        cfg = write_config(tmp_path, **config)
+        assert main(["phase", "--config", str(cfg)]) == 0
+        _, rows = read_csv_rows(tmp_path / "out" / "phase.csv")
+        _, reference = read_csv_rows(os.path.join(BENCH_DIR, "phase_eta_reference.csv"))
+        assert [r[:2] for r in rows] == [r[:2] for r in reference]
+        for row, ref in zip(rows, reference):
+            assert abs(float(row[2]) - float(ref[2])) <= 1e-12, row
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial_cfg = write_config(

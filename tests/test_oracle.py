@@ -117,19 +117,20 @@ class TestSolveRound:
         b, *_ = small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=2)
         np.testing.assert_allclose(a.outputs.columns, b.outputs.columns, atol=1e-8)
 
-    def test_temperature_invariance(self):
+    def test_temperature_rescales_regularization(self):
+        # the fixed point with softmax(., tau) on the lam logits is the one at lam * tau
         K, n, lam = 4, 18, 1e-3
         model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1)
         gram = build_gram(model)
         C = make_corruption("symmetric", 0.5, K)
         la = realize_labels(C, n=n, seed=0)
         Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-        outs = [
-            solve_round(Y_prev, gram, lam, K, n, SolverConfig(), tau=tau).outputs.columns
-            for tau in (0.5, 1.0, 2.0)
-        ]
-        np.testing.assert_allclose(outs[0], outs[1], atol=1e-6)
-        np.testing.assert_allclose(outs[2], outs[1], atol=1e-6)
+        plain = solve_round(Y_prev, gram, lam, K, n, SolverConfig()).outputs.columns
+        for tau in (0.5, 2.0):
+            Y = solve_round(Y_prev, gram, lam * tau, K, n, SolverConfig()).outputs.columns
+            logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
+            assert np.abs(Y - softmax(logits, tau)).max() <= 1e-9
+            assert np.abs(Y - plain).max() > 1e-3
 
     def test_warm_start_agrees_with_cold_start(self):
         K, n, lam = 4, 12, 1e-3
