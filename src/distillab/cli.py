@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .distillation import (
 )
 from .csvio import fmt, write_csv
 from .errors import NumericalError, ValidationError
-from .gram_models import FeatureMatrix, build_gram, eigensystem, gram_statistics
+from .gram_models import FeatureMatrix, eigensystem, gram_statistics
 from .noise_theory import (
     _gaps,
     minimal_rounds,
@@ -46,7 +45,7 @@ from .noise_theory import (
     sd_accuracy_condition,
     theory_constants,
 )
-from .oracle import measure_approx_error, oracle_trajectory
+from .oracle import measure_approx_error, oracle_problem, oracle_trajectory
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
 from .oracle import solve_round  # noqa: F401
 
@@ -89,7 +88,9 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     model = config.gram_model()
     C = config.corruption_matrix()
     assignment = realize_labels(C, model.n, seed=config.seed)
-    gram = build_gram(model) if "oracle" in config.modes else None
+    gram, Y_oracle, column = (
+        oracle_problem(model, assignment) if "oracle" in config.modes else (None,) * 3
+    )
     eig = eigensystem(model, gram)
     Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
     traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
@@ -130,11 +131,12 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         emit("pll_outputs.csv", student.to_csv)
     if "oracle" in config.modes:
         rounds = oracle_trajectory(
-            Y0, gram, config.lam, model.K, model.n, config.t_max, config.solver()
+            Y_oracle, gram, config.lam, model.K, model.n, config.t_max, config.solver()
         )
         for t, result in enumerate(rounds, start=1):
             report = result.convergence_report()
-            emit(f"oracle_round_{t:03d}.csv", result.outputs.to_csv)
+            emit(f"oracle_round_{t:03d}.csv",
+                 OutputMatrix(result.outputs.columns[:, column], t).to_csv)
             emit(f"oracle_round_{t:03d}.json", lambda p, r=report: _write_json(p, r))
     return written
 
@@ -149,7 +151,9 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     empirical: dict[object, float] = {}
     if "closed_form" in config.modes or "oracle" in config.modes:
         assignment = realize_labels(C, model.n, seed=config.seed)
-        gram = build_gram(model) if "oracle" in config.modes else None
+        gram, Y_oracle, column = (
+            oracle_problem(model, assignment) if "oracle" in config.modes else (None,) * 3
+        )
         eig = eigensystem(model, gram)
         Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
         traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
@@ -157,12 +161,13 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
         if "oracle" in config.modes:
             try:
                 rounds = oracle_trajectory(
-                    Y0, gram, config.lam, model.K, model.n, config.t_max,
+                    Y_oracle, gram, config.lam, model.K, model.n, config.t_max,
                     config.solver(),
                 )
             except NumericalError as exc:
                 raise NumericalError(f"eta={eta}: {exc}") from exc
-            outputs = [result.outputs for result in rounds]
+            outputs = [OutputMatrix(r.outputs.columns[:, column], t)
+                       for t, r in enumerate(rounds, start=1)]
         for t, mat in enumerate(outputs, start=1):
             empirical[t] = argmax_accuracy(mat, assignment.true_labels)
         if "pll" in config.modes:
@@ -182,6 +187,8 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
 def _run_sweep(config: ExperimentConfig, values, worker):
     payloads = [(config.to_json(), v) for v in values]
     if config.workers > 1:
+        # imported here: the pool's modules cost every CLI start 13-20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]

@@ -20,11 +20,12 @@ V    as IV plus constant inter-superclass correlation ``e``
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +38,12 @@ __all__ = [
     "GramModel",
     "EigenGroup",
     "EigenSystem",
+    "CellGram",
     "FeatureMatrix",
     "RelationStats",
     "GramStatistics",
     "build_gram",
+    "cell_gram",
     "analytic_eigensystem",
     "numeric_eigensystem",
     "eigensystem",
@@ -311,6 +314,40 @@ def build_gram(model: GramModel) -> np.ndarray:
     return gram
 
 
+class CellGram(NamedTuple):
+    """An unperturbed Gram on outputs constant on each realised (true class,
+    given label) cell: ``cells[j]`` is cell ``j``'s 1-based pair (row-major),
+    ``weights[j]`` its sample count and ``sample_cell[i]`` sample ``i``'s
+    cell.  ``X @ matrix`` is the cell form of ``X[:, sample_cell] @ G``."""
+
+    cells: np.ndarray
+    weights: np.ndarray
+    sample_cell: np.ndarray
+    matrix: np.ndarray
+
+
+def cell_gram(model: GramModel, assignment) -> CellGram:
+    """The :class:`CellGram` of the cells a label assignment realises.
+
+    With ``B`` the class-level Gram (``n = 1``, diagonal ``omega``), a
+    sample of class ``k`` sees ``1 - omega_k`` from itself and ``B[k', k]``
+    from each sample of class ``k'``.
+    """
+    if model.perturbation_amplitude != 0.0:
+        raise ValidationError("cell Gram matrices are only defined for unperturbed models")
+    if (assignment.K, assignment.n) != (model.K, model.n):
+        raise ValidationError("label assignment size does not match the model")
+    K, omega = model.K, model.omega
+    pairs = (assignment.true_labels - 1) * K + assignment.given_labels - 1
+    codes, sample_cell, weights = np.unique(pairs, return_inverse=True, return_counts=True)
+    true = codes // K
+    B = build_gram(dataclasses.replace(model, n=1))
+    np.fill_diagonal(B, omega)
+    matrix = weights[:, None] * B[np.ix_(true, true)] + np.diag(1.0 - omega[true])
+    return CellGram(np.column_stack([true, codes % K]) + 1, weights.astype(float),
+                    sample_cell, matrix)
+
+
 def _helmert_vectors(m: int) -> np.ndarray:
     """Deterministic orthonormal basis of the zero-sum subspace of R^m.
 
@@ -457,12 +494,14 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(values=vals, vectors=vecs, groups=groups)
 
 
-def eigensystem(model: GramModel, gram: Optional[np.ndarray] = None) -> EigenSystem:
+def eigensystem(model: GramModel, gram: Optional[np.ndarray | CellGram] = None) -> EigenSystem:
     """Eigensystem of ``model``'s Gram matrix: the closed form when the model
     is unperturbed, else the dense decomposition of the realized matrix.
 
-    ``gram``, when given, must be ``build_gram(model)``; a caller that needs
-    the realized matrix anyway passes it so that it is built only once.
+    ``gram`` serves only a perturbed model and must then be
+    ``build_gram(model)``; a caller that needs the realized matrix anyway
+    passes it so that it is built only once.  An unperturbed model ignores
+    it, so a caller may pass the oracle's Gram either way.
     """
     if model.perturbation_amplitude == 0.0:
         return analytic_eigensystem(model)
@@ -623,17 +662,3 @@ def gram_statistics(features: FeatureMatrix) -> GramStatistics:
         cross_class_within_superclass=_relation_stats(vals[~same_class & same_sup]),
         cross_superclass=_relation_stats(vals[~same_sup]),
     )
-
-
-def embed_gram(gram: np.ndarray) -> np.ndarray:
-    """Factor a PSD Gram matrix into feature rows ``F`` with ``F F^T = gram``.
-
-    Used to turn a structured correlation model into an explicit unit-norm
-    feature matrix (the diagonal of ``gram`` must be 1).
-    """
-    a = _validate_symmetric(gram)
-    vals, vecs = np.linalg.eigh(a)
-    if vals.min() < -1e-10 * max(abs(vals.max()), 1.0):
-        raise ValidationError("matrix is not positive semidefinite; cannot embed")
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)

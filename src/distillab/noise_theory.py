@@ -376,6 +376,10 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
     def ratio(eig: float) -> float:
         return eig / (D + eig)
 
+    a_top = float(np.max(1.0 - model.omega + n * (model.omega - model.d)))  # q's, q >= p
+    if ratio(a_top) == 1.0:
+        raise ValidationError(f"lam={lam:g} is too small for K={K}, n={n}: the eigen-ratios "
+                              f"round to 1; they need lam >= {math.ulp(a_top) / (K * K * n):.3g}")
     if model.case is GramCase.II:
         omega = model.omega
         return TheoryConstants(

@@ -18,6 +18,13 @@ search on ``Phi`` damps the step.  Convergence is declared on the max-norm
 residual of the fixed-point equation itself, evaluated at
 ``Y = softmax(Z)``.
 
+On an unperturbed Gram ``Phi`` is invariant under permutations within a
+(true class, given label) cell, so its minimiser is constant on each cell
+and the same solver runs on the ``m <= K^2`` realised cells
+(:class:`~distillab.gram_models.CellGram`), every sum over samples weighted
+by the cell counts, at a cost independent of ``n``.  Perturbed models keep
+the dense Gram, where every weight is 1.
+
 Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
 solved from the previous round's oracle outputs; a round that does not
 converge stops the chain with a :class:`NumericalError`.  The solver doubles
@@ -34,12 +41,13 @@ from typing import Optional
 
 import numpy as np
 
-from .distillation import OutputMatrix, _average_labels, _operator_ratios, trajectory
+from .distillation import OutputMatrix, cell_outputs, trajectory
 from .errors import NumericalError, ValidationError
-from .gram_models import GramModel, build_gram, eigensystem, numeric_eigensystem
+from .gram_models import CellGram, GramModel, build_gram, cell_gram, eigensystem
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
 from .gram_models import analytic_eigensystem  # noqa: F401
-from .noise_theory import CorruptionMatrix, nearest_realizable, realize_labels
+from .noise_theory import (CorruptionMatrix, LabelAssignment, nearest_realizable,
+                           realize_labels, theory_constants)
 
 __all__ = [
     "SolverConfig",
@@ -48,11 +56,13 @@ __all__ = [
     "linearized_softmax",
     "fixed_point_residual",
     "solve_round",
+    "oracle_problem",
     "oracle_trajectory",
     "measure_approx_error",
 ]
 
 ZERO_MEAN_LOGIT_TOL = 1e-9
+PHI_ROUNDING = 1e-12  # relative; a larger rise of Phi lets the iterates cycle
 # backtracking stops here and takes its last, 2**-29-scaled trial step
 _MAX_HALVINGS = 30
 
@@ -124,6 +134,20 @@ class OracleResult:
         }
 
 
+def _residual(Y: np.ndarray, Y_prev: np.ndarray, matrix: np.ndarray,
+              c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-point residual and the coupled logits it was taken at."""
+    logits = ((Y_prev - Y) @ matrix) / c
+    # holds whenever both output matrices keep unit column sums, as on every
+    # solver iterate
+    col = float(np.abs(logits.sum(axis=0)).max()) if logits.size else 0.0
+    if not np.isfinite(col):
+        raise NumericalError("non-finite logits in residual evaluation")
+    if col > ZERO_MEAN_LOGIT_TOL * max(1.0, float(np.abs(logits).max())):
+        raise NumericalError(f"logit columns drifted off zero mean: {col:.3e}")
+    return Y - softmax(logits), logits
+
+
 def fixed_point_residual(
     Y: np.ndarray,
     Y_prev: np.ndarray,
@@ -137,57 +161,53 @@ def fixed_point_residual(
     Also asserts the zero-mean-logit invariant: coupled logits of unit-sum
     output columns sum to zero per sample.
     """
-    logits = ((Y_prev - Y) @ gram) / (K * n * lam)
-    # holds whenever both output matrices keep unit column sums, as on every
-    # solver iterate
-    col = float(np.abs(logits.sum(axis=0)).max()) if logits.size else 0.0
-    if not np.isfinite(col):
-        raise NumericalError("non-finite logits in residual evaluation")
-    if col > ZERO_MEAN_LOGIT_TOL * max(1.0, float(np.abs(logits).max())):
-        raise NumericalError(f"logit columns drifted off zero mean: {col:.3e}")
-    return Y - softmax(logits)
+    return _residual(Y, Y_prev, gram, K * n * lam)[0]
 
 
 def _initial_iterate(
     Y_prev: OutputMatrix,
-    gram: np.ndarray,
+    matrix: np.ndarray,
     lam: float,
     K: int,
     n: int,
     config: SolverConfig,
 ) -> np.ndarray:
     if config.warm_start:
-        eig = numeric_eigensystem(gram)
-        # single linearized step from the previous outputs
-        return _average_labels(Y_prev.columns, eig, _operator_ratios(eig, lam, K, n), K, 1)[0]
+        # single linearized step from the previous outputs,
+        # 1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1, as one linear solve
+        shifted = matrix + K * K * n * lam * np.eye(matrix.shape[0])
+        return 1.0 / K + np.linalg.solve(shifted.T, ((Y_prev.columns - 1.0 / K) @ matrix).T).T
     rng = np.random.default_rng(config.seed)
     raw = rng.uniform(0.0, 1.0, size=Y_prev.columns.shape)
     return raw / raw.sum(axis=0, keepdims=True)
 
 
-def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray) -> float:
-    """``Phi(A)`` from its logits ``Z = A G / c``."""
+def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray,
+                    weights: np.ndarray | float = 1.0) -> float:
+    """``Phi(A)`` from its logits ``Z = A G / c``, each column counted
+    ``weights`` times."""
     top = Z.max(axis=0)
     lse = top + np.log(np.exp(Z - top).sum(axis=0))
-    return float(lse.sum() - (Y_prev * Z).sum() + 0.5 * (A * Z).sum())
+    return float((lse * weights).sum() - (Y_prev * Z * weights).sum()
+                 + 0.5 * (A * Z * weights).sum())
 
 
-def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, gram: np.ndarray,
-                      c: float) -> tuple[np.ndarray, np.ndarray]:
+def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, matrix: np.ndarray,
+                      weights: np.ndarray | float, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Inexact solution ``d`` of ``d + J_S(d G) / c = -r`` and its ``d G``.
 
     The operator is self-adjoint and positive definite in
-    ``<x, y>_G = tr(x G y^T)`` when ``G`` is, so conjugate gradients run in
-    that inner product; carrying ``p G`` next to each direction ``p`` costs
-    one ``K x N`` by ``N x N`` product per step.  Stops once
-    ``||res||_G <= min(0.5, ||r||_G^(1/2)) ||r||_G``.
+    ``<x, y>_G = tr(x G W y^T)`` (``W`` the column weights) when ``G`` is,
+    so conjugate gradients run in that inner product; carrying ``p G`` next
+    to each direction ``p`` costs one product with ``matrix`` per step.
+    Stops once ``||res||_G <= min(0.5, ||r||_G^(1/2)) ||r||_G``.
     """
     d, dG = np.zeros_like(r), np.zeros_like(r)
     res, resG = -r, -rG
     p, pG = res, resG
-    rho = rho0 = float((res * resG).sum())
+    rho = rho0 = float((res * resG * weights).sum())
     for _ in range(r.size):
-        pGp = float((p * pG).sum())
+        pGp = float((p * pG * weights).sum())
         if pGp <= 0.0:
             raise NumericalError(
                 f"Gram matrix is not positive definite: CG direction has "
@@ -196,11 +216,11 @@ def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, gram: np.nda
         # softmax Jacobian applied columnwise to the direction's logits
         sp = S * pG
         Mp = p + (sp - S * sp.sum(axis=0)) / c
-        alpha = rho / float((pG * Mp).sum())
+        alpha = rho / float((pG * Mp * weights).sum())
         d, dG = d + alpha * p, dG + alpha * pG
         res = res - alpha * Mp
-        resG = res @ gram
-        rho_new = float((res * resG).sum())
+        resG = res @ matrix
+        rho_new = float((res * resG * weights).sum())
         if rho_new <= min(0.25, rho0 ** 0.5) * rho0:
             break
         beta, rho = rho_new / rho, rho_new
@@ -210,7 +230,7 @@ def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, gram: np.nda
 
 def solve_round(
     Y_prev: OutputMatrix,
-    gram: np.ndarray,
+    gram: np.ndarray | CellGram,
     lam: float,
     K: int,
     n: int,
@@ -218,14 +238,19 @@ def solve_round(
 ) -> OracleResult:
     """Solve one distillation round's softmax fixed point exactly.
 
+    ``gram`` is a dense Gram (one column of ``Y_prev`` per sample) or a
+    :class:`CellGram` (one per cell, each weighted by its count in ``Phi``
+    and every inner product); the outputs keep that layout.
+
     Starts from dual coefficients ``A = Y_prev - Y0``, with ``Y0`` the
     seed-deterministic normalized uniform random columns (or the linearized
     prediction under ``warm_start``), and takes damped Newton-CG steps on
     the convex objective ``Phi`` of the module docstring.  A step is
     accepted when it passes an Armijo test on ``Phi`` or halves the
-    max-norm gradient residual ``A - (Y_prev - softmax(Z))``; the second
-    test carries the last steps, where differences of ``Phi`` fall below
-    rounding.  Stops when the max-norm fixed-point residual at
+    max-norm gradient residual ``A - (Y_prev - softmax(Z))`` with ``Phi``
+    risen by no more than rounding; the second test carries the last steps,
+    where differences of ``Phi`` fall below rounding.  Stops when the
+    max-norm fixed-point residual at
     ``Y = softmax(Z)`` drops below the tolerance or after
     ``max_iterations`` Newton steps (returning the best iterate found,
     flagged unconverged).  A non-finite residual reports the iteration at
@@ -233,20 +258,22 @@ def solve_round(
     :class:`NumericalError`.
     """
     config = config or SolverConfig()
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (Y_prev.num_samples, Y_prev.num_samples):
+    matrix, weights = ((gram.matrix, gram.weights) if isinstance(gram, CellGram)
+                       else (np.asarray(gram, dtype=float), 1.0))
+    if matrix.shape != (Y_prev.num_samples, Y_prev.num_samples):
         raise ValidationError("Gram matrix size does not match the previous outputs")
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
     c = K * n * lam
     Yp = Y_prev.columns
-    A = Yp - _initial_iterate(Y_prev, gram, lam, K, n, config)
-    Z = (A @ gram) / c
+    A = Yp - _initial_iterate(Y_prev, matrix, lam, K, n, config)
+    Z = (A @ matrix) / c
     best_S, best_linf = None, np.inf
     iterations = 0
     while True:
         S = softmax(Z)
-        linf = float(np.abs(fixed_point_residual(S, Yp, gram, lam, K, n)).max())
+        R, logits = _residual(S, Yp, matrix, c)
+        linf = float(np.abs(R).max())
         if not np.isfinite(linf):
             raise NumericalError(f"residual became non-finite at iteration {iterations}")
         if linf < best_linf:
@@ -254,16 +281,19 @@ def solve_round(
         if linf < config.tolerance or iterations == config.max_iterations:
             break
         r = A - Yp + S
-        rG = r @ gram
-        d, dG = _newton_direction(r, rG, S, gram, c)
-        phi = _dual_objective(A, Z, Yp)
-        slope = float((rG * d).sum()) / c
+        # r G = A G - (Y_prev - S) G, both products already at hand
+        rG = c * (Z - logits)
+        d, dG = _newton_direction(r, rG, S, matrix, weights, c)
+        phi = _dual_objective(A, Z, Yp, weights)
+        slope = float((rG * d * weights).sum()) / c
         r_max = float(np.abs(r).max())
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             A_new, Z_new = A + step * d, Z + (step / c) * dG
-            if (_dual_objective(A_new, Z_new, Yp) <= phi + 1e-4 * step * slope
-                    or np.abs(A_new - Yp + softmax(Z_new)).max() <= 0.5 * r_max):
+            phi_new = _dual_objective(A_new, Z_new, Yp, weights)
+            if (phi_new <= phi + 1e-4 * step * slope
+                    or (phi_new <= phi + PHI_ROUNDING * abs(phi)
+                        and np.abs(A_new - Yp + softmax(Z_new)).max() <= 0.5 * r_max)):
                 break
             step *= 0.5
         A, Z = A_new, Z_new
@@ -276,9 +306,22 @@ def solve_round(
     )
 
 
+def oracle_problem(
+    model: GramModel, assignment: LabelAssignment
+) -> tuple[np.ndarray | CellGram, OutputMatrix, np.ndarray]:
+    """The Gram ``model``'s oracle rounds run on (the cell Gram when it is
+    unperturbed, else the dense one), their round-0 targets, and the output
+    column of each sample."""
+    if model.perturbation_amplitude:
+        return (build_gram(model), OutputMatrix.from_labels(assignment.given_labels, model.K),
+                np.arange(model.size))
+    cells = cell_gram(model, assignment)
+    return cells, OutputMatrix.from_labels(cells.cells[:, 1], model.K), cells.sample_cell
+
+
 def oracle_trajectory(
     Y0: OutputMatrix,
-    gram: np.ndarray,
+    gram: np.ndarray | CellGram,
     lam: float,
     K: int,
     n: int,
@@ -316,8 +359,9 @@ def measure_approx_error(
     matrix when the requested rates are not integral on the ``n``-grid),
     runs the oracle round by round (each round chained on the previous
     oracle outputs), and compares every round up to ``t`` against the
-    closed-form trajectory from the same one-hot targets.  Raises when the
-    oracle fails to converge at some round.
+    closed form from the same one-hot targets (on an unperturbed model both
+    per cell, with no ``N x N`` array).  Raises when the oracle fails to
+    converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
@@ -330,15 +374,14 @@ def measure_approx_error(
         snapped = nearest_realizable(C, gram_model.n)
         assignment = realize_labels(snapped, gram_model.n, seed=config.seed)
     K, n = gram_model.K, gram_model.n
-    Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
-    # a perturbed model's eigensystem is the dense one of its Gram, so that
-    # Gram is built once for both; an unperturbed model's Gram is built only
-    # after the closed form, which frees the analytic N x N eigenvectors
-    gram = build_gram(gram_model) if gram_model.perturbation_amplitude else None
-    closed = trajectory(Y0, eigensystem(gram_model, gram), lam, K, n, t)
-    gram = build_gram(gram_model) if gram is None else gram
+    gram, Y0, _ = oracle_problem(gram_model, assignment)
+    if isinstance(gram, CellGram):
+        one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
+        tc, C_real = theory_constants(gram_model, lam), assignment.empirical_corruption()
+        true, given = (gram.cells - 1).T
+        closed = [cell_outputs(one_hot, C_real, tc, s)[:, true, given] for s in range(1, t + 1)]
+    else:
+        eig = eigensystem(gram_model, gram)
+        closed = [m.columns for m in trajectory(Y0, eig, lam, K, n, t)[1:]]
     rounds = oracle_trajectory(Y0, gram, lam, K, n, t, config)
-    return max(
-        float(np.abs(r.outputs.columns - c.columns).max())
-        for r, c in zip(rounds, closed[1:])
-    )
+    return max(float(np.abs(r.outputs.columns - c).max()) for r, c in zip(rounds, closed))

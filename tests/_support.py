@@ -26,6 +26,15 @@ CASE_MODELS = {
 }
 
 
+def embed_gram(gram):
+    """Feature rows ``F`` with ``F F^T = gram`` for a PSD Gram matrix, so a
+    structured correlation model becomes an explicit unit-norm feature
+    matrix (the diagonal of ``gram`` must be 1)."""
+    vals, vecs = np.linalg.eigh(gram)
+    assert vals.min() >= -1e-10 * max(abs(vals.max()), 1.0), "not positive semidefinite"
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
 def setup_a_constants():
     return theory_constants(setup_a_model(), SETUP_A_LAMBDA)
 

@@ -2,11 +2,14 @@ import filecmp
 import importlib.util
 import json
 import os
+import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from _support import embed_gram
 from distillab import (
     ExperimentConfig,
     GramCase,
@@ -15,10 +18,10 @@ from distillab import (
     SuperclassMap,
     ValidationError,
     build_gram,
-    embed_gram,
 )
 from distillab.cli import main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
+from distillab.noise_theory import theory_constants
 
 
 def write_config(tmp_path, **overrides):
@@ -257,6 +260,19 @@ class TestTheoryCommand:
         assert report["minimal_rounds"] == "unreachable"
         assert report["pll"]["achieves_100"] is False
 
+    @pytest.mark.parametrize("command", ["theory", "approx-error"])
+    def test_tiny_lam_names_the_smallest_workable_value(self, tmp_path, capsys, command):
+        gram = {"case": "III", "K": 4, "n": 10, "c": 0.4, "d": 0.1}
+        cfg = write_config(tmp_path, gram=gram, lam=1e-19, t_max=1, modes=["oracle", "theory"])
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "lam=1e-19 is too small" in err
+        smallest = float(re.search(r"they need lam >= (\S+)", err).group(1))
+        model = GramModel(case=GramCase.III, K=4, n=10, c=0.4, d=0.1)
+        assert theory_constants(model, smallest).q < 1.0
+        with pytest.raises(ValidationError, match="too small"):
+            theory_constants(model, 0.4 * smallest)
+
 
 class TestApproxErrorCommand:
     def test_large_regularization_tiny_error(self, tmp_path):
@@ -354,6 +370,18 @@ class TestIngestCommand:
         fpath.write_text("1.2,0,1\n0,1,2\n")
         with pytest.raises(ValidationError):
             FeatureMatrix.from_csv(fpath, renormalize=True)
+
+
+class TestStartup:
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # the pool's modules are imported only for a sweep with workers > 1
+        code = ("import sys, distillab.cli\n"
+                "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+                " if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

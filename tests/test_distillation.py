@@ -196,25 +196,22 @@ class TestDeflatedTrajectory:
     # repeat exactly (5 distinct among 24, at most 8 equal), but no value
     # covers half the indices, so the plain product is kept
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
-    def test_warm_start_round_is_unchanged(self, monkeypatch, name):
+    def test_warm_start_is_the_eigen_form_and_reaches_the_cold_fixed_point(self, name):
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["I"]
         K, n, lam = model.K, model.n, 1e-3
         gram = build_gram(model)
         Y_prev = random_one_hot(model)
-        config = SolverConfig(warm_start=True, tolerance=1e-10)
-        new = solve_round(Y_prev, gram, lam, K, n, config)
-
-        def eigen_form_start(Y_prev, gram, lam, K, n, config):
-            eig = numeric_eigensystem(gram)
-            ratios = eig.values / (K * K * n * lam + eig.values)
-            return (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
-
-        start = oracle._initial_iterate(Y_prev, gram, lam, K, n, config)
-        assert np.array_equal(start, eigen_form_start(Y_prev, gram, lam, K, n, config))
-        monkeypatch.setattr(oracle, "_initial_iterate", eigen_form_start)
-        old = solve_round(Y_prev, gram, lam, K, n, config)
-        assert new.converged and new.iterations_used == old.iterations_used
-        assert np.array_equal(new.outputs.columns, old.outputs.columns)
+        warm = SolverConfig(warm_start=True, tolerance=1e-10)
+        eig = numeric_eigensystem(gram)
+        ratios = eig.values / (K * K * n * lam + eig.values)
+        eigen_form = (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
+        start = oracle._initial_iterate(Y_prev, gram, lam, K, n, warm)
+        np.testing.assert_allclose(start, eigen_form, rtol=0, atol=1e-12)
+        new = solve_round(Y_prev, gram, lam, K, n, warm)
+        cold = solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=1e-10))
+        assert new.converged and cold.converged
+        np.testing.assert_allclose(new.outputs.columns, cold.outputs.columns, rtol=0, atol=1e-8)
+        assert new.iterations_used <= cold.iterations_used
 
 
 class TestTrajectory:

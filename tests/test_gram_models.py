@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _support import embed_gram
 from distillab import (
     EigenGroup,
     EigenSystem,
@@ -14,7 +15,6 @@ from distillab import (
     ValidationError,
     analytic_eigensystem,
     build_gram,
-    embed_gram,
     gram_statistics,
     load_superclass_map,
     numeric_eigensystem,

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from _support import CASE_MODELS, SETUP_A_LAMBDA, setup_a_model
@@ -14,9 +17,16 @@ from distillab import (
     analytic_eigensystem,
     build_gram,
 )
-from distillab.distillation import OutputMatrix, trajectory
+from distillab.distillation import OutputMatrix, cell_outputs, trajectory
 from distillab import gram_models, oracle
-from distillab.noise_theory import make_corruption, nearest_realizable, realize_labels
+from distillab.gram_models import cell_gram
+from distillab.noise_theory import (
+    LabelAssignment,
+    make_corruption,
+    nearest_realizable,
+    realize_labels,
+    theory_constants,
+)
 from distillab.oracle import (
     OracleResult,
     SolverConfig,
@@ -229,6 +239,15 @@ class TestNewtonSolver:
         assert len(rounds) == 3
         assert max(r.iterations_used for r in rounds) <= 30, [r.iterations_used for r in rounds]
 
+    def test_saturated_chained_round_does_not_cycle(self):
+        # a residual-halving step that raised Phi used to be accepted here,
+        # and the iterates cycled between two points with residual 0.99
+        K, lam = 3, 2.0**-8
+        Y0 = OutputMatrix.from_labels(np.arange(1, K + 1), K)
+        rounds = oracle_trajectory(Y0, np.eye(K), lam, K, 1, 2,
+                                   SolverConfig(tolerance=1e-12, max_iterations=100))
+        assert [r.converged for r in rounds] == [True, True]
+
     def test_gram_not_positive_definite_raises(self):
         K, n = 3, 2
         Y_prev = OutputMatrix.from_labels(np.array([1, 2, 3, 1, 2, 3]), K)
@@ -269,23 +288,35 @@ class TestMeasureApproxError:
                 model, C, lam=1e-3, t=1, config=SolverConfig(max_iterations=2)
             )
 
-    def test_chained_rounds_compare_against_trajectory(self):
+    def test_chained_rounds_compare_against_the_cell_closed_form(self):
         K, n, lam = 3, 8, 0.02
         model = GramModel(case=GramCase.III, K=K, n=n, c=0.5, d=0.2)
         C = make_corruption("symmetric", 0.25, K)
         config = SolverConfig(seed=3)
         gap = measure_approx_error(model, C, lam, t=3, config=config)
-        # recompute by hand: chain the oracle, compare to the closed form
+        # recompute by hand: chain the oracle on the cells, compare to the
+        # closed form of each cell
         la = realize_labels(C, n, seed=config.seed)
+        cells = cell_gram(model, la)
+        true, given = (cells.cells - 1).T
+        one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
+        tc = theory_constants(model, lam)
+        cur, worst = OutputMatrix.from_labels(given + 1, K), 0.0
+        for t in range(1, 4):
+            cur = solve_round(cur, cells, lam, K, n, config).outputs
+            closed = cell_outputs(one_hot, C, tc, t)[:, true, given]
+            worst = max(worst, float(np.abs(cur.columns - closed).max()))
+        assert gap == pytest.approx(worst, abs=1e-12)
+        # and the dense chain against the per-sample closed-form trajectory,
+        # within the solver tolerance
         gram = build_gram(model)
-        eig = analytic_eigensystem(model)
         Y0 = OutputMatrix.from_labels(la.given_labels, K)
-        closed = trajectory(Y0, eig, lam, K, n, 3)
+        traj = trajectory(Y0, analytic_eigensystem(model), lam, K, n, 3)
         cur, worst = Y0, 0.0
         for t in range(1, 4):
             cur = solve_round(cur, gram, lam, K, n, config).outputs
-            worst = max(worst, float(np.abs(cur.columns - closed[t].columns).max()))
-        assert gap == pytest.approx(worst, abs=1e-12)
+            worst = max(worst, float(np.abs(cur.columns - traj[t].columns).max()))
+        assert gap == pytest.approx(worst, abs=1e-9)
 
     def test_perturbed_model_builds_gram_once(self, monkeypatch):
         calls = []
@@ -303,3 +334,67 @@ class TestMeasureApproxError:
         gap = measure_approx_error(model, C, 0.02, t=2, config=SolverConfig())
         assert np.isfinite(gap)
         assert len(calls) == 1
+
+
+def partly_shuffled_assignment(K, n, moved, seed):
+    """Balanced labels with ``moved`` samples' given labels permuted among
+    themselves: from clean (many empty cells) to fully mixed."""
+    rng = np.random.default_rng(seed)
+    true = np.repeat(np.arange(1, K + 1), n)
+    given = true.copy()
+    picked = rng.choice(K * n, size=min(moved, K * n), replace=False)
+    given[picked] = rng.permutation(given[picked])
+    return LabelAssignment(true, given)
+
+
+class TestCellGram:
+    @given(st.sampled_from(sorted(CASE_MODELS)), st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_cell_product_is_the_sample_product(self, name, n, seed):
+        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        la = partly_shuffled_assignment(model.K, n, seed % (model.size + 1), seed)
+        cells = cell_gram(model, la)
+        X = np.random.default_rng(seed).normal(size=(model.K, cells.weights.size))
+        np.testing.assert_allclose(
+            (X @ cells.matrix)[:, cells.sample_cell],
+            X[:, cells.sample_cell] @ build_gram(model), rtol=0, atol=1e-12,
+        )
+        assert cells.weights.sum() == model.size
+        assert np.array_equal(cells.cells[cells.sample_cell],
+                              np.column_stack([la.true_labels, la.given_labels]))
+
+    @given(
+        st.sampled_from(sorted(CASE_MODELS)),
+        st.integers(1, 5),
+        st.floats(1e-3, 0.2),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cell_rounds_are_the_dense_rounds(self, name, n, lam, t_max, seed):
+        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        K, tol = model.K, 1e-12
+        la = partly_shuffled_assignment(K, n, seed % (model.size + 1), seed)
+        gram, cells = build_gram(model), cell_gram(model, la)
+        config = SolverConfig(tolerance=tol, seed=seed)
+        dense = oracle_trajectory(OutputMatrix.from_labels(la.given_labels, K), gram,
+                                  lam, K, n, t_max, config)
+        by_cell = oracle_trajectory(OutputMatrix.from_labels(cells.cells[:, 1], K), cells,
+                                    lam, K, n, t_max, config)
+        previous = OutputMatrix.from_labels(la.given_labels, K).columns
+        for d, c in zip(dense, by_cell):
+            per_sample = c.outputs.columns[:, cells.sample_cell]
+            assert np.abs(per_sample - d.outputs.columns).max() <= 1e-10
+            # an independent certificate: the dense fixed-point equation
+            R = fixed_point_residual(per_sample, previous, gram, lam, K, n)
+            assert np.abs(R).max() <= tol + 1e-12
+            previous = per_sample
+
+    def test_perturbed_model_and_foreign_labels_are_rejected(self):
+        model = GramModel(case=GramCase.III, K=3, n=4, c=0.4, d=0.1,
+                          perturbation_amplitude=0.01)
+        with pytest.raises(ValidationError, match="unperturbed"):
+            cell_gram(model, partly_shuffled_assignment(3, 4, 6, 0))
+        model = dataclasses.replace(model, perturbation_amplitude=0.0)
+        with pytest.raises(ValidationError, match="does not match"):
+            cell_gram(model, partly_shuffled_assignment(4, 3, 6, 0))
