@@ -124,7 +124,7 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         for idx, val in enumerate(sorted(values, reverse=True)):
             eig_rows.append([t, idx, fmt(val)])
     emit("eigenvalues.csv", lambda p: write_csv(p, eig_rows))
-    if "pll" in config.modes and config.t_max >= 1:
+    if "pll" in config.modes:
         refined = pll_refine(traj[1])
         emit("pll_targets.csv", refined.to_csv)
         student = pll_student(refined, eig, config.lam, model.K, model.n)

@@ -101,6 +101,8 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown modes {sorted(unknown)}; expected {sorted(known_modes)}")
         object.__setattr__(self, "modes", tuple(self.modes))
+        if "pll" in self.modes and self.t_max < 1:
+            raise ValidationError("the pll mode refines round-1 outputs, so it needs t_max >= 1")
         if (self.sweep_parameter is None) != (self.sweep_values is None):
             raise ValidationError("sweep_parameter and sweep_values go together")
         if self.sweep_parameter is not None:
@@ -147,14 +149,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValidationError("a configuration must be a JSON object")
         data = copy.deepcopy(data)
-        gram = GramConfig(**data.pop("gram", {}))
-        corruption = CorruptionConfig(**data.pop("corruption", {}))
-        if "modes" in data:
-            data["modes"] = tuple(data["modes"])
-        if data.get("sweep_values") is not None:
-            data["sweep_values"] = tuple(data["sweep_values"])
         try:
+            gram = GramConfig(**data.pop("gram", {}))
+            corruption = CorruptionConfig(**data.pop("corruption", {}))
+            if "modes" in data:
+                data["modes"] = tuple(data["modes"])
+            if data.get("sweep_values") is not None:
+                data["sweep_values"] = tuple(data["sweep_values"])
             return cls(gram=gram, corruption=corruption, **data)
         except TypeError as exc:
             raise ValidationError(f"bad configuration: {exc}") from exc
@@ -168,8 +172,13 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                return cls.from_json(fh.read())
+        except OSError as exc:
+            raise ValidationError(f"{path}: cannot read the config ({exc.strerror})") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: malformed JSON config ({exc})") from exc
 
     def with_overrides(self, assignments: list[str]) -> "ExperimentConfig":
         """Apply ``key=value`` overrides; dotted keys reach nested sections.

@@ -1,6 +1,13 @@
-"""The one CSV writer every output file goes through."""
+"""The one CSV writer every output file goes through, and the one reader
+every input file goes through."""
 
 from __future__ import annotations
+
+import csv
+
+import numpy as np
+
+from .errors import ValidationError
 
 
 def fmt(x: float) -> str:
@@ -23,3 +30,32 @@ def write_csv(path, rows) -> None:
     lines += [line % tuple(row) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
+
+
+def read_csv(path, dtype=float, header: bool = False) -> np.ndarray:
+    """The rows of a CSV file as a 2-D array, each field parsed by ``dtype``.
+
+    Blank lines are skipped.  With ``header`` the first row is a header: it
+    is not parsed, but it sets the width like any first row.  A missing
+    file, a file with no data rows, a row whose width differs from the
+    first, or a field ``dtype`` cannot parse raises :class:`ValidationError`
+    naming ``path`` and, for a row, its line.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            records = [(reader.line_num, rec) for rec in reader if rec]
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read the file ({exc.strerror})") from exc
+    rows = []
+    for line, rec in records[header:]:
+        if len(rec) != len(records[0][1]):
+            raise ValidationError(
+                f"{path}:{line}: expected {len(records[0][1])} fields, got {len(rec)}")
+        try:
+            rows.append([dtype(x) for x in rec])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{line}: malformed field ({exc})") from exc
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return np.array(rows, dtype=dtype)

@@ -1,8 +1,8 @@
 """Closed-form multi-round distillation dynamics and the top-2 student.
 
 Centered one-hot targets evolve under powers of the label-averaging
-operator, whose eigenvalues are ``(lambda_i / (K^2 n lam + lambda_i))^t``
-for the Gram eigenvalues ``lambda_i``.  For an unperturbed Gram every such
+operator, whose eigenvalues are the ``t``-th powers of
+:func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  For an unperturbed Gram every such
 power is a combination of the identity and of class, superclass and global
 means, so a sample's round-``t`` output depends only on its (true class,
 given label) cell: :func:`cell_outputs` evaluates all ``K^2`` cells at once
@@ -13,21 +13,21 @@ a two-hot vector on its top two entries.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import fmt, read_csv, write_csv
 from .errors import ValidationError
 from .gram_models import EigenSystem, SuperclassMap, _head_columns
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
     TheoryConstants,
-    _check_block_confined,
+    _check_corruption,
+    eigen_ratio,
     pll_accuracy_condition,
 )
 
@@ -113,8 +113,14 @@ class OutputMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "OutputMatrix":
-        cols, rnd = _read_long_csv(path)
-        return cls(columns=cols, round=rnd)
+        table = read_csv(path, float, header=True)
+        rounds = np.unique(table[:, 0]).astype(int).tolist()
+        if len(rounds) != 1:
+            raise ValidationError(f"expected a single round per file, got {rounds}")
+        sample, k = table[:, 1].astype(int), table[:, 2].astype(int)
+        cols = np.zeros((k.max(), sample.max() + 1))
+        cols[k - 1, sample] = table[:, 3]
+        return cls(columns=cols, round=rounds[0])
 
 
 def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
@@ -126,27 +132,6 @@ def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
         zip(repeat(round_idx), chain.from_iterable(map(repeat, range(m), repeat(K))),
             cycle(range(1, K + 1)), map(fmt, columns.T.ravel().tolist())),
     ))
-
-
-def _read_long_csv(path) -> tuple[np.ndarray, int]:
-    entries: dict[tuple[int, int], float] = {}
-    rounds = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rec in reader:
-            if not rec:
-                continue
-            rounds.add(int(rec[0]))
-            entries[(int(rec[2]), int(rec[1]))] = float(rec[3])
-    if len(rounds) != 1:
-        raise ValidationError(f"expected a single round per file, got {sorted(rounds)}")
-    K = max(k for k, _ in entries)
-    m = max(i for _, i in entries) + 1
-    cols = np.zeros((K, m))
-    for (k, i), v in entries.items():
-        cols[k - 1, i] = v
-    return cols, rounds.pop()
 
 
 @dataclass(frozen=True)
@@ -210,8 +195,7 @@ def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray
             f"Gram eigenvalue {values.min():.3e} below -{NEGATIVE_EIGENVALUE_TOL:.0e}; "
             "the averaging operator would leave [0, 1)"
         )
-    clipped = np.clip(values, 0.0, None)
-    return clipped / (K * K * n * lam + clipped)
+    return eigen_ratio(np.clip(values, 0.0, None), lam, K, n)
 
 
 def _deflate(powered: np.ndarray) -> tuple[Optional[int], np.ndarray | slice]:
@@ -340,7 +324,7 @@ def cell_outputs(
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    K = tc.K
+    K = tc.model.K
     if C.K != K:
         raise ValidationError("corruption matrix size does not match the constants")
     targets = np.array(targets, dtype=float)
@@ -348,11 +332,9 @@ def cell_outputs(
         raise ValidationError(f"cell targets must have shape {(K, K, K)}, got {targets.shape}")
     if t == 0:
         return targets
-    damping = K * K * tc.n * tc.lam
     head_values, coeffs, _ = _head_columns(tc.model)
-    head = (head_values / (damping + head_values)) ** t
-    bulk_values = 1.0 - tc.model.omega
-    bulk = (bulk_values / (damping + bulk_values)) ** t
+    head = tc.ratio(head_values) ** t
+    bulk = tc.ratio(1.0 - tc.model.omega) ** t
     centered = targets - 1.0 / K
     means = np.einsum("ikj,kj->ik", centered, C.entries)
     class_part = (means @ coeffs * head) @ coeffs.T
@@ -383,10 +365,8 @@ def closed_form_output(
     Like the phase conditions it requires noise confined within
     superclasses.
     """
-    K = tc.K
-    if C.K != K:
-        raise ValidationError("corruption matrix size does not match the constants")
-    _check_block_confined(C, tc.superclass_map)
+    _check_corruption(C, tc)
+    K = tc.model.K
     y, yhat = _check_sample(sample, K)
     one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
     return cell_outputs(one_hot, C, tc, t)[:, y - 1, yhat - 1]
@@ -460,11 +440,8 @@ def pll_output(sample: tuple[int, int], C: CorruptionMatrix, tc: TheoryConstants
     :func:`pll_refine` picks from the round-1 cells).
     """
     tc._require_scalar()
-    K = tc.K
-    if C.K != K:
-        raise ValidationError("corruption matrix size does not match the constants")
-    smap = tc.superclass_map
-    _check_block_confined(C, smap)
+    _check_corruption(C, tc)
+    K, smap = tc.model.K, tc.model.effective_map()
     y, yhat = _check_sample(sample, K)
     # dominant wrong label of class y, lowest index on ties
     tilde = int(np.argmax(np.where(np.arange(K) == y - 1, -np.inf, C.entries[y - 1]))) + 1

@@ -19,7 +19,6 @@ V    as IV plus constant inter-superclass correlation ``e``
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import math
@@ -29,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import fmt, read_csv, write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -582,22 +581,10 @@ class FeatureMatrix:
         With ``renormalize`` rows whose norm is within 1% of 1 are rescaled
         to unit norm; anything farther off is rejected.
         """
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        with open(path, newline="") as fh:
-            for lineno, rec in enumerate(csv.reader(fh), start=1):
-                if not rec:
-                    continue
-                try:
-                    rows.append([float(x) for x in rec[:-1]])
-                    labels.append(int(rec[-1]))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: malformed row ({exc})") from exc
-                if len(rows[-1]) != len(rows[0]):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(rows[0])} feature columns, got {len(rows[-1])}"
-                    )
-        feats = np.asarray(rows, dtype=float)
+        table = read_csv(path)
+        feats, labels = table[:, :-1], table[:, -1]
+        if np.any(labels % 1 != 0):
+            raise ValidationError(f"{path}: the last column must hold integer class labels")
         if renormalize and feats.size:
             norms = np.linalg.norm(feats, axis=1)
             worst = float(np.abs(norms - 1.0).max())
@@ -610,21 +597,15 @@ class FeatureMatrix:
                 )
             feats = feats / norms[:, None]
         smap = load_superclass_map(superclass_path) if superclass_path else None
-        return cls(features=feats, labels=np.asarray(labels), superclass_map=smap)
+        return cls(features=feats, labels=labels, superclass_map=smap)
 
 
 def load_superclass_map(path) -> SuperclassMap:
     """Read a sidecar file of ``class_index,superclass_index`` lines."""
-    entries: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec:
-                continue
-            try:
-                k, s = int(rec[0]), int(rec[1])
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed superclass row") from exc
-            entries[k] = s
+    table = read_csv(path, int)
+    if table.shape[1] < 2:
+        raise ValidationError(f"{path}: expected class_index,superclass_index rows")
+    entries = dict(zip(table[:, 0].tolist(), table[:, 1].tolist()))
     if sorted(entries) != list(range(1, len(entries) + 1)):
         raise ValidationError("superclass file must cover classes 1..K exactly once")
     return SuperclassMap(tuple(entries[k] for k in sorted(entries)))

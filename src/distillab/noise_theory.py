@@ -2,9 +2,11 @@
 
 The corruption matrix ``C`` records, for each true class ``k``, the fraction
 of its ``n`` samples carrying each given label ``k'``.  Balanced datasets
-make ``C`` doubly stochastic.  The scalar constants derived from a
-structured Gram model (``p`` for the bulk eigenspace, ``q`` for class
-contrasts, ``r_s`` per superclass) set the round-``t`` threshold
+make ``C`` doubly stochastic.  Every eigen-ratio ``v / (K^2 n lam + v)`` of
+a Gram eigenvalue ``v`` is :func:`eigen_ratio`.  :class:`TheoryConstants`
+holds an unperturbed Gram model and ``lam`` and derives the scalar ratios
+from them (``p`` for the bulk eigenspace, ``q`` for class contrasts, ``r_s``
+per superclass); ``p`` and ``q`` set the round-``t`` threshold
 ``1/((q/p)^t - 1)``.  Every verdict and prediction here is one boolean
 expression over the ``K x K`` gap matrix ``C[k,k] - C[k,k']`` and its
 off-diagonal mask (:func:`_gaps`): after ``t`` distillation rounds the gap of
@@ -18,7 +20,6 @@ from :func:`distillab.distillation.cell_outputs`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, write_csv
+from .csvio import fmt, read_csv, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap
 
@@ -36,6 +37,7 @@ __all__ = [
     "LabelAssignment",
     "TheoryConstants",
     "ConditionResult",
+    "eigen_ratio",
     "make_corruption",
     "nearest_realizable",
     "realize_labels",
@@ -52,6 +54,8 @@ STOCHASTIC_TOL = 1e-12
 # Strict phase inequalities: anything within this band of equality counts as
 # a tie and therefore as a classification failure.
 TIE_TOL = 1e-12
+# Steps ``minimal_rounds`` may take from its closed-form candidate.
+MINIMAL_ROUNDS_STEPS = 1000
 
 CORRUPTION_KINDS = ("symmetric", "asymmetric", "superclass", "explicit")
 
@@ -107,9 +111,7 @@ class CorruptionMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":
-        with open(path, newline="") as fh:
-            rows = [[float(x) for x in rec] for rec in csv.reader(fh) if rec]
-        return cls(np.asarray(rows))
+        return cls(read_csv(path))
 
 
 def make_corruption(
@@ -210,15 +212,8 @@ class LabelAssignment:
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":
-        true_l, given_l = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for rec in reader:
-                if rec:
-                    true_l.append(int(rec[1]))
-                    given_l.append(int(rec[2]))
-        return cls(np.asarray(true_l), np.asarray(given_l))
+        table = read_csv(path, int, header=True)
+        return cls(table[:, 1], table[:, 2])
 
 
 def _minimal_feasible_n(entries: np.ndarray) -> int:
@@ -300,47 +295,58 @@ def realize_labels(C: CorruptionMatrix, n: int, seed: int = 0) -> LabelAssignmen
     return LabelAssignment(true_labels, given_labels)
 
 
+def eigen_ratio(values, lam: float, K: int, n: int):
+    """One-round averaging-operator eigenvalue ``v / (K^2 n lam + v)`` of the
+    Gram eigenvalue(s) ``v``."""
+    return values / (K * K * n * lam + values)
+
+
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Eigen-ratio constants of the label-averaging operator.
+    """Eigen-ratio constants of the label-averaging operator of ``model``.
 
-    ``p`` (bulk), ``q`` (class contrasts) and ``r[s-1]`` (superclass ``s``,
-    taken at zero inter-superclass correlation) are each
-    ``lambda_eig / (K^2 n lam + lambda_eig)`` for the matching Gram
-    eigenvalue; the phase conditions read them.  Per-class models fill
-    ``per_class_p``/``per_class_q`` instead of the scalars.  ``model`` is
-    the Gram model the ratios were derived from: the exact per-cell outputs
+    Only the unperturbed Gram model and ``lam`` are stored; every constant
+    is derived from them.  ``p`` (bulk, eigenvalue ``1 - c``), ``q`` (class
+    contrasts, ``n(c - d) + 1 - c``) and ``r[s-1]`` (superclass ``s``,
+    ``K_s n d`` above ``q``'s eigenvalue, taken at zero inter-superclass
+    correlation) are each :meth:`ratio` of the matching Gram eigenvalue, and
+    the phase conditions read them.  Per-class models (case II) have no
+    scalar constants, so all three are ``None``.  The exact per-cell outputs
     (:func:`~distillab.distillation.cell_outputs`) take every eigen-ratio
-    from it, coupled superclasses included.
+    from ``model``, coupled superclasses included.
     """
 
-    lam: float
-    K: int
-    n: int
-    superclass_map: SuperclassMap
     model: GramModel
-    p: Optional[float] = None
-    q: Optional[float] = None
-    r: Optional[np.ndarray] = None
-    per_class_p: Optional[np.ndarray] = None
-    per_class_q: Optional[np.ndarray] = None
+    lam: float
 
-    def __post_init__(self):
-        for name in ("r", "per_class_p", "per_class_q"):
-            val = getattr(self, name)
-            if val is not None:
-                arr = np.array(val, dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
-        if self.p is not None:
-            if not (0.0 < self.p <= self.q + 1e-15 and self.q < 1.0):
-                raise ValidationError("ratios must satisfy 0 < p <= q < 1")
-            if self.r is not None and np.any(self.r < self.q - 1e-15):
-                raise ValidationError("superclass ratios must dominate the class ratio")
+    def ratio(self, values):
+        """:func:`eigen_ratio` of Gram eigenvalue(s) ``values`` at this ``lam``."""
+        return eigen_ratio(values, self.lam, self.model.K, self.model.n)
 
     @property
     def scalar(self) -> bool:
-        return self.p is not None
+        return self.model.case is not GramCase.II
+
+    def _bulk_and_class_eigenvalues(self) -> tuple[float, float]:
+        c = float(self.model.c)  # type: ignore[arg-type]
+        return 1.0 - c, 1.0 - c + self.model.n * (c - self.model.d)
+
+    @property
+    def p(self) -> Optional[float]:
+        return self.ratio(self._bulk_and_class_eigenvalues()[0]) if self.scalar else None
+
+    @property
+    def q(self) -> Optional[float]:
+        return self.ratio(self._bulk_and_class_eigenvalues()[1]) if self.scalar else None
+
+    @property
+    def r(self) -> Optional[np.ndarray]:
+        if not self.scalar:
+            return None
+        a_q, n, d = self._bulk_and_class_eigenvalues()[1], self.model.n, self.model.d
+        r = np.array([self.ratio(a_q + ks * n * d) for ks in self.model.effective_map().sizes])
+        r.flags.writeable = False
+        return r
 
     def _require_scalar(self):
         if not self.scalar:
@@ -364,49 +370,20 @@ class TheoryConstants:
 
 
 def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
-    """Derive the label-averaging eigen-ratios for an unperturbed model."""
+    """The label-averaging eigen-ratios of an unperturbed model at ``lam``."""
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
     if model.perturbation_amplitude != 0.0:
         raise ValidationError("theory constants are defined for unperturbed models")
     K, n = model.K, model.n
-    D = K * K * n * lam
-    smap = model.effective_map()
-
-    def ratio(eig: float) -> float:
-        return eig / (D + eig)
-
     a_top = float(np.max(1.0 - model.omega + n * (model.omega - model.d)))  # q's, q >= p
-    if ratio(a_top) == 1.0:
+    if eigen_ratio(a_top, lam, K, n) == 1.0:
         raise ValidationError(f"lam={lam:g} is too small for K={K}, n={n}: the eigen-ratios "
                               f"round to 1; they need lam >= {math.ulp(a_top) / (K * K * n):.3g}")
-    if model.case is GramCase.II:
-        omega = model.omega
-        return TheoryConstants(
-            lam=lam,
-            K=K,
-            n=n,
-            superclass_map=smap,
-            model=model,
-            per_class_p=np.array([ratio(1.0 - w) for w in omega]),
-            per_class_q=np.array([ratio(1.0 - w + n * w) for w in omega]),
-        )
-    c = float(model.c)  # type: ignore[arg-type]
-    d = model.d if model.case is not GramCase.I else 0.0
-    a_p = 1.0 - c
-    a_q = 1.0 - c + n * (c - d)
-    sizes = smap.sizes
-    r = np.array([ratio(a_q + ks * n * d) for ks in sizes])
-    return TheoryConstants(
-        lam=lam,
-        K=K,
-        n=n,
-        superclass_map=smap,
-        model=model,
-        p=ratio(a_p),
-        q=ratio(a_q),
-        r=r,
-    )
+    if eigen_ratio(float(np.min(1.0 - model.omega)), lam, K, n) == 0.0:  # p's, p <= q
+        raise ValidationError(f"lam={lam:g} is too large for K={K}, n={n}: the bulk "
+                              "eigen-ratio rounds to 0")
+    return TheoryConstants(model, lam)
 
 
 def evolving_constants(
@@ -459,7 +436,12 @@ def _failing_cells(C: CorruptionMatrix, thr: float) -> tuple[tuple[int, int], ..
     return _pairs(off & (C.entries > 0.0) & ~(gap - thr > TIE_TOL))
 
 
-def _check_block_confined(C: CorruptionMatrix, smap: SuperclassMap):
+def _check_corruption(C: CorruptionMatrix, tc: TheoryConstants):
+    """``C`` must have the model's ``K`` classes and keep its noise within
+    the model's superclasses."""
+    if C.K != tc.model.K:
+        raise ValidationError("corruption matrix size does not match the constants")
+    smap = tc.model.effective_map()
     if smap.num_superclasses > 1 and not C.is_block_confined(smap):
         raise ValidationError(
             "corruption crosses superclass boundaries; the accuracy conditions "
@@ -482,9 +464,7 @@ def sd_accuracy_condition(
     """
     if t < 1:
         raise ValidationError("distillation round must be >= 1")
-    if C.K != tc.K:
-        raise ValidationError("corruption matrix size does not match the constants")
-    _check_block_confined(C, tc.superclass_map)
+    _check_corruption(C, tc)
     thr = tc.threshold(t)
     failing = _failing_cells(C, thr)
     return ConditionResult(achieves_100=not failing, failing_pairs=failing, threshold=thr)
@@ -495,8 +475,10 @@ def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
 
     Returns ``None`` when some realized cell has a non-positive gap, which
     no number of rounds can fix.  The closed-form candidate
-    ``ceil(log(1 + 1/g) / log(q/p))`` is verified by re-evaluating the
-    condition at ``t`` and ``t - 1``.
+    ``floor(log(1 + 1/g') / log(q/p)) + 1`` for the smallest gap ``g`` less
+    the tie band, ``g' = g - TIE_TOL``, is verified by re-evaluating the
+    condition at ``t`` and ``t - 1`` and moved by single rounds until it is
+    the smallest ``t`` that holds.
     """
     tc._require_scalar()
     ratio = tc.qp_ratio()
@@ -509,14 +491,15 @@ def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
     g = float(gaps.min())
     if g <= TIE_TOL:
         return None
-    t = max(1, math.floor(math.log1p(1.0 / g) / math.log(ratio)) + 1)
-    while not sd_accuracy_condition(C, tc, t).achieves_100:
-        t += 1
-        if t > 10_000:
-            raise ValidationError("minimal rounds search failed to terminate")
-    while t > 1 and sd_accuracy_condition(C, tc, t - 1).achieves_100:
-        t -= 1
-    return t
+    t = max(1, math.floor(math.log1p(1.0 / (g - TIE_TOL)) / math.log(ratio)) + 1)
+    for _ in range(MINIMAL_ROUNDS_STEPS):
+        if not sd_accuracy_condition(C, tc, t).achieves_100:
+            t += 1
+        elif t > 1 and sd_accuracy_condition(C, tc, t - 1).achieves_100:
+            t -= 1
+        else:
+            return t
+    raise ValidationError("minimal rounds search failed to terminate")
 
 
 def pll_accuracy_condition(C: CorruptionMatrix) -> ConditionResult:
@@ -551,8 +534,7 @@ def evolving_condition(
     if len(schedule) < t:
         raise ValidationError(f"schedule has {len(schedule)} rounds, need at least {t}")
     rounds = evolving_constants(schedule, lam, K, n, superclass_map)
-    smap = rounds[0].superclass_map
-    _check_block_confined(C, smap)
+    _check_corruption(C, rounds[0])
     prod = 1.0
     for tc_i in rounds[:t]:
         prod *= tc_i.qp_ratio()
@@ -582,9 +564,7 @@ def predicted_population_accuracy(
     """
     if mode not in ("sd", "pll"):
         raise ValidationError(f"mode must be 'sd' or 'pll', got {mode!r}")
-    if C.K != tc.K:
-        raise ValidationError("corruption matrix size does not match the constants")
-    _check_block_confined(C, tc.superclass_map)
+    _check_corruption(C, tc)
     E = C.entries
     gap, off = _gaps(C)
     if mode == "sd":

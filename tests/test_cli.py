@@ -21,7 +21,7 @@ from distillab import (
 )
 from distillab.cli import main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
-from distillab.noise_theory import theory_constants
+from distillab.noise_theory import make_corruption, sd_accuracy_condition, theory_constants
 
 
 def write_config(tmp_path, **overrides):
@@ -86,6 +86,38 @@ class TestConfig:
             ExperimentConfig(
                 corruption=CorruptionConfig(kind="explicit", matrix_path="/nope.csv")
             )
+
+    @pytest.mark.parametrize("text", [None, '{"lam": 1e-3,'], ids=["missing", "malformed"])
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["theory", "--config", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['[1]', '{"gram": 5}', '{"gram": {"zeta": 1}}'])
+    def test_config_that_is_not_a_configuration_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["theory", "--config", str(path)]) == 1
+        assert "configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trajectory", "phase"])
+    def test_pll_mode_without_rounds_exits_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 24, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.25}, t_max=0,
+                           modes=["closed_form", "pll"])
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "t_max >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_number_in_corruption_matrix_exits_one(self, tmp_path, capsys):
+        matrix = tmp_path / "corruption.csv"
+        matrix.write_text("0.5,0.5\n0.5,half\n")
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 2, "n": 10, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "explicit", "matrix_path": str(matrix)})
+        assert main(["theory", "--config", str(cfg)]) == 1
+        assert f"{matrix}:2: malformed field" in capsys.readouterr().err
 
 
 class TestTrajectoryCommand:
@@ -260,6 +292,17 @@ class TestTheoryCommand:
         assert report["minimal_rounds"] == "unreachable"
         assert report["pll"]["achieves_100"] is False
 
+    @pytest.mark.parametrize("lam", [1e-14, 1e-16, 2.78e-18])
+    def test_minimal_rounds_at_tiny_lam(self, tmp_path, lam):
+        gram = {"case": "III", "K": 4, "n": 10, "c": 0.4, "d": 0.1}
+        cfg = write_config(tmp_path, gram=gram, lam=lam, t_max=1)
+        assert main(["theory", "--config", str(cfg)]) == 0
+        t = json.loads((tmp_path / "out" / "theory.json").read_text())["minimal_rounds"]
+        tc = theory_constants(GramModel(case=GramCase.III, K=4, n=10, c=0.4, d=0.1), lam)
+        C = make_corruption("symmetric", 0.5, 4)
+        assert sd_accuracy_condition(C, tc, t).achieves_100
+        assert not sd_accuracy_condition(C, tc, t - 1).achieves_100
+
     @pytest.mark.parametrize("command", ["theory", "approx-error"])
     def test_tiny_lam_names_the_smallest_workable_value(self, tmp_path, capsys, command):
         gram = {"case": "III", "K": 4, "n": 10, "c": 0.4, "d": 0.1}
@@ -334,6 +377,18 @@ class TestIngestCommand:
         for item in report["suggested_lambda"]:
             assert 1.8 <= item["q_over_p"] <= 2.2
             assert item["lam"] > 0
+
+    @pytest.mark.parametrize("text, where", [
+        (None, ""),
+        ("1,0,1\n0,1\n", ":2: expected 3 fields"),
+        ("1,0,1\n0,1,two\n", ":2: malformed field"),
+    ], ids=["missing", "ragged", "non-number"])
+    def test_unreadable_features_exit_one(self, tmp_path, capsys, text, where):
+        fpath = tmp_path / "features.csv"
+        if text is not None:
+            fpath.write_text(text)
+        assert main(["ingest", str(fpath), "--out", str(tmp_path / "out")]) == 1
+        assert f"{fpath}{where}" in capsys.readouterr().err
 
     def test_orthonormal_single_samples(self, tmp_path):
         fpath = tmp_path / "features.csv"

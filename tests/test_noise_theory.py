@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _support import (
+    CASE_MODELS,
     SETUP_A_LAMBDA,
     random_doubly_stochastic,
     setup_a_constants,
     setup_a_model,
 )
-from distillab import GramCase, GramModel, SuperclassMap, ValidationError
+from distillab import GramCase, GramModel, SuperclassMap, ValidationError, analytic_eigensystem
 from distillab.noise_theory import (
     CorruptionMatrix,
     evolving_condition,
@@ -177,9 +179,36 @@ class TestTheoryConstants:
         model = GramModel(case=GramCase.II, K=3, n=10, c=(0.3, 0.5, 0.7))
         tc = theory_constants(model, 1e-3)
         assert tc.p is None
-        assert tc.per_class_p.shape == (3,)
+        assert tc.ratio(1 - model.omega).shape == (3,)
         with pytest.raises(ValidationError):
             tc.qp_ratio()
+
+    @pytest.mark.parametrize("case", [*CASE_MODELS, "V e=0"])
+    def test_derived_constants_are_the_family_eigen_ratios(self, case):
+        model = CASE_MODELS.get(case) or dataclasses.replace(CASE_MODELS["V"], e=0.0)
+        tc = theory_constants(model, 1e-3)
+        if model.case is GramCase.II:
+            assert tc.p is None and tc.q is None and tc.r is None
+            with pytest.raises(ValidationError):
+                tc.qp_ratio()
+            return
+        # r is taken at zero inter-superclass correlation
+        eig = analytic_eigensystem(dataclasses.replace(model, e=0.0))
+
+        def family(label):
+            return np.sort(eig.values[list(eig.group(label).indices)])
+
+        assert tc.p == pytest.approx(tc.ratio(family("bulk")[0]), rel=1e-15)
+        assert tc.q == pytest.approx(tc.ratio(family("class")[0]), rel=1e-15)
+        # case I has no superclass family: its single superclass direction,
+        # the global mean, is a class direction
+        sup = family("superclass") if model.case is not GramCase.I else family("class")[:1]
+        np.testing.assert_allclose(np.sort(tc.r), tc.ratio(sup), rtol=1e-15)
+        assert tc.qp_ratio() == tc.q / tc.p
+
+    def test_rejects_lam_whose_ratios_round_to_zero(self):
+        with pytest.raises(ValidationError, match="lam=1e\\+307 is too large"):
+            theory_constants(setup_a_model(), 1e307)
 
     def test_rejects_perturbed_model(self):
         model = GramModel(case=GramCase.III, K=2, n=4, c=0.5, d=0.1,
