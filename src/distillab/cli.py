@@ -8,16 +8,19 @@ Subcommands::
     theory       constants, thresholds, verdicts as a JSON report
     ingest       correlation statistics and fitted constants from features
 
-All numeric CSV output uses 12 significant digits and is byte-reproducible
-for a fixed configuration and seed.  Exit codes: 0 success, 1 invalid
-input, 2 numerical failure.
+``trajectory``, ``phase`` and ``approx-error`` read the labels and rounds of
+one :func:`~distillab.oracle.run_rounds` call per run or sweep point.  It
+checks ``lam`` and realises the corruption before any file is written;
+``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
+two reject it.  All numeric CSV output uses 12 significant digits and is
+byte-reproducible for a fixed configuration and seed.  Exit codes: 0
+success, 1 invalid input, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -25,27 +28,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .distillation import (
-    OutputMatrix,
-    argmax_accuracy,
-    averaging_operator,
-    pll_refine,
-    pll_student,
-    trajectory,
-)
+from .distillation import argmax_accuracy, averaging_operator
 from .csvio import fmt, write_csv
 from .errors import NumericalError, ValidationError
-from .gram_models import FeatureMatrix, eigensystem, gram_statistics
+from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
     _gaps,
     minimal_rounds,
     pll_accuracy_condition,
     predicted_population_accuracy,
-    realize_labels,
     sd_accuracy_condition,
     theory_constants,
 )
-from .oracle import measure_approx_error, oracle_problem, oracle_trajectory
+from .oracle import Rounds, SolverConfig, measure_approx_error, run_rounds
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
 from .oracle import solve_round  # noqa: F401
 
@@ -80,35 +75,39 @@ def simplex_projection(columns: np.ndarray) -> np.ndarray:
     return columns.T @ verts
 
 
+def _out_path(directory: str, name: str) -> str:
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, name)
+
+
+def _run_rounds(config: ExperimentConfig, model, C, modes) -> Rounds:
+    # the solver settings are read only where the oracle runs
+    solver = config.solver() if "oracle" in modes else SolverConfig(seed=config.seed)
+    return run_rounds(model, C, config.lam, config.t_max, modes, solver)
+
+
 def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     """Write per-round outputs, the 2-D projection table, and the operator
     eigenvalue table; with the oracle mode enabled, also the exact outputs."""
-    out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     model = config.gram_model()
     C = config.corruption_matrix()
-    assignment = realize_labels(C, model.n, seed=config.seed)
-    gram, Y_oracle, column = (
-        oracle_problem(model, assignment) if "oracle" in config.modes else (None,) * 3
-    )
-    eig = eigensystem(model, gram)
-    Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
-    traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
+    run = _run_rounds(config, model, C, ("closed_form", *config.modes))
     written: list[str] = []
 
     def emit(name, fn):
-        path = os.path.join(out, name)
+        path = _out_path(config.output_dir, name)
         fn(path)
         written.append(path)
 
     emit("corruption.csv", C.to_csv)
-    emit("labels.csv", assignment.to_csv)
-    for t, mat in enumerate(traj):
-        emit(f"outputs_round_{t:03d}.csv", mat.to_csv)
-    labels = list(zip(assignment.true_labels.tolist(), assignment.given_labels.tolist()))
+    emit("labels.csv", run.assignment.to_csv)
+    for mat in run.closed:
+        emit(f"outputs_round_{mat.round:03d}.csv", mat.to_csv)
+    labels = list(zip(run.assignment.true_labels.tolist(),
+                      run.assignment.given_labels.tolist()))
     proj_rows = [["round", "sample_index", "true_label", "given_label", "x", "y"]
                  + [f"y_{k}" for k in range(1, model.K + 1)]]
-    for t, mat in enumerate(traj):
+    for t, mat in enumerate(run.closed):
         # per sample: x, y, then the output column
         table = np.column_stack([simplex_projection(mat.columns), mat.columns.T])
         proj_rows += [
@@ -120,24 +119,18 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     for t in range(config.t_max + 1):
         # keep only the spectrum, so no earlier round's matrix stays alive
         # while the next one is built
-        values = averaging_operator(eig, config.lam, model.K, model.n, t).eigenvalues
+        values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
         for idx, val in enumerate(sorted(values, reverse=True)):
             eig_rows.append([t, idx, fmt(val)])
     emit("eigenvalues.csv", lambda p: write_csv(p, eig_rows))
-    if "pll" in config.modes:
-        refined = pll_refine(traj[1])
-        emit("pll_targets.csv", refined.to_csv)
-        student = pll_student(refined, eig, config.lam, model.K, model.n)
-        emit("pll_outputs.csv", student.to_csv)
-    if "oracle" in config.modes:
-        rounds = oracle_trajectory(
-            Y_oracle, gram, config.lam, model.K, model.n, config.t_max, config.solver()
-        )
-        for t, result in enumerate(rounds, start=1):
+    if run.student is not None:
+        emit("pll_targets.csv", run.refined.to_csv)
+        emit("pll_outputs.csv", run.student.to_csv)
+    if run.oracle is not None:
+        for result, outputs in zip(run.oracle, run.oracle_outputs()):
             report = result.convergence_report()
-            emit(f"oracle_round_{t:03d}.csv",
-                 OutputMatrix(result.outputs.columns[:, column], t).to_csv)
-            emit(f"oracle_round_{t:03d}.json", lambda p, r=report: _write_json(p, r))
+            emit(f"oracle_round_{outputs.round:03d}.csv", outputs.to_csv)
+            emit(f"oracle_round_{outputs.round:03d}.json", lambda p, r=report: _write_json(p, r))
     return written
 
 
@@ -147,44 +140,35 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     model = config.gram_model()
     C = config.corruption_matrix(eta=eta)
     tc = theory_constants(model, config.lam)
-    rows: list[list[str]] = []
     empirical: dict[object, float] = {}
     if "closed_form" in config.modes or "oracle" in config.modes:
-        assignment = realize_labels(C, model.n, seed=config.seed)
-        gram, Y_oracle, column = (
-            oracle_problem(model, assignment) if "oracle" in config.modes else (None,) * 3
-        )
-        eig = eigensystem(model, gram)
-        Y0 = OutputMatrix.from_labels(assignment.given_labels, model.K)
-        traj = trajectory(Y0, eig, config.lam, model.K, model.n, config.t_max)
-        outputs = traj[1:]
-        if "oracle" in config.modes:
-            try:
-                rounds = oracle_trajectory(
-                    Y_oracle, gram, config.lam, model.K, model.n, config.t_max,
-                    config.solver(),
-                )
-            except NumericalError as exc:
-                raise NumericalError(f"eta={eta}: {exc}") from exc
-            outputs = [OutputMatrix(r.outputs.columns[:, column], t)
-                       for t, r in enumerate(rounds, start=1)]
-        for t, mat in enumerate(outputs, start=1):
-            empirical[t] = argmax_accuracy(mat, assignment.true_labels)
-        if "pll" in config.modes:
-            student = pll_student(pll_refine(traj[1]), eig, config.lam, model.K, model.n)
-            empirical["PLL"] = argmax_accuracy(student, assignment.true_labels)
-    for t in range(1, config.t_max + 1):
-        pred = predicted_population_accuracy(C, tc, t, "sd")
-        emp = empirical.get(t)
-        rows.append([fmt(eta), str(t), fmt(pred), "" if emp is None else fmt(emp)])
-    if "pll" in config.modes:
-        pred = predicted_population_accuracy(C, tc, 1, "pll")
-        emp = empirical.get("PLL")
-        rows.append([fmt(eta), "PLL", fmt(pred), "" if emp is None else fmt(emp)])
-    return rows
+        try:
+            run = _run_rounds(config, model, C, config.modes)
+        except NumericalError as exc:
+            raise NumericalError(f"eta={eta}: {exc}") from exc
+        outputs = run.closed[1:] if run.oracle is None else run.oracle_outputs()
+        for mat in outputs:
+            empirical[mat.round] = argmax_accuracy(mat, run.assignment.true_labels)
+        if run.student is not None:
+            empirical["PLL"] = argmax_accuracy(run.student, run.assignment.true_labels)
+    # one row per (model, round of its prediction, prediction mode)
+    models = [(t, t, "sd") for t in range(1, config.t_max + 1)]
+    models += [("PLL", 1, "pll")] if "pll" in config.modes else []
+    return [[fmt(eta), str(key), fmt(predicted_population_accuracy(C, tc, t, mode)),
+             fmt(empirical[key]) if key in empirical else ""]
+            for key, t, mode in models]
 
 
-def _run_sweep(config: ExperimentConfig, values, worker):
+def _sweep(config: ExperimentConfig, parameter: str, default, worker) -> list:
+    """``worker`` on each value of the config's sweep over ``parameter``, or
+    on ``default`` alone when the config sweeps nothing."""
+    if config.sweep_parameter == parameter:
+        values = list(config.sweep_values)
+    elif config.sweep_parameter is None:
+        values = [default]
+    else:
+        command = {"eta": "phase", "n": "approx-error"}[parameter]
+        raise ValidationError(f"the {command} command sweeps over {parameter}")
     payloads = [(config.to_json(), v) for v in values]
     if config.workers > 1:
         # imported here: the pool's modules cost every CLI start 13-20 ms
@@ -196,15 +180,8 @@ def _run_sweep(config: ExperimentConfig, values, worker):
 
 def cmd_phase(config: ExperimentConfig) -> str:
     """Predicted and empirical accuracy per corruption rate and round."""
-    if config.sweep_parameter == "eta":
-        values = list(config.sweep_values)
-    elif config.sweep_parameter is None:
-        values = [config.corruption.eta]
-    else:
-        raise ValidationError("the phase command sweeps over eta")
-    os.makedirs(config.output_dir, exist_ok=True)
-    chunks = _run_sweep(config, values, _phase_point)
-    path = os.path.join(config.output_dir, "phase.csv")
+    chunks = _sweep(config, "eta", config.corruption.eta, _phase_point)
+    path = _out_path(config.output_dir, "phase.csv")
     write_csv(
         path,
         [["eta", "model", "predicted_accuracy", "empirical_accuracy"],
@@ -231,22 +208,14 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
     """Max-norm oracle-vs-closed-form gap per dataset size."""
     if "oracle" not in config.modes:
         raise ValidationError("the approx-error command needs the oracle mode enabled")
-    if config.sweep_parameter == "n":
-        values = list(config.sweep_values)
-    elif config.sweep_parameter is None:
-        values = [config.gram.n]
-    else:
-        raise ValidationError("the approx-error command sweeps over n")
-    os.makedirs(config.output_dir, exist_ok=True)
-    rows = _run_sweep(config, values, _approx_point)
-    path = os.path.join(config.output_dir, "approx_error.csv")
+    rows = _sweep(config, "n", config.gram.n, _approx_point)
+    path = _out_path(config.output_dir, "approx_error.csv")
     write_csv(path, [["n", "max_linf_error", "converged"], *rows])
     return path
 
 
 def cmd_theory(config: ExperimentConfig) -> str:
     """JSON report: constants, thresholds, verdicts, per-pair gaps."""
-    os.makedirs(config.output_dir, exist_ok=True)
     model = config.gram_model()
     C = config.corruption_matrix()
     tc = theory_constants(model, config.lam)
@@ -285,7 +254,7 @@ def cmd_theory(config: ExperimentConfig) -> str:
         },
         "pairs": pairs,
     }
-    path = os.path.join(config.output_dir, "theory.json")
+    path = _out_path(config.output_dir, "theory.json")
     _write_json(path, report)
     return path
 
@@ -315,7 +284,6 @@ def cmd_ingest(
 ) -> str:
     """Correlation statistics, fitted constants, and workable regularization
     suggestions from an exported feature matrix."""
-    os.makedirs(output_dir, exist_ok=True)
     features = FeatureMatrix.from_csv(
         features_path, superclass_path=superclass_path, renormalize=True
     )
@@ -357,7 +325,7 @@ def cmd_ingest(
         "fitted": {"c": c, "d": d, "e": e},
         "suggested_lambda": suggestions,
     }
-    path = os.path.join(output_dir, "ingest.json")
+    path = _out_path(output_dir, "ingest.json")
     _write_json(path, report)
     return path
 

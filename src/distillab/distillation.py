@@ -15,34 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
 from .errors import ValidationError
-from .gram_models import EigenSystem, SuperclassMap, _head_columns
+from .gram_models import EigenSystem, _head_columns
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
     TheoryConstants,
     _check_corruption,
     eigen_ratio,
-    pll_accuracy_condition,
 )
 
 __all__ = [
     "OutputMatrix",
     "AveragingOperator",
     "PartialLabelMatrix",
-    "PllOutput",
     "averaging_operator",
     "trajectory",
     "cell_outputs",
     "closed_form_output",
     "pll_refine",
     "pll_student",
-    "pll_output",
     "argmax_accuracy",
 ]
 
@@ -341,13 +338,6 @@ def cell_outputs(
     return bulk[:, None] * (centered - means[:, :, None]) + class_part[:, :, None] + 1.0 / K
 
 
-def _superclass_uniform(smap: SuperclassMap, s: int, K: int) -> np.ndarray:
-    vec = np.zeros(K)
-    for k in smap.classes_of(s):
-        vec[k - 1] = 1.0
-    return vec / len(smap.classes_of(s))
-
-
 def _check_sample(sample: tuple[int, int], K: int) -> tuple[int, int]:
     y, yhat = int(sample[0]), int(sample[1])
     if not (1 <= y <= K and 1 <= yhat <= K):
@@ -409,62 +399,6 @@ def pll_student(
     matrix = averaging_operator(eig, lam, K, n, 1).matrix
     student = (targets.columns - 1.0 / K) @ matrix + 1.0 / K
     return OutputMatrix(columns=student, round=targets.source_round + 1)
-
-
-class PllOutput(NamedTuple):
-    """Output of the one-round partial-label student for one sample.
-
-    ``premise_ok`` is False when the corruption matrix violates the
-    diagonal-dominance premise, in which case the teacher's top-2 set may
-    miss the true label and the closed form is not guaranteed to apply.
-    """
-
-    vector: np.ndarray
-    premise_ok: bool
-
-
-def pll_output(sample: tuple[int, int], C: CorruptionMatrix, tc: TheoryConstants) -> PllOutput:
-    """Closed-form output of the student trained on top-2 refined targets.
-
-    The sample's two-hot target pairs the true label with the dominant
-    wrong label of its class (clean samples) or with the given label
-    (mislabeled samples); class and superclass averages follow from the
-    balanced corruption rows.
-
-    It assumes a superclass-uniform remainder: the two-hot class means of
-    each superclass sum to a multiple of the uniform vector on it, as the
-    one-hot means of a block-confined doubly stochastic ``C`` do.  Two-hot
-    means need not, and the coupling ``e`` of case V is not modelled, so
-    this can differ from the exact student, :func:`pll_student` (on the
-    cells: :func:`cell_outputs` of the two-hot targets that
-    :func:`pll_refine` picks from the round-1 cells).
-    """
-    tc._require_scalar()
-    _check_corruption(C, tc)
-    K, smap = tc.model.K, tc.model.effective_map()
-    y, yhat = _check_sample(sample, K)
-    # dominant wrong label of class y, lowest index on ties
-    tilde = int(np.argmax(np.where(np.arange(K) == y - 1, -np.inf, C.entries[y - 1]))) + 1
-    pair = tilde if yhat == y else yhat
-    ybar = np.zeros(K)
-    ybar[y - 1] += 0.5
-    ybar[pair - 1] += 0.5
-    class_avg = np.zeros(K)
-    class_avg[y - 1] += 0.5
-    class_avg[tilde - 1] += 0.5 * C.entry(y, y)
-    for j in range(1, K + 1):
-        if j != y:
-            class_avg[j - 1] += 0.5 * C.entry(y, j)
-    s = smap.superclass_of(y)
-    p, q = float(tc.p), float(tc.q)
-    r_s = float(tc.r[s - 1])
-    vec = (
-        p * ybar
-        + (q - p) * class_avg
-        + (r_s - q) * _superclass_uniform(smap, s, K)
-        + (1.0 - r_s) / K
-    )
-    return PllOutput(vector=vec, premise_ok=pll_accuracy_condition(C).achieves_100)
 
 
 def argmax_accuracy(outputs: OutputMatrix, true_labels: Sequence[int]) -> float:

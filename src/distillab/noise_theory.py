@@ -369,12 +369,11 @@ class TheoryConstants:
         return 1.0 / (ratio_t - 1.0)
 
 
-def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
-    """The label-averaging eigen-ratios of an unperturbed model at ``lam``."""
+def _check_lam(model: GramModel, lam: float) -> None:
+    """Reject a ``lam`` at which the eigen-ratios of ``model``'s structured
+    Gram round to 1 (too small) or its bulk ratio rounds to 0 (too large)."""
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
-    if model.perturbation_amplitude != 0.0:
-        raise ValidationError("theory constants are defined for unperturbed models")
     K, n = model.K, model.n
     a_top = float(np.max(1.0 - model.omega + n * (model.omega - model.d)))  # q's, q >= p
     if eigen_ratio(a_top, lam, K, n) == 1.0:
@@ -383,6 +382,13 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
     if eigen_ratio(float(np.min(1.0 - model.omega)), lam, K, n) == 0.0:  # p's, p <= q
         raise ValidationError(f"lam={lam:g} is too large for K={K}, n={n}: the bulk "
                               "eigen-ratio rounds to 0")
+
+
+def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
+    """The label-averaging eigen-ratios of an unperturbed model at ``lam``."""
+    _check_lam(model, lam)
+    if model.perturbation_amplitude != 0.0:
+        raise ValidationError("theory constants are defined for unperturbed models")
     return TheoryConstants(model, lam)
 
 

@@ -27,27 +27,36 @@ the dense Gram, where every weight is 1.
 
 Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
 solved from the previous round's oracle outputs; a round that does not
-converge stops the chain with a :class:`NumericalError`.  The solver doubles
-as the ground-truth oracle for measuring how far the linearized closed forms
-drift from the true softmax outputs.  A temperature ``tau`` on a round's
-logits rescales the regularization: the fixed point with ``softmax(., tau)``
-is the one at ``lam * tau``, so the solver takes no temperature.
+converge stops the chain with a :class:`NumericalError`.  A temperature
+``tau`` on a round's logits rescales the regularization: the fixed point
+with ``softmax(., tau)`` is the one at ``lam * tau``, so the solver takes no
+temperature.
+
+:func:`run_rounds` is the one pipeline of the ``trajectory``, ``phase`` and
+``approx-error`` commands: it realises the labels once and runs, on them,
+the closed-form rounds, the top-2 student and the chained oracle rounds
+that its modes ask for.  :func:`measure_approx_error` reads its oracle
+rounds and compares them with the linearized rounds
+``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` chained on the same Gram, the
+solve that also gives the solver's warm start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distillation import OutputMatrix, cell_outputs, trajectory
+from .distillation import (OutputMatrix, PartialLabelMatrix, pll_refine, pll_student,
+                           trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import CellGram, GramModel, build_gram, cell_gram, eigensystem
+from .gram_models import (CellGram, EigenSystem, GramModel, build_gram, cell_gram,
+                          eigensystem)
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
 from .gram_models import analytic_eigensystem  # noqa: F401
-from .noise_theory import (CorruptionMatrix, LabelAssignment, nearest_realizable,
-                           realize_labels, theory_constants)
+from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
+                           nearest_realizable, realize_labels)
 
 __all__ = [
     "SolverConfig",
@@ -56,8 +65,9 @@ __all__ = [
     "linearized_softmax",
     "fixed_point_residual",
     "solve_round",
-    "oracle_problem",
+    "Rounds",
     "oracle_trajectory",
+    "run_rounds",
     "measure_approx_error",
 ]
 
@@ -164,22 +174,20 @@ def fixed_point_residual(
     return _residual(Y, Y_prev, gram, K * n * lam)[0]
 
 
-def _initial_iterate(
-    Y_prev: OutputMatrix,
-    matrix: np.ndarray,
-    lam: float,
-    K: int,
-    n: int,
-    config: SolverConfig,
-) -> np.ndarray:
-    if config.warm_start:
-        # single linearized step from the previous outputs,
-        # 1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1, as one linear solve
-        shifted = matrix + K * K * n * lam * np.eye(matrix.shape[0])
-        return 1.0 / K + np.linalg.solve(shifted.T, ((Y_prev.columns - 1.0 / K) @ matrix).T).T
-    rng = np.random.default_rng(config.seed)
-    raw = rng.uniform(0.0, 1.0, size=Y_prev.columns.shape)
-    return raw / raw.sum(axis=0, keepdims=True)
+def _layout(gram: np.ndarray | CellGram) -> tuple[np.ndarray, np.ndarray | float]:
+    """The matrix a round multiplies by and its column weights (all 1 when dense)."""
+    if isinstance(gram, CellGram):
+        return gram.matrix, gram.weights
+    return np.asarray(gram, dtype=float), 1.0
+
+
+def _linear_round(Y_prev: np.ndarray, gram: np.ndarray | CellGram, lam: float, K: int,
+                  n: int) -> np.ndarray:
+    """The linearized round ``1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1``
+    as one linear solve, exact on the dense and on the cell layout."""
+    matrix = _layout(gram)[0]
+    shifted = matrix + K * K * n * lam * np.eye(matrix.shape[0])
+    return 1.0 / K + np.linalg.solve(shifted.T, ((Y_prev - 1.0 / K) @ matrix).T).T
 
 
 def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray,
@@ -258,15 +266,18 @@ def solve_round(
     :class:`NumericalError`.
     """
     config = config or SolverConfig()
-    matrix, weights = ((gram.matrix, gram.weights) if isinstance(gram, CellGram)
-                       else (np.asarray(gram, dtype=float), 1.0))
+    matrix, weights = _layout(gram)
     if matrix.shape != (Y_prev.num_samples, Y_prev.num_samples):
         raise ValidationError("Gram matrix size does not match the previous outputs")
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
     c = K * n * lam
     Yp = Y_prev.columns
-    A = Yp - _initial_iterate(Y_prev, matrix, lam, K, n, config)
+    if config.warm_start:
+        A = Yp - _linear_round(Yp, gram, lam, K, n)
+    else:
+        raw = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=Yp.shape)
+        A = Yp - raw / raw.sum(axis=0, keepdims=True)
     Z = (A @ matrix) / c
     best_S, best_linf = None, np.inf
     iterations = 0
@@ -306,19 +317,6 @@ def solve_round(
     )
 
 
-def oracle_problem(
-    model: GramModel, assignment: LabelAssignment
-) -> tuple[np.ndarray | CellGram, OutputMatrix, np.ndarray]:
-    """The Gram ``model``'s oracle rounds run on (the cell Gram when it is
-    unperturbed, else the dense one), their round-0 targets, and the output
-    column of each sample."""
-    if model.perturbation_amplitude:
-        return (build_gram(model), OutputMatrix.from_labels(assignment.given_labels, model.K),
-                np.arange(model.size))
-    cells = cell_gram(model, assignment)
-    return cells, OutputMatrix.from_labels(cells.cells[:, 1], model.K), cells.sample_cell
-
-
 def oracle_trajectory(
     Y0: OutputMatrix,
     gram: np.ndarray | CellGram,
@@ -346,6 +344,68 @@ def oracle_trajectory(
     return results
 
 
+class Rounds(NamedTuple):
+    """What :func:`run_rounds` computed on one set of realised labels (a stage
+    its modes skip is ``None``): the closed-form rounds ``0..t_max`` on
+    ``eig``, the top-2 targets and student, and the oracle rounds on ``gram``
+    from ``Y0``, whose column ``column[i]`` is sample ``i``'s output."""
+
+    assignment: LabelAssignment
+    eig: Optional[EigenSystem]
+    closed: Optional[list[OutputMatrix]]
+    refined: Optional[PartialLabelMatrix]
+    student: Optional[OutputMatrix]
+    gram: Optional[np.ndarray | CellGram]
+    Y0: Optional[OutputMatrix]
+    column: Optional[np.ndarray]
+    oracle: Optional[list[OracleResult]]
+
+    def oracle_outputs(self) -> list[OutputMatrix]:
+        """The oracle rounds' outputs, one column per sample."""
+        return [OutputMatrix(r.outputs.columns[:, self.column], r.outputs.round)
+                for r in self.oracle]
+
+
+def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
+               modes: Sequence[str], solver: SolverConfig, snap: bool = False) -> Rounds:
+    """Realise ``C``'s labels and run the rounds ``modes`` ask for.
+
+    ``closed_form`` runs the closed-form rounds ``1..t_max``, ``pll`` the
+    top-2 student (and the closed-form rounds it refines) and ``oracle`` the
+    chained oracle rounds ``1..t_max`` under ``solver``, on the cell Gram of
+    an unperturbed model and on the dense Gram otherwise; other modes are
+    ignored.  ``lam`` is checked before anything runs.  Labels are drawn
+    from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
+    ``snap`` runs on :func:`nearest_realizable` instead.
+    """
+    _check_lam(model, lam)
+    K, n = model.K, model.n
+    try:
+        assignment = realize_labels(C, n, seed=solver.seed)
+    except ValidationError:
+        if not snap:
+            raise
+        assignment = realize_labels(nearest_realizable(C, n), n, seed=solver.seed)
+    gram = Y0 = column = eig = closed = refined = student = oracle = None
+    if "oracle" in modes:
+        if model.perturbation_amplitude:
+            gram, column = build_gram(model), np.arange(model.size)
+            Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
+        else:
+            gram = cell_gram(model, assignment)
+            Y0, column = OutputMatrix.from_labels(gram.cells[:, 1], K), gram.sample_cell
+    if "closed_form" in modes or "pll" in modes:
+        eig = eigensystem(model, gram)
+        closed = trajectory(OutputMatrix.from_labels(assignment.given_labels, K), eig,
+                            lam, K, n, t_max)
+    if "pll" in modes:
+        refined = pll_refine(closed[1])
+        student = pll_student(refined, eig, lam, K, n)
+    if "oracle" in modes:
+        oracle = oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+    return Rounds(assignment, eig, closed, refined, student, gram, Y0, column, oracle)
+
+
 def measure_approx_error(
     gram_model: GramModel,
     C: CorruptionMatrix,
@@ -353,35 +413,21 @@ def measure_approx_error(
     t: int,
     config: Optional[SolverConfig] = None,
 ) -> float:
-    """Max-norm gap between the exact oracle and the linearized closed form.
+    """Max-norm gap between the exact oracle and the linearized rounds.
 
-    Realizes the corruption exactly (snapping to the nearest realizable
-    matrix when the requested rates are not integral on the ``n``-grid),
-    runs the oracle round by round (each round chained on the previous
-    oracle outputs), and compares every round up to ``t`` against the
-    closed form from the same one-hot targets (on an unperturbed model both
-    per cell, with no ``N x N`` array).  Raises when the oracle fails to
-    converge at some round.
+    Runs the oracle rounds ``1..t`` of :func:`run_rounds`, snapping ``C`` to
+    the nearest realizable matrix when its rates are not integral on the
+    ``n``-grid, and compares each with the linearized rounds chained from
+    the same one-hot targets on the same Gram (:func:`_linear_round`; on an
+    unperturbed model per cell, with no ``N x N`` array).  Raises when the
+    oracle fails to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
     config = config or SolverConfig()
-    try:
-        assignment = realize_labels(C, gram_model.n, seed=config.seed)
-    except ValidationError:
-        # n-grid infeasible: measure on the nearest realizable corruption
-        # (both the oracle and the closed form consume the same labels)
-        snapped = nearest_realizable(C, gram_model.n)
-        assignment = realize_labels(snapped, gram_model.n, seed=config.seed)
-    K, n = gram_model.K, gram_model.n
-    gram, Y0, _ = oracle_problem(gram_model, assignment)
-    if isinstance(gram, CellGram):
-        one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
-        tc, C_real = theory_constants(gram_model, lam), assignment.empirical_corruption()
-        true, given = (gram.cells - 1).T
-        closed = [cell_outputs(one_hot, C_real, tc, s)[:, true, given] for s in range(1, t + 1)]
-    else:
-        eig = eigensystem(gram_model, gram)
-        closed = [m.columns for m in trajectory(Y0, eig, lam, K, n, t)[1:]]
-    rounds = oracle_trajectory(Y0, gram, lam, K, n, t, config)
-    return max(float(np.abs(r.outputs.columns - c).max()) for r, c in zip(rounds, closed))
+    run = run_rounds(gram_model, C, lam, t, ("oracle",), config, snap=True)
+    linear, gap = run.Y0.columns, 0.0
+    for result in run.oracle:
+        linear = _linear_round(linear, run.gram, lam, gram_model.K, gram_model.n)
+        gap = max(gap, float(np.abs(result.outputs.columns - linear).max()))
+    return gap

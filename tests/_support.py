@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap
-from distillab.noise_theory import CorruptionMatrix, theory_constants
+from distillab.distillation import OutputMatrix, cell_outputs, pll_refine
+from distillab.noise_theory import TIE_TOL, CorruptionMatrix, theory_constants
 
 
 def setup_a_model():
@@ -23,6 +26,15 @@ CASE_MODELS = {
                     superclass_map=SuperclassMap((1, 1, 2, 2))),
     "V": GramModel(case=GramCase.V, K=6, n=5, c=0.5, d=0.2, e=0.05,
                    superclass_map=SuperclassMap.from_sizes([3, 3])),
+}
+
+# one realisable eta > 0 per model of CASE_MODELS
+CASE_NOISE = {
+    "I": ("symmetric", 0.25),
+    "II": ("symmetric", 0.25),
+    "III": ("symmetric", 0.5),
+    "IV": ("superclass", 1.0 / 3.0),
+    "V": ("superclass", 0.4),
 }
 
 
@@ -64,3 +76,28 @@ def random_block_confined(K, sizes, rng, diag_weight=None):
         block = random_doubly_stochastic(len(classes), rng, diag_weight).entries
         m[np.ix_(classes, classes)] = block
     return CorruptionMatrix(m), smap
+
+
+def one_hot_cells(K):
+    """One-hot targets of every (true class, given label) cell: the given label."""
+    return np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
+
+
+def cell_pll_outputs(C, tc):
+    """The top-2 student's output on every cell: the teacher's round-1 cells,
+    ``pll_refine``'s top-2 rule on those ``K^2`` outputs, then one round of
+    the cell engine on the two-hot targets."""
+    K = tc.model.K
+    teacher = cell_outputs(one_hot_cells(K), C, tc, 1).reshape(K, K * K)
+    targets = pll_refine(OutputMatrix(teacher, round=1)).columns.reshape(K, K, K)
+    return cell_outputs(targets, C, tc, 1)
+
+
+def cell_accuracy(cells, C):
+    """``C``-weighted accuracy of cell outputs, summed exactly: a cell counts
+    when its true class is the only entry within ``TIE_TOL`` of the maximum,
+    as in ``argmax_accuracy``."""
+    K = C.K
+    tied = cells >= cells.max(axis=0) - TIE_TOL
+    correct = (tied.sum(axis=0) == 1) & tied[np.arange(K), np.arange(K)]
+    return math.fsum(C.entries[correct]) / K

@@ -13,7 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from _support import SETUP_A_LAMBDA, random_doubly_stochastic, setup_a_constants, setup_a_model
+from _support import (
+    SETUP_A_LAMBDA,
+    cell_accuracy,
+    cell_pll_outputs,
+    random_doubly_stochastic,
+    setup_a_constants,
+    setup_a_model,
+)
 from distillab import (
     GramCase,
     GramModel,
@@ -28,7 +35,6 @@ from distillab import (
     minimal_rounds,
     numeric_eigensystem,
     pll_accuracy_condition,
-    pll_output,
     predicted_population_accuracy,
     realize_labels,
     sd_accuracy_condition,
@@ -146,14 +152,8 @@ def test_criterion_03_phase_reproduction():
                 strict = (vec == vec.max()).sum() == 1 and int(np.argmax(vec)) == y - 1
                 acc += mass * strict
         assert acc / 4 == pytest.approx(predictions[t], abs=1e-12)
-    pll_acc = 0.0
-    for y in range(1, 5):
-        for yhat in range(1, 5):
-            mass = C.entry(y, yhat)
-            vec = pll_output((y, yhat), C, tc).vector
-            strict = (vec == vec.max()).sum() == 1 and int(np.argmax(vec)) == y - 1
-            pll_acc += mass * strict
-    assert pll_acc / 4 == pytest.approx(1.0, abs=1e-12)
+    # the top-2 student on every cell, accuracy summed exactly
+    assert cell_accuracy(cell_pll_outputs(C, tc), C) == 1.0
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     verdict(3, f"phase values 0.5/0.5/1.0/1.0, PLL 1.0, minimal rounds 3, "

@@ -303,15 +303,17 @@ class TestTheoryCommand:
         assert sd_accuracy_condition(C, tc, t).achieves_100
         assert not sd_accuracy_condition(C, tc, t - 1).achieves_100
 
-    @pytest.mark.parametrize("command", ["theory", "approx-error"])
+    @pytest.mark.parametrize("command", ["theory", "approx-error", "trajectory", "phase"])
     def test_tiny_lam_names_the_smallest_workable_value(self, tmp_path, capsys, command):
-        gram = {"case": "III", "K": 4, "n": 10, "c": 0.4, "d": 0.1}
+        # n=12 realises the corruption, so only lam can stop the run
+        gram = {"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1}
         cfg = write_config(tmp_path, gram=gram, lam=1e-19, t_max=1, modes=["oracle", "theory"])
         assert main([command, "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert "lam=1e-19 is too small" in err
         smallest = float(re.search(r"they need lam >= (\S+)", err).group(1))
-        model = GramModel(case=GramCase.III, K=4, n=10, c=0.4, d=0.1)
+        model = GramModel(case=GramCase.III, K=4, n=12, c=0.4, d=0.1)
         assert theory_constants(model, smallest).q < 1.0
         with pytest.raises(ValidationError, match="too small"):
             theory_constants(model, 0.4 * smallest)
@@ -356,6 +358,22 @@ class TestApproxErrorCommand:
     def test_requires_oracle_mode(self, tmp_path):
         cfg = write_config(tmp_path, modes=["closed_form"])
         assert main(["approx-error", "--config", str(cfg)]) == 1
+
+
+class TestSnappingPolicy:
+    def test_only_approx_error_snaps_an_off_grid_corruption(self, tmp_path, capsys):
+        # symmetric 0.5 needs 10/6 samples per mislabeled cell at n=10
+        gram = {"case": "III", "K": 4, "n": 10, "c": 0.4, "d": 0.1}
+        cfg = write_config(tmp_path, gram=gram, lam=1e-3, t_max=1,
+                           modes=["closed_form", "oracle"])
+        for command in ("trajectory", "phase"):
+            assert main([command, "--config", str(cfg)]) == 1
+            assert "smallest feasible n is 6" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["approx-error", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "approx_error.csv").read_text().splitlines()
+        n, gap, converged = rows[1].split(",")
+        assert (n, converged) == ("10", "true") and float(gap) > 0.0
 
 
 class TestIngestCommand:

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from _support import (
     CASE_MODELS,
+    CASE_NOISE,
     SETUP_A_LAMBDA,
+    cell_accuracy,
+    cell_pll_outputs,
+    one_hot_cells,
     random_block_confined,
     random_doubly_stochastic,
     setup_a_constants,
@@ -30,7 +34,6 @@ from distillab.distillation import (
     averaging_operator,
     cell_outputs,
     closed_form_output,
-    pll_output,
     pll_refine,
     pll_student,
     trajectory,
@@ -40,7 +43,6 @@ from distillab.oracle import SolverConfig, solve_round
 from distillab.noise_theory import (
     CorruptionMatrix,
     make_corruption,
-    pll_accuracy_condition,
     predicted_population_accuracy,
     realize_labels,
     theory_constants,
@@ -205,7 +207,7 @@ class TestDeflatedTrajectory:
         eig = numeric_eigensystem(gram)
         ratios = eig.values / (K * K * n * lam + eig.values)
         eigen_form = (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
-        start = oracle._initial_iterate(Y_prev, gram, lam, K, n, warm)
+        start = oracle._linear_round(Y_prev.columns, gram, lam, K, n)
         np.testing.assert_allclose(start, eigen_form, rtol=0, atol=1e-12)
         new = solve_round(Y_prev, gram, lam, K, n, warm)
         cold = solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=1e-10))
@@ -465,20 +467,6 @@ class TestCoupledSuperclasses:
                 np.testing.assert_allclose(traj[t].columns[:, i], expected, rtol=0, atol=1e-12)
 
 
-# one realisable eta > 0 per model of CASE_MODELS
-CASE_NOISE = {
-    "I": ("symmetric", 0.25),
-    "II": ("symmetric", 0.25),
-    "III": ("symmetric", 0.5),
-    "IV": ("superclass", 1.0 / 3.0),
-    "V": ("superclass", 0.4),
-}
-
-
-def _one_hot_cells(K):
-    return np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
-
-
 def _realizable_corruption(K, n, smap, confined, rng):
     """Counts of n random permutations, each within superclasses if confined."""
     counts = np.zeros((K, K))
@@ -523,7 +511,7 @@ class TestCellOutputs:
         traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, K, n, 3)
         cells = [(int(y), int(g)) for y, g in zip(la.true_labels, la.given_labels)]
         for t in range(4):
-            engine = cell_outputs(_one_hot_cells(K), C, tc, t)
+            engine = cell_outputs(one_hot_cells(K), C, tc, t)
             per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
             np.testing.assert_allclose(per_sample, traj[t].columns, rtol=0, atol=1e-12)
             if C.is_block_confined(smap):
@@ -552,10 +540,7 @@ class TestCellOutputs:
         K, n, lam = model.K, model.n, 1e-3
         kind, eta = CASE_NOISE[name] if noisy else ("symmetric", 0.0)
         C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
-        tc = theory_constants(model, lam)
-        teacher = cell_outputs(_one_hot_cells(K), C, tc, 1).reshape(K, K * K)
-        targets = pll_refine(OutputMatrix(teacher, round=1)).columns.reshape(K, K, K)
-        cells = cell_outputs(targets, C, tc, 1)
+        cells = cell_pll_outputs(C, theory_constants(model, lam))
         la = realize_labels(C, n, seed=0)
         eig = analytic_eigensystem(model)
         refined = pll_refine(trajectory(one_hot_from(la), eig, lam, K, n, 1)[1])
@@ -637,64 +622,25 @@ class TestPllRefine:
         np.testing.assert_array_equal(targets[0], targets[1])
 
 
-class TestPllOutput:
-    def test_identity_corruption_clean_component(self):
-        tc = setup_a_constants()
-        C = make_corruption("symmetric", 0.0, 4)
-        res = pll_output((1, 1), C, tc)
-        p, q = tc.p, tc.q
-        assert res.vector[0] == pytest.approx(p / 2 + (q - p) / 2 + (1 - q) / 4, abs=1e-12)
-        assert res.vector[0] == pytest.approx(0.496, abs=1e-3)
-        assert res.premise_ok
-
-    def test_noisy_sample_reference_values(self):
-        tc = setup_a_constants()
-        C = make_corruption("symmetric", 0.5, 4)
-        res = pll_output((1, 2), C, tc)
-        assert res.vector[0] == pytest.approx(0.496, abs=1e-3)
-        assert res.vector[1] == pytest.approx(0.423, abs=1e-3)
-        assert res.vector[0] > res.vector[1]
-        assert res.premise_ok
-
-    def test_flags_premise_violation(self):
-        tc = setup_a_constants()
-        C = make_corruption("symmetric", 0.76, 4)
-        assert not pll_output((1, 2), C, tc).premise_ok
-
-    def test_argmax_at_true_label_across_condition_grid(self):
-        rng = np.random.default_rng(31)
-        tc = setup_a_constants()
-        count = 0
-        for _ in range(100):
-            C = random_doubly_stochastic(4, rng, diag_weight=float(rng.uniform(0.3, 0.9)))
-            if not pll_accuracy_condition(C).achieves_100:
-                continue
-            count += 1
-            for y in range(1, 5):
-                for yhat in range(1, 5):
-                    if C.entry(y, yhat) <= 0:
-                        continue
-                    vec = pll_output((y, yhat), C, tc).vector
-                    assert int(np.argmax(vec)) == y - 1
-                    assert (vec == vec.max()).sum() == 1
-        assert count > 30
-
-    def test_cell_argmax_agrees_with_predicted_accuracy(self):
-        rng = np.random.default_rng(37)
-        tc = setup_a_constants()
-        for _ in range(40):
-            C = random_doubly_stochastic(4, rng, diag_weight=float(rng.uniform(0.3, 0.95)))
-            total = 0.0
-            for y in range(1, 5):
-                for yhat in range(1, 5):
-                    mass = C.entry(y, yhat)
-                    if mass <= 0:
-                        continue
-                    vec = pll_output((y, yhat), C, tc).vector
-                    strict = (vec == vec.max()).sum() == 1 and int(np.argmax(vec)) == y - 1
-                    total += mass * strict
-            assert predicted_population_accuracy(C, tc, 1, "pll") == pytest.approx(
-                total / 4, abs=1e-12
+class TestCellPllStudent:
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_cell_student_is_the_sample_student_on_random_noise(self, name):
+        model = CASE_MODELS[name]
+        K, n, lam = model.K, model.n, 1e-3
+        tc, eig = theory_constants(model, lam), analytic_eigensystem(model)
+        rng = np.random.default_rng(17)
+        for seed in range(10):
+            C = _realizable_corruption(K, n, model.effective_map(), True, rng)
+            la = realize_labels(C, n, seed=seed)
+            refined = pll_refine(trajectory(one_hot_from(la), eig, lam, K, n, 1)[1])
+            student = pll_student(refined, eig, lam, K, n)
+            cells = cell_pll_outputs(C, tc)
+            np.testing.assert_allclose(
+                student.columns, cells[:, la.true_labels - 1, la.given_labels - 1],
+                rtol=0, atol=1e-12,
+            )
+            assert cell_accuracy(cells, C) == pytest.approx(
+                argmax_accuracy(student, la.true_labels), abs=1e-12
             )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from _support import CASE_MODELS, SETUP_A_LAMBDA, setup_a_model
+from _support import CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, one_hot_cells, setup_a_model
 from distillab import (
     GramCase,
     GramModel,
@@ -16,6 +16,7 @@ from distillab import (
     ValidationError,
     analytic_eigensystem,
     build_gram,
+    numeric_eigensystem,
 )
 from distillab.distillation import OutputMatrix, cell_outputs, trajectory
 from distillab import gram_models, oracle
@@ -288,10 +289,12 @@ class TestMeasureApproxError:
                 model, C, lam=1e-3, t=1, config=SolverConfig(max_iterations=2)
             )
 
-    def test_chained_rounds_compare_against_the_cell_closed_form(self):
-        K, n, lam = 3, 8, 0.02
-        model = GramModel(case=GramCase.III, K=K, n=n, c=0.5, d=0.2)
-        C = make_corruption("symmetric", 0.25, K)
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_chained_rounds_compare_against_the_cell_closed_form(self, name):
+        model = CASE_MODELS[name]
+        K, n, lam = model.K, model.n, 0.02
+        kind, eta = CASE_NOISE[name]
+        C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
         config = SolverConfig(seed=3)
         gap = measure_approx_error(model, C, lam, t=3, config=config)
         # recompute by hand: chain the oracle on the cells, compare to the
@@ -299,13 +302,14 @@ class TestMeasureApproxError:
         la = realize_labels(C, n, seed=config.seed)
         cells = cell_gram(model, la)
         true, given = (cells.cells - 1).T
-        one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))
         tc = theory_constants(model, lam)
-        cur, worst = OutputMatrix.from_labels(given + 1, K), 0.0
-        for t in range(1, 4):
-            cur = solve_round(cur, cells, lam, K, n, config).outputs
-            closed = cell_outputs(one_hot, C, tc, t)[:, true, given]
-            worst = max(worst, float(np.abs(cur.columns - closed).max()))
+        rounds = oracle_trajectory(OutputMatrix.from_labels(given + 1, K), cells, lam, K, n, 3,
+                                   config)
+        worst = max(
+            float(np.abs(r.outputs.columns
+                         - cell_outputs(one_hot_cells(K), C, tc, t)[:, true, given]).max())
+            for t, r in enumerate(rounds, start=1)
+        )
         assert gap == pytest.approx(worst, abs=1e-12)
         # and the dense chain against the per-sample closed-form trajectory,
         # within the solver tolerance
@@ -317,6 +321,22 @@ class TestMeasureApproxError:
             cur = solve_round(cur, gram, lam, K, n, config).outputs
             worst = max(worst, float(np.abs(cur.columns - traj[t].columns).max()))
         assert gap == pytest.approx(worst, abs=1e-9)
+
+    def test_perturbed_rounds_compare_against_the_eigen_form(self):
+        K, n, lam = 4, 6, 0.02
+        model = GramModel(case=GramCase.IV, K=K, n=n, c=0.5, d=0.2,
+                          superclass_map=SuperclassMap((1, 1, 2, 2)),
+                          perturbation_amplitude=0.01, seed=5)
+        C = make_corruption("superclass", 1.0 / 3.0, K, superclass_map=model.effective_map())
+        config = SolverConfig(seed=2)
+        gap = measure_approx_error(model, C, lam, t=3, config=config)
+        gram = build_gram(model)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=config.seed).given_labels, K)
+        traj = trajectory(Y0, numeric_eigensystem(gram), lam, K, n, 3)
+        rounds = oracle_trajectory(Y0, gram, lam, K, n, 3, config)
+        worst = max(float(np.abs(r.outputs.columns - traj[t].columns).max())
+                    for t, r in enumerate(rounds, start=1))
+        assert gap == pytest.approx(worst, abs=1e-12)
 
     def test_perturbed_model_builds_gram_once(self, monkeypatch):
         calls = []
