@@ -40,7 +40,7 @@ from .noise_theory import (
     sd_accuracy_condition,
     theory_constants,
 )
-from .oracle import Rounds, SolverConfig, measure_approx_error, run_rounds
+from .oracle import measure_approx_error, run_rounds
 # kept importable from here: bench/test_bench.py checks the tracer rebinds it
 from .oracle import solve_round  # noqa: F401
 
@@ -80,18 +80,13 @@ def _out_path(directory: str, name: str) -> str:
     return os.path.join(directory, name)
 
 
-def _run_rounds(config: ExperimentConfig, model, C, modes) -> Rounds:
-    # the solver settings are read only where the oracle runs
-    solver = config.solver() if "oracle" in modes else SolverConfig(seed=config.seed)
-    return run_rounds(model, C, config.lam, config.t_max, modes, solver)
-
-
 def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     """Write per-round outputs, the 2-D projection table, and the operator
     eigenvalue table; with the oracle mode enabled, also the exact outputs."""
     model = config.gram_model()
     C = config.corruption_matrix()
-    run = _run_rounds(config, model, C, ("closed_form", *config.modes))
+    run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
+                     config.solver())
     written: list[str] = []
 
     def emit(name, fn):
@@ -142,8 +137,12 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     tc = theory_constants(model, config.lam)
     empirical: dict[object, float] = {}
     if "closed_form" in config.modes or "oracle" in config.modes:
+        modes = config.modes
+        if "oracle" in modes:
+            # the oracle rounds replace the closed-form ones in the table
+            modes = tuple(m for m in modes if m != "closed_form")
         try:
-            run = _run_rounds(config, model, C, config.modes)
+            run = run_rounds(model, C, config.lam, config.t_max, modes, config.solver())
         except NumericalError as exc:
             raise NumericalError(f"eta={eta}: {exc}") from exc
         outputs = run.closed[1:] if run.oracle is None else run.oracle_outputs()
@@ -340,7 +339,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.out is not None:
-        overrides.append(f'output_dir="{args.out}"')
+        overrides.append(f"output_dir={json.dumps(args.out)}")
     return config.with_overrides(overrides)
 
 

@@ -14,8 +14,6 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from .errors import ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap
 from .noise_theory import CorruptionMatrix, make_corruption
@@ -120,6 +118,17 @@ class ExperimentConfig:
             raise ValidationError(
                 f"corruption matrix_path does not exist: {self.corruption.matrix_path}"
             )
+        try:
+            solver = SolverConfig(
+                max_iterations=self.solver_max_iterations,
+                tolerance=self.solver_tolerance,
+                seed=self.seed,
+                warm_start=self.solver_warm_start,
+            )
+        except ValidationError as exc:
+            # SolverConfig names its own fields; the config keys add "solver_"
+            raise ValidationError(f"solver_{exc}") from exc
+        object.__setattr__(self, "_solver", solver)
 
     # -- construction helpers -------------------------------------------------
 
@@ -131,12 +140,7 @@ class ExperimentConfig:
         return self.corruption.build(self.gram.K, smap, eta=eta)
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            max_iterations=self.solver_max_iterations,
-            tolerance=self.solver_tolerance,
-            seed=self.seed,
-            warm_start=self.solver_warm_start,
-        )
+        return self._solver
 
     # -- serialization --------------------------------------------------------
 

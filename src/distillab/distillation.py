@@ -329,7 +329,7 @@ def cell_outputs(
         raise ValidationError(f"cell targets must have shape {(K, K, K)}, got {targets.shape}")
     if t == 0:
         return targets
-    head_values, coeffs, _ = _head_columns(tc.model)
+    head_values, coeffs = _head_columns(tc.model)
     head = tc.ratio(head_values) ** t
     bulk = tc.ratio(1.0 - tc.model.omega) ** t
     centered = targets - 1.0 / K

@@ -3,10 +3,9 @@
 A dataset of ``K`` classes with ``n`` unit-norm feature vectors per class,
 sorted by class, induces a ``Kn x Kn`` Gram matrix of pairwise inner
 products.  This module builds the five block-structured correlation models
-used throughout the package, exposes their eigensystems in closed form
-(grouped by multiplicity family), provides a dense symmetric fallback for
-perturbed or empirical matrices, and computes per-relation correlation
-statistics from raw feature matrices.
+used throughout the package, exposes their eigensystems in closed form,
+provides a dense symmetric fallback for perturbed or empirical matrices,
+and computes per-relation correlation statistics from raw feature matrices.
 
 Correlation cases
 -----------------
@@ -35,7 +34,6 @@ __all__ = [
     "GramCase",
     "SuperclassMap",
     "GramModel",
-    "EigenGroup",
     "EigenSystem",
     "CellGram",
     "FeatureMatrix",
@@ -47,6 +45,7 @@ __all__ = [
     "numeric_eigensystem",
     "eigensystem",
     "gram_statistics",
+    "load_superclass_map",
 ]
 
 # Tolerances fixed by the module contracts.
@@ -216,28 +215,19 @@ class GramModel:
 
 
 @dataclass(frozen=True)
-class EigenGroup:
-    """Indices of one eigenvalue multiplicity family, post-sorting."""
-
-    label: str
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues descending.
 
-    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
-    Eigenpairs with exactly equal values keep the order in which they were
-    constructed (family by family for the analytic form, the solver's order
-    for the dense one).  ``groups`` partitions the indices by eigenvalue
-    family (analytic construction) or by numerically clustered value (dense
-    fallback).
+    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``; both
+    arrays are read-only.  Eigenpairs with exactly equal values keep the
+    order in which they were constructed (family by family for the analytic
+    form, the solver's order for the dense one).  Every consumer forms
+    ``V f(values) V^T`` or ``(Y V) f(values) V^T``, so a column's sign is
+    free: negation is exact and leaves those products bit for bit unchanged.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    groups: tuple[EigenGroup, ...]
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -246,9 +236,6 @@ class EigenSystem:
             raise ValidationError("eigenvector matrix must be square and match values")
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("eigenvalues must be sorted descending")
-        covered = sorted(i for g in self.groups for i in g.indices)
-        if covered != list(range(values.size)):
-            raise ValidationError("groups must partition the index range")
         values.flags.writeable = False
         vectors.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -261,12 +248,6 @@ class EigenSystem:
     def orthonormality_error(self) -> float:
         m = self.vectors.T @ self.vectors
         return float(np.abs(m - np.eye(self.size)).max())
-
-    def group(self, label: str) -> EigenGroup:
-        for g in self.groups:
-            if g.label == label:
-                return g
-        raise KeyError(label)
 
 
 def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -360,19 +341,21 @@ def _helmert_vectors(m: int) -> np.ndarray:
     return out
 
 
-def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray]:
     """The ``K`` eigenpairs that are constant on each class.
 
-    Returns their eigenvalues, a ``K x K`` matrix whose column ``j`` holds
-    the class-space coefficients of eigenvector ``j`` (lifted to samples by
-    repeating ``coeff_k / sqrt(n)`` over class ``k``), and their family
-    labels, in construction order: superclass directions, then per
-    superclass the Helmert contrasts between its classes.
+    Returns their eigenvalues and a ``K x K`` matrix whose column ``j``
+    holds the class-space coefficients of eigenvector ``j`` (lifted to
+    samples by repeating ``coeff_k / sqrt(n)`` over class ``k``), in
+    construction order: superclass directions, then per superclass the
+    Helmert contrasts between its classes.  With the bulk value
+    ``1 - omega_k`` (multiplicity ``n - 1`` per class) they are the whole
+    spectrum of an unperturbed model.
     """
     K, n = model.K, model.n
     omega = model.omega
     if model.case in (GramCase.I, GramCase.II):
-        return n * omega + 1.0 - omega, np.eye(K), ["class"] * K
+        return n * omega + 1.0 - omega, np.eye(K)
     c = float(model.c)  # type: ignore[arg-type]
     a_class = n * (c - model.d) + 1.0 - c
     smap = model.effective_map()
@@ -394,11 +377,7 @@ def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray, list[str]]:
     for k_s in sizes.tolist():
         contrasts[row:row + k_s, col:col + k_s - 1] = _helmert_vectors(k_s)
         row, col = row + k_s, col + k_s - 1
-    return (
-        np.concatenate([values, np.full(K - r, a_class)]),
-        np.hstack([coeffs, contrasts]),
-        ["superclass"] * r + ["class"] * (K - r),
-    )
+    return np.concatenate([values, np.full(K - r, a_class)]), np.hstack([coeffs, contrasts])
 
 
 def analytic_eigensystem(model: GramModel) -> EigenSystem:
@@ -406,11 +385,11 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
 
     Eigenvalues come in at most three families:
 
-    * ``superclass`` - one per superclass; ``K_s * n * d + n(c-d) + (1-c)``
+    * superclass - one per superclass; ``K_s * n * d + n(c-d) + (1-c)``
       for case IV (case V couples the superclass directions through ``e``
       and diagonalises an ``R x R`` core instead);
-    * ``class`` - contrasts between classes, ``n(c-d) + (1-c)``;
-    * ``bulk`` - contrasts within a class, ``1-c``.
+    * class - contrasts between classes, ``n(c-d) + (1-c)``;
+    * bulk - contrasts within a class, ``1-c``.
 
     Cases I and II have no superclass family and per-class eigenvalues.
     Perturbed models are rejected; use :func:`numeric_eigensystem` on the
@@ -429,10 +408,9 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
             "use numeric_eigensystem on build_gram output"
         )
     K, n, size = model.K, model.n, model.size
-    head_values, coeffs, head_family = _head_columns(model)
+    head_values, coeffs = _head_columns(model)
     # within-class contrasts: eigenvalue 1 - omega(k), n-1 per class
     values = np.concatenate([head_values, np.repeat(1.0 - model.omega, n - 1)])
-    family = np.array(head_family + ["bulk"] * (size - K))
     order = np.argsort(-values, kind="stable")
     position = np.empty(size, dtype=np.intp)
     position[order] = np.arange(size)
@@ -445,34 +423,25 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
             # construction order, so the stable sort keeps them adjacent
             start = position[K + k * (n - 1)]
             vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
-    ranked = family[order]
-    labels, first = np.unique(ranked, return_index=True)
-    groups = tuple(
-        EigenGroup(str(labels[i]), tuple(np.flatnonzero(ranked == labels[i]).tolist()))
-        for i in np.argsort(first)
-    )
-    return EigenSystem(values=values[order], vectors=vectors, groups=groups)
+    return EigenSystem(values=values[order], vectors=vectors)
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Dense symmetric eigendecomposition, eigenvalues descending.
 
-    Fallback for perturbed or empirical Gram matrices.  The input must be
-    symmetric to 1e-10; each eigenpair is verified against the residual
-    bound ``max|A v - lambda v| <= 1e-8 * max|A|``.
+    Fallback for perturbed or empirical Gram matrices: ``eigh``'s pairs in
+    reverse, with the solver's column signs.  The input must be symmetric
+    to 1e-10; each eigenpair is verified against the residual bound
+    ``max|A v - lambda v| <= 1e-8 * max|A|``.
     """
     a = _validate_symmetric(matrix)
     vals, vecs = np.linalg.eigh(a)
-    # Descending order and a deterministic sign (first non-negligible
-    # component positive; a unit column always has one), both in place: a
-    # reordered copy would stay alive through the residual check below and
-    # raise the peak memory of the dense path.
+    # Descending order, in place: a reordered copy would stay alive through
+    # the residual check below and raise the peak memory of the dense path.
     vals = vals[::-1]
     for start in range(0, vecs.shape[0], 256):
         rows = vecs[start:start + 256]
         rows[:] = rows[:, ::-1]
-    first = (np.abs(vecs) > 1e-12).argmax(axis=0)
-    np.negative(vecs, out=vecs, where=vecs[first, np.arange(vecs.shape[1])] < 0)
     scale = float(np.abs(a).max()) if a.size else 0.0
     # in place for the same reason
     resid = a @ vecs
@@ -483,14 +452,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
         raise NumericalError(
             f"eigendecomposition residual {resid.max():.3e} exceeds {bound:.3e}"
         )
-    # Cluster near-equal eigenvalues into multiplicity groups.
-    tol = max(1e-8, 1e-10 * scale)
-    bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
-    groups = tuple(
-        EigenGroup(f"cluster{i}", tuple(range(lo, hi)))
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    )
-    return EigenSystem(values=vals, vectors=vecs, groups=groups)
+    return EigenSystem(values=vals, vectors=vecs)
 
 
 def eigensystem(model: GramModel, gram: Optional[np.ndarray | CellGram] = None) -> EigenSystem:

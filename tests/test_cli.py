@@ -19,6 +19,7 @@ from distillab import (
     ValidationError,
     build_gram,
 )
+from distillab import oracle
 from distillab.cli import main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
 from distillab.noise_theory import make_corruption, sd_accuracy_condition, theory_constants
@@ -110,6 +111,26 @@ class TestConfig:
         assert main([command, "--config", str(cfg)]) == 1
         assert "t_max >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # the oracle does not run, yet every command rejects the solver setting
+    @pytest.mark.parametrize("command", ["trajectory", "phase", "approx-error", "theory"])
+    @pytest.mark.parametrize("setting", ["solver_tolerance", "solver_max_iterations"])
+    def test_bad_solver_setting_exits_one(self, tmp_path, capsys, command, setting):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.25},
+                           modes=["closed_form", "theory"], **{setting: 0})
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"{setting} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ['res"x', "a\\b"], ids=["quote", "backslash"])
+    def test_out_path_is_taken_as_given(self, tmp_path, name):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.25})
+        out = tmp_path / name
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(["config.json", name])
+        assert (out / "theory.json").is_file()
 
     def test_non_number_in_corruption_matrix_exits_one(self, tmp_path, capsys):
         matrix = tmp_path / "corruption.csv"
@@ -243,6 +264,22 @@ class TestPhaseCommand:
         assert [r[:2] for r in rows] == [r[:2] for r in reference]
         for row, ref in zip(rows, reference):
             assert abs(float(row[2]) - float(ref[2])) <= 1e-12, row
+
+    def test_oracle_table_builds_no_eigensystem(self, tmp_path, monkeypatch):
+        # the oracle rounds replace the closed-form ones in the empirical
+        # column, so no eigensystem or closed-form round is computed
+        calls = []
+        monkeypatch.setattr(oracle, "eigensystem", lambda *a: calls.append(a))
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.0}, t_max=2,
+                           modes=["closed_form", "oracle"], sweep_parameter="eta",
+                           sweep_values=[0.0, 0.25, 0.5])
+        assert main(["phase", "--config", str(cfg)]) == 0
+        assert calls == []
+        _, rows = read_csv_rows(tmp_path / "out" / "phase.csv")
+        assert rows == [["0", "1", "1", "1"], ["0", "2", "1", "1"],
+                        ["0.25", "1", "0.75", "0.75"], ["0.25", "2", "0.75", "0.75"],
+                        ["0.5", "1", "0.5", "0.5"], ["0.5", "2", "0.5", "0.5"]]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial_cfg = write_config(

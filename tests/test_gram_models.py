@@ -6,7 +6,6 @@ import pytest
 
 from _support import embed_gram
 from distillab import (
-    EigenGroup,
     EigenSystem,
     FeatureMatrix,
     GramCase,
@@ -121,9 +120,6 @@ class TestAnalyticEigensystem:
         es = analytic_eigensystem(model_case(GramCase.III, K=4, n=100, c=0.4, d=0.1))
         expected = np.concatenate([[70.6], [30.6] * 3, [0.6] * 396])
         np.testing.assert_allclose(es.values, expected, rtol=0, atol=1e-12)
-        assert len(es.group("superclass").indices) == 1
-        assert len(es.group("class").indices) == 3
-        assert len(es.group("bulk").indices) == 396
 
     def test_case1_zero_correlation_all_unit(self):
         es = analytic_eigensystem(model_case(GramCase.I, K=3, n=2, c=0.0))
@@ -144,7 +140,8 @@ class TestAnalyticEigensystem:
             v = np.zeros(12)
             v[block] = 1.0 / np.sqrt(6)
             indicators.append(v)
-        got = [es.vectors[:, i] for i in es.group("superclass").indices]
+        # the superclass values 2 * 3 * 0.2 + 1.4 lead the spectrum
+        got = [es.vectors[:, i] for i in range(2)]
         for expected in indicators:
             assert any(
                 min(np.abs(v - expected).max(), np.abs(v + expected).max()) < 1e-12
@@ -231,17 +228,16 @@ def put_then_sort_eigensystem(model):
             out[j, j - 1] = -j / norm
         return out
 
-    values, columns, family = [], [], []
+    values, columns = [], []
 
-    def put(value, coeff, label):
+    def put(value, coeff):
         values.append(value)
         columns.append(np.repeat(coeff / math.sqrt(n), n))
-        family.append(label)
 
     omega = model.omega
     if model.case in (GramCase.I, GramCase.II):
         for k in range(K):
-            put(n * omega[k] + 1.0 - omega[k], np.eye(K)[k], "class")
+            put(n * omega[k] + 1.0 - omega[k], np.eye(K)[k])
     else:
         c = float(model.c)
         a_class = n * (c - model.d) + 1.0 - c
@@ -260,13 +256,13 @@ def put_then_sort_eigensystem(model):
                 for s in range(r):
                     for k in smap.classes_of(s + 1):
                         coeff[k - 1] = core_vecs[s, m] / math.sqrt(sizes[s])
-                put(core_vals[m], coeff, "superclass")
+                put(core_vals[m], coeff)
         else:
             for s in range(1, r + 1):
                 coeff = np.zeros(K)
                 for k in smap.classes_of(s):
                     coeff[k - 1] = 1.0 / math.sqrt(sizes[s - 1])
-                put(sizes[s - 1] * n * model.d + a_class, coeff, "superclass")
+                put(sizes[s - 1] * n * model.d + a_class, coeff)
         for s in range(1, r + 1):
             classes = smap.classes_of(s)
             if len(classes) < 2:
@@ -276,7 +272,7 @@ def put_then_sort_eigensystem(model):
                 coeff = np.zeros(K)
                 for pos, k in enumerate(classes):
                     coeff[k - 1] = basis[pos, jcol]
-                put(a_class, coeff, "class")
+                put(a_class, coeff)
     vectors = np.zeros((size, size))
     vectors[:, :len(columns)] = np.array(columns).T
     col = len(columns)
@@ -286,15 +282,10 @@ def put_then_sort_eigensystem(model):
             for jcol in range(n - 1):
                 vectors[k * n:(k + 1) * n, col] = basis[:, jcol]
                 values.append(1.0 - omega[k])
-                family.append("bulk")
                 col += 1
     values = np.array(values)
     order = np.argsort(-values, kind="stable")
-    by_label = {}
-    for new_idx, old_idx in enumerate(order.tolist()):
-        by_label.setdefault(family[old_idx], []).append(new_idx)
-    groups = tuple(EigenGroup(label, tuple(idx)) for label, idx in by_label.items())
-    return values[order], vectors[:, order], groups
+    return values[order], vectors[:, order]
 
 
 LAYOUT_MODELS = {
@@ -316,12 +307,11 @@ class TestEigensystemLayout:
     @pytest.mark.parametrize("name", sorted(LAYOUT_MODELS))
     def test_bitwise_equal_to_put_then_sort(self, name, n):
         model = model_case(n=n, **LAYOUT_MODELS[name])
-        values, vectors, groups = put_then_sort_eigensystem(model)
+        values, vectors = put_then_sort_eigensystem(model)
         es = analytic_eigensystem(model)
         assert np.array_equal(es.values, values)
         assert np.array_equal(es.vectors, vectors)
         assert es.vectors.strides == vectors.strides  # same (column-major) layout
-        assert es.groups == groups
 
     # n=100 spans more than one 256-row block of the in-place reversal
     @pytest.mark.parametrize("n", [8, 100])
@@ -329,27 +319,13 @@ class TestEigensystemLayout:
         model = model_case(GramCase.III, K=3, n=n, c=0.4, d=0.1, amp=0.01, seed=5)
         gram = build_gram(model)
         vals, vecs = np.linalg.eigh(gram)
-        vals, vecs = vals[::-1], vecs[:, ::-1].copy()
-        for i in range(vecs.shape[1]):
-            nz = np.nonzero(np.abs(vecs[:, i]) > 1e-12)[0]
-            if nz.size and vecs[nz[0], i] < 0:
-                vecs[:, i] = -vecs[:, i]
-        tol = max(1e-8, 1e-10 * float(np.abs(gram).max()))
-        labels, cluster = [], 0
-        for i in range(vals.size):
-            if i > 0 and vals[i - 1] - vals[i] > tol:
-                cluster += 1
-            labels.append(f"cluster{cluster}")
         es = numeric_eigensystem(gram)
-        assert np.array_equal(es.values, vals)
-        assert np.array_equal(es.vectors, vecs)
-        assert [g.label for g in es.groups] == sorted(set(labels), key=labels.index)
-        assert [labels[i] for g in es.groups for i in g.indices] == labels
+        assert np.array_equal(es.values, vals[::-1])
+        assert np.array_equal(es.vectors, vecs[:, ::-1])
 
     def test_takes_the_vectors_without_copying(self):
         vectors = np.eye(3)
-        es = EigenSystem(values=np.ones(3), vectors=vectors,
-                         groups=(EigenGroup("all", (0, 1, 2)),))
+        es = EigenSystem(values=np.ones(3), vectors=vectors)
         assert es.vectors is vectors
         assert not vectors.flags.writeable
         assert not analytic_eigensystem(model_case(GramCase.I, K=2, n=3, c=0.4)).vectors.flags.writeable

@@ -193,17 +193,19 @@ class TestTheoryConstants:
                 tc.qp_ratio()
             return
         # r is taken at zero inter-superclass correlation
-        eig = analytic_eigensystem(dataclasses.replace(model, e=0.0))
-
-        def family(label):
-            return np.sort(eig.values[list(eig.group(label).indices)])
-
-        assert tc.p == pytest.approx(tc.ratio(family("bulk")[0]), rel=1e-15)
-        assert tc.q == pytest.approx(tc.ratio(family("class")[0]), rel=1e-15)
-        # case I has no superclass family: its single superclass direction,
-        # the global mean, is a class direction
-        sup = family("superclass") if model.case is not GramCase.I else family("class")[:1]
-        np.testing.assert_allclose(np.sort(tc.r), tc.ratio(sup), rtol=1e-15)
+        values, counts = np.unique(
+            analytic_eigensystem(dataclasses.replace(model, e=0.0)).values, return_counts=True
+        )
+        # ascending: the bulk 1 - c (K(n-1) pairs), the class value
+        # n(c-d) + 1 - c (K - R pairs), then the R superclass values; in case
+        # I the single superclass direction, the global mean, is a class one
+        K, R = model.K, model.effective_map().num_superclasses
+        head = np.repeat(values[1:], counts[1:])
+        assert counts[0] == K * (model.n - 1) and head.size == K
+        assert np.all(head[:K - R] == head[0])
+        assert tc.p == pytest.approx(tc.ratio(values[0]), rel=1e-15)
+        assert tc.q == pytest.approx(tc.ratio(head[0]), rel=1e-15)
+        np.testing.assert_allclose(np.sort(tc.r), tc.ratio(head[K - R:]), rtol=1e-15)
         assert tc.qp_ratio() == tc.q / tc.p
 
     def test_rejects_lam_whose_ratios_round_to_zero(self):
