@@ -23,13 +23,14 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import fmt, write_csv
+from .csvio import fmt, fmt_all, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -102,21 +103,22 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
                       run.assignment.given_labels.tolist()))
     proj_rows = [["round", "sample_index", "true_label", "given_label", "x", "y"]
                  + [f"y_{k}" for k in range(1, model.K + 1)]]
+    width = 2 + model.K
     for t, mat in enumerate(run.closed):
         # per sample: x, y, then the output column
         table = np.column_stack([simplex_projection(mat.columns), mat.columns.T])
+        text = fmt_all(table)
         proj_rows += [
-            (t, i, y, yhat, *map(fmt, values))
-            for i, ((y, yhat), values) in enumerate(zip(labels, table.tolist()))
+            (t, i, y, yhat, *text[i * width:(i + 1) * width])
+            for i, (y, yhat) in enumerate(labels)
         ]
     emit("projection.csv", lambda p: write_csv(p, proj_rows))
     eig_rows = [["round", "index", "eigenvalue"]]
     for t in range(config.t_max + 1):
-        # keep only the spectrum, so no earlier round's matrix stays alive
-        # while the next one is built
         values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
-        for idx, val in enumerate(sorted(values, reverse=True)):
-            eig_rows.append([t, idx, fmt(val)])
+        # descending; equal values keep their order, as in sorted(reverse=True)
+        text = fmt_all(values[np.argsort(-values, kind="stable")])
+        eig_rows += zip(repeat(t), range(values.size), text)
     emit("eigenvalues.csv", lambda p: write_csv(p, eig_rows))
     if run.student is not None:
         emit("pll_targets.csv", run.refined.to_csv)

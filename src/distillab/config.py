@@ -112,6 +112,8 @@ class ExperimentConfig:
             object.__setattr__(self, "sweep_values", vals)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValidationError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if self.corruption.matrix_path is not None and not os.path.exists(
             self.corruption.matrix_path
         ):

@@ -15,6 +15,19 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def fmt_all(values) -> list[str]:
+    """:func:`fmt` of every entry of ``values``, in C order.
+
+    Each distinct number is formatted once.  Numbers are told apart by
+    their bit patterns, so ``-0.0`` and ``0.0``, which print differently,
+    stay apart.
+    """
+    flat = np.ascontiguousarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = [fmt(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def write_csv(path, rows) -> None:
     """Comma-separated rows of equal width with ``\\r\\n`` line ends, in one join.
 

@@ -14,12 +14,13 @@ a two-hot vector on its top two entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, cycle, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, read_csv, write_csv
+from .csvio import fmt_all, read_csv, write_csv
 from .errors import ValidationError
 from .gram_models import EigenSystem, _head_columns
 from .noise_theory import (
@@ -127,7 +128,7 @@ def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
     write_csv(path, chain(
         [("round", "sample_index", "class_index", "value")],
         zip(repeat(round_idx), chain.from_iterable(map(repeat, range(m), repeat(K))),
-            cycle(range(1, K + 1)), map(fmt, columns.T.ravel().tolist())),
+            cycle(range(1, K + 1)), fmt_all(columns.T)),
     ))
 
 
@@ -158,29 +159,47 @@ class PartialLabelMatrix:
 
 @dataclass(frozen=True)
 class AveragingOperator:
-    """The round-``t`` label-averaging matrix and its spectrum.
+    """The round-``t`` label-averaging operator, kept factored.
 
-    Takes ownership of ``matrix``: a float array is kept without a copy and
-    marked read-only, so the caller must not write to it afterwards.
+    The operator is ``bulk I + vectors diag(weights) vectors^T``: the split
+    of :func:`_deflate`, with ``vectors`` the Gram eigenvectors ``V_S``,
+    ``weights = rho_S^t - bulk`` and ``eigenvalues = rho^t`` its full
+    spectrum.  :meth:`apply` uses the factors; :attr:`matrix` builds the
+    ``N x N`` array on first read only.
     """
 
-    matrix: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
+    bulk: float
     t: int
     lam: float
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
         ev = np.array(self.eigenvalues, dtype=float)
         # the round-0 operator is the identity; from round 1 on the spectrum
         # contracts strictly below 1
         ceiling_ok = np.all(ev == 1.0) if self.t == 0 else np.all(ev < 1.0)
         if np.any(ev < 0.0) or not ceiling_ok:
             raise ValidationError("operator eigenvalues must lie in [0, 1)")
-        m.flags.writeable = False
         ev.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", ev)
+
+    def apply(self, centered: np.ndarray) -> np.ndarray:
+        """``centered @ A`` for ``K x N`` rows ``centered``, in ``O(K |S| N)``."""
+        out = (centered @ self.vectors * self.weights) @ self.vectors.T
+        if self.bulk:
+            out += self.bulk * centered
+        return out
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only ``N x N`` matrix, in ``O(|S| N^2)`` on first read."""
+        matrix = (self.vectors * self.weights) @ self.vectors.T
+        if self.bulk:
+            matrix[np.diag_indices(matrix.shape[0])] += self.bulk
+        matrix.flags.writeable = False
+        return matrix
 
 
 def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray:
@@ -219,30 +238,14 @@ def _deflate(powered: np.ndarray) -> tuple[Optional[int], np.ndarray | slice]:
     return int(np.argmax(is_bulk)), rest
 
 
-def _average_labels(
-    columns: np.ndarray, eig: EigenSystem, ratios: np.ndarray, K: int, t_max: int
-) -> list[np.ndarray]:
-    """``1/K + (Y - 1/K) V diag(ratios^t) V^T`` for ``t = 1..t_max`` and the
-    ``K x N`` label columns ``Y``.
-
-    Deflated (:func:`_deflate`, split once): the projection
-    ``(Y - 1/K) V_S`` is formed once, and each round is
-    ``mu_t (Y - 1/K) + (proj diag(ratios_S^t - mu_t)) V_S^T + 1/K``, one
-    ``O(K |S| N)`` product instead of ``O(K N^2)``.
-    """
-    centered = columns - 1.0 / K
-    b, S = _deflate(ratios)
-    vectors = eig.vectors[:, S]
-    proj = centered @ vectors
-    out = []
-    for t in range(1, t_max + 1):
-        powered = ratios**t
-        bulk = powered[b] if b is not None else 0.0
-        cols = (proj * (powered[S] - bulk)) @ vectors.T
-        if bulk:
-            cols += bulk * centered
-        out.append(cols + 1.0 / K)
-    return out
+def _factored(
+    eig: EigenSystem, powered: np.ndarray, split: tuple, t: int, lam: float
+) -> AveragingOperator:
+    """The operator with spectrum ``powered``, deflated by ``split``."""
+    b, S = split
+    bulk = powered[b] if b is not None else 0.0
+    return AveragingOperator(vectors=eig.vectors[:, S], weights=powered[S] - bulk,
+                             bulk=bulk, t=t, lam=lam, eigenvalues=powered)
 
 
 def averaging_operator(
@@ -255,23 +258,18 @@ def averaging_operator(
     identity.  Source eigenvalues below ``-1e-8`` are rejected; tiny
     negatives from a perturbed matrix are clipped to zero.
 
-    The matrix is built deflated (:func:`_deflate`) as
-    ``mu I + V_S diag(rho_S^t - mu) V_S^T``, in ``O(|S| N^2)``.  By
-    orthonormality this equals the plain product ``(V rho^t) V^T`` up to
-    rounding, and exactly where :func:`_deflate` keeps the plain product
-    (a dense eigensystem, case II).  At ``t = 0`` every
-    value is 1, so the matrix is exactly the identity.
+    The operator is kept deflated (:func:`_deflate`) as
+    ``mu I + V_S diag(rho_S^t - mu) V_S^T``, so building it costs ``O(N)``
+    beyond the eigensystem and applying it ``O(K |S| N)``: ``|S| <= K`` on
+    an unperturbed model, ``|S| = N`` on a dense eigensystem or case II.
+    By orthonormality this equals the plain product ``(V rho^t) V^T`` up to
+    rounding, and exactly where :func:`_deflate` keeps the plain product.
+    At ``t = 0`` every value is 1, so the operator is exactly the identity.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
     powered = _operator_ratios(eig, lam, K, n) ** t
-    b, S = _deflate(powered)
-    bulk = powered[b] if b is not None else 0.0
-    vectors = eig.vectors[:, S]
-    matrix = (vectors * (powered[S] - bulk)) @ vectors.T
-    if bulk:
-        matrix[np.diag_indices(powered.size)] += bulk
-    return AveragingOperator(matrix=matrix, t=t, lam=lam, eigenvalues=powered)
+    return _factored(eig, powered, _deflate(powered), t, lam)
 
 
 def trajectory(
@@ -280,9 +278,8 @@ def trajectory(
     """Outputs for rounds ``0..t_max`` from one-hot given labels.
 
     Evaluates the eigen form: center the targets at the uniform vector,
-    scale each eigencomponent by its round-``t`` operator eigenvalue, and
-    shift back; the rounds share one deflated projection
-    (:func:`_average_labels`).
+    apply the round-``t`` operator and shift back.  Every round shares the
+    split of the one-round ratios (:func:`_deflate`).
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -292,8 +289,12 @@ def trajectory(
         )
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    rounds = _average_labels(Y0.columns, eig, _operator_ratios(eig, lam, K, n), K, t_max)
-    return [Y0] + [OutputMatrix(columns=cols, round=t) for t, cols in enumerate(rounds, 1)]
+    ratios = _operator_ratios(eig, lam, K, n)
+    split = _deflate(ratios)
+    centered = Y0.columns - 1.0 / K
+    operators = (_factored(eig, ratios**t, split, t, lam) for t in range(1, t_max + 1))
+    return [Y0] + [OutputMatrix(columns=op.apply(centered) + 1.0 / K, round=op.t)
+                   for op in operators]
 
 
 def cell_outputs(
@@ -396,8 +397,7 @@ def pll_student(
     Applies the one-round averaging operator to the centered targets:
     ``(targets - 1/K) @ A_1 + 1/K``, one round after the targets' source.
     """
-    matrix = averaging_operator(eig, lam, K, n, 1).matrix
-    student = (targets.columns - 1.0 / K) @ matrix + 1.0 / K
+    student = averaging_operator(eig, lam, K, n, 1).apply(targets.columns - 1.0 / K) + 1.0 / K
     return OutputMatrix(columns=student, round=targets.source_round + 1)
 
 

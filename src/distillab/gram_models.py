@@ -245,10 +245,6 @@ class EigenSystem:
     def size(self) -> int:
         return self.values.size
 
-    def orthonormality_error(self) -> float:
-        m = self.vectors.T @ self.vectors
-        return float(np.abs(m - np.eye(self.size)).max())
-
 
 def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)

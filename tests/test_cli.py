@@ -123,6 +123,11 @@ class TestConfig:
         assert f"{setting} must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["123", '""', "null", '["a"]'])
+    def test_output_dir_that_is_not_a_name_exits_one(self, capsys, value):
+        assert main(["theory", "--set", "gram.n=8", "--set", f"output_dir={value}"]) == 1
+        assert "output_dir" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ['res"x', "a\\b"], ids=["quote", "backslash"])
     def test_out_path_is_taken_as_given(self, tmp_path, name):
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},

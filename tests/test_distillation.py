@@ -24,10 +24,10 @@ from distillab import (
     ValidationError,
     analytic_eigensystem,
     build_gram,
+    eigensystem,
     numeric_eigensystem,
 )
 from distillab.distillation import (
-    AveragingOperator,
     OutputMatrix,
     PartialLabelMatrix,
     argmax_accuracy,
@@ -39,6 +39,7 @@ from distillab.distillation import (
     trajectory,
 )
 from distillab import oracle
+from distillab.csvio import fmt
 from distillab.oracle import SolverConfig, solve_round
 from distillab.noise_theory import (
     CorruptionMatrix,
@@ -136,12 +137,54 @@ class TestDeflatedAveragingOperator:
         np.testing.assert_allclose(student.columns, expected, rtol=0, atol=1e-13)
         assert student.round == 2
 
-    def test_takes_the_matrix_without_copying(self):
+    def test_matrix_is_built_once_read_only_and_is_the_plain_product(self):
         eig = analytic_eigensystem(STRUCTURED_MODELS["III"])
         op = averaging_operator(eig, 1e-3, 4, 6, 1)
+        assert op.matrix is op.matrix
         assert not op.matrix.flags.writeable
-        op2 = AveragingOperator(matrix=op.matrix, t=1, lam=1e-3, eigenvalues=op.eigenvalues)
-        assert op2.matrix is op.matrix
+        np.testing.assert_allclose(op.matrix, plain_operator(eig, 1e-3, 4, 6, 1),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
+    def test_apply_is_the_product_with_the_matrix(self, name, t):
+        model = STRUCTURED_MODELS.get(name, PERTURBED_MODEL)
+        eig = eigensystem(model)
+        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        rows = random_one_hot(model).columns - 1.0 / model.K
+        np.testing.assert_allclose(op.apply(rows), rows @ op.matrix, rtol=0, atol=1e-13)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFactoredOperatorAllocations:
+    """At N = 2,000 an ``N x N`` array takes 32 MB; the factored operator
+    must stay far below an eighth of that."""
+
+    MODEL = GramModel(case=GramCase.III, K=4, n=500, c=0.4, d=0.1)
+
+    @pytest.fixture(scope="class")
+    def eig(self):
+        return analytic_eigensystem(self.MODEL)
+
+    @pytest.mark.parametrize("t", [0, 1, 4])
+    def test_eigenvalues_build_no_n_by_n_array(self, eig, t):
+        model = self.MODEL
+        peak = _peak_bytes(lambda: averaging_operator(eig, 1e-3, model.K, model.n, t).eigenvalues)
+        assert peak < model.size**2 * 8 / 8
+
+    def test_pll_student_builds_no_n_by_n_array(self, eig):
+        model = self.MODEL
+        targets = pll_refine(random_one_hot(model, seed=1))
+        peak = _peak_bytes(lambda: pll_student(targets, eig, 1e-3, model.K, model.n))
+        assert peak < model.size**2 * 8 / 8
 
 
 def eigen_form(Y0, eig, lam, K, n, t):
@@ -689,6 +732,21 @@ class TestOutputMatrixIO:
         loaded = OutputMatrix.from_csv(path)
         np.testing.assert_allclose(loaded.columns, m.columns, atol=1e-12)
         assert loaded.round == 0
+
+    @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
+    def test_writes_the_bytes_of_a_per_value_writer(self, tmp_path, name):
+        model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["III"]
+        m = trajectory(random_one_hot(model), eigensystem(model), 1e-3, model.K, model.n, 2)[2]
+        distinct = np.unique(m.columns).size
+        # every value distinct when perturbed; repeated per cell otherwise
+        assert (distinct == m.columns.size) == (name == "perturbed")
+        path = tmp_path / "outputs.csv"
+        m.to_csv(path)
+        lines = ["round,sample_index,class_index,value"] + [
+            f"2,{i},{k + 1},{fmt(float(m.columns[k, i]))}"
+            for i in range(m.num_samples) for k in range(m.K)
+        ]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_round0_must_be_one_hot(self):
         with pytest.raises(ValidationError):
