@@ -7,6 +7,12 @@ used throughout the package, exposes their eigensystems in closed form,
 provides a dense symmetric fallback for perturbed or empirical matrices,
 and computes per-relation correlation statistics from raw feature matrices.
 
+Every unperturbed model is described by its ``K x K`` class-level Gram
+``B`` (:attr:`GramModel.class_gram`): the realized matrix, the cell Gram
+and the class-constant eigenpairs (those of ``n B + diag(1 - omega)``) are
+all read from it.  The rest of the spectrum is the within-class bulk
+``1 - omega_k``.
+
 Correlation cases
 -----------------
 I    constant intra-class correlation ``c``, zero across classes
@@ -18,7 +24,6 @@ V    as IV plus constant inter-superclass correlation ``e``
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import warnings
@@ -156,6 +161,18 @@ class GramModel:
             raise ValidationError("K and n must be positive")
         if self.perturbation_amplitude < 0:
             raise ValidationError("perturbation amplitude must be >= 0")
+        case = self.case.value
+        if self.case in (GramCase.IV, GramCase.V):
+            if self.superclass_map is None:
+                raise ValidationError(f"case {case} requires a superclass map")
+            if self.superclass_map.num_classes != self.K:
+                raise ValidationError("superclass map size does not match K")
+        elif self.superclass_map is not None:
+            raise ValidationError(f"case {case} has a single superclass: "
+                                  "drop superclass_sizes or use case IV or V")
+        if self.case in (GramCase.I, GramCase.II) and (self.d != 0.0 or self.e != 0.0):
+            raise ValidationError(f"case {case} has no inter-class correlations: "
+                                  "set gram.d and gram.e to 0")
         if self.case is GramCase.II:
             omega = np.asarray(self.c, dtype=float)
             if omega.shape != (self.K,):
@@ -169,27 +186,14 @@ class GramModel:
         c = float(self.c)  # type: ignore[arg-type]
         if not 0.0 <= c < 1.0:
             raise ValidationError("intra-class correlation must satisfy 0 <= c < 1")
-        if self.case is GramCase.I:
-            if self.d != 0.0 or self.e != 0.0:
-                raise ValidationError("case I has no inter-class correlations")
-        elif self.case is GramCase.III:
+        if self.case in (GramCase.III, GramCase.IV):
             if not c > self.d >= 0.0:
-                raise ValidationError("case III requires 1 > c > d >= 0")
+                raise ValidationError(f"case {case} requires 1 > c > d >= 0")
             if self.e != 0.0:
-                raise ValidationError("case III has no inter-superclass correlation")
-        elif self.case in (GramCase.IV, GramCase.V):
-            if self.superclass_map is None:
-                raise ValidationError(f"case {self.case.value} requires a superclass map")
-            if self.superclass_map.num_classes != self.K:
-                raise ValidationError("superclass map size does not match K")
-            if self.case is GramCase.IV:
-                if not c > self.d >= 0.0:
-                    raise ValidationError("case IV requires 1 > c > d >= 0")
-                if self.e != 0.0:
-                    raise ValidationError("case IV has zero inter-superclass correlation")
-            else:
-                if not c > self.d >= self.e >= 0.0:
-                    raise ValidationError("case V requires 1 > c > d >= e >= 0")
+                raise ValidationError(f"case {case} has no inter-superclass correlation: "
+                                      "set gram.e to 0")
+        elif self.case is GramCase.V and not c > self.d >= self.e >= 0.0:
+            raise ValidationError("case V requires 1 > c > d >= e >= 0")
 
     @property
     def size(self) -> int:
@@ -204,10 +208,19 @@ class GramModel:
 
     def effective_map(self) -> SuperclassMap:
         """The superclass map in force (single superclass for cases I-III)."""
-        if self.case in (GramCase.IV, GramCase.V):
-            assert self.superclass_map is not None
-            return self.superclass_map
-        return SuperclassMap.trivial(self.K)
+        return self.superclass_map or SuperclassMap.trivial(self.K)
+
+    @property
+    def class_gram(self) -> np.ndarray:
+        """The ``K x K`` class-level Gram ``B``: ``omega`` on the diagonal,
+        ``d`` between two classes of one superclass and ``e`` across
+        superclasses (zero off the diagonal in cases I and II).  A sample of
+        class ``k`` correlates ``B[k, k']`` with every other sample of class
+        ``k'``."""
+        sup = np.asarray(self.effective_map().assignments)
+        gram = np.where(sup[:, None] == sup, float(self.d), float(self.e))
+        np.fill_diagonal(gram, self.omega)
+        return gram
 
     def class_of_sample(self) -> np.ndarray:
         """True class (1-based) of each of the ``Kn`` canonical samples."""
@@ -219,9 +232,9 @@ class EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues descending.
 
     ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``; both
-    arrays are read-only.  Eigenpairs with exactly equal values keep the
-    order in which they were constructed (family by family for the analytic
-    form, the solver's order for the dense one).  Every consumer forms
+    arrays are read-only.  Within a repeated value the basis is arbitrary
+    (:func:`analytic_eigensystem` and :func:`numeric_eigensystem` say which
+    they give).  Every consumer forms
     ``V f(values) V^T`` or ``(Y V) f(values) V^T``, so a column's sign is
     free: negation is exact and leaves those products bit for bit unchanged.
     """
@@ -260,24 +273,12 @@ def build_gram(model: GramModel) -> np.ndarray:
     """Realize the structured Gram matrix for ``model``.
 
     Samples are in canonical order (sorted by true class, classes sorted by
-    superclass).  The entry for samples ``i != j`` is the correlation implied
-    by their class relation; the diagonal is exactly 1 before perturbation.
+    superclass).  The entry for samples ``i != j`` is the
+    :attr:`GramModel.class_gram` entry of their classes; the diagonal is
+    exactly 1 before perturbation.
     """
-    K, n = model.K, model.n
     labels = model.class_of_sample() - 1
-    omega = model.omega
-    if model.case in (GramCase.I, GramCase.II):
-        gram = np.zeros((K * n, K * n))
-    elif model.case is GramCase.III:
-        gram = np.full((K * n, K * n), float(model.d))
-    else:
-        smap = model.effective_map()
-        sup = np.asarray(smap.assignments)[labels]
-        gram = np.full((K * n, K * n), float(model.e))
-        gram[sup[:, None] == sup[None, :]] = float(model.d)
-    same_class = labels[:, None] == labels[None, :]
-    row_omega = np.broadcast_to(omega[labels][:, None], gram.shape)
-    gram[same_class] = row_omega[same_class]
+    gram = model.class_gram[np.ix_(labels, labels)]
     np.fill_diagonal(gram, 1.0)
     if model.perturbation_amplitude > 0.0:
         rng = np.random.default_rng(model.seed)
@@ -305,9 +306,9 @@ class CellGram(NamedTuple):
 def cell_gram(model: GramModel, assignment) -> CellGram:
     """The :class:`CellGram` of the cells a label assignment realises.
 
-    With ``B`` the class-level Gram (``n = 1``, diagonal ``omega``), a
-    sample of class ``k`` sees ``1 - omega_k`` from itself and ``B[k', k]``
-    from each sample of class ``k'``.
+    With ``B`` the :attr:`GramModel.class_gram`, a sample of class ``k``
+    sees ``1 - omega_k`` from itself and ``B[k', k]`` from each sample of
+    class ``k'``.
     """
     if model.perturbation_amplitude != 0.0:
         raise ValidationError("cell Gram matrices are only defined for unperturbed models")
@@ -317,9 +318,8 @@ def cell_gram(model: GramModel, assignment) -> CellGram:
     pairs = (assignment.true_labels - 1) * K + assignment.given_labels - 1
     codes, sample_cell, weights = np.unique(pairs, return_inverse=True, return_counts=True)
     true = codes // K
-    B = build_gram(dataclasses.replace(model, n=1))
-    np.fill_diagonal(B, omega)
-    matrix = weights[:, None] * B[np.ix_(true, true)] + np.diag(1.0 - omega[true])
+    matrix = (weights[:, None] * model.class_gram[np.ix_(true, true)]
+              + np.diag(1.0 - omega[true]))
     return CellGram(np.column_stack([true, codes % K]) + 1, weights.astype(float),
                     sample_cell, matrix)
 
@@ -338,65 +338,39 @@ def _helmert_vectors(m: int) -> np.ndarray:
 
 
 def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray]:
-    """The ``K`` eigenpairs that are constant on each class.
+    """The ``K`` eigenpairs that are constant on each class, values descending.
 
-    Returns their eigenvalues and a ``K x K`` matrix whose column ``j``
-    holds the class-space coefficients of eigenvector ``j`` (lifted to
-    samples by repeating ``coeff_k / sqrt(n)`` over class ``k``), in
-    construction order: superclass directions, then per superclass the
-    Helmert contrasts between its classes.  With the bulk value
+    On the normalised class indicators the Gram acts as the ``K x K``
+    matrix ``n B + diag(1 - omega)`` (``B`` the
+    :attr:`GramModel.class_gram`), so its eigenpairs are these.  Returns
+    the eigenvalues and a ``K x K`` matrix whose column ``j`` holds the
+    class-space coefficients of eigenvector ``j`` (lifted to samples by
+    repeating ``coeff_k / sqrt(n)`` over class ``k``).  With the bulk value
     ``1 - omega_k`` (multiplicity ``n - 1`` per class) they are the whole
-    spectrum of an unperturbed model.
+    spectrum of an unperturbed model.  The values equal the family formulas
+    (:class:`~distillab.noise_theory.TheoryConstants`) only to rounding, and
+    within a repeated value the basis is the solver's.
     """
-    K, n = model.K, model.n
-    omega = model.omega
-    if model.case in (GramCase.I, GramCase.II):
-        return n * omega + 1.0 - omega, np.eye(K)
-    c = float(model.c)  # type: ignore[arg-type]
-    a_class = n * (c - model.d) + 1.0 - c
-    smap = model.effective_map()
-    sizes = np.asarray(smap.sizes)
-    r = sizes.size
-    sup = np.asarray(smap.assignments) - 1
-    if model.case is GramCase.V and model.e > 0.0:
-        # Superclass directions couple through e: diagonalise the R x R core
-        # acting on normalised superclass indicators.
-        core = np.diag(a_class + n * (model.d - model.e) * sizes)
-        core += n * model.e * np.sqrt(np.outer(sizes, sizes))
-        values, core_vecs = np.linalg.eigh(core)
-        coeffs = core_vecs[sup] / np.sqrt(sizes)[sup, None]
-    else:
-        values = sizes * n * model.d + a_class
-        coeffs = np.where(sup[:, None] == np.arange(r), 1.0 / np.sqrt(sizes), 0.0)
-    contrasts = np.zeros((K, K - r))
-    row = col = 0
-    for k_s in sizes.tolist():
-        contrasts[row:row + k_s, col:col + k_s - 1] = _helmert_vectors(k_s)
-        row, col = row + k_s, col + k_s - 1
-    return np.concatenate([values, np.full(K - r, a_class)]), np.hstack([coeffs, contrasts])
+    head = model.n * model.class_gram + np.diag(1.0 - model.omega)
+    values, coeffs = np.linalg.eigh(head)
+    return values[::-1], coeffs[:, ::-1]
 
 
 def analytic_eigensystem(model: GramModel) -> EigenSystem:
     """Closed-form eigensystem of an unperturbed structured Gram matrix.
 
-    Eigenvalues come in at most three families:
+    The spectrum splits into the ``K`` class-constant eigenpairs of
+    :func:`_head_columns` and the bulk: ``n - 1`` contrasts within each class ``k``, eigenvalue
+    ``1 - omega_k``, spanned by that class's Helmert vectors.  For cases
+    III-V the head holds one value per superclass and ``n(c-d) + (1-c)``
+    for the ``K - R`` class contrasts, equal to those formulas only to
+    rounding.  Perturbed models are rejected; use
+    :func:`numeric_eigensystem` on the realized matrix instead.
 
-    * superclass - one per superclass; ``K_s * n * d + n(c-d) + (1-c)``
-      for case IV (case V couples the superclass directions through ``e``
-      and diagonalises an ``R x R`` core instead);
-    * class - contrasts between classes, ``n(c-d) + (1-c)``;
-    * bulk - contrasts within a class, ``1-c``.
-
-    Cases I and II have no superclass family and per-class eigenvalues.
-    Perturbed models are rejected; use :func:`numeric_eigensystem` on the
-    realized matrix instead.
-
-    The eigenpairs are constructed in a fixed order (the ``K`` class-constant
-    columns of :func:`_head_columns`, then class by class the ``n-1``
-    within-class Helmert contrasts) and sorted by a stable descending sort
-    of the values alone; each column is written once, straight into its
-    sorted position of one zeroed ``N x N`` array (column-major, so every
-    column is one contiguous block).
+    The pairs are sorted by a stable descending sort of the values (head
+    first, then class by class the bulk); each column is written once,
+    straight into its sorted position of one zeroed ``N x N`` array
+    (column-major, so every column is one contiguous block).
     """
     if model.perturbation_amplitude != 0.0:
         raise ValidationError(
@@ -415,8 +389,8 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
     if n > 1:
         basis = _helmert_vectors(n)
         for k in range(K):
-            # one class's contrasts share a value and are consecutive in
-            # construction order, so the stable sort keeps them adjacent
+            # one class's contrasts share a value and are adjacent in
+            # ``values``, so the stable sort keeps them adjacent
             start = position[K + k * (n - 1)]
             vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
     return EigenSystem(values=values[order], vectors=vectors)

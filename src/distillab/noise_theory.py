@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
 from .errors import NumericalError, ValidationError
-from .gram_models import GramCase, GramModel, SuperclassMap
+from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
 
 __all__ = [
     "CorruptionMatrix",
@@ -370,12 +370,13 @@ class TheoryConstants:
 
 
 def _check_lam(model: GramModel, lam: float) -> None:
-    """Reject a ``lam`` at which the eigen-ratios of ``model``'s structured
-    Gram round to 1 (too small) or its bulk ratio rounds to 0 (too large)."""
+    """Reject a ``lam`` at which the largest eigen-ratio of ``model``'s
+    structured Gram rounds to 1 (too small) or its smallest bulk ratio
+    rounds to 0 (too large)."""
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
     K, n = model.K, model.n
-    a_top = float(np.max(1.0 - model.omega + n * (model.omega - model.d)))  # q's, q >= p
+    a_top = float(_head_columns(model)[0].max())
     if eigen_ratio(a_top, lam, K, n) == 1.0:
         raise ValidationError(f"lam={lam:g} is too small for K={K}, n={n}: the eigen-ratios "
                               f"round to 1; they need lam >= {math.ulp(a_top) / (K * K * n):.3g}")

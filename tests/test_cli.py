@@ -22,7 +22,8 @@ from distillab import (
 from distillab import oracle
 from distillab.cli import main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
-from distillab.noise_theory import make_corruption, sd_accuracy_condition, theory_constants
+from distillab.noise_theory import (eigen_ratio, make_corruption, sd_accuracy_condition,
+                                    theory_constants)
 
 
 def write_config(tmp_path, **overrides):
@@ -359,6 +360,36 @@ class TestTheoryCommand:
         assert theory_constants(model, smallest).q < 1.0
         with pytest.raises(ValidationError, match="too small"):
             theory_constants(model, 0.4 * smallest)
+
+
+    @pytest.mark.parametrize("command", ["theory", "trajectory", "phase"])
+    def test_lam_is_checked_on_the_largest_eigen_ratio(self, tmp_path, capsys, command):
+        # at 2.6e-18 the class-contrast ratio q is still below 1, but the
+        # ratio of the top (global mean) eigenvalue 9 rounds to 1
+        gram = {"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1}
+        assert eigen_ratio(12 * 0.3 + 0.6, 2.6e-18, 4, 12) < 1.0
+        cfg = write_config(tmp_path, gram=gram, lam=2.6e-18, t_max=1)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "lam=2.6e-18 is too small" in err
+        assert "they need lam >= 9.25e-18" in err
+
+    @pytest.mark.parametrize("gram,corruption,fix", [
+        ({"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1, "superclass_sizes": [2, 2]},
+         {"kind": "superclass", "eta": 0.5}, "drop superclass_sizes or use case IV or V"),
+        ({"case": "I", "K": 4, "n": 12, "c": 0.4, "d": 0.0, "superclass_sizes": [2, 2]},
+         {"kind": "symmetric", "eta": 0.5}, "drop superclass_sizes or use case IV or V"),
+        ({"case": "II", "K": 3, "n": 12, "c": [0.3, 0.5, 0.7], "d": 0.3, "e": 0.2},
+         {"kind": "symmetric", "eta": 0.5}, "set gram.d and gram.e to 0"),
+    ], ids=["III_superclasses", "I_superclasses", "II_inter_class"])
+    def test_settings_the_case_would_ignore_are_rejected(self, tmp_path, capsys, gram,
+                                                         corruption, fix):
+        cfg = write_config(tmp_path, gram=gram, corruption=corruption)
+        assert main(["theory", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"case {gram['case']} has" in err and fix in err
 
 
 class TestApproxErrorCommand:

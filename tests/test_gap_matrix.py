@@ -246,7 +246,7 @@ def draw_case(K, kind, seed, infinite):
         C = CorruptionMatrix(m)
     R = smap.num_superclasses
     if infinite:
-        c, d, lam = 0.4, 0.399, 1e-16 / (K * K * 10)
+        c, d, lam = 0.4, 0.399, 2e-15 / (K * K * 10)
     else:
         c, d, lam = 0.4, float(rng.uniform(0.0, 0.35)), float(10.0 ** rng.uniform(-6, 1))
     model = GramModel(case=GramCase.III if R == 1 else GramCase.IV, K=K, n=10, c=c, d=d,

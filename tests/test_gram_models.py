@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import embed_gram
 from distillab import (
@@ -18,6 +20,7 @@ from distillab import (
     load_superclass_map,
     numeric_eigensystem,
 )
+from distillab.gram_models import _head_columns
 
 
 def model_case(case, K, n, c, d=0.0, e=0.0, sizes=None, amp=0.0, seed=0):
@@ -112,6 +115,16 @@ class TestBuildGram:
         # the seeded upper-triangular draw, mirrored: (G0 + U) + U^T
         upper = np.triu(np.random.default_rng(7).uniform(-0.05, 0.05, size=(12, 12)), k=1)
         assert np.array_equal(g1, g0 + upper + upper.T)
+
+    def test_unperturbed_peak_memory_is_one_gram_matrix(self):
+        model = model_case(GramCase.V, K=6, n=200, c=0.4, d=0.15, e=0.05, sizes=(3, 3))
+        tracemalloc.start()
+        try:
+            build_gram(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * model.size**2 * 8
 
 
 class TestAnalyticEigensystem:
@@ -214,10 +227,36 @@ class TestNumericEigensystem:
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
 
+def reference_class_gram(model):
+    """The class-level Gram written entry by entry from the case rules:
+    ``omega`` on the diagonal, ``d`` within a superclass, ``e`` across."""
+    sup = model.effective_map().assignments
+    B = np.zeros((model.K, model.K))
+    for k in range(model.K):
+        for kp in range(model.K):
+            if k == kp:
+                B[k, kp] = model.omega[k]
+            elif model.case not in (GramCase.I, GramCase.II):
+                B[k, kp] = model.d if sup[k] == sup[kp] else model.e
+    return B
+
+
+def loop_gram(model):
+    """The unperturbed Gram matrix written entry by entry."""
+    n, B = model.n, reference_class_gram(model)
+    gram = np.empty((model.size, model.size))
+    for i in range(model.size):
+        for j in range(model.size):
+            gram[i, j] = 1.0 if i == j else B[i // n, j // n]
+    return gram
+
+
 def put_then_sort_eigensystem(model):
-    """Reference closed form: every eigencolumn written into construction
-    order, then the whole eigenvector matrix reordered by a stable
-    descending sort of the values."""
+    """Reference closed form: the class-constant pairs from ``eigh`` of
+    ``n B + diag(1 - omega)`` (``B`` written entry by entry from the case
+    rules), then class by class the within-class Helmert contrasts, every
+    eigencolumn written into that order, then the whole eigenvector matrix
+    reordered by a stable descending sort of the values."""
     K, n, size = model.K, model.n, model.size
 
     def helmert(m):
@@ -228,51 +267,12 @@ def put_then_sort_eigensystem(model):
             out[j, j - 1] = -j / norm
         return out
 
-    values, columns = [], []
-
-    def put(value, coeff):
-        values.append(value)
-        columns.append(np.repeat(coeff / math.sqrt(n), n))
-
     omega = model.omega
-    if model.case in (GramCase.I, GramCase.II):
-        for k in range(K):
-            put(n * omega[k] + 1.0 - omega[k], np.eye(K)[k])
-    else:
-        c = float(model.c)
-        a_class = n * (c - model.d) + 1.0 - c
-        smap = model.effective_map()
-        sizes = smap.sizes
-        r = smap.num_superclasses
-        if model.case is GramCase.V and model.e > 0.0:
-            core = np.zeros((r, r))
-            for i in range(r):
-                core[i, i] = a_class + n * (model.d - model.e) * sizes[i]
-                for j in range(r):
-                    core[i, j] += n * model.e * math.sqrt(sizes[i] * sizes[j])
-            core_vals, core_vecs = np.linalg.eigh(core)
-            for m in range(r):
-                coeff = np.zeros(K)
-                for s in range(r):
-                    for k in smap.classes_of(s + 1):
-                        coeff[k - 1] = core_vecs[s, m] / math.sqrt(sizes[s])
-                put(core_vals[m], coeff)
-        else:
-            for s in range(1, r + 1):
-                coeff = np.zeros(K)
-                for k in smap.classes_of(s):
-                    coeff[k - 1] = 1.0 / math.sqrt(sizes[s - 1])
-                put(sizes[s - 1] * n * model.d + a_class, coeff)
-        for s in range(1, r + 1):
-            classes = smap.classes_of(s)
-            if len(classes) < 2:
-                continue
-            basis = helmert(len(classes))
-            for jcol in range(basis.shape[1]):
-                coeff = np.zeros(K)
-                for pos, k in enumerate(classes):
-                    coeff[k - 1] = basis[pos, jcol]
-                put(a_class, coeff)
+    head_vals, head_vecs = np.linalg.eigh(n * reference_class_gram(model) + np.diag(1.0 - omega))
+    values, columns = [], []
+    for j in reversed(range(K)):
+        values.append(head_vals[j])
+        columns.append(np.repeat(head_vecs[:, j] / math.sqrt(n), n))
     vectors = np.zeros((size, size))
     vectors[:, :len(columns)] = np.array(columns).T
     col = len(columns)
@@ -341,6 +341,60 @@ class TestEigensystemLayout:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * model.size**2 * 8
+
+
+@st.composite
+def unperturbed_models(draw):
+    """Any unperturbed model: every case, unequal superclass sizes, e > 0."""
+    case = draw(st.sampled_from(list(GramCase)))
+    n = draw(st.integers(1, 12))
+    if case is GramCase.II:
+        K = draw(st.integers(1, 6))
+        omega = draw(st.lists(st.floats(0.01, 0.95), min_size=K, max_size=K))
+        return GramModel(case=case, K=K, n=n, c=tuple(omega))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    c = draw(st.floats(0.0 if case is GramCase.I else 0.01, 0.95))
+    d = 0.0 if case is GramCase.I else c * draw(st.floats(0.0, 0.99))
+    e = d * draw(st.floats(0.0, 1.0)) if case is GramCase.V else 0.0
+    if case in (GramCase.IV, GramCase.V):
+        return model_case(case, K=sum(sizes), n=n, c=c, d=d, e=e, sizes=sizes)
+    return model_case(case, K=sum(sizes), n=n, c=c, d=d)
+
+
+def family_values(model):
+    """The class-constant eigenvalues by the family formulas."""
+    K, n, omega = model.K, model.n, model.omega
+    if model.case in (GramCase.I, GramCase.II):
+        return n * omega + 1.0 - omega
+    c, d, e = float(model.c), model.d, model.e
+    a_class = n * (c - d) + 1.0 - c
+    sizes = np.asarray(model.effective_map().sizes, dtype=float)
+    if model.case is GramCase.V:
+        core = np.diag(a_class + n * (d - e) * sizes) + n * e * np.sqrt(np.outer(sizes, sizes))
+        top = np.linalg.eigvalsh(core)
+    else:
+        top = sizes * n * d + a_class
+    return np.concatenate([top, np.full(K - sizes.size, a_class)])
+
+
+class TestClassGram:
+    @given(model=unperturbed_models())
+    @settings(max_examples=200, deadline=None)
+    def test_head_columns_are_the_family_eigenpairs(self, model):
+        values, coeffs = _head_columns(model)
+        assert np.all(np.diff(values) <= 0.0)
+        np.testing.assert_allclose(values, np.sort(family_values(model))[::-1],
+                                   rtol=1e-12, atol=0)
+        head = model.n * reference_class_gram(model) + np.diag(1.0 - model.omega)
+        np.testing.assert_allclose((coeffs * values) @ coeffs.T, head,
+                                   rtol=0, atol=1e-12 * np.abs(head).max())
+        np.testing.assert_allclose(coeffs.T @ coeffs, np.eye(model.K), rtol=0, atol=1e-12)
+
+    @given(model=unperturbed_models())
+    @settings(max_examples=100, deadline=None)
+    def test_build_gram_matches_the_entry_loop(self, model):
+        assert np.array_equal(build_gram(model), loop_gram(model))
+        assert np.array_equal(model.class_gram, reference_class_gram(model))
 
 
 class TestGramStatistics:
