@@ -12,9 +12,9 @@ Subcommands::
 one :func:`~distillab.oracle.run_rounds` call per run or sweep point.  It
 checks ``lam`` and realises the corruption before any file is written;
 ``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
-two reject it.  All numeric CSV output uses 12 significant digits and is
-byte-reproducible for a fixed configuration and seed.  Exit codes: 0
-success, 1 invalid input, 2 numerical failure.
+two reject it.  Every command runs on all five Gram cases.  CSV numbers have
+12 significant digits and are byte-reproducible for a fixed configuration
+and seed.  Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -215,19 +215,24 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
     return path
 
 
+def _per_class(values: np.ndarray):
+    """One number when every class shares it, else the per-class list."""
+    values = values.tolist()
+    return values[0] if len(set(values)) == 1 else values
+
+
 def cmd_theory(config: ExperimentConfig) -> str:
     """JSON report: constants, thresholds, verdicts, per-pair gaps."""
     model = config.gram_model()
     C = config.corruption_matrix()
     tc = theory_constants(model, config.lam)
-    ratio = tc.qp_ratio()
     t_star = minimal_rounds(C, tc)
     sd = {}
     for t in range(1, config.t_max + 1):
         res = sd_accuracy_condition(C, tc, t)
         sd[str(t)] = {
             "achieves_100": res.achieves_100,
-            "threshold": res.threshold,
+            "threshold": _per_class(res.threshold),
             "failing_pairs": [list(p) for p in res.failing_pairs],
             "predicted_accuracy": predicted_population_accuracy(C, tc, t, "sd"),
         }
@@ -242,10 +247,10 @@ def cmd_theory(config: ExperimentConfig) -> str:
         "K": model.K,
         "n": model.n,
         "lam": config.lam,
-        "p": tc.p,
-        "q": tc.q,
-        "r": [float(x) for x in tc.r],
-        "q_over_p": ratio,
+        "p": _per_class(tc.p),
+        "q": _per_class(tc.q),
+        "r": None if tc.r is None else tc.r.tolist(),
+        "q_over_p": _per_class(tc.q / tc.p),
         "minimal_rounds": t_star if t_star is not None else "unreachable",
         "sd_conditions": sd,
         "pll": {

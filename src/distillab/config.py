@@ -28,7 +28,7 @@ class GramConfig:
     K: int = 4
     n: int = 100
     c: Any = 0.4
-    d: float = 0.1
+    d: Optional[float] = None  # omitted: 0 in cases I and II, else 0.1
     e: float = 0.0
     superclass_sizes: Optional[list[int]] = None
     perturbation_amplitude: float = 0.0
@@ -40,12 +40,13 @@ class GramConfig:
             else None
         )
         c = tuple(self.c) if isinstance(self.c, (list, tuple)) else self.c
+        d = (0.0 if self.case in ("I", "II") else 0.1) if self.d is None else self.d
         return GramModel(
             case=GramCase(self.case),
             K=self.K,
             n=n if n is not None else self.n,
             c=c,
-            d=self.d,
+            d=d,
             e=self.e,
             superclass_map=smap,
             perturbation_amplitude=self.perturbation_amplitude,

@@ -4,17 +4,17 @@ The corruption matrix ``C`` records, for each true class ``k``, the fraction
 of its ``n`` samples carrying each given label ``k'``.  Balanced datasets
 make ``C`` doubly stochastic.  Every eigen-ratio ``v / (K^2 n lam + v)`` of
 a Gram eigenvalue ``v`` is :func:`eigen_ratio`.  :class:`TheoryConstants`
-holds an unperturbed Gram model and ``lam`` and derives the scalar ratios
-from them (``p`` for the bulk eigenspace, ``q`` for class contrasts, ``r_s``
-per superclass); ``p`` and ``q`` set the round-``t`` threshold
-``1/((q/p)^t - 1)``.  Every verdict and prediction here is one boolean
-expression over the ``K x K`` gap matrix ``C[k,k] - C[k,k']`` and its
-off-diagonal mask (:func:`_gaps`): after ``t`` distillation rounds the gap of
-a mislabeled cell ``(k, k')`` must exceed the threshold for the cell to be
-classified correctly, while the one-round top-2 partial-label student only
-needs every gap to be positive.  Strict comparisons keep a ``TIE_TOL`` band;
-an infinite threshold needs no special case, since ``gap - inf`` is
-``-inf``.  The exact outputs of every cell, for all five Gram cases, come
+holds an unperturbed Gram model and ``lam`` and derives the ratios from
+them: ``p_k`` (bulk) and ``q_k`` (class contrasts) per class ``k``, one pair
+outside case II, and ``r_s`` per superclass; row ``k``'s round-``t``
+threshold is ``1/((q_k/p_k)^t - 1)``.  Every verdict and prediction here, in
+all five Gram cases, is one boolean expression over the ``K x K`` gap matrix
+``C[k,k] - C[k,k']`` and its off-diagonal mask (:func:`_gaps`): after ``t``
+distillation rounds the gap of a mislabeled cell ``(k, k')`` must exceed its
+row's threshold for the cell to be classified correctly, while the one-round
+top-2 partial-label student only needs every gap to be positive.  Strict
+comparisons keep a ``TIE_TOL`` band; an infinite threshold needs no special
+case, since ``gap - inf`` is ``-inf``.  The exact outputs of every cell come
 from :func:`distillab.distillation.cell_outputs`.
 """
 
@@ -306,14 +306,15 @@ class TheoryConstants:
     """Eigen-ratio constants of the label-averaging operator of ``model``.
 
     Only the unperturbed Gram model and ``lam`` are stored; every constant
-    is derived from them.  ``p`` (bulk, eigenvalue ``1 - c``), ``q`` (class
-    contrasts, ``n(c - d) + 1 - c``) and ``r[s-1]`` (superclass ``s``,
-    ``K_s n d`` above ``q``'s eigenvalue, taken at zero inter-superclass
-    correlation) are each :meth:`ratio` of the matching Gram eigenvalue, and
-    the phase conditions read them.  Per-class models (case II) have no
-    scalar constants, so all three are ``None``.  The exact per-cell outputs
-    (:func:`~distillab.distillation.cell_outputs`) take every eigen-ratio
-    from ``model``, coupled superclasses included.
+    is derived from them as the :meth:`ratio` of a Gram eigenvalue.  Class
+    ``k`` has its own read-only pair ``p[k-1]`` (bulk, eigenvalue
+    ``1 - omega_k``) and ``q[k-1]`` (class contrast,
+    ``1 - omega_k + n(omega_k - d)``); outside case II every class shares
+    one pair.  ``r[s-1]`` (superclass ``s``, ``K_s n d`` above ``q``'s
+    eigenvalue, taken at zero inter-superclass correlation) is ``None`` only
+    in case II, which has no superclass-constant eigenvector.  The exact
+    per-cell outputs (:func:`~distillab.distillation.cell_outputs`) take
+    every eigen-ratio from ``model``, coupled superclasses included.
     """
 
     model: GramModel
@@ -323,50 +324,43 @@ class TheoryConstants:
         """:func:`eigen_ratio` of Gram eigenvalue(s) ``values`` at this ``lam``."""
         return eigen_ratio(values, self.lam, self.model.K, self.model.n)
 
-    @property
-    def scalar(self) -> bool:
-        return self.model.case is not GramCase.II
-
-    def _bulk_and_class_eigenvalues(self) -> tuple[float, float]:
-        c = float(self.model.c)  # type: ignore[arg-type]
-        return 1.0 - c, 1.0 - c + self.model.n * (c - self.model.d)
+    def _contrast_eigenvalues(self) -> np.ndarray:
+        omega = self.model.omega
+        return 1.0 - omega + self.model.n * (omega - self.model.d)
 
     @property
-    def p(self) -> Optional[float]:
-        return self.ratio(self._bulk_and_class_eigenvalues()[0]) if self.scalar else None
+    def p(self) -> np.ndarray:
+        return _read_only(self.ratio(1.0 - self.model.omega))
 
     @property
-    def q(self) -> Optional[float]:
-        return self.ratio(self._bulk_and_class_eigenvalues()[1]) if self.scalar else None
+    def q(self) -> np.ndarray:
+        return _read_only(self.ratio(self._contrast_eigenvalues()))
 
     @property
     def r(self) -> Optional[np.ndarray]:
-        if not self.scalar:
+        if self.model.case is GramCase.II:
             return None
-        a_q, n, d = self._bulk_and_class_eigenvalues()[1], self.model.n, self.model.d
-        r = np.array([self.ratio(a_q + ks * n * d) for ks in self.model.effective_map().sizes])
-        r.flags.writeable = False
-        return r
+        sizes = np.asarray(self.model.effective_map().sizes)
+        return _read_only(self.ratio(self._contrast_eigenvalues()[0]
+                                     + sizes * self.model.n * self.model.d))
 
-    def _require_scalar(self):
-        if not self.scalar:
-            raise ValidationError(
-                "this operation needs scalar p/q constants; per-class intra-class "
-                "correlations yield one ratio pair per class instead"
-            )
-
-    def qp_ratio(self) -> float:
-        self._require_scalar()
-        return self.q / self.p  # type: ignore[operator]
-
-    def threshold(self, t: int) -> float:
-        """Phase boundary ``1 / ((q/p)^t - 1)``; infinite when ``q == p``."""
+    def threshold(self, t: int) -> np.ndarray:
+        """Phase boundary ``1 / ((q_k/p_k)^t - 1)`` per class; inf where ``q_k <= p_k``."""
         if t < 0:
             raise ValidationError("round index must be >= 0")
-        ratio_t = self.qp_ratio() ** t
-        if ratio_t <= 1.0:
-            return math.inf
-        return 1.0 / (ratio_t - 1.0)
+        # libm's pow per class: numpy's vector pow can differ in the last bit
+        return _threshold(np.array([x ** t for x in (self.q / self.p).tolist()]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _threshold(ratio_t: np.ndarray) -> np.ndarray:
+    """``1 / (ratio_t - 1)`` per class, infinite where ``ratio_t <= 1``."""
+    over = ratio_t - 1.0
+    return np.divide(1.0, over, out=np.full_like(over, math.inf), where=over > 0.0)
 
 
 def _check_lam(model: GramModel, lam: float) -> None:
@@ -419,11 +413,11 @@ def evolving_constants(
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """Outcome of a 100%-population-accuracy test."""
+    """Outcome of a 100%-population-accuracy test, with one threshold per class."""
 
     achieves_100: bool
     failing_pairs: tuple[tuple[int, int], ...]
-    threshold: float
+    threshold: np.ndarray
 
 
 def _gaps(C: CorruptionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -436,11 +430,11 @@ def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(map(tuple, (np.argwhere(mask) + 1).tolist()))
 
 
-def _failing_cells(C: CorruptionMatrix, thr: float) -> tuple[tuple[int, int], ...]:
+def _failing_cells(C: CorruptionMatrix, thr: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Realized mislabeled cells ``(k, k')`` (1-based, with mass) whose gap
-    ``C[k,k] - C[k,k']`` does not strictly exceed ``thr``."""
+    ``C[k,k] - C[k,k']`` does not strictly exceed their row's ``thr[k-1]``."""
     gap, off = _gaps(C)
-    return _pairs(off & (C.entries > 0.0) & ~(gap - thr > TIE_TOL))
+    return _pairs(off & (C.entries > 0.0) & ~(gap - thr[:, None] > TIE_TOL))
 
 
 def _check_corruption(C: CorruptionMatrix, tc: TheoryConstants):
@@ -462,7 +456,7 @@ def sd_accuracy_condition(
     """Does the ``t``-th distilled model classify every realized sample?
 
     A mislabeled cell ``(k, k')`` with mass is classified correctly iff
-    ``C[k,k] > C[k,k'] + 1/((q/p)^t - 1)`` together with ``C[k,k]``
+    ``C[k,k] > C[k,k'] + 1/((q_k/p_k)^t - 1)`` together with ``C[k,k]``
     dominating every other row entry; clean cells need the same comparisons
     with the threshold on the favorable side.  Cells without mass impose no
     constraint, so the verdict is exactly "population accuracy equals 1".
@@ -480,25 +474,28 @@ def sd_accuracy_condition(
 def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
     """Smallest ``t`` at which the distilled model reaches 100% accuracy.
 
-    Returns ``None`` when some realized cell has a non-positive gap, which
-    no number of rounds can fix.  The closed-form candidate
-    ``floor(log(1 + 1/g') / log(q/p)) + 1`` for the smallest gap ``g`` less
-    the tie band, ``g' = g - TIE_TOL``, is verified by re-evaluating the
-    condition at ``t`` and ``t - 1`` and moved by single rounds until it is
-    the smallest ``t`` that holds.
+    Returns 1 when no mislabeled cell is realized, and ``None`` when a row
+    with one has a non-positive gap or ``q_k <= p_k`` (an infinite
+    threshold), which no number of rounds can fix.  Each such row ``k`` gives
+    the closed-form candidate ``floor(log(1 + 1/g') / log(q_k/p_k)) + 1`` for
+    its smallest gap ``g`` less the tie band, ``g' = g - TIE_TOL``; the
+    largest candidate is verified by re-evaluating the condition at ``t``
+    and ``t - 1`` and moved by single rounds until it is the smallest ``t``
+    that holds.
     """
-    tc._require_scalar()
-    ratio = tc.qp_ratio()
-    if ratio <= 1.0:
-        raise ValidationError("minimal rounds needs q > p (a positive class-contrast gap)")
     gap, off = _gaps(C)
-    gaps = gap[off & (C.entries > 0.0)]
-    if not gaps.size:
+    cells = off & (C.entries > 0.0)
+    rows = cells.any(axis=1)
+    if not rows.any():
         return 1
-    g = float(gaps.min())
-    if g <= TIE_TOL:
+    g = np.min(np.where(cells, gap, np.inf), axis=1)[rows]
+    if np.any(g <= TIE_TOL):
         return None
-    t = max(1, math.floor(math.log1p(1.0 / (g - TIE_TOL)) / math.log(ratio)) + 1)
+    ratio = (tc.q / tc.p)[rows]
+    if np.any(ratio <= 1.0):
+        return None
+    t = max(1, *(math.floor(math.log1p(1.0 / (g_k - TIE_TOL)) / math.log(r_k)) + 1
+                 for g_k, r_k in zip(g.tolist(), ratio.tolist())))
     for _ in range(MINIMAL_ROUNDS_STEPS):
         if not sd_accuracy_condition(C, tc, t).achieves_100:
             t += 1
@@ -518,7 +515,8 @@ def pll_accuracy_condition(C: CorruptionMatrix) -> ConditionResult:
     """
     gap, off = _gaps(C)
     failing = _pairs(off & ~(gap > TIE_TOL))
-    return ConditionResult(achieves_100=not failing, failing_pairs=failing, threshold=0.0)
+    return ConditionResult(achieves_100=not failing, failing_pairs=failing,
+                           threshold=np.zeros(C.K))
 
 
 def evolving_condition(
@@ -532,8 +530,8 @@ def evolving_condition(
 ) -> bool:
     """Accuracy condition when correlations evolve across rounds.
 
-    The fixed ratio power ``(q/p)^t`` becomes the product of per-round
-    ratios ``q_i / p_i`` over ``i = 1..t``.  Per-round superclass ratios
+    The fixed ratio power ``(q_k/p_k)^t`` becomes the product of per-round
+    ratios ``q_k,i / p_k,i`` over ``i = 1..t``.  Per-round superclass ratios
     are derived alongside but do not enter the condition.
     """
     if t < 1:
@@ -542,11 +540,8 @@ def evolving_condition(
         raise ValidationError(f"schedule has {len(schedule)} rounds, need at least {t}")
     rounds = evolving_constants(schedule, lam, K, n, superclass_map)
     _check_corruption(C, rounds[0])
-    prod = 1.0
-    for tc_i in rounds[:t]:
-        prod *= tc_i.qp_ratio()
-    thr = math.inf if prod <= 1.0 else 1.0 / (prod - 1.0)
-    return not _failing_cells(C, thr)
+    prod = np.prod([tc_i.q / tc_i.p for tc_i in rounds[:t]], axis=0)
+    return not _failing_cells(C, _threshold(prod))
 
 
 def predicted_population_accuracy(
@@ -558,12 +553,11 @@ def predicted_population_accuracy(
     exactly (``math.fsum``) and divided by ``K``; which cells count is one
     boolean expression over the gap matrix ``G = C[k,k] - C[k,k']``
     (comparisons strict beyond ``TIE_TOL``; cells ``(k, k')`` off the
-    diagonal count only with mass).  In ``sd`` mode, with the round-``t``
-    threshold ``thr``, the clean cell of class ``k`` is correct iff every
-    gap of its row exceeds ``-thr``, and a mislabeled cell ``(k, k')`` iff
-    ``G[k,k'] > thr`` and every gap of the row is positive (``thr >= 0``,
-    so its own already is).  In
-    ``pll`` mode the one-round top-2 student pairs each class with its
+    diagonal count only with mass).  In ``sd`` mode, with row ``k``'s
+    round-``t`` threshold ``thr``, the clean cell of class ``k`` is correct
+    iff every gap of its row exceeds ``-thr``, and a mislabeled cell
+    ``(k, k')`` iff ``G[k,k'] > thr`` and every gap of the row is positive
+    (``thr >= 0``, so its own already is).  In ``pll`` mode the one-round top-2 student pairs each class with its
     dominant wrong label ``k~`` (the masked row argmax, lowest index on
     ties): the cells ``(k, k)`` and ``(k, k~)`` are correct iff the top-2
     target mass ``C[k,k] + C[k,k~]`` stays below 1 (a tie otherwise), and
@@ -577,12 +571,11 @@ def predicted_population_accuracy(
     if mode == "sd":
         if t < 1:
             raise ValidationError("distillation round must be >= 1")
-        thr = tc.threshold(t)
+        thr = tc.threshold(t)[:, None]
         clean = np.all(~off | (gap + thr > TIE_TOL), axis=1)
         dominant = np.all(~off | (gap > TIE_TOL), axis=1)
         correct = np.where(off, (gap - thr > TIE_TOL) & dominant[:, None], clean[:, None])
     else:
-        tc._require_scalar()
         tilde = np.argmax(np.where(off, E, -np.inf), axis=1)
         pair = ~off
         pair[np.arange(C.K), tilde] = True

@@ -6,7 +6,8 @@ import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap
 from distillab.distillation import OutputMatrix, cell_outputs, pll_refine
-from distillab.noise_theory import TIE_TOL, CorruptionMatrix, theory_constants
+from distillab.noise_theory import (TIE_TOL, CorruptionMatrix, nearest_realizable,
+                                    theory_constants)
 
 
 def setup_a_model():
@@ -76,6 +77,19 @@ def random_block_confined(K, sizes, rng, diag_weight=None):
         block = random_doubly_stochastic(len(classes), rng, diag_weight).entries
         m[np.ix_(classes, classes)] = block
     return CorruptionMatrix(m), smap
+
+
+def realizable_block_confined(model, rng):
+    """A :func:`random_block_confined` matrix for ``model``'s superclasses,
+    each block snapped to the ``n``-grid on its own (so the noise stays
+    confined), with diagonal weights from 0.1 to 0.95."""
+    smap = model.effective_map()
+    C, _ = random_block_confined(model.K, smap.sizes, rng, float(rng.uniform(0.1, 0.95)))
+    m = np.zeros((model.K, model.K))
+    for s in range(1, smap.num_superclasses + 1):
+        block = np.ix_(*[np.asarray(smap.classes_of(s)) - 1] * 2)
+        m[block] = nearest_realizable(CorruptionMatrix(C.entries[block]), model.n).entries
+    return CorruptionMatrix(m)
 
 
 def one_hot_cells(K):

@@ -1,6 +1,7 @@
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -74,6 +75,19 @@ class TestConfig:
         assert new.gram.c == 0.5
         assert new.lam == 1e-3
         assert new.modes == ("theory",)
+
+    @pytest.mark.parametrize("case,d", [("I", 0.0), ("II", 0.0), ("III", 0.1)])
+    def test_omitted_d_follows_the_case(self, tmp_path, case, d):
+        c = [0.3, 0.5, 0.7, 0.6] if case == "II" else 0.4
+        cfg = write_config(tmp_path, gram={"case": case, "K": 4, "n": 12, "c": c})
+        assert main(["theory", "--config", str(cfg)]) == 0
+        config = ExperimentConfig.load(cfg)
+        assert config.gram_model().d == d
+        assert ExperimentConfig.from_json(config.to_json()) == config
+
+    def test_default_config_is_setup_a(self):
+        model = ExperimentConfig().gram_model()
+        assert (model.case, model.K, model.c, model.d) == (GramCase.III, 4, 0.4, 0.1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
@@ -287,6 +301,20 @@ class TestPhaseCommand:
                         ["0.25", "1", "0.75", "0.75"], ["0.25", "2", "0.75", "0.75"],
                         ["0.5", "1", "0.5", "0.5"], ["0.5", "2", "0.5", "0.5"]]
 
+    def test_per_class_model_table(self, tmp_path):
+        # case II: one threshold per class, and the same top-2 rule as the
+        # scalar cases
+        cfg = write_config(tmp_path, gram={"case": "II", "K": 3, "n": 20, "c": [0.3, 0.5, 0.7]},
+                           lam=1e-3, sweep_parameter="eta", sweep_values=[0.0, 0.3, 0.6])
+        assert main(["phase", "--config", str(cfg)]) == 0
+        _, rows = read_csv_rows(tmp_path / "out" / "phase.csv")
+        assert len(rows) == 15
+        for eta, model, pred, emp in rows:
+            assert pred == emp, (eta, model)
+        table = {(r[0], r[1]): r[2] for r in rows}
+        assert [table[("0.3", str(t))] for t in range(1, 5)] == ["0.7", "0.7", "0.8", "0.9"]
+        assert [table[(eta, "PLL")] for eta in ("0", "0.3", "0.6")] == ["0", "1", "1"]
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial_cfg = write_config(
             tmp_path,
@@ -308,7 +336,56 @@ class TestPhaseCommand:
         )
 
 
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+# the scalar Gram cases at eta = 0.5; tests/data/theory_<name>.json is each
+# one's report, written by the scalar p/q code these reports must not drift from
+THEORY_GOLDEN = {
+    "I": ({"case": "I", "K": 4, "n": 12, "c": 0.4, "d": 0.0}, "symmetric"),
+    "III": ({"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1}, "symmetric"),
+    "IV": ({"case": "IV", "K": 4, "n": 12, "c": 0.4, "d": 0.1, "superclass_sizes": [2, 2]},
+           "superclass"),
+    "V": ({"case": "V", "K": 6, "n": 12, "c": 0.4, "d": 0.1, "e": 0.05,
+           "superclass_sizes": [3, 3]}, "superclass"),
+}
+
+
 class TestTheoryCommand:
+    @pytest.mark.parametrize("name", sorted(THEORY_GOLDEN))
+    def test_scalar_case_report_is_byte_identical(self, tmp_path, name):
+        gram, kind = THEORY_GOLDEN[name]
+        cfg = write_config(tmp_path, gram=gram, corruption={"kind": kind, "eta": 0.5})
+        assert main(["theory", "--config", str(cfg)]) == 0
+        golden = os.path.join(DATA_DIR, f"theory_{name}.json")
+        assert (tmp_path / "out" / "theory.json").read_bytes() == open(golden, "rb").read()
+
+    def test_per_class_model_report(self, tmp_path):
+        omega = [0.3, 0.5, 0.7, 0.6]
+        cfg = write_config(tmp_path, gram={"case": "II", "K": 4, "n": 20, "c": omega},
+                           corruption={"kind": "symmetric", "eta": 0.25}, lam=1e-3)
+        assert main(["theory", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "theory.json").read_text())
+        tc = theory_constants(GramModel(case=GramCase.II, K=4, n=20, c=tuple(omega)), 1e-3)
+        assert report["p"] == tc.p.tolist() and report["q"] == tc.q.tolist()
+        assert report["q_over_p"] == (tc.q / tc.p).tolist()
+        assert report["r"] is None
+        for t, res in report["sd_conditions"].items():
+            assert res["threshold"] == tc.threshold(int(t)).tolist()
+        assert report["minimal_rounds"] == 3
+        assert report["sd_conditions"]["3"]["achieves_100"] is True
+        assert report["sd_conditions"]["2"]["achieves_100"] is False
+
+    @pytest.mark.parametrize("eta,t_star", [(0.0, 1), (0.5, "unreachable")])
+    def test_minimal_rounds_when_q_equals_p(self, tmp_path, eta, t_star):
+        # c = d = 0: every threshold is infinite
+        cfg = write_config(tmp_path, gram={"case": "I", "K": 3, "n": 12, "c": 0.0, "d": 0},
+                           corruption={"kind": "symmetric", "eta": eta}, lam=1e-3, t_max=2)
+        assert main(["theory", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "theory.json").read_text())
+        assert report["q_over_p"] == 1.0
+        assert report["minimal_rounds"] == t_star
+        assert report["sd_conditions"]["2"]["threshold"] == math.inf
+
     def test_reference_report(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -357,7 +434,7 @@ class TestTheoryCommand:
         assert "lam=1e-19 is too small" in err
         smallest = float(re.search(r"they need lam >= (\S+)", err).group(1))
         model = GramModel(case=GramCase.III, K=4, n=12, c=0.4, d=0.1)
-        assert theory_constants(model, smallest).q < 1.0
+        assert np.all(theory_constants(model, smallest).q < 1.0)
         with pytest.raises(ValidationError, match="too small"):
             theory_constants(model, 0.4 * smallest)
 
@@ -495,7 +572,7 @@ class TestIngestCommand:
 
         model = GramModel(case=GramCase.III, K=4, n=100, c=0.4, d=0.1)
         tc = theory_constants(model, lam)
-        assert tc.qp_ratio() == pytest.approx(2.0, abs=1e-12)
+        assert tc.q / tc.p == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible_target_returns_none(self):
         assert suggest_lambda(0.4, 0.4 - 1e-9, 4, 2, 2.0) is None

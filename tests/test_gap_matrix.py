@@ -39,10 +39,11 @@ def ref_strictly_exceeds(lhs, rhs):
 
 
 def ref_failing_cells(C, thr):
+    """``thr[k-1]`` is row ``k``'s threshold."""
     cells = [(k, kp) for k in range(1, C.K + 1) for kp in range(1, C.K + 1)
              if kp != k and C.entry(k, kp) > 0.0]
     return [(k, kp) for k, kp in cells
-            if not ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr)]
+            if not ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr[k - 1])]
 
 
 def ref_pll_failing(C):
@@ -55,25 +56,21 @@ def ref_pll_failing(C):
 
 
 def ref_minimal_rounds(C, tc):
-    ratio = tc.qp_ratio()
-    if ratio <= 1.0:
-        raise ValidationError("minimal rounds needs q > p (a positive class-contrast gap)")
-    gaps = [
-        C.entry(k, k) - C.entry(k, kp)
+    cells = [
+        (C.entry(k, k) - C.entry(k, kp), tc.q[k - 1] / tc.p[k - 1])
         for k in range(1, C.K + 1)
         for kp in range(1, C.K + 1)
         if kp != k and C.entry(k, kp) > 0.0
     ]
-    if not gaps:
+    if not cells:
         return 1
-    g = min(gaps)
-    if g <= TIE_TOL:
+    if min(g for g, _ in cells) <= TIE_TOL or min(r for _, r in cells) <= 1.0:
         return None
 
     def ok(t):
         return not ref_failing_cells(C, tc.threshold(t))
 
-    t = max(1, math.floor(math.log1p(1.0 / g) / math.log(ratio)) + 1)
+    t = max(1, *(math.floor(math.log1p(1.0 / g) / math.log(r)) + 1 for g, r in cells))
     while not ok(t):
         t += 1
         if t > 10_000:
@@ -96,7 +93,7 @@ def ref_predicted(C, tc, t, mode):
         thr = tc.threshold(t)
         for k in range(1, K + 1):
             clean_ok = all(
-                ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kp), -thr)
+                ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kp), -thr[k - 1])
                 for kp in range(1, K + 1)
                 if kp != k
             )
@@ -105,7 +102,8 @@ def ref_predicted(C, tc, t, mode):
             for kp in range(1, K + 1):
                 if kp == k or C.entry(k, kp) <= 0.0:
                     continue
-                noisy_ok = ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kp), thr) and all(
+                gap = C.entry(k, k) - C.entry(k, kp)
+                noisy_ok = ref_strictly_exceeds(gap, thr[k - 1]) and all(
                     ref_strictly_exceeds(C.entry(k, k) - C.entry(k, kpp), 0.0)
                     for kpp in range(1, K + 1)
                     if kpp not in (k, kp)
@@ -214,7 +212,7 @@ def draw_case(K, kind, seed, infinite):
     """A corruption matrix and matching constants.
 
     ``infinite`` takes ``lam`` small enough that ``q/p`` rounds to 1, so the
-    threshold of every round is infinite.
+    threshold of every round and class is infinite.
     """
     rng = np.random.default_rng(seed)
     smap = SuperclassMap.trivial(K)
@@ -252,7 +250,7 @@ def draw_case(K, kind, seed, infinite):
     model = GramModel(case=GramCase.III if R == 1 else GramCase.IV, K=K, n=10, c=c, d=d,
                       superclass_map=smap if R > 1 else None)
     tc = theory_constants(model, lam)
-    assert math.isinf(tc.threshold(1)) == infinite
+    assert np.all(np.isinf(tc.threshold(1))) == infinite
     return C, tc
 
 
@@ -261,7 +259,7 @@ def draw_case(K, kind, seed, infinite):
 @settings(max_examples=300, deadline=None)
 def test_verdicts_and_predictions_match_the_cell_loops(K, kind, seed, infinite):
     C, tc = draw_case(K, kind, seed, infinite)
-    for thr in {tc.threshold(t) for t in range(1, 7)} | {0.0, math.inf}:
+    for thr in [tc.threshold(t) for t in range(1, 7)] + [np.zeros(K), np.full(K, math.inf)]:
         assert _failing_cells(C, thr) == tuple(ref_failing_cells(C, thr))
     for t in range(1, 7):
         res = sd_accuracy_condition(C, tc, t)
@@ -275,13 +273,10 @@ def test_verdicts_and_predictions_match_the_cell_loops(K, kind, seed, infinite):
     assert pll.achieves_100 == (not ref_pll_failing(C))
     assert abs(predicted_population_accuracy(C, tc, 1, "pll")
                - ref_predicted(C, tc, 1, "pll")) <= 1e-14
+    # an infinite threshold: 1 with no mislabeled cell, else unreachable
+    assert minimal_rounds(C, tc) == ref_minimal_rounds(C, tc)
     if infinite:
-        with pytest.raises(ValidationError, match="q > p"):
-            minimal_rounds(C, tc)
-        with pytest.raises(ValidationError, match="q > p"):
-            ref_minimal_rounds(C, tc)
-    else:
-        assert minimal_rounds(C, tc) == ref_minimal_rounds(C, tc)
+        assert minimal_rounds(C, tc) == (None if ref_failing_cells(C, tc.threshold(1)) else 1)
 
 
 @given(K=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from _support import (
     CASE_MODELS,
     SETUP_A_LAMBDA,
+    cell_accuracy,
+    one_hot_cells,
     random_doubly_stochastic,
+    realizable_block_confined,
     setup_a_constants,
     setup_a_model,
 )
 from distillab import GramCase, GramModel, SuperclassMap, ValidationError, analytic_eigensystem
+from distillab.distillation import cell_outputs
 from distillab.noise_theory import (
     CorruptionMatrix,
     evolving_condition,
@@ -158,11 +162,12 @@ class TestTheoryConstants:
     def test_reference_setup_hand_arithmetic(self):
         tc = setup_a_constants()
         # K^2 n lam = 0.5; p = 0.6/1.1, q = 30.6/31.1, r = 70.6/71.1
+        assert tc.p.shape == tc.q.shape == (4,)
         assert tc.p == pytest.approx(0.6 / 1.1, abs=1e-15)
         assert tc.q == pytest.approx(30.6 / 31.1, abs=1e-15)
         assert tc.r.shape == (1,)
         assert tc.r[0] == pytest.approx(70.6 / 71.1, abs=1e-15)
-        assert tc.qp_ratio() == pytest.approx(1.803858, abs=1e-6)
+        assert tc.q / tc.p == pytest.approx(1.803858, abs=1e-6)
 
     def test_zero_class_correlation_collapses_q_to_p(self):
         model = GramModel(case=GramCase.I, K=4, n=50, c=0.0)
@@ -173,24 +178,34 @@ class TestTheoryConstants:
         smap = SuperclassMap((1, 1, 2, 2))
         model = GramModel(case=GramCase.IV, K=4, n=30, c=0.5, d=0.2, superclass_map=smap)
         tc = theory_constants(model, 1e-3)
-        assert 0 < tc.p < tc.q < tc.r.min() <= tc.r.max() < 1
+        assert 0 < tc.p.min() <= tc.p.max() < tc.q.min() <= tc.q.max() < tc.r.min()
+        assert tc.r.max() < 1
 
     def test_per_class_model_has_vector_constants(self):
-        model = GramModel(case=GramCase.II, K=3, n=10, c=(0.3, 0.5, 0.7))
+        omega = np.array([0.3, 0.5, 0.7])
+        model = GramModel(case=GramCase.II, K=3, n=10, c=tuple(omega))
         tc = theory_constants(model, 1e-3)
-        assert tc.p is None
-        assert tc.ratio(1 - model.omega).shape == (3,)
-        with pytest.raises(ValidationError):
-            tc.qp_ratio()
+        np.testing.assert_array_equal(tc.p, tc.ratio(1 - omega))
+        np.testing.assert_array_equal(tc.q, tc.ratio(1 - omega + 10 * omega))
+        assert len(set(tc.p.tolist())) == len(set(tc.q.tolist())) == 3
+        assert not tc.p.flags.writeable and not tc.q.flags.writeable
+        assert tc.r is None
+        for t in (1, 3):
+            expected = [1 / (x ** t - 1) for x in (tc.q / tc.p).tolist()]
+            assert tc.threshold(t).tolist() == expected
 
     @pytest.mark.parametrize("case", [*CASE_MODELS, "V e=0"])
     def test_derived_constants_are_the_family_eigen_ratios(self, case):
         model = CASE_MODELS.get(case) or dataclasses.replace(CASE_MODELS["V"], e=0.0)
         tc = theory_constants(model, 1e-3)
         if model.case is GramCase.II:
-            assert tc.p is None and tc.q is None and tc.r is None
-            with pytest.raises(ValidationError):
-                tc.qp_ratio()
+            # class k's bulk value 1 - omega_k and its head value
+            # 1 - omega_k + n omega_k, whose eigenvector is its indicator
+            values = analytic_eigensystem(model).values
+            np.testing.assert_allclose(np.sort(tc.q), np.sort(tc.ratio(values[:model.K])),
+                                       rtol=1e-15)
+            assert set(tc.p.tolist()) <= set(tc.ratio(values[model.K:]).tolist())
+            assert tc.r is None
             return
         # r is taken at zero inter-superclass correlation; the eigensystem's
         # family values agree to rounding, so group them within 1e-12
@@ -207,7 +222,8 @@ class TestTheoryConstants:
         assert tc.p == pytest.approx(tc.ratio(values[0]), rel=1e-15)
         assert tc.q == pytest.approx(tc.ratio(head[0]), rel=1e-15)
         np.testing.assert_allclose(np.sort(tc.r), tc.ratio(head[K - R:]), rtol=1e-15)
-        assert tc.qp_ratio() == tc.q / tc.p
+        # every class of a scalar case shares one pair
+        assert np.all(tc.p == tc.p[0]) and np.all(tc.q == tc.q[0])
 
     def test_rejects_lam_whose_ratios_round_to_zero(self):
         with pytest.raises(ValidationError, match="lam=1e\\+307 is too large"):
@@ -237,7 +253,7 @@ class TestSdCondition:
         res3 = sd_accuracy_condition(C, tc, 3)
         assert res3.achieves_100
         assert res3.threshold == pytest.approx(0.2053, abs=2e-4)
-        assert res3.threshold < 1 / 3
+        assert np.all(res3.threshold < 1 / 3)
 
     def test_rejects_cross_superclass_noise(self):
         smap = SuperclassMap((1, 1, 2, 2))
@@ -365,7 +381,7 @@ class TestEvolvingCondition:
                 tc_i = theory_constants(
                     GramModel(case=GramCase.III, K=K, n=n, c=c_i, d=d_i), lam
                 )
-                prod *= tc_i.qp_ratio()
+                prod *= tc_i.q[0] / tc_i.p[0]
             return prod
 
         assert ratio_product(rising) > ratio_product(flat)
@@ -387,6 +403,18 @@ class TestEvolvingCondition:
 
 
 class TestPredictedAccuracy:
+    @given(name=st.sampled_from(sorted(CASE_MODELS)), n=st.integers(5, 40),
+           log_lam=st.floats(-5.0, -2.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sd_rule_is_the_cell_engine_on_every_case(self, name, n, log_lam, seed):
+        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        tc = theory_constants(model, 10.0 ** log_lam)
+        C = realizable_block_confined(model, np.random.default_rng(seed))
+        for t in range(1, 6):
+            accuracy = cell_accuracy(cell_outputs(one_hot_cells(model.K), C, tc, t), C)
+            assert predicted_population_accuracy(C, tc, t, "sd") == accuracy, t
+            assert sd_accuracy_condition(C, tc, t).achieves_100 == (accuracy == 1.0), t
+
     def test_reference_phase_values(self):
         C = make_corruption("symmetric", 0.5, 4)
         tc = setup_a_constants()
