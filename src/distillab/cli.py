@@ -23,14 +23,14 @@ import argparse
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import fmt, fmt_all, write_csv
+from .csvio import fmt, fmt_all, index_runs, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -99,27 +99,27 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     emit("labels.csv", run.assignment.to_csv)
     for mat in run.closed:
         emit(f"outputs_round_{mat.round:03d}.csv", mat.to_csv)
-    labels = list(zip(run.assignment.true_labels.tolist(),
-                      run.assignment.given_labels.tolist()))
-    proj_rows = [["round", "sample_index", "true_label", "given_label", "x", "y"]
-                 + [f"y_{k}" for k in range(1, model.K + 1)]]
-    width = 2 + model.K
-    for t, mat in enumerate(run.closed):
-        # per sample: x, y, then the output column
-        table = np.column_stack([simplex_projection(mat.columns), mat.columns.T])
-        text = fmt_all(table)
-        proj_rows += [
-            (t, i, y, yhat, *text[i * width:(i + 1) * width])
-            for i, (y, yhat) in enumerate(labels)
-        ]
-    emit("projection.csv", lambda p: write_csv(p, proj_rows))
-    eig_rows = [["round", "index", "eigenvalue"]]
+    rounds, N = len(run.closed), run.assignment.true_labels.size
+    # per round and sample: x, y, then the output column
+    table = np.vstack([np.column_stack([simplex_projection(mat.columns), mat.columns.T])
+                       for mat in run.closed])
+    per_sample = [list(map(str, range(N))), list(map(str, run.assignment.true_labels.tolist())),
+                  list(map(str, run.assignment.given_labels.tolist()))]
+    emit("projection.csv", lambda p: write_csv(
+        p, ["round", "sample_index", "true_label", "given_label", "x", "y",
+            *(f"y_{k}" for k in range(1, model.K + 1))],
+        [index_runs(rounds, N), *(column * rounds for column in per_sample),
+         *fmt_all(table.T)]))
+    spectra = []
     for t in range(config.t_max + 1):
         values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
         # descending; equal values keep their order, as in sorted(reverse=True)
-        text = fmt_all(values[np.argsort(-values, kind="stable")])
-        eig_rows += zip(repeat(t), range(values.size), text)
-    emit("eigenvalues.csv", lambda p: write_csv(p, eig_rows))
+        spectra.append(values[np.argsort(-values, kind="stable")])
+    size = spectra[0].size
+    emit("eigenvalues.csv", lambda p: write_csv(
+        p, ("round", "index", "eigenvalue"),
+        [index_runs(len(spectra), size), list(map(str, range(size))) * len(spectra),
+         chain.from_iterable(fmt_all(spectra))]))
     if run.student is not None:
         emit("pll_targets.csv", run.refined.to_csv)
         emit("pll_outputs.csv", run.student.to_csv)
@@ -183,11 +183,8 @@ def cmd_phase(config: ExperimentConfig) -> str:
     """Predicted and empirical accuracy per corruption rate and round."""
     chunks = _sweep(config, "eta", config.corruption.eta, _phase_point)
     path = _out_path(config.output_dir, "phase.csv")
-    write_csv(
-        path,
-        [["eta", "model", "predicted_accuracy", "empirical_accuracy"],
-         *(row for chunk in chunks for row in chunk)],
-    )
+    write_csv(path, ("eta", "model", "predicted_accuracy", "empirical_accuracy"),
+              zip(*(row for chunk in chunks for row in chunk)))
     return path
 
 
@@ -211,7 +208,7 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
         raise ValidationError("the approx-error command needs the oracle mode enabled")
     rows = _sweep(config, "n", config.gram.n, _approx_point)
     path = _out_path(config.output_dir, "approx_error.csv")
-    write_csv(path, [["n", "max_linf_error", "converged"], *rows])
+    write_csv(path, ("n", "max_linf_error", "converged"), zip(*rows))
     return path
 
 

@@ -34,6 +34,9 @@ class GramConfig:
     perturbation_amplitude: float = 0.0
 
     def build(self, n: Optional[int] = None, seed: int = 0) -> GramModel:
+        cases = [case.value for case in GramCase]
+        if self.case not in cases:
+            raise ValidationError(f"gram.case must be one of {', '.join(cases)}, got {self.case!r}")
         smap = (
             SuperclassMap.from_sizes(self.superclass_sizes)
             if self.superclass_sizes

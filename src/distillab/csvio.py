@@ -1,9 +1,14 @@
 """The one CSV writer every output file goes through, and the one reader
-every input file goes through."""
+every input file goes through.
+
+Files are written column-wise: a table is its header and a list of
+columns of field strings, joined into lines in one pass.
+"""
 
 from __future__ import annotations
 
 import csv
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -15,34 +20,40 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def fmt_all(values) -> list[str]:
-    """:func:`fmt` of every entry of ``values``, in C order.
+def fmt_all(values) -> list:
+    """:func:`fmt` of every entry of ``values``, nested as ``values.tolist()``.
 
-    Each distinct number is formatted once.  Numbers are told apart by
-    their bit patterns, so ``-0.0`` and ``0.0``, which print differently,
-    stay apart.
+    A 2-D table gives one list per row, so ``fmt_all(table.T)`` gives its
+    columns.  Each distinct number is formatted once.  Numbers are told
+    apart by their bit patterns, so ``-0.0`` and ``0.0``, which print
+    differently, stay apart.
     """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    text = [fmt(x) for x in bits.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)].tolist()
 
 
-def write_csv(path, rows) -> None:
-    """Comma-separated rows of equal width with ``\\r\\n`` line ends, in one join.
+def index_runs(count: int, length: int):
+    """A column of the indices ``0..count-1`` as strings, each ``length`` times."""
+    return chain.from_iterable(map(repeat, map(str, range(count)), repeat(length)))
 
-    Each field is written with ``%s``, which is ``str``: the bytes
-    ``csv.writer`` writes for fields that need no quoting (numbers and bare
-    words, as every field here is).  A header is the first row; the width
-    of the first row sets the line template, and ``rows`` is read once.
+
+def write_csv(path, header, columns) -> None:
+    """A header line, then one line per row, with ``\\r\\n`` line ends, in one join.
+
+    ``header`` is a sequence of names, or empty for no header line.  Each
+    column is an iterable of field strings; a constant field is given as
+    ``itertools.repeat(s)``.  The table has as many rows as its shortest
+    column, so at least one column must be finite.  Fields are written as
+    given: the bytes ``csv.writer`` writes for fields that need no quoting
+    (numbers, bare words, and empty fields in rows of two or more, as every
+    field here is).
     """
-    rows = iter(rows)
-    first = next(rows, ())
-    line = ",".join(["%s"] * len(first)) + "\r\n"
-    lines = [line % tuple(first)] if first else []
-    lines += [line % tuple(row) for row in rows]
+    # the trailing "" ends the last line; a table with no lines joins to ""
+    lines = chain([",".join(header)] if header else [], map(",".join, zip(*columns)), [""])
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("\r\n".join(lines))
 
 
 def read_csv(path, dtype=float, header: bool = False) -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, cycle, repeat
+from itertools import cycle, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt_all, read_csv, write_csv
+from .csvio import fmt_all, index_runs, read_csv, write_csv
 from .errors import ValidationError
 from .gram_models import EigenSystem, _head_columns
 from .noise_theory import (
@@ -125,11 +125,12 @@ def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
     """One ``round,sample_index,class_index,value`` row per entry, sample
     major: each sample index ``K`` times, the class index cycling ``1..K``."""
     K, m = columns.shape
-    write_csv(path, chain(
-        [("round", "sample_index", "class_index", "value")],
-        zip(repeat(round_idx), chain.from_iterable(map(repeat, range(m), repeat(K))),
-            cycle(range(1, K + 1)), fmt_all(columns.T)),
-    ))
+    write_csv(path, ("round", "sample_index", "class_index", "value"), [
+        repeat(str(round_idx)),
+        index_runs(m, K),
+        cycle([str(k) for k in range(1, K + 1)]),
+        fmt_all(columns.T.ravel()),
+    ])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, read_csv, write_csv
+from .csvio import fmt_all, read_csv, write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -498,8 +498,7 @@ class FeatureMatrix:
 
     def to_csv(self, path) -> None:
         """One row per sample: feature components then the integer label."""
-        write_csv(path, [[*map(fmt, row), label]
-                         for row, label in zip(self.features.tolist(), self.labels.tolist())])
+        write_csv(path, (), [*fmt_all(self.features.T), map(str, self.labels.tolist())])
 
     @classmethod
     def from_csv(

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt, read_csv, write_csv
+from .csvio import fmt_all, read_csv, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
 
@@ -107,7 +106,7 @@ class CorruptionMatrix:
         return bool(np.all(np.abs(self.entries[cross]) <= STOCHASTIC_TOL))
 
     def to_csv(self, path) -> None:
-        write_csv(path, [list(map(fmt, row)) for row in self.entries.tolist()])
+        write_csv(path, (), fmt_all(self.entries.T))
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":
@@ -206,9 +205,9 @@ class LabelAssignment:
         return CorruptionMatrix(m / self.n)
 
     def to_csv(self, path) -> None:
-        t, g = self.true_labels.tolist(), self.given_labels.tolist()
-        write_csv(path, chain([("index", "true_label", "given_label")],
-                              zip(range(len(t)), t, g)))
+        write_csv(path, ("index", "true_label", "given_label"),
+                  [map(str, range(self.true_labels.size)), map(str, self.true_labels.tolist()),
+                   map(str, self.given_labels.tolist())])
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":
@@ -483,6 +482,7 @@ def minimal_rounds(C: CorruptionMatrix, tc: TheoryConstants) -> Optional[int]:
     and ``t - 1`` and moved by single rounds until it is the smallest ``t``
     that holds.
     """
+    _check_corruption(C, tc)
     gap, off = _gaps(C)
     cells = off & (C.entries > 0.0)
     rows = cells.any(axis=1)

@@ -21,7 +21,7 @@ from distillab import (
     build_gram,
 )
 from distillab import oracle
-from distillab.cli import main, simplex_projection, suggest_lambda
+from distillab.cli import cmd_trajectory, main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
 from distillab.noise_theory import (eigen_ratio, make_corruption, sd_accuracy_condition,
                                     theory_constants)
@@ -143,6 +143,16 @@ class TestConfig:
         assert main(["theory", "--set", "gram.n=8", "--set", f"output_dir={value}"]) == 1
         assert "output_dir" in capsys.readouterr().err
 
+    def test_unknown_gram_case_exits_one_without_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-m", "distillab.cli", "theory", "--set", 'gram.case="VI"',
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr == "error: gram.case must be one of I, II, III, IV, V, got 'VI'\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ['res"x', "a\\b"], ids=["quote", "backslash"])
     def test_out_path_is_taken_as_given(self, tmp_path, name):
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},
@@ -203,6 +213,20 @@ class TestTrajectoryCommand:
         p4 = (0.6 / 1.11) ** 4
         assert all(v >= q4 - 1e-12 for v in at4[:4])
         assert all(v <= p4 + 1e-12 for v in at4[4:])
+
+    def test_files_are_byte_identical_to_the_golden_run(self, tmp_path):
+        # tests/data/trajectory_III/ holds every file of this run, written by
+        # the row-wise writer these bytes must not drift from
+        golden = os.path.join(DATA_DIR, "trajectory_III")
+        cfg = ExperimentConfig(gram=GramConfig(case="III", K=4, n=12, c=0.4, d=0.1),
+                               corruption=CorruptionConfig(kind="symmetric", eta=0.5),
+                               t_max=2, modes=("closed_form", "pll"),
+                               output_dir=str(tmp_path / "out"))
+        written = cmd_trajectory(cfg)
+        assert sorted(map(os.path.basename, written)) == sorted(os.listdir(golden))
+        for path in written:
+            with open(os.path.join(golden, os.path.basename(path)), "rb") as fh:
+                assert open(path, "rb").read() == fh.read(), path
 
     def test_infeasible_realization_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,10 +1,12 @@
+import csv
+import io
 import math
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distillab.csvio import fmt, fmt_all
+from distillab.csvio import fmt, fmt_all, index_runs, write_csv
 
 # values fmt prints in ways a value-level dedup could confuse: signed zeros,
 # non-finite values and subnormals
@@ -13,7 +15,7 @@ VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
 
 
 def reference(values):
-    return [fmt(x) for x in np.asarray(values).ravel().tolist()]
+    return np.frompyfunc(fmt, 1, 1)(np.asarray(values, dtype=float)).tolist()
 
 
 @given(pool=st.lists(VALUES, min_size=1, max_size=6),
@@ -32,4 +34,33 @@ def test_signed_zeros_stay_apart():
 
 
 def test_empty():
-    assert fmt_all(np.zeros((3, 0))) == []
+    assert fmt_all(np.zeros(0)) == []
+    assert fmt_all(np.zeros((3, 0))) == [[], [], []]
+
+
+def test_index_runs():
+    assert list(index_runs(3, 2)) == ["0", "0", "1", "1", "2", "2"]
+    assert list(index_runs(0, 4)) == list(index_runs(4, 0)) == []
+
+
+# a field as the program writes it: a number through fmt, or a bare word
+FIELDS = st.one_of(VALUES.map(fmt), st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True))
+
+
+@given(header=st.lists(FIELDS, max_size=4), width=st.integers(1, 4),
+       height=st.integers(0, 6), data=st.data())
+def test_bytes_match_the_standard_library_writer(tmp_path_factory, header, width, height,
+                                                 data):
+    # csv.writer quotes an empty field only when it is the whole row
+    fields = FIELDS if width == 1 else st.one_of(FIELDS, st.just(""))
+    columns = [data.draw(st.lists(fields, min_size=height, max_size=height))
+               for _ in range(width)]
+    rows = list(zip(*columns))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == expected.getvalue().encode()

@@ -312,10 +312,22 @@ class TestMinimalRounds:
 
     def test_zero_gap_unreachable(self):
         C = CorruptionMatrix(np.array(
+            [[0.5, 0.5, 0.0, 0.0],
+             [0.0, 0.5, 0.5, 0.0],
+             [0.0, 0.0, 0.5, 0.5],
+             [0.5, 0.0, 0.0, 0.5]]))
+        assert minimal_rounds(C, setup_a_constants()) is None
+
+    def test_wrong_size_rejected_like_the_condition(self):
+        C = CorruptionMatrix(np.array(
             [[0.5, 0.5, 0.0],
              [0.0, 0.5, 0.5],
              [0.5, 0.0, 0.5]]))
-        assert minimal_rounds(C, setup_a_constants()) is None
+        tc = setup_a_constants()
+        with pytest.raises(ValidationError) as condition:
+            sd_accuracy_condition(C, tc, 1)
+        with pytest.raises(ValidationError, match=f"^{condition.value}$"):
+            minimal_rounds(C, tc)
 
     def test_boundary_verification(self):
         rng = np.random.default_rng(11)
