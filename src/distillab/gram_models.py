@@ -282,10 +282,10 @@ def build_gram(model: GramModel) -> np.ndarray:
     np.fill_diagonal(gram, 1.0)
     if model.perturbation_amplitude > 0.0:
         rng = np.random.default_rng(model.seed)
-        upper = np.triu(rng.uniform(
-            -model.perturbation_amplitude, model.perturbation_amplitude, size=gram.shape
-        ), k=1)
-        # in place, so that at most three N x N arrays are alive at once
+        upper = rng.uniform(-model.perturbation_amplitude, model.perturbation_amplitude,
+                            size=gram.shape)
+        upper[np.tri(gram.shape[0], dtype=bool)] = 0.0
+        # in place, so that at most two N x N float arrays are alive at once
         gram += upper
         gram += upper.T
     return gram

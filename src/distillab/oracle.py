@@ -35,7 +35,11 @@ temperature.
 :func:`run_rounds` is the one pipeline of the ``trajectory``, ``phase`` and
 ``approx-error`` commands: it realises the labels once and runs, on them,
 the closed-form rounds, the top-2 student and the chained oracle rounds
-that its modes ask for.  :func:`measure_approx_error` reads its oracle
+that its modes ask for.  When it runs both the oracle and a closed-form
+stage, the oracle chain runs on one helper thread while the calling thread
+computes the eigensystem, the closed-form rounds and the student; the two
+share only the labels and the read-only Gram, so no output depends on the
+overlap.  :func:`measure_approx_error` reads its oracle
 rounds and compares them with the linearized rounds
 ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` chained on the same Gram, the
 solve that also gives the solver's warm start.
@@ -43,6 +47,7 @@ solve that also gives the solver's warm start.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -186,7 +191,8 @@ def _linear_round(Y_prev: np.ndarray, gram: np.ndarray | CellGram, lam: float, K
     """The linearized round ``1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1``
     as one linear solve, exact on the dense and on the cell layout."""
     matrix = _layout(gram)[0]
-    shifted = matrix + K * K * n * lam * np.eye(matrix.shape[0])
+    shifted = matrix.copy()
+    shifted.flat[::matrix.shape[0] + 1] += K * K * n * lam
     return 1.0 / K + np.linalg.solve(shifted.T, ((Y_prev - 1.0 / K) @ matrix).T).T
 
 
@@ -366,6 +372,30 @@ class Rounds(NamedTuple):
                 for r in self.oracle]
 
 
+def _beside(side, main):
+    """``(side(), main())``, with ``side`` on one helper thread while ``main``
+    runs on the caller's.  The thread is joined before anything returns or
+    raises; when both raise, ``main``'s exception wins."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((side(), None))
+        except BaseException as exc:  # re-raised on the caller's thread below
+            outcome.append((None, exc))
+
+    helper = threading.Thread(target=target, name="distillab-oracle", daemon=True)
+    helper.start()
+    try:
+        main_value = main()
+    finally:
+        helper.join()
+    side_value, exc = outcome[0]
+    if exc is not None:
+        raise exc
+    return side_value, main_value
+
+
 def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
                modes: Sequence[str], solver: SolverConfig, snap: bool = False) -> Rounds:
     """Realise ``C``'s labels and run the rounds ``modes`` ask for.
@@ -377,6 +407,14 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     ignored.  ``lam`` is checked before anything runs.  Labels are drawn
     from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
     ``snap`` runs on :func:`nearest_realizable` instead.
+
+    With both the oracle and a closed-form stage, the oracle rounds run on
+    one helper thread while this thread computes the eigensystem, the
+    closed-form rounds and the student; a run with one stage starts no
+    thread.  The oracle draws from its own seeded generator and only reads
+    the Gram, which is made read-only, so every output is the same as when
+    the stages run one after the other.  The thread is joined before this
+    returns or raises, and a closed-form error wins over an oracle error.
     """
     _check_lam(model, lam)
     K, n = model.K, model.n
@@ -386,23 +424,36 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         if not snap:
             raise
         assignment = realize_labels(nearest_realizable(C, n), n, seed=solver.seed)
-    gram = Y0 = column = eig = closed = refined = student = oracle = None
+    gram = Y0 = column = None
     if "oracle" in modes:
         if model.perturbation_amplitude:
             gram, column = build_gram(model), np.arange(model.size)
+            gram.flags.writeable = False
             Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
         else:
             gram = cell_gram(model, assignment)
             Y0, column = OutputMatrix.from_labels(gram.cells[:, 1], K), gram.sample_cell
-    if "closed_form" in modes or "pll" in modes:
+    wants_closed = "closed_form" in modes or "pll" in modes
+
+    def closed_stage():
+        if not wants_closed:
+            return None, None, None, None
         eig = eigensystem(model, gram)
         closed = trajectory(OutputMatrix.from_labels(assignment.given_labels, K), eig,
                             lam, K, n, t_max)
-    if "pll" in modes:
+        if "pll" not in modes:
+            return eig, closed, None, None
         refined = pll_refine(closed[1])
-        student = pll_student(refined, eig, lam, K, n)
-    if "oracle" in modes:
-        oracle = oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+        return eig, closed, refined, pll_student(refined, eig, lam, K, n)
+
+    def oracle_stage():
+        return oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+
+    if "oracle" in modes and wants_closed:
+        oracle, (eig, closed, refined, student) = _beside(oracle_stage, closed_stage)
+    else:
+        eig, closed, refined, student = closed_stage()
+        oracle = oracle_stage() if "oracle" in modes else None
     return Rounds(assignment, eig, closed, refined, student, gram, Y0, column, oracle)
 
 

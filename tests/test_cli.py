@@ -252,6 +252,23 @@ class TestTrajectoryCommand:
             assert report["final_loss"] < 1e-10
             assert report["iterations_used"] > 0
 
+    def test_unconverged_oracle_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # perturbed: the oracle rounds run beside the dense eigensystem
+        cfg = write_config(
+            tmp_path,
+            gram={"case": "IV", "K": 4, "n": 20, "c": 0.4, "d": 0.1,
+                  "superclass_sizes": [2, 2], "perturbation_amplitude": 0.01},
+            corruption={"kind": "superclass", "eta": 0.3},
+            lam=1e-3,
+            t_max=2,
+            modes=["closed_form", "pll", "oracle"],
+            solver_max_iterations=1,
+        )
+        assert main(["trajectory", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: oracle failed to converge at round 1")
+        assert not (tmp_path / "out").exists()
+
     def test_projection_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, t_max=1, modes=["closed_form"])
         main(["trajectory", "--config", str(cfg)])

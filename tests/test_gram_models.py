@@ -126,6 +126,17 @@ class TestBuildGram:
             tracemalloc.stop()
         assert peak < 1.05 * model.size**2 * 8
 
+    def test_perturbed_peak_memory_is_two_gram_matrices_and_a_mask(self):
+        model = model_case(GramCase.IV, K=4, n=240, c=0.4, d=0.1, sizes=(2, 2), amp=0.01)
+        tracemalloc.start()
+        try:
+            build_gram(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the Gram, the uniform draw and a boolean N x N mask
+        assert peak < 2.2 * model.size**2 * 8
+
 
 class TestAnalyticEigensystem:
     def test_case3_setup_a_values_by_hand(self):

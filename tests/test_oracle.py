@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from distillab import (
     build_gram,
     numeric_eigensystem,
 )
-from distillab.distillation import OutputMatrix, cell_outputs, trajectory
+from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
+                                    trajectory)
 from distillab import gram_models, oracle
-from distillab.gram_models import cell_gram
+from distillab.gram_models import cell_gram, eigensystem
 from distillab.noise_theory import (
     LabelAssignment,
     make_corruption,
@@ -35,6 +38,7 @@ from distillab.oracle import (
     linearized_softmax,
     measure_approx_error,
     oracle_trajectory,
+    run_rounds,
     softmax,
     solve_round,
 )
@@ -418,3 +422,104 @@ class TestCellGram:
         model = dataclasses.replace(model, perturbation_amplitude=0.0)
         with pytest.raises(ValidationError, match="does not match"):
             cell_gram(model, partly_shuffled_assignment(4, 3, 6, 0))
+
+
+def perturbed_case_iv(n=30, seed=4):
+    """A perturbed case-IV model (dense Gram, numeric eigensystem) and its
+    superclass corruption."""
+    model = GramModel(case=GramCase.IV, K=4, n=n, c=0.4, d=0.1,
+                      superclass_map=SuperclassMap((1, 1, 2, 2)),
+                      perturbation_amplitude=0.01, seed=seed)
+    return model, make_corruption("superclass", 0.3, 4, superclass_map=model.effective_map())
+
+
+ALL_STAGES = ("closed_form", "pll", "oracle")
+
+
+class TestRunRounds:
+    def test_overlapped_stages_equal_the_stages_run_one_after_the_other(self):
+        model, C = perturbed_case_iv()
+        K, n, lam, t_max = model.K, model.n, 1e-3, 3
+        solver = SolverConfig(tolerance=1e-9, seed=6)
+        run = run_rounds(model, C, lam, t_max, ALL_STAGES, solver)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=solver.seed).given_labels, K)
+        gram = build_gram(model)
+        eig = eigensystem(model, gram)
+        closed = trajectory(Y0, eig, lam, K, n, t_max)
+        refined = pll_refine(closed[1])
+        student = pll_student(refined, eig, lam, K, n)
+        rounds = oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+        assert np.array_equal(run.gram, gram)
+        assert np.array_equal(run.eig.values, eig.values)
+        assert np.array_equal(run.eig.vectors, eig.vectors)
+        assert len(run.closed) == len(closed) == t_max + 1
+        for got, want in zip(run.closed, closed):
+            assert np.array_equal(got.columns, want.columns)
+        assert np.array_equal(run.refined.columns, refined.columns)
+        assert np.array_equal(run.student.columns, student.columns)
+        assert len(run.oracle) == len(rounds) == t_max
+        for got, want in zip(run.oracle, rounds):
+            assert np.array_equal(got.outputs.columns, want.outputs.columns)
+            assert got.convergence_report() == want.convergence_report()
+
+    def test_dense_gram_is_read_only(self):
+        model, C = perturbed_case_iv(n=10)
+        gram = run_rounds(model, C, 1e-3, 1, ALL_STAGES, SolverConfig()).gram
+        assert not gram.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 1] = 0.0
+
+    def test_oracle_error_is_raised_and_its_thread_joined(self):
+        model, C = perturbed_case_iv()
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="oracle failed to converge at round 1"):
+            run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig(max_iterations=1))
+        assert threading.active_count() == before
+        run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig(tolerance=1e-9))
+        assert threading.active_count() == before
+
+    def test_closed_form_error_wins_over_the_oracle_error(self, monkeypatch):
+        def failing_eigensystem(model, gram=None):
+            raise NumericalError("closed-form stage failed")
+
+        calls = []
+
+        def slow_oracle_trajectory(*args):
+            # still running when the closed-form stage fails, so that the
+            # run must wait for it
+            calls.append(args)
+            time.sleep(0.2)
+            return oracle_trajectory(*args)
+
+        monkeypatch.setattr(oracle, "eigensystem", failing_eigensystem)
+        # looked up when the thread runs, as a tracer's rebinding needs
+        monkeypatch.setattr(oracle, "oracle_trajectory", slow_oracle_trajectory)
+        model, C = perturbed_case_iv()
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="closed-form stage failed"):
+            run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig(max_iterations=1))
+        assert threading.active_count() == before
+        assert len(calls) == 1
+
+    def test_single_stage_runs_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        model, C = perturbed_case_iv(n=10)
+        for m in (model, dataclasses.replace(model, perturbation_amplitude=0.0)):
+            assert np.isfinite(measure_approx_error(m, C, 1e-3, t=2))
+            run = run_rounds(m, C, 1e-3, 2, ("closed_form", "pll"), SolverConfig())
+            assert run.oracle is None and run.student is not None
+        # the patch does catch a thread: both stages together start one
+        with pytest.raises(AssertionError, match="a thread was started"):
+            run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig())
+
+    def test_linear_round_is_the_shifted_solve(self):
+        model, C = perturbed_case_iv(n=10)
+        K, n, lam = model.K, model.n, 1e-3
+        gram = build_gram(model)
+        Y = OutputMatrix.from_labels(realize_labels(C, n, seed=0).given_labels, K).columns
+        shifted = gram + K * K * n * lam * np.eye(gram.shape[0])
+        reference = 1.0 / K + np.linalg.solve(shifted.T, ((Y - 1.0 / K) @ gram).T).T
+        assert np.array_equal(oracle._linear_round(Y, gram, lam, K, n), reference)
