@@ -198,7 +198,9 @@ def _approx_point(payload: tuple[str, float]) -> list[str]:
             model, C, config.lam, max(1, config.t_max), config.solver()
         )
         return [str(n), fmt(gap), "true"]
-    except NumericalError:
+    except NumericalError as exc:
+        # the row only flags the failure; the reason goes to stderr
+        print(f"approx-error n={n}: {exc}", file=sys.stderr)
         return [str(n), "", "false"]
 
 

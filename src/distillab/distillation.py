@@ -2,11 +2,14 @@
 
 Centered one-hot targets evolve under powers of the label-averaging
 operator, whose eigenvalues are the ``t``-th powers of
-:func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  For an unperturbed Gram every such
-power is a combination of the identity and of class, superclass and global
-means, so a sample's round-``t`` output depends only on its (true class,
-given label) cell: :func:`cell_outputs` evaluates all ``K^2`` cells at once
-in ``O(K^3)``, for every Gram case, and :func:`closed_form_output` reads one
+:func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  For an
+unperturbed Gram every such power is a combination of the identity and of
+class, superclass and global means: :func:`averaging_operator` keeps it as
+class means through a ``K x K`` core plus scaled within-class deviations,
+so :func:`trajectory` and :func:`pll_student` take ``O(K N)`` memory.  A
+sample's round-``t`` output depends only on its (true class, given label)
+cell: :func:`cell_outputs` evaluates all ``K^2`` cells at once in
+``O(K^3)``, for every Gram case, and :func:`closed_form_output` reads one
 of them.  The partial-label student replaces the teacher's soft output with
 a two-hot vector on its top two entries.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,16 +165,16 @@ class PartialLabelMatrix:
 class AveragingOperator:
     """The round-``t`` label-averaging operator, kept factored.
 
-    The operator is ``bulk I + vectors diag(weights) vectors^T``: the split
-    of :func:`_deflate`, with ``vectors`` the Gram eigenvectors ``V_S``,
-    ``weights = rho_S^t - bulk`` and ``eigenvalues = rho^t`` its full
-    spectrum.  :meth:`apply` uses the factors; :attr:`matrix` builds the
-    ``N x N`` array on first read only.
+    The operator is ``diag(bulk) + vectors core vectors^T``, ``core`` a
+    vector of diagonal weights or a full matrix and ``bulk`` a scalar or
+    one value per sample, with ``eigenvalues = rho^t`` its full spectrum
+    (see :func:`averaging_operator`).  :meth:`apply` uses the factors;
+    :attr:`matrix` builds the ``N x N`` array on first read only.
     """
 
     vectors: np.ndarray
-    weights: np.ndarray
-    bulk: float
+    core: np.ndarray
+    bulk: float | np.ndarray
     t: int
     lam: float
     eigenvalues: np.ndarray
@@ -186,27 +189,30 @@ class AveragingOperator:
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
 
+    def _times_core(self, rows: np.ndarray) -> np.ndarray:
+        return rows * self.core if self.core.ndim == 1 else rows @ self.core
+
     def apply(self, centered: np.ndarray) -> np.ndarray:
-        """``centered @ A`` for ``K x N`` rows ``centered``, in ``O(K |S| N)``."""
-        out = (centered @ self.vectors * self.weights) @ self.vectors.T
-        if self.bulk:
+        """``centered @ A`` for ``K x N`` rows ``centered``, in ``O(K r N)``
+        for ``r`` columns of ``vectors``."""
+        out = self._times_core(centered @ self.vectors) @ self.vectors.T
+        if np.any(self.bulk):
             out += self.bulk * centered
         return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The read-only ``N x N`` matrix, in ``O(|S| N^2)`` on first read."""
-        matrix = (self.vectors * self.weights) @ self.vectors.T
-        if self.bulk:
+        """The read-only ``N x N`` matrix, in ``O(r N^2)`` on first read."""
+        matrix = self._times_core(self.vectors) @ self.vectors.T
+        if np.any(self.bulk):
             matrix[np.diag_indices(matrix.shape[0])] += self.bulk
         matrix.flags.writeable = False
         return matrix
 
 
-def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray:
+def _ratios(values: np.ndarray, lam: float, K: int, n: int) -> np.ndarray:
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
-    values = eig.values
     if np.any(values < -NEGATIVE_EIGENVALUE_TOL):
         raise ValidationError(
             f"Gram eigenvalue {values.min():.3e} below -{NEGATIVE_EIGENVALUE_TOL:.0e}; "
@@ -215,38 +221,27 @@ def _operator_ratios(eig: EigenSystem, lam: float, K: int, n: int) -> np.ndarray
     return eigen_ratio(np.clip(values, 0.0, None), lam, K, n)
 
 
-def _deflate(powered: np.ndarray) -> tuple[Optional[int], np.ndarray | slice]:
-    """Split the spectral function ``V diag(powered) V^T`` as
-    ``mu I + V_S diag(powered_S - mu) V_S^T``.
-
-    Returns ``(b, S)``: ``mu = powered[b]`` is the value shared by the most
-    eigenpairs (the smallest such value on a tie) and ``S`` the indices
-    whose value differs from it.  The bulk family of an unperturbed model
-    thus drops out and ``|S| <= K``.  When ``S`` would hold more than half
-    the indices (a dense eigensystem, whose values rarely repeat, or case
-    II, whose bulk value differs by class) indexing would copy most of the
-    columns, so the plain product is kept: ``(None, slice(None))``, that is
-    ``mu = 0`` and ``V_S`` a view of all of ``V``.
-
-    Only which values are equal matters, and ``x -> x^t`` keeps that, so
-    the split of the one-round ratios serves every round.
-    """
-    values, counts = np.unique(powered, return_counts=True)
-    is_bulk = powered == values[int(np.argmax(counts))]
-    rest = np.flatnonzero(~is_bulk)
-    if 2 * rest.size > powered.size:
-        return None, slice(None)
-    return int(np.argmax(is_bulk)), rest
-
-
-def _factored(
-    eig: EigenSystem, powered: np.ndarray, split: tuple, t: int, lam: float
-) -> AveragingOperator:
-    """The operator with spectrum ``powered``, deflated by ``split``."""
-    b, S = split
-    bulk = powered[b] if b is not None else 0.0
-    return AveragingOperator(vectors=eig.vectors[:, S], weights=powered[S] - bulk,
-                             bulk=bulk, t=t, lam=lam, eigenvalues=powered)
+def _operator(eig: EigenSystem, lam: float, K: int, n: int, t: int) -> AveragingOperator:
+    """The round-``t`` operator of :func:`averaging_operator`, ``t >= 0``."""
+    powered = _ratios(eig.values, lam, K, n) ** t
+    spectrum = eig.classes
+    if spectrum is None:
+        # a dense eigensystem: the plain product, or exactly the identity
+        if t == 0:
+            return AveragingOperator(vectors=eig.vectors[:, :0], core=powered[:0], bulk=1.0,
+                                     t=t, lam=lam, eigenvalues=powered)
+        return AveragingOperator(vectors=eig.vectors, core=powered, bulk=0.0,
+                                 t=t, lam=lam, eigenvalues=powered)
+    head = _ratios(spectrum.head_values, lam, K, n) ** t
+    bulk = _ratios(spectrum.bulk, lam, K, n) ** t
+    if np.all(bulk == bulk[0]):
+        # coeffs^T (mu I) coeffs = mu I: the bulk is a multiple of the identity
+        core, bulk = head - bulk[0], bulk[0]
+    else:
+        core = np.diag(head) - (spectrum.coeffs.T * bulk) @ spectrum.coeffs
+        bulk = np.repeat(bulk, n)
+    return AveragingOperator(vectors=spectrum.head, core=core, bulk=bulk, t=t, lam=lam,
+                             eigenvalues=powered)
 
 
 def averaging_operator(
@@ -259,18 +254,26 @@ def averaging_operator(
     identity.  Source eigenvalues below ``-1e-8`` are rejected; tiny
     negatives from a perturbed matrix are clipped to zero.
 
-    The operator is kept deflated (:func:`_deflate`) as
-    ``mu I + V_S diag(rho_S^t - mu) V_S^T``, so building it costs ``O(N)``
-    beyond the eigensystem and applying it ``O(K |S| N)``: ``|S| <= K`` on
-    an unperturbed model, ``|S| = N`` on a dense eigensystem or case II.
-    By orthonormality this equals the plain product ``(V rho^t) V^T`` up to
-    rounding, and exactly where :func:`_deflate` keeps the plain product.
-    At ``t = 0`` every value is 1, so the operator is exactly the identity.
+    On a class-structured eigensystem (:class:`~distillab.gram_models.ClassSpectrum`,
+    head ``H``, coefficients ``coeffs``, head values ``eta``, bulk values
+    ``mu``) the operator is the class-wise bulk power plus a ``K x K`` core
+    on the head columns::
+
+        diag(f(mu)[class]) + H (diag(f(eta)) - coeffs^T diag(f(mu)) coeffs) H^T
+
+    with ``f = rho^t``, since the bulk of class ``k`` spans its rows'
+    identity less the class mean.  When every ``mu_k`` is equal (cases I and
+    III-V) the core is exactly ``diag(f(eta) - f(mu))`` and the bulk a
+    scalar.  Building the operator costs ``O(K N)`` and applying it
+    ``O(K^2 N)``; neither reads the ``N x N`` eigenvectors.  At ``t = 0``
+    every power is 1, so the operator is exactly the identity.
+
+    A dense eigensystem keeps the plain product ``(V rho^t) V^T``, applied
+    in ``O(K N^2)``, and the exact identity at ``t = 0``.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    powered = _operator_ratios(eig, lam, K, n) ** t
-    return _factored(eig, powered, _deflate(powered), t, lam)
+    return _operator(eig, lam, K, n, t)
 
 
 def trajectory(
@@ -279,8 +282,8 @@ def trajectory(
     """Outputs for rounds ``0..t_max`` from one-hot given labels.
 
     Evaluates the eigen form: center the targets at the uniform vector,
-    apply the round-``t`` operator and shift back.  Every round shares the
-    split of the one-round ratios (:func:`_deflate`).
+    apply the round-``t`` operator of :func:`averaging_operator` and shift
+    back, in ``O(K^2 N)`` per round on a class-structured eigensystem.
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -290,10 +293,8 @@ def trajectory(
         )
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    ratios = _operator_ratios(eig, lam, K, n)
-    split = _deflate(ratios)
     centered = Y0.columns - 1.0 / K
-    operators = (_factored(eig, ratios**t, split, t, lam) for t in range(1, t_max + 1))
+    operators = (_operator(eig, lam, K, n, t) for t in range(1, t_max + 1))
     return [Y0] + [OutputMatrix(columns=op.apply(centered) + 1.0 / K, round=op.t)
                    for op in operators]
 

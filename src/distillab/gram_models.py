@@ -11,7 +11,8 @@ Every unperturbed model is described by its ``K x K`` class-level Gram
 ``B`` (:attr:`GramModel.class_gram`): the realized matrix, the cell Gram
 and the class-constant eigenpairs (those of ``n B + diag(1 - omega)``) are
 all read from it.  The rest of the spectrum is the within-class bulk
-``1 - omega_k``.
+``1 - omega_k``, so the closed-form eigensystem (:class:`ClassSpectrum`)
+takes ``O(K N)`` memory; only a dense one holds ``N x N`` eigenvectors.
 
 Correlation cases
 -----------------
@@ -28,6 +29,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "SuperclassMap",
     "GramModel",
     "EigenSystem",
+    "ClassSpectrum",
     "CellGram",
     "FeatureMatrix",
     "RelationStats",
@@ -227,36 +230,90 @@ class GramModel:
         return np.repeat(np.arange(1, self.K + 1), self.n)
 
 
-@dataclass(frozen=True)
+class ClassSpectrum(NamedTuple):
+    """The eigensystem of an unperturbed model, in ``O(K N)`` memory.
+
+    ``head`` is the ``N x K`` matrix of the class-constant eigenvectors
+    (column ``j`` repeats ``coeffs[k, j] / sqrt(n)`` over class ``k``) and
+    ``head_values`` their eigenvalues, descending (:func:`_head_columns`).
+    Every other eigenvector is a within-class contrast of class ``k`` with
+    the bulk value ``bulk[k] = 1 - omega_k``, ``n - 1`` of them per class.
+    """
+
+    head: np.ndarray
+    head_values: np.ndarray
+    coeffs: np.ndarray
+    bulk: np.ndarray
+
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """All ``N`` eigenvalues, head first and then class by class the
+        bulk, and their stable descending sort."""
+        n = self.head.shape[0] // self.coeffs.shape[0]
+        values = np.concatenate([self.head_values, np.repeat(self.bulk, n - 1)])
+        return values, np.argsort(-values, kind="stable")
+
+
 class EigenSystem:
-    """Full symmetric eigendecomposition, eigenvalues descending.
+    """Full symmetric eigensystem, eigenvalues descending.
 
     ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``; both
     arrays are read-only.  Within a repeated value the basis is arbitrary
     (:func:`analytic_eigensystem` and :func:`numeric_eigensystem` say which
-    they give).  Every consumer forms
-    ``V f(values) V^T`` or ``(Y V) f(values) V^T``, so a column's sign is
-    free: negation is exact and leaves those products bit for bit unchanged.
+    they give), and so is a column's sign: every consumer forms
+    ``V f(values) V^T`` or ``(Y V) f(values) V^T``, which negation leaves
+    bit for bit unchanged.
+
+    A dense system is given its ``N x N`` ``vectors``.  A class-structured
+    one (``classes``, from :func:`analytic_eigensystem`) holds only its
+    :class:`ClassSpectrum` and builds ``vectors`` on first read, in
+    ``O(N^2)``; the averaging operator never reads them.
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=float)
-        if vectors.shape != (values.size, values.size):
-            raise ValidationError("eigenvector matrix must be square and match values")
+    def __init__(self, values, vectors=None, classes: Optional[ClassSpectrum] = None):
+        values = np.array(values, dtype=float)
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("eigenvalues must be sorted descending")
         values.flags.writeable = False
-        vectors.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        self.values = values
+        self.classes = classes
+        if vectors is not None:
+            vectors = np.asarray(vectors, dtype=float)
+            if vectors.shape != (values.size, values.size):
+                raise ValidationError("eigenvector matrix must be square and match values")
+            vectors.flags.writeable = False
+            self.__dict__["vectors"] = vectors
+        elif classes is None:
+            raise ValidationError("an eigensystem needs its vectors or its class spectrum")
 
     @property
     def size(self) -> int:
         return self.values.size
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The ``N x N`` eigenvectors of a class-structured system.
+
+        Each column is written once, straight into its sorted position of
+        one zeroed column-major array (so every column is one contiguous
+        block): the head columns, then each class's Helmert contrasts
+        (:func:`_helmert_vectors`) in its rows.
+        """
+        spectrum = self.classes
+        K, size = spectrum.coeffs.shape[0], self.size
+        n = size // K
+        position = np.empty(size, dtype=np.intp)
+        position[spectrum.order()[1]] = np.arange(size)
+        vectors = np.zeros((size, size), order="F")
+        vectors[:, position[:K]] = spectrum.head
+        if n > 1:
+            basis = _helmert_vectors(n)
+            for k in range(K):
+                # one class's contrasts share a value and are adjacent in
+                # the unsorted values, so the stable sort keeps them adjacent
+                start = position[K + k * (n - 1)]
+                vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
+        vectors.flags.writeable = False
+        return vectors
 
 
 def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -368,32 +425,21 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
     :func:`numeric_eigensystem` on the realized matrix instead.
 
     The pairs are sorted by a stable descending sort of the values (head
-    first, then class by class the bulk); each column is written once,
-    straight into its sorted position of one zeroed ``N x N`` array
-    (column-major, so every column is one contiguous block).
+    first, then class by class the bulk).  The result holds the sorted
+    values and the :class:`ClassSpectrum`, ``O(K N)`` memory; its ``N x N``
+    :attr:`EigenSystem.vectors` are built on first read only.
     """
     if model.perturbation_amplitude != 0.0:
         raise ValidationError(
             "analytic eigensystem is only defined for unperturbed models; "
             "use numeric_eigensystem on build_gram output"
         )
-    K, n, size = model.K, model.n, model.size
     head_values, coeffs = _head_columns(model)
-    # within-class contrasts: eigenvalue 1 - omega(k), n-1 per class
-    values = np.concatenate([head_values, np.repeat(1.0 - model.omega, n - 1)])
-    order = np.argsort(-values, kind="stable")
-    position = np.empty(size, dtype=np.intp)
-    position[order] = np.arange(size)
-    vectors = np.zeros((size, size), order="F")
-    vectors[:, position[:K]] = np.repeat(coeffs / math.sqrt(n), n, axis=0)
-    if n > 1:
-        basis = _helmert_vectors(n)
-        for k in range(K):
-            # one class's contrasts share a value and are adjacent in
-            # ``values``, so the stable sort keeps them adjacent
-            start = position[K + k * (n - 1)]
-            vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
-    return EigenSystem(values=values[order], vectors=vectors)
+    # column-major, the layout of a column selection of the N x N vectors
+    head = np.asfortranarray(np.repeat(coeffs / math.sqrt(model.n), model.n, axis=0))
+    spectrum = ClassSpectrum(head, head_values, coeffs, 1.0 - model.omega)
+    values, order = spectrum.order()
+    return EigenSystem(values=values[order], classes=spectrum)
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
@@ -432,7 +478,8 @@ def eigensystem(model: GramModel, gram: Optional[np.ndarray | CellGram] = None) 
     ``gram`` serves only a perturbed model and must then be
     ``build_gram(model)``; a caller that needs the realized matrix anyway
     passes it so that it is built only once.  An unperturbed model ignores
-    it, so a caller may pass the oracle's Gram either way.
+    it, so a caller may pass the oracle's Gram either way.  The closed form
+    takes ``O(K N)`` memory, the dense one ``O(N^2)`` and ``O(N^3)`` time.
     """
     if model.perturbation_amplitude == 0.0:
         return analytic_eigensystem(model)

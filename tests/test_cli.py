@@ -527,7 +527,7 @@ class TestApproxErrorCommand:
         assert rows[0][2] == "true"
         assert float(rows[0][1]) < 1e-3
 
-    def test_nonconvergence_flags_row_and_continues(self, tmp_path):
+    def test_nonconvergence_flags_row_and_continues(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             gram={"case": "III", "K": 4, "n": 5, "c": 0.4, "d": 0.1},
@@ -543,8 +543,13 @@ class TestApproxErrorCommand:
             "--set", "solver_max_iterations=2",
         ])
         assert code == 0
-        _, rows = read_csv_rows(tmp_path / "out" / "approx_error.csv")
-        assert [r[2] for r in rows] == ["false", "false"]
+        path = tmp_path / "out" / "approx_error.csv"
+        assert path.read_text() == "n,max_linf_error,converged\n5,,false\n10,,false\n"
+        # each failed point names its reason on stderr, not in the file
+        reasons = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in reasons] == ["approx-error n=5",
+                                                           "approx-error n=10"]
+        assert all("oracle failed to converge at round 1" in line for line in reasons)
 
     def test_requires_oracle_mode(self, tmp_path):
         cfg = write_config(tmp_path, modes=["closed_form"])

@@ -114,9 +114,9 @@ class TestDeflatedAveragingOperator:
     def test_dense_eigensystem_is_the_plain_product(self, t):
         model = PERTURBED_MODEL
         eig = numeric_eigensystem(build_gram(model))
-        assert np.unique(eig.values).size == eig.size  # no bulk value to deflate
+        assert np.unique(eig.values).size == eig.size  # no bulk value
         op = averaging_operator(eig, 1e-3, model.K, model.n, t)
-        # every round-0 value is 1, so round 0 deflates to the exact identity
+        # every round-0 value is 1, and round 0 is exactly the identity
         expected = np.eye(model.size) if t == 0 else plain_operator(eig, 1e-3, model.K, model.n, t)
         np.testing.assert_array_equal(op.matrix, expected)
 
@@ -155,36 +155,72 @@ class TestDeflatedAveragingOperator:
         np.testing.assert_allclose(op.apply(rows), rows @ op.matrix, rtol=0, atol=1e-13)
 
 
-def _peak_bytes(fn) -> int:
+def _traced(fn):
+    """``fn()`` and the peak bytes it allocated."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-class TestFactoredOperatorAllocations:
-    """At N = 2,000 an ``N x N`` array takes 32 MB; the factored operator
-    must stay far below an eighth of that."""
+# one model per Gram case at N of about 2,000, where an N x N array takes 32 MB
+ALLOCATION_MODELS = {
+    "I": GramModel(case=GramCase.I, K=4, n=500, c=0.4),
+    "II": GramModel(case=GramCase.II, K=3, n=667, c=(0.3, 0.7, 0.5)),
+    "III": GramModel(case=GramCase.III, K=4, n=500, c=0.4, d=0.1),
+    "IV": GramModel(case=GramCase.IV, K=4, n=500, c=0.5, d=0.2,
+                    superclass_map=SuperclassMap((1, 1, 2, 2))),
+    "V": GramModel(case=GramCase.V, K=6, n=333, c=0.5, d=0.2, e=0.05,
+                   superclass_map=SuperclassMap.from_sizes([3, 3])),
+}
 
-    MODEL = GramModel(case=GramCase.III, K=4, n=500, c=0.4, d=0.1)
 
-    @pytest.fixture(scope="class")
-    def eig(self):
-        return analytic_eigensystem(self.MODEL)
+class TestStructuredAllocations:
+    @pytest.mark.parametrize("name", sorted(ALLOCATION_MODELS))
+    def test_builds_no_n_by_n_array(self, name):
+        # the eigensystem, the trajectory, the student and the eigenvalue
+        # table of the trajectory command, all inside the traced region
+        model = ALLOCATION_MODELS[name]
+        K, n, lam = model.K, model.n, 1e-3
+        Y0 = random_one_hot(model)
 
-    @pytest.mark.parametrize("t", [0, 1, 4])
-    def test_eigenvalues_build_no_n_by_n_array(self, eig, t):
-        model = self.MODEL
-        peak = _peak_bytes(lambda: averaging_operator(eig, 1e-3, model.K, model.n, t).eigenvalues)
-        assert peak < model.size**2 * 8 / 8
+        def run():
+            eig = analytic_eigensystem(model)
+            traj = trajectory(Y0, eig, lam, K, n, 4)
+            pll_student(pll_refine(traj[1]), eig, lam, K, n)
+            for t in range(5):
+                averaging_operator(eig, lam, K, n, t).eigenvalues
 
-    def test_pll_student_builds_no_n_by_n_array(self, eig):
-        model = self.MODEL
-        targets = pll_refine(random_one_hot(model, seed=1))
-        peak = _peak_bytes(lambda: pll_student(targets, eig, 1e-3, model.K, model.n))
-        assert peak < model.size**2 * 8 / 8
+        assert _traced(run)[1] < model.size**2 * 8 / 16
+
+    def test_case_iii_at_n_12000_matches_the_cell_engine(self):
+        # an N x N eigenvector matrix would take 1.15 GB here
+        model = GramModel(case=GramCase.III, K=4, n=3000, c=0.4, d=0.1)
+        K, n, lam, t_max = model.K, model.n, SETUP_A_LAMBDA, 4
+        C = make_corruption("symmetric", 0.5, K)
+
+        def run():
+            rounds = oracle.run_rounds(model, C, lam, t_max, ("closed_form", "pll"),
+                                       SolverConfig(seed=3))
+            spectra = [averaging_operator(rounds.eig, lam, K, n, t).eigenvalues
+                       for t in range(t_max + 1)]
+            return rounds, spectra
+
+        (rounds, spectra), peak = _traced(run)
+        assert peak < 32e6
+        tc = theory_constants(model, lam)
+        cell = (rounds.assignment.true_labels - 1, rounds.assignment.given_labels - 1)
+        for t in range(t_max + 1):
+            expected = cell_outputs(one_hot_cells(K), C, tc, t)[:, cell[0], cell[1]]
+            np.testing.assert_allclose(rounds.closed[t].columns, expected, rtol=0, atol=1e-12)
+            # superclass value, K - 1 class contrasts, then the bulk
+            powers = np.concatenate([tc.r, np.repeat(tc.q[0], K - 1),
+                                     np.repeat(tc.p[0], model.size - K)]) ** t
+            np.testing.assert_allclose(np.sort(spectra[t])[::-1], powers, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rounds.student.columns,
+                                   cell_pll_outputs(C, tc)[:, cell[0], cell[1]],
+                                   rtol=0, atol=1e-12)
 
 
 def eigen_form(Y0, eig, lam, K, n, t):
@@ -211,20 +247,6 @@ class TestDeflatedTrajectory:
                 rtol=0, atol=1e-13,
             )
 
-    def test_case_ii_copies_no_eigenvector_columns(self):
-        # the bulk value differs by class, so deflating would copy about
-        # (K-1)/K of the N x N eigenvectors each round
-        model = GramModel(case=GramCase.II, K=3, n=200, c=(0.3, 0.7, 0.5))
-        eig = analytic_eigensystem(model)
-        Y0 = random_one_hot(model)
-        tracemalloc.start()
-        try:
-            trajectory(Y0, eig, 1e-3, model.K, model.n, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * model.size**2 * 8
-
     def test_dense_eigensystem_keeps_the_eigen_form_arithmetic(self):
         model = PERTURBED_MODEL
         eig = numeric_eigensystem(build_gram(model))
@@ -237,9 +259,6 @@ class TestDeflatedTrajectory:
             expected = (basis * ratios**t) @ eig.vectors.T + 1.0 / K
             assert np.array_equal(traj[t].columns, expected)
 
-    # the operator eigenvalues of the unperturbed model's dense eigensystem
-    # repeat exactly (5 distinct among 24, at most 8 equal), but no value
-    # covers half the indices, so the plain product is kept
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
     def test_warm_start_is_the_eigen_form_and_reaches_the_cold_fixed_point(self, name):
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["I"]

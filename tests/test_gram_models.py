@@ -340,18 +340,35 @@ class TestEigensystemLayout:
         assert es.vectors is vectors
         assert not vectors.flags.writeable
         assert not analytic_eigensystem(model_case(GramCase.I, K=2, n=3, c=0.4)).vectors.flags.writeable
+        with pytest.raises(ValidationError):
+            EigenSystem(values=np.ones(3))
 
-    def test_peak_memory_is_one_eigenvector_matrix(self):
-        # the phase_eta benchmark model; a put-then-sort build holds two
-        # N x N matrices at once
-        model = model_case(GramCase.V, K=6, n=200, c=0.4, d=0.15, e=0.05, sizes=(3, 3))
+    # the phase_eta benchmark model
+    PEAK_MODEL = model_case(GramCase.V, K=6, n=200, c=0.4, d=0.15, e=0.05, sizes=(3, 3))
+
+    def test_construction_builds_no_eigenvector_matrix(self):
+        model = self.PEAK_MODEL
         tracemalloc.start()
         try:
             analytic_eigensystem(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < model.size**2 * 8 / 16
+
+    def test_first_vectors_read_builds_one_eigenvector_matrix(self):
+        # a put-then-sort build holds two N x N matrices at once
+        model = self.PEAK_MODEL
+        es = analytic_eigensystem(model)
+        tracemalloc.start()
+        try:
+            vectors = es.vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 1.25 * model.size**2 * 8
+        assert es.vectors is vectors
+        assert not vectors.flags.writeable
 
 
 @st.composite
