@@ -138,7 +138,7 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
     C = config.corruption_matrix(eta=eta)
     tc = theory_constants(model, config.lam)
     empirical: dict[object, float] = {}
-    if "closed_form" in config.modes or "oracle" in config.modes:
+    if {"closed_form", "pll", "oracle"} & set(config.modes):
         modes = config.modes
         if "oracle" in modes:
             # the oracle rounds replace the closed-form ones in the table

@@ -9,10 +9,11 @@ leaf can be overridden from the command line with ``--set key=value``.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap
@@ -21,22 +22,62 @@ from .oracle import SolverConfig
 
 __all__ = ["ExperimentConfig", "GramConfig", "CorruptionConfig"]
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          type(None): "null"}
+_PLURAL_KINDS = {int: "integers", float: "numbers", str: "strings"}
+
+
+def _type_check(hint):
+    """A predicate for JSON-like values of the declared type ``hint`` and its
+    description: an int is a number, a bool is neither."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        checks = [_type_check(arg) for arg in args]
+        return (lambda v: any(ok(v) for ok, _ in checks)), " or ".join(k for _, k in checks)
+    if args:  # list[x] or tuple[x, ...]
+        ok = _type_check(args[0])[0]
+        return (lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
+                f"a list of {_PLURAL_KINDS[args[0]]}")
+    kind = (int, float) if hint is float else hint
+    return (lambda v: isinstance(v, kind) and (hint is bool or not isinstance(v, bool)),
+            _KINDS.get(hint, hint.__name__))
+
+
+@functools.cache
+def _field_checks(cls) -> list:
+    return [(name, *_type_check(hint)) for name, hint in get_type_hints(cls).items()]
+
+
+def _check_leaves(section, prefix: str = "") -> None:
+    """Reject the first field of a config ``section`` whose value does not
+    have the field's declared type, naming its key."""
+    for name, ok, kind in _field_checks(type(section)):
+        value = getattr(section, name)
+        if not ok(value):
+            raise ValidationError(f"{prefix}{name} must be {kind}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class GramConfig:
     case: str = "III"
     K: int = 4
     n: int = 100
-    c: Any = 0.4
+    c: Union[float, list[float]] = 0.4  # a list, one per class, in case II only
     d: Optional[float] = None  # omitted: 0 in cases I and II, else 0.1
     e: float = 0.0
     superclass_sizes: Optional[list[int]] = None
     perturbation_amplitude: float = 0.0
 
-    def build(self, n: Optional[int] = None, seed: int = 0) -> GramModel:
+    def __post_init__(self):
+        _check_leaves(self, "gram.")
         cases = [case.value for case in GramCase]
         if self.case not in cases:
             raise ValidationError(f"gram.case must be one of {', '.join(cases)}, got {self.case!r}")
+        if isinstance(self.c, (list, tuple)) and self.case != "II":
+            raise ValidationError(f"gram.c must be one number in case {self.case}; "
+                                  "a per-class list is case II")
+
+    def build(self, n: Optional[int] = None, seed: int = 0) -> GramModel:
         smap = (
             SuperclassMap.from_sizes(self.superclass_sizes)
             if self.superclass_sizes
@@ -62,6 +103,9 @@ class CorruptionConfig:
     kind: str = "symmetric"
     eta: float = 0.0
     matrix_path: Optional[str] = None
+
+    def __post_init__(self):
+        _check_leaves(self, "corruption.")
 
     def build(self, K: int, smap: Optional[SuperclassMap], eta: Optional[float] = None
               ) -> CorruptionMatrix:
@@ -94,6 +138,7 @@ class ExperimentConfig:
     solver_warm_start: bool = False
 
     def __post_init__(self):
+        _check_leaves(self)
         if self.lam <= 0.0:
             raise ValidationError("lam must be positive")
         if self.t_max < 0:
@@ -113,10 +158,13 @@ class ExperimentConfig:
             vals = tuple(self.sweep_values)
             if any(b < a for a, b in zip(vals, vals[1:])):
                 raise ValidationError("sweep values must be sorted ascending")
+            if self.sweep_parameter == "n" and not all(float(v).is_integer() for v in vals):
+                raise ValidationError(f"sweep_values must be whole sample counts to sweep n, "
+                                      f"got {list(vals)}")
             object.__setattr__(self, "sweep_values", vals)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
+        if not self.output_dir:
             raise ValidationError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if self.corruption.matrix_path is not None and not os.path.exists(
             self.corruption.matrix_path
@@ -165,10 +213,6 @@ class ExperimentConfig:
         try:
             gram = GramConfig(**data.pop("gram", {}))
             corruption = CorruptionConfig(**data.pop("corruption", {}))
-            if "modes" in data:
-                data["modes"] = tuple(data["modes"])
-            if data.get("sweep_values") is not None:
-                data["sweep_values"] = tuple(data["sweep_values"])
             return cls(gram=gram, corruption=corruption, **data)
         except TypeError as exc:
             raise ValidationError(f"bad configuration: {exc}") from exc

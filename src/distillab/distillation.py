@@ -3,15 +3,14 @@
 Centered one-hot targets evolve under powers of the label-averaging
 operator, whose eigenvalues are the ``t``-th powers of
 :func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  For an
-unperturbed Gram every such power is a combination of the identity and of
-class, superclass and global means: :func:`averaging_operator` keeps it as
-class means through a ``K x K`` core plus scaled within-class deviations,
-so :func:`trajectory` and :func:`pll_student` take ``O(K N)`` memory.  A
-sample's round-``t`` output depends only on its (true class, given label)
-cell: :func:`cell_outputs` evaluates all ``K^2`` cells at once in
-``O(K^3)``, for every Gram case, and :func:`closed_form_output` reads one
-of them.  The partial-label student replaces the teacher's soft output with
-a two-hot vector on its top two entries.
+unperturbed Gram every such power scales each sample's deviation from its
+class mean by its class's bulk power and mixes the class means through one
+``K x K`` block, both from :func:`_class_block`: :func:`averaging_operator`
+applies them in ``O(K N)`` memory for :func:`trajectory` and
+:func:`pll_student`, and :func:`cell_outputs` to all ``K^2`` (true class,
+given label) cells at once in ``O(K^3)``; :func:`closed_form_output` reads
+one cell.  The partial-label student replaces the teacher's soft output
+with a two-hot vector on its top two entries.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .csvio import fmt_all, index_runs, read_csv, write_csv
 from .errors import ValidationError
-from .gram_models import EigenSystem, _head_columns
+from .gram_models import EigenSystem, GramModel, _head_columns
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
@@ -165,18 +164,18 @@ class PartialLabelMatrix:
 class AveragingOperator:
     """The round-``t`` label-averaging operator, kept factored.
 
-    The operator is ``diag(bulk) + vectors core vectors^T``, ``core`` a
-    vector of diagonal weights or a full matrix and ``bulk`` a scalar or
-    one value per sample, with ``eigenvalues = rho^t`` its full spectrum
-    (see :func:`averaging_operator`).  :meth:`apply` uses the factors;
-    :attr:`matrix` builds the ``N x N`` array on first read only.
+    The operator is ``diag(bulk) + vectors core vectors^T`` with full
+    spectrum ``eigenvalues = rho^t`` (see :func:`averaging_operator`): the
+    class indicators over ``sqrt(n)``, the class block and each sample's
+    bulk power on an unperturbed Gram, else the eigenvectors, the vector
+    ``rho^t`` and 0.  :meth:`apply` uses the factors; :attr:`matrix` builds
+    the ``N x N`` array on first read only.
     """
 
     vectors: np.ndarray
     core: np.ndarray
     bulk: float | np.ndarray
     t: int
-    lam: float
     eigenvalues: np.ndarray
 
     def __post_init__(self):
@@ -221,26 +220,36 @@ def _ratios(values: np.ndarray, lam: float, K: int, n: int) -> np.ndarray:
     return eigen_ratio(np.clip(values, 0.0, None), lam, K, n)
 
 
+def _class_block(model: GramModel, lam: float, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The round-``t`` averaging of an unperturbed ``model`` on classes.
+
+    With ``f = rho^t`` and ``m`` the centered class means, a sample of class
+    ``k`` with centered label ``y`` goes to ``bulk[k] y + (m @ block)[k]``:
+    ``bulk = f(1 - omega)`` shrinks it toward its class mean, and
+    ``block = coeffs diag(f(eta)) coeffs^T - diag(bulk)`` mixes the means,
+    with ``eta``, ``coeffs`` the class-constant eigenpairs of
+    :func:`~distillab.gram_models._head_columns`.
+    """
+    K, n = model.K, model.n
+    head_values, coeffs = _head_columns(model)
+    bulk = _ratios(1.0 - model.omega, lam, K, n) ** t
+    block = (coeffs * _ratios(head_values, lam, K, n) ** t) @ coeffs.T - np.diag(bulk)
+    return bulk, block
+
+
 def _operator(eig: EigenSystem, lam: float, K: int, n: int, t: int) -> AveragingOperator:
     """The round-``t`` operator of :func:`averaging_operator`, ``t >= 0``."""
     powered = _ratios(eig.values, lam, K, n) ** t
-    spectrum = eig.classes
-    if spectrum is None:
-        # a dense eigensystem: the plain product, or exactly the identity
-        if t == 0:
-            return AveragingOperator(vectors=eig.vectors[:, :0], core=powered[:0], bulk=1.0,
-                                     t=t, lam=lam, eigenvalues=powered)
-        return AveragingOperator(vectors=eig.vectors, core=powered, bulk=0.0,
-                                 t=t, lam=lam, eigenvalues=powered)
-    head = _ratios(spectrum.head_values, lam, K, n) ** t
-    bulk = _ratios(spectrum.bulk, lam, K, n) ** t
-    if np.all(bulk == bulk[0]):
-        # coeffs^T (mu I) coeffs = mu I: the bulk is a multiple of the identity
-        core, bulk = head - bulk[0], bulk[0]
-    else:
-        core = np.diag(head) - (spectrum.coeffs.T * bulk) @ spectrum.coeffs
-        bulk = np.repeat(bulk, n)
-    return AveragingOperator(vectors=spectrum.head, core=core, bulk=bulk, t=t, lam=lam,
+    if t == 0:
+        # every power is 1: exactly the identity, on either form
+        return AveragingOperator(vectors=np.zeros((eig.size, 0)), core=powered[:0], bulk=1.0,
+                                 t=t, eigenvalues=powered)
+    if eig.model is None:
+        return AveragingOperator(vectors=eig.vectors, core=powered, bulk=0.0, t=t,
+                                 eigenvalues=powered)
+    bulk, block = _class_block(eig.model, lam, t)
+    indicators = np.repeat(np.eye(K) / np.sqrt(n), n, axis=0)
+    return AveragingOperator(vectors=indicators, core=block, bulk=np.repeat(bulk, n), t=t,
                              eigenvalues=powered)
 
 
@@ -250,26 +259,16 @@ def averaging_operator(
     """Spectral power of the one-round label-averaging map.
 
     Shares the Gram eigenvectors; eigenvalue ``lambda_i`` maps to
-    ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is the
-    identity.  Source eigenvalues below ``-1e-8`` are rejected; tiny
-    negatives from a perturbed matrix are clipped to zero.
+    ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is
+    exactly the identity.  Source eigenvalues below ``-1e-8`` are rejected;
+    tiny negatives from a perturbed matrix are clipped to zero.
 
-    On a class-structured eigensystem (:class:`~distillab.gram_models.ClassSpectrum`,
-    head ``H``, coefficients ``coeffs``, head values ``eta``, bulk values
-    ``mu``) the operator is the class-wise bulk power plus a ``K x K`` core
-    on the head columns::
-
-        diag(f(mu)[class]) + H (diag(f(eta)) - coeffs^T diag(f(mu)) coeffs) H^T
-
-    with ``f = rho^t``, since the bulk of class ``k`` spans its rows'
-    identity less the class mean.  When every ``mu_k`` is equal (cases I and
-    III-V) the core is exactly ``diag(f(eta) - f(mu))`` and the bulk a
-    scalar.  Building the operator costs ``O(K N)`` and applying it
-    ``O(K^2 N)``; neither reads the ``N x N`` eigenvectors.  At ``t = 0``
-    every power is 1, so the operator is exactly the identity.
-
+    On a class-structured eigensystem (one that holds its ``model``) the
+    operator is ``diag(bulk[class]) + E block E^T / n``, with ``E`` the class
+    indicators and :func:`_class_block`'s ``bulk`` and ``block``: ``O(K N)``
+    to build and ``O(K^2 N)`` to apply, without the ``N x N`` eigenvectors.
     A dense eigensystem keeps the plain product ``(V rho^t) V^T``, applied
-    in ``O(K N^2)``, and the exact identity at ``t = 0``.
+    in ``O(K N^2)``.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
@@ -283,7 +282,9 @@ def trajectory(
 
     Evaluates the eigen form: center the targets at the uniform vector,
     apply the round-``t`` operator of :func:`averaging_operator` and shift
-    back, in ``O(K^2 N)`` per round on a class-structured eigensystem.
+    back: per round ``O(K^2 N)`` through the class block of
+    :func:`_class_block` on a class-structured eigensystem, ``O(K N^2)`` on
+    a dense one.
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -306,17 +307,11 @@ def cell_outputs(
 
     ``targets[:, k, k']`` is the label vector shared by the samples of true
     class ``k + 1`` given label ``k' + 1`` (0-based array indices), and
-    ``C`` weights the cells of each class.  On the unperturbed Gram of
-    ``tc.model`` a sample's output splits into its deviation from its class
-    mean, scaled by the bulk ratio ``rb_k = (1 - omega_k) / (K^2 n lam + 1 -
-    omega_k)`` per round, and the class mean itself, which lives on the
-    ``K`` class-constant eigenvectors of
-    :func:`~distillab.gram_models._head_columns` (class-space coefficients
-    ``coeffs``, ratios ``rh``).  With ``M[:, k] = sum_k' C[k, k']
-    (targets[:, k, k'] - 1/K)`` the matrix of centered class means::
+    ``C`` weights the cells of each class.  With the centered class means
+    ``M[:, k] = sum_k' C[k, k'] (targets[:, k, k'] - 1/K)`` and
+    :func:`_class_block` of ``tc.model``::
 
-        out[:, k, k'] = rb_k^t (targets[:, k, k'] - 1/K - M[:, k])
-                        + (M coeffs diag(rh^t) coeffs^T)[:, k] + 1/K
+        out[:, k, k'] = bulk[k] (targets[:, k, k'] - 1/K) + (M block)[:, k] + 1/K
 
     That is exact for all five Gram cases and any ``C`` whose cells the
     samples realise, at a cost of ``O(K^3)`` independent of ``n``; at
@@ -332,13 +327,10 @@ def cell_outputs(
         raise ValidationError(f"cell targets must have shape {(K, K, K)}, got {targets.shape}")
     if t == 0:
         return targets
-    head_values, coeffs = _head_columns(tc.model)
-    head = tc.ratio(head_values) ** t
-    bulk = tc.ratio(1.0 - tc.model.omega) ** t
+    bulk, block = _class_block(tc.model, tc.lam, t)
     centered = targets - 1.0 / K
     means = np.einsum("ikj,kj->ik", centered, C.entries)
-    class_part = (means @ coeffs * head) @ coeffs.T
-    return bulk[:, None] * (centered - means[:, :, None]) + class_part[:, :, None] + 1.0 / K
+    return bulk[:, None] * centered + (means @ block)[:, :, None] + 1.0 / K
 
 
 def _check_sample(sample: tuple[int, int], K: int) -> tuple[int, int]:

@@ -11,8 +11,10 @@ Every unperturbed model is described by its ``K x K`` class-level Gram
 ``B`` (:attr:`GramModel.class_gram`): the realized matrix, the cell Gram
 and the class-constant eigenpairs (those of ``n B + diag(1 - omega)``) are
 all read from it.  The rest of the spectrum is the within-class bulk
-``1 - omega_k``, so the closed-form eigensystem (:class:`ClassSpectrum`)
-takes ``O(K N)`` memory; only a dense one holds ``N x N`` eigenvectors.
+``1 - omega_k``, so a function of the Gram is one ``K x K`` block on the
+class means plus a per-class bulk power
+(:func:`~distillab.distillation._class_block`): the closed-form eigensystem
+holds only its values and model, and only a dense one ``N x N`` vectors.
 
 Correlation cases
 -----------------
@@ -29,7 +31,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "SuperclassMap",
     "GramModel",
     "EigenSystem",
-    "ClassSpectrum",
     "CellGram",
     "FeatureMatrix",
     "RelationStats",
@@ -230,27 +231,13 @@ class GramModel:
         return np.repeat(np.arange(1, self.K + 1), self.n)
 
 
-class ClassSpectrum(NamedTuple):
-    """The eigensystem of an unperturbed model, in ``O(K N)`` memory.
-
-    ``head`` is the ``N x K`` matrix of the class-constant eigenvectors
-    (column ``j`` repeats ``coeffs[k, j] / sqrt(n)`` over class ``k``) and
-    ``head_values`` their eigenvalues, descending (:func:`_head_columns`).
-    Every other eigenvector is a within-class contrast of class ``k`` with
-    the bulk value ``bulk[k] = 1 - omega_k``, ``n - 1`` of them per class.
-    """
-
-    head: np.ndarray
-    head_values: np.ndarray
-    coeffs: np.ndarray
-    bulk: np.ndarray
-
-    def order(self) -> tuple[np.ndarray, np.ndarray]:
-        """All ``N`` eigenvalues, head first and then class by class the
-        bulk, and their stable descending sort."""
-        n = self.head.shape[0] // self.coeffs.shape[0]
-        values = np.concatenate([self.head_values, np.repeat(self.bulk, n - 1)])
-        return values, np.argsort(-values, kind="stable")
+def _spectrum_order(model: GramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of :func:`_head_columns`, all ``N`` eigenvalues of
+    ``model`` (the head, then class by class ``n - 1`` times the bulk
+    ``1 - omega_k``) and their stable descending sort."""
+    head_values, coeffs = _head_columns(model)
+    values = np.concatenate([head_values, np.repeat(1.0 - model.omega, model.n - 1)])
+    return coeffs, values, np.argsort(-values, kind="stable")
 
 
 class EigenSystem:
@@ -264,26 +251,26 @@ class EigenSystem:
     bit for bit unchanged.
 
     A dense system is given its ``N x N`` ``vectors``.  A class-structured
-    one (``classes``, from :func:`analytic_eigensystem`) holds only its
-    :class:`ClassSpectrum` and builds ``vectors`` on first read, in
-    ``O(N^2)``; the averaging operator never reads them.
+    one (from :func:`analytic_eigensystem`) holds its unperturbed ``model``
+    and builds ``vectors`` from it on first read, in ``O(N^2)``; the
+    averaging operator reads the model's ``K x K`` class block instead.
     """
 
-    def __init__(self, values, vectors=None, classes: Optional[ClassSpectrum] = None):
+    def __init__(self, values, vectors=None, model: Optional[GramModel] = None):
         values = np.array(values, dtype=float)
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("eigenvalues must be sorted descending")
         values.flags.writeable = False
         self.values = values
-        self.classes = classes
+        self.model = model
         if vectors is not None:
             vectors = np.asarray(vectors, dtype=float)
             if vectors.shape != (values.size, values.size):
                 raise ValidationError("eigenvector matrix must be square and match values")
             vectors.flags.writeable = False
             self.__dict__["vectors"] = vectors
-        elif classes is None:
-            raise ValidationError("an eigensystem needs its vectors or its class spectrum")
+        elif model is None:
+            raise ValidationError("an eigensystem needs its vectors or its model")
 
     @property
     def size(self) -> int:
@@ -295,16 +282,16 @@ class EigenSystem:
 
         Each column is written once, straight into its sorted position of
         one zeroed column-major array (so every column is one contiguous
-        block): the head columns, then each class's Helmert contrasts
+        block): the head columns (column ``j`` repeats ``coeffs[k, j] /
+        sqrt(n)`` over class ``k``), then each class's Helmert contrasts
         (:func:`_helmert_vectors`) in its rows.
         """
-        spectrum = self.classes
-        K, size = spectrum.coeffs.shape[0], self.size
-        n = size // K
+        K, n, size = self.model.K, self.model.n, self.size
+        coeffs, _, order = _spectrum_order(self.model)
         position = np.empty(size, dtype=np.intp)
-        position[spectrum.order()[1]] = np.arange(size)
+        position[order] = np.arange(size)
         vectors = np.zeros((size, size), order="F")
-        vectors[:, position[:K]] = spectrum.head
+        vectors[:, position[:K]] = np.repeat(coeffs / math.sqrt(n), n, axis=0)
         if n > 1:
             basis = _helmert_vectors(n)
             for k in range(K):
@@ -394,6 +381,7 @@ def _helmert_vectors(m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray]:
     """The ``K`` eigenpairs that are constant on each class, values descending.
 
@@ -406,11 +394,15 @@ def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray]:
     ``1 - omega_k`` (multiplicity ``n - 1`` per class) they are the whole
     spectrum of an unperturbed model.  The values equal the family formulas
     (:class:`~distillab.noise_theory.TheoryConstants`) only to rounding, and
-    within a repeated value the basis is the solver's.
+    within a repeated value the basis is the solver's.  Cached, since every
+    round of the averaging operator and the cell engine reads them, so both
+    arrays are read-only.
     """
     head = model.n * model.class_gram + np.diag(1.0 - model.omega)
     values, coeffs = np.linalg.eigh(head)
-    return values[::-1], coeffs[:, ::-1]
+    values, coeffs = values[::-1], coeffs[:, ::-1]
+    values.flags.writeable = coeffs.flags.writeable = False
+    return values, coeffs
 
 
 def analytic_eigensystem(model: GramModel) -> EigenSystem:
@@ -426,7 +418,7 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
 
     The pairs are sorted by a stable descending sort of the values (head
     first, then class by class the bulk).  The result holds the sorted
-    values and the :class:`ClassSpectrum`, ``O(K N)`` memory; its ``N x N``
+    values and ``model``, ``O(N)`` memory; its ``N x N``
     :attr:`EigenSystem.vectors` are built on first read only.
     """
     if model.perturbation_amplitude != 0.0:
@@ -434,12 +426,8 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
             "analytic eigensystem is only defined for unperturbed models; "
             "use numeric_eigensystem on build_gram output"
         )
-    head_values, coeffs = _head_columns(model)
-    # column-major, the layout of a column selection of the N x N vectors
-    head = np.asfortranarray(np.repeat(coeffs / math.sqrt(model.n), model.n, axis=0))
-    spectrum = ClassSpectrum(head, head_values, coeffs, 1.0 - model.omega)
-    values, order = spectrum.order()
-    return EigenSystem(values=values[order], classes=spectrum)
+    _, values, order = _spectrum_order(model)
+    return EigenSystem(values=values[order], model=model)
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
@@ -583,10 +571,13 @@ def load_superclass_map(path) -> SuperclassMap:
     table = read_csv(path, int)
     if table.shape[1] < 2:
         raise ValidationError(f"{path}: expected class_index,superclass_index rows")
-    entries = dict(zip(table[:, 0].tolist(), table[:, 1].tolist()))
-    if sorted(entries) != list(range(1, len(entries) + 1)):
+    classes, counts = np.unique(table[:, 0], return_counts=True)
+    if np.any(counts > 1):
+        raise ValidationError(f"{path}: class {classes[counts > 1][0]} is listed more than once; "
+                              "list each class 1..K exactly once")
+    if classes.tolist() != list(range(1, classes.size + 1)):
         raise ValidationError("superclass file must cover classes 1..K exactly once")
-    return SuperclassMap(tuple(entries[k] for k in sorted(entries)))
+    return SuperclassMap(tuple(table[np.argsort(table[:, 0]), 1].tolist()))
 
 
 def _relation_stats(values: np.ndarray) -> Optional[RelationStats]:

@@ -111,8 +111,9 @@ class SolverConfig:
 
     ``max_iterations`` caps the Newton steps of one round.  ``tolerance``
     is the max-norm fixed-point residual below which the round counts as
-    converged.  ``seed`` draws the random normalized starting columns;
-    ``warm_start`` starts at the linearized closed-form prediction instead.
+    converged.  ``seed`` draws the random normalized starting columns, and
+    :func:`run_rounds` also places the labels with it; ``warm_start``
+    starts at the linearized closed-form prediction instead.
     """
 
     max_iterations: int = 50_000

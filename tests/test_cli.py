@@ -162,6 +162,22 @@ class TestConfig:
         assert sorted(os.listdir(tmp_path)) == sorted(["config.json", name])
         assert (out / "theory.json").is_file()
 
+    @pytest.mark.parametrize("command,setting,key", [
+        ("theory", "gram.c=[0.3,0.5,0.7,0.6]", "gram.c"),
+        ("theory", 'gram.c="abc"', "gram.c"),
+        ("theory", "gram.n=12.5", "gram.n"),
+        ("theory", "t_max=1.5", "t_max"),
+        ("approx-error", "sweep_values=[48.7,96]", "sweep_values"),
+    ], ids=["per-class-c-in-case-III", "c-not-a-number", "fractional-n",
+            "fractional-t_max", "fractional-n-sweep"])
+    def test_leaf_of_the_wrong_type_exits_one(self, tmp_path, capsys, command, setting, key):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 96, "c": 0.4, "d": 0.1},
+                           modes=["oracle", "theory"], t_max=1, sweep_parameter="n",
+                           sweep_values=[48, 96])
+        assert main([command, "--config", str(cfg), "--set", setting]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not (tmp_path / "out").exists()
+
     def test_non_number_in_corruption_matrix_exits_one(self, tmp_path, capsys):
         matrix = tmp_path / "corruption.csv"
         matrix.write_text("0.5,0.5\n0.5,half\n")
@@ -310,8 +326,8 @@ class TestPhaseCommand:
             assert table[(eta, "PLL")][0] == pytest.approx(1.0)
 
     def test_predictions_match_the_benchmark_reference(self, tmp_path, monkeypatch):
-        # the phase_eta workload pins these predictions; predictions only, so
-        # no trajectory runs, and the reference file is only read
+        # the phase_eta workload pins these predictions; only they are
+        # compared, and the reference file is only read
         spec = importlib.util.spec_from_file_location(
             "bench_workloads", os.path.join(BENCH_DIR, "workloads.py"))
         workloads = importlib.util.module_from_spec(spec)
@@ -341,6 +357,19 @@ class TestPhaseCommand:
         assert rows == [["0", "1", "1", "1"], ["0", "2", "1", "1"],
                         ["0.25", "1", "0.75", "0.75"], ["0.25", "2", "0.75", "0.75"],
                         ["0.5", "1", "0.5", "0.5"], ["0.5", "2", "0.5", "0.5"]]
+
+    def test_pll_mode_alone_measures_the_student(self, tmp_path):
+        # without closed_form the PLL row is still measured, as in trajectory
+        sweep = dict(gram={"case": "III", "K": 4, "n": 24, "c": 0.4, "d": 0.1},
+                     sweep_parameter="eta", sweep_values=[0.25, 0.5])
+        tables = []
+        for modes in (["pll", "theory"], ["closed_form", "pll", "theory"]):
+            cfg = write_config(tmp_path, modes=modes, **sweep)
+            assert main(["phase", "--config", str(cfg)]) == 0
+            tables.append(read_csv_rows(tmp_path / "out" / "phase.csv")[1])
+        pll_rows = [row for row in tables[0] if row[1] == "PLL"]
+        assert len(pll_rows) == 2 and all(row[3] != "" for row in pll_rows)
+        assert tables[0] == tables[1]
 
     def test_per_class_model_table(self, tmp_path):
         # case II: one threshold per class, and the same top-2 rule as the

@@ -91,6 +91,22 @@ PERTURBED_MODEL = GramModel(case=GramCase.III, K=3, n=8, c=0.4, d=0.1,
                             perturbation_amplitude=0.01, seed=5)
 
 
+# each structured model, and with "-dense" the same model whose reference
+# eigensystem is the dense one of its realized Gram: the analytic .vectors
+# share _head_columns with the class block, the dense ones share nothing
+STRUCTURED_REFERENCES = sorted(STRUCTURED_MODELS) + [
+    f"{name}-dense" for name in sorted(STRUCTURED_MODELS)]
+
+
+def structured_reference(name):
+    """The model of a :data:`STRUCTURED_REFERENCES` entry and its reference
+    eigensystem."""
+    model = STRUCTURED_MODELS[name.removesuffix("-dense")]
+    if name.endswith("-dense"):
+        return model, numeric_eigensystem(build_gram(model))
+    return model, analytic_eigensystem(model)
+
+
 def plain_operator(eig, lam, K, n, t):
     """The undeflated product ``(V rho^t) V^T``."""
     ratios = eig.values / (K * K * n * lam + eig.values)
@@ -99,13 +115,12 @@ def plain_operator(eig, lam, K, n, t):
 
 class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("t", [0, 1, 3])
-    @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS))
+    @pytest.mark.parametrize("name", STRUCTURED_REFERENCES)
     def test_matches_plain_product_on_analytic_eigensystems(self, name, t):
-        model = STRUCTURED_MODELS[name]
-        eig = analytic_eigensystem(model)
-        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        model, reference = structured_reference(name)
+        op = averaging_operator(analytic_eigensystem(model), 1e-3, model.K, model.n, t)
         np.testing.assert_allclose(
-            op.matrix, plain_operator(eig, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
+            op.matrix, plain_operator(reference, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
         )
         if t == 0:
             np.testing.assert_array_equal(op.matrix, np.eye(model.size))
@@ -570,15 +585,18 @@ class TestCellOutputs:
         lam = float(rng.uniform(1e-4, 1e-2))
         tc = theory_constants(model, lam)
         la = realize_labels(C, n, seed=seed)
-        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, K, n, 3)
         cells = [(int(y), int(g)) for y, g in zip(la.true_labels, la.given_labels)]
-        for t in range(4):
-            engine = cell_outputs(one_hot_cells(K), C, tc, t)
-            per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
-            np.testing.assert_allclose(per_sample, traj[t].columns, rtol=0, atol=1e-12)
-            if C.is_block_confined(smap):
-                closed = np.stack([closed_form_output(cell, C, tc, t) for cell in cells], axis=1)
-                np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
+        # the dense eigen form shares no code with the class block
+        for eig in (analytic_eigensystem(model), numeric_eigensystem(build_gram(model))):
+            traj = trajectory(one_hot_from(la), eig, lam, K, n, 3)
+            for t in range(4):
+                engine = cell_outputs(one_hot_cells(K), C, tc, t)
+                per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
+                np.testing.assert_allclose(per_sample, traj[t].columns, rtol=0, atol=1e-12)
+                if C.is_block_confined(smap):
+                    closed = np.stack([closed_form_output(cell, C, tc, t) for cell in cells],
+                                      axis=1)
+                    np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
 
     def test_round_zero_returns_targets(self):
         model = CASE_MODELS["V"]

@@ -488,6 +488,14 @@ class TestFeatureMatrixIO:
         smap = load_superclass_map(path)
         assert smap.assignments == (1, 1, 2)
 
+    @pytest.mark.parametrize("text", ["1,1\n1,1\n2,2\n", "1,1\n1,2\n2,1\n"],
+                             ids=["same-superclass", "other-superclass"])
+    def test_superclass_sidecar_lists_each_class_once(self, tmp_path, text):
+        path = tmp_path / "superclasses.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="class 1 is listed more than once"):
+            load_superclass_map(path)
+
     def test_malformed_csv_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.6,0.8,1\nnot,a,number\n")
