@@ -9,12 +9,18 @@ Subcommands::
     ingest       correlation statistics and fitted constants from features
 
 ``trajectory``, ``phase`` and ``approx-error`` read the labels and rounds of
-one :func:`~distillab.oracle.run_rounds` call per run or sweep point.  It
-checks ``lam`` and realises the corruption before any file is written;
-``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
-two reject it.  Every command runs on all five Gram cases.  CSV numbers have
-12 significant digits and are byte-reproducible for a fixed configuration
-and seed.  Exit codes: 0 success, 1 invalid input, 2 numerical failure.
+one :func:`~distillab.oracle.run_rounds` call per run or sweep point.  Their
+modes: ``trajectory`` always runs the closed-form rounds, plus the top-2
+student under ``pll`` and the oracle rounds under ``oracle``; ``phase``
+measures the closed-form rounds under ``closed_form`` or ``pll``, the oracle
+rounds in their place under ``oracle``, and the student's row under ``pll``;
+``approx-error`` needs ``oracle``.  ``theory`` and ``ingest`` read no mode,
+and no command reads the ``theory`` mode.  ``run_rounds`` checks ``lam`` and
+realises the corruption before any file is written; ``approx-error`` snaps
+an off-grid corruption to the ``n``-grid, the other two reject it.  Every
+command runs on all five Gram cases.  CSV numbers have 12 significant digits
+and are byte-reproducible for a fixed configuration and seed.  Exit codes:
+0 success, 1 invalid input, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -170,7 +176,8 @@ def _sweep(config: ExperimentConfig, parameter: str, default, worker) -> list:
     else:
         command = {"eta": "phase", "n": "approx-error"}[parameter]
         raise ValidationError(f"the {command} command sweeps over {parameter}")
-    payloads = [(config.to_json(), v) for v in values]
+    text = config.to_json()
+    payloads = [(text, v) for v in values]
     if config.workers > 1:
         # imported here: the pool's modules cost every CLI start 13-20 ms
         from concurrent.futures import ProcessPoolExecutor

@@ -17,7 +17,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap
-from .noise_theory import CorruptionMatrix, make_corruption
+from .noise_theory import CORRUPTION_KINDS, CorruptionMatrix, make_corruption
 from .oracle import SolverConfig
 
 __all__ = ["ExperimentConfig", "GramConfig", "CorruptionConfig"]
@@ -100,29 +100,55 @@ class GramConfig:
 
 @dataclass(frozen=True)
 class CorruptionConfig:
+    """A generated corruption of rate ``eta`` (``symmetric``, ``asymmetric``
+    or ``superclass``), or the ``explicit`` matrix read from ``matrix_path``.
+    A setting the kind would ignore is rejected."""
+
     kind: str = "symmetric"
     eta: float = 0.0
     matrix_path: Optional[str] = None
 
     def __post_init__(self):
         _check_leaves(self, "corruption.")
+        kinds = (*CORRUPTION_KINDS, "explicit")
+        if self.kind not in kinds:
+            raise ValidationError(f"corruption.kind must be one of {', '.join(kinds)}, "
+                                  f"got {self.kind!r}")
+        if self.kind == "explicit":
+            if self.matrix_path is None:
+                raise ValidationError("explicit corruption needs matrix_path")
+            if self.eta != 0.0:
+                raise ValidationError("explicit corruption reads its rates from matrix_path: "
+                                      "set corruption.eta to 0")
+        elif self.matrix_path is not None:
+            raise ValidationError(f"corruption kind {self.kind!r} generates its matrix from "
+                                  "eta: drop matrix_path or set kind to explicit")
 
     def build(self, K: int, smap: Optional[SuperclassMap], eta: Optional[float] = None
               ) -> CorruptionMatrix:
         if self.kind == "explicit":
-            if self.matrix_path is None:
-                raise ValidationError("explicit corruption needs matrix_path")
             return CorruptionMatrix.from_csv(self.matrix_path)
-        return make_corruption(
-            self.kind,
-            self.eta if eta is None else eta,
-            K,
-            superclass_map=smap,
-        )
+        return make_corruption(self.kind, self.eta if eta is None else eta, K,
+                               superclass_map=smap)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: model, corruption, ``lam``, rounds, modes and sweep.
+
+    What each command does with ``modes``:
+
+    - ``trajectory`` always runs ``closed_form``; ``pll`` adds the top-2
+      student and ``oracle`` the exact rounds.
+    - ``phase`` measures the closed-form rounds under ``closed_form`` or
+      ``pll``, the oracle rounds in their place under ``oracle``, and adds
+      the student's row under ``pll``; with none of the three, its rows
+      hold predictions only.
+    - ``approx-error`` needs ``oracle`` and reads no other mode.
+    - ``theory`` reads no mode.  No command reads the ``theory`` mode; it is
+      accepted so that existing configs that list it keep loading.
+    """
+
     gram: GramConfig = field(default_factory=GramConfig)
     corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
     lam: float = 3.125e-4
@@ -135,7 +161,6 @@ class ExperimentConfig:
     workers: int = 1
     solver_max_iterations: int = 50_000
     solver_tolerance: float = 1e-10
-    solver_warm_start: bool = False
 
     def __post_init__(self):
         _check_leaves(self)
@@ -161,6 +186,10 @@ class ExperimentConfig:
             if self.sweep_parameter == "n" and not all(float(v).is_integer() for v in vals):
                 raise ValidationError(f"sweep_values must be whole sample counts to sweep n, "
                                       f"got {list(vals)}")
+            if self.sweep_parameter == "eta" and self.corruption.kind == "explicit":
+                raise ValidationError("explicit corruption reads its rates from matrix_path, "
+                                      "so an eta sweep would repeat one matrix: use a generated "
+                                      "corruption.kind or drop the sweep")
             object.__setattr__(self, "sweep_values", vals)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -177,7 +206,6 @@ class ExperimentConfig:
                 max_iterations=self.solver_max_iterations,
                 tolerance=self.solver_tolerance,
                 seed=self.seed,
-                warm_start=self.solver_warm_start,
             )
         except ValidationError as exc:
             # SolverConfig names its own fields; the config keys add "solver_"

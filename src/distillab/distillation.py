@@ -29,7 +29,6 @@ from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
     TheoryConstants,
-    _check_corruption,
     eigen_ratio,
 )
 
@@ -346,11 +345,11 @@ def closed_form_output(
     """Round-``t`` output for a sample of true class ``y`` given label ``yhat``.
 
     The ``(y, yhat)`` cell of :func:`cell_outputs` on one-hot targets, so it
-    holds for every Gram case, coupled and unequal superclasses included.
-    Like the phase conditions it requires noise confined within
-    superclasses.
+    holds for every Gram case, coupled and unequal superclasses included,
+    and for any ``C`` with the model's ``K`` classes, noise across
+    superclasses included; only the phase conditions need that noise
+    confined within superclasses.
     """
-    _check_corruption(C, tc)
     K = tc.model.K
     y, yhat = _check_sample(sample, K)
     one_hot = np.broadcast_to(np.eye(K)[:, None, :], (K, K, K))

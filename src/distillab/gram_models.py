@@ -52,7 +52,6 @@ __all__ = [
     "cell_gram",
     "analytic_eigensystem",
     "numeric_eigensystem",
-    "eigensystem",
     "gram_statistics",
     "load_superclass_map",
 ]
@@ -457,21 +456,6 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
             f"eigendecomposition residual {resid.max():.3e} exceeds {bound:.3e}"
         )
     return EigenSystem(values=vals, vectors=vecs)
-
-
-def eigensystem(model: GramModel, gram: Optional[np.ndarray | CellGram] = None) -> EigenSystem:
-    """Eigensystem of ``model``'s Gram matrix: the closed form when the model
-    is unperturbed, else the dense decomposition of the realized matrix.
-
-    ``gram`` serves only a perturbed model and must then be
-    ``build_gram(model)``; a caller that needs the realized matrix anyway
-    passes it so that it is built only once.  An unperturbed model ignores
-    it, so a caller may pass the oracle's Gram either way.  The closed form
-    takes ``O(K N)`` memory, the dense one ``O(N^2)`` and ``O(N^3)`` time.
-    """
-    if model.perturbation_amplitude == 0.0:
-        return analytic_eigensystem(model)
-    return numeric_eigensystem(build_gram(model) if gram is None else gram)
 
 
 @dataclass(frozen=True)

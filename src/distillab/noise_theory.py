@@ -56,7 +56,7 @@ TIE_TOL = 1e-12
 # Steps ``minimal_rounds`` may take from its closed-form candidate.
 MINIMAL_ROUNDS_STEPS = 1000
 
-CORRUPTION_KINDS = ("symmetric", "asymmetric", "superclass", "explicit")
+CORRUPTION_KINDS = ("symmetric", "asymmetric", "superclass")
 
 
 @dataclass(frozen=True)
@@ -118,22 +118,17 @@ def make_corruption(
     eta: float,
     K: int,
     superclass_map: Optional[SuperclassMap] = None,
-    explicit_matrix: Optional[np.ndarray] = None,
 ) -> CorruptionMatrix:
     """Build a corruption matrix for a given scenario.
 
     ``symmetric`` spreads ``eta`` uniformly over the other ``K-1`` labels;
     ``asymmetric`` puts ``2*eta/K`` on the cyclic successor
     ``(k mod K) + 1`` and ``eta/K`` elsewhere; ``superclass`` confines the
-    noise to the sample's superclass.  ``explicit`` validates a caller
-    matrix against the stochasticity invariants.
+    noise to the sample's superclass.  Any other matrix is a
+    :class:`CorruptionMatrix` built directly, which checks it.
     """
     if kind not in CORRUPTION_KINDS:
         raise ValidationError(f"unknown corruption kind {kind!r}; expected {CORRUPTION_KINDS}")
-    if kind == "explicit":
-        if explicit_matrix is None:
-            raise ValidationError("explicit corruption requires a matrix")
-        return CorruptionMatrix(np.asarray(explicit_matrix, dtype=float))
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("corruption rate must lie in [0, 1]")
     if eta == 0.0:

@@ -41,8 +41,7 @@ computes the eigensystem, the closed-form rounds and the student; the two
 share only the labels and the read-only Gram, so no output depends on the
 overlap.  :func:`measure_approx_error` reads its oracle
 rounds and compares them with the linearized rounds
-``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` chained on the same Gram, the
-solve that also gives the solver's warm start.
+``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` chained on the same Gram.
 """
 
 from __future__ import annotations
@@ -56,10 +55,8 @@ import numpy as np
 from .distillation import (OutputMatrix, PartialLabelMatrix, pll_refine, pll_student,
                            trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import (CellGram, EigenSystem, GramModel, build_gram, cell_gram,
-                          eigensystem)
-# kept importable from here: bench/test_bench.py checks the tracer rebinds it
-from .gram_models import analytic_eigensystem  # noqa: F401
+from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem,
+                          build_gram, cell_gram, numeric_eigensystem)
 from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
                            nearest_realizable, realize_labels)
 
@@ -67,7 +64,6 @@ __all__ = [
     "SolverConfig",
     "OracleResult",
     "softmax",
-    "linearized_softmax",
     "fixed_point_residual",
     "solve_round",
     "Rounds",
@@ -93,18 +89,6 @@ def softmax(v: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def linearized_softmax(v: np.ndarray) -> np.ndarray:
-    """First-order softmax surrogate ``1/K + v/K`` for zero-mean logits."""
-    v = np.asarray(v, dtype=float)
-    total = float(np.abs(v.sum(axis=0)).max()) if v.size else 0.0
-    if total > ZERO_MEAN_LOGIT_TOL:
-        raise ValidationError(
-            f"logits must be zero-mean to {ZERO_MEAN_LOGIT_TOL:.0e}; column sum {total:.3e}"
-        )
-    K = v.shape[0]
-    return 1.0 / K + v / K
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for the Newton-CG fixed-point solver.
@@ -112,14 +96,12 @@ class SolverConfig:
     ``max_iterations`` caps the Newton steps of one round.  ``tolerance``
     is the max-norm fixed-point residual below which the round counts as
     converged.  ``seed`` draws the random normalized starting columns, and
-    :func:`run_rounds` also places the labels with it; ``warm_start``
-    starts at the linearized closed-form prediction instead.
+    :func:`run_rounds` also places the labels with it.
     """
 
     max_iterations: int = 50_000
     tolerance: float = 1e-10
     seed: int = 0
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -258,10 +240,9 @@ def solve_round(
     and every inner product); the outputs keep that layout.
 
     Starts from dual coefficients ``A = Y_prev - Y0``, with ``Y0`` the
-    seed-deterministic normalized uniform random columns (or the linearized
-    prediction under ``warm_start``), and takes damped Newton-CG steps on
-    the convex objective ``Phi`` of the module docstring.  A step is
-    accepted when it passes an Armijo test on ``Phi`` or halves the
+    seed-deterministic normalized uniform random columns, and takes damped
+    Newton-CG steps on the convex objective ``Phi`` of the module docstring.
+    A step is accepted when it passes an Armijo test on ``Phi`` or halves the
     max-norm gradient residual ``A - (Y_prev - softmax(Z))`` with ``Phi``
     risen by no more than rounding; the second test carries the last steps,
     where differences of ``Phi`` fall below rounding.  Stops when the
@@ -280,11 +261,8 @@ def solve_round(
         raise ValidationError("regularization strength must be positive")
     c = K * n * lam
     Yp = Y_prev.columns
-    if config.warm_start:
-        A = Yp - _linear_round(Yp, gram, lam, K, n)
-    else:
-        raw = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=Yp.shape)
-        A = Yp - raw / raw.sum(axis=0, keepdims=True)
+    raw = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=Yp.shape)
+    A = Yp - raw / raw.sum(axis=0, keepdims=True)
     Z = (A @ matrix) / c
     best_S, best_linf = None, np.inf
     iterations = 0
@@ -405,7 +383,8 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     top-2 student (and the closed-form rounds it refines) and ``oracle`` the
     chained oracle rounds ``1..t_max`` under ``solver``, on the cell Gram of
     an unperturbed model and on the dense Gram otherwise; other modes are
-    ignored.  ``lam`` is checked before anything runs.  Labels are drawn
+    ignored.  The closed-form stages read the analytic eigensystem of an
+    unperturbed model and the dense one of a perturbed model's Gram.  ``lam`` is checked before anything runs.  Labels are drawn
     from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
     ``snap`` runs on :func:`nearest_realizable` instead.
 
@@ -439,7 +418,11 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     def closed_stage():
         if not wants_closed:
             return None, None, None, None
-        eig = eigensystem(model, gram)
+        if not model.perturbation_amplitude:
+            eig = analytic_eigensystem(model)
+        else:
+            # the oracle's Gram when it runs, so that it is built only once
+            eig = numeric_eigensystem(build_gram(model) if gram is None else gram)
         closed = trajectory(OutputMatrix.from_labels(assignment.given_labels, K), eig,
                             lam, K, n, t_max)
         if "pll" not in modes:

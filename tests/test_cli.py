@@ -346,7 +346,8 @@ class TestPhaseCommand:
         # the oracle rounds replace the closed-form ones in the empirical
         # column, so no eigensystem or closed-form round is computed
         calls = []
-        monkeypatch.setattr(oracle, "eigensystem", lambda *a: calls.append(a))
+        for name in ("analytic_eigensystem", "numeric_eigensystem"):
+            monkeypatch.setattr(oracle, name, lambda *a: calls.append(a))
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
                            corruption={"kind": "symmetric", "eta": 0.0}, t_max=2,
                            modes=["closed_form", "oracle"], sweep_parameter="eta",
@@ -404,6 +405,20 @@ class TestPhaseCommand:
             (tmp_path / "serial" / "phase.csv").read_bytes()
             == (par_dir / "phase.csv").read_bytes()
         )
+
+    def test_config_is_serialised_once_per_sweep(self, tmp_path, monkeypatch):
+        # one to_json for the sweep, one from_json per point after the load
+        dumped, parsed = [], []
+        to_json, from_json = ExperimentConfig.to_json, ExperimentConfig.from_json
+        monkeypatch.setattr(ExperimentConfig, "to_json",
+                            lambda self: dumped.append(1) or to_json(self))
+        monkeypatch.setattr(ExperimentConfig, "from_json",
+                            staticmethod(lambda text: parsed.append(1) or from_json(text)))
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 3, "n": 16, "c": 0.5, "d": 0.2},
+                           corruption={"kind": "symmetric", "eta": 0.0},
+                           sweep_parameter="eta", sweep_values=[0.0, 0.25, 0.5])
+        assert main(["phase", "--config", str(cfg)]) == 0
+        assert (len(dumped), len(parsed)) == (1, 4)
 
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -537,6 +552,30 @@ class TestTheoryCommand:
         assert not (tmp_path / "out").exists()
         err = capsys.readouterr().err
         assert f"case {gram['case']} has" in err and fix in err
+
+    @pytest.mark.parametrize("command,corruption,sweep,fix", [
+        ("phase", {"kind": "explicit"}, {"sweep_parameter": "eta", "sweep_values": [0, 0.25, 0.5]},
+         "use a generated corruption.kind or drop the sweep"),
+        ("theory", {"kind": "explicit", "eta": 0.25}, {}, "set corruption.eta to 0"),
+        ("theory", {"kind": "symmetric", "eta": 0.25}, {},
+         "drop matrix_path or set kind to explicit"),
+    ], ids=["explicit_eta_sweep", "explicit_eta", "generated_matrix_path"])
+    def test_corruption_settings_the_kind_would_ignore_are_rejected(
+            self, tmp_path, capsys, command, corruption, sweep, fix):
+        matrix = tmp_path / "corruption.csv"
+        make_corruption("symmetric", 0.25, 4).to_csv(matrix)
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},
+                           corruption=dict(corruption, matrix_path=str(matrix)), **sweep)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert fix in capsys.readouterr().err
+
+    def test_unknown_corruption_kind_names_every_kind(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, corruption={"kind": "uniform", "eta": 0.25})
+        assert main(["theory", "--config", str(cfg)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == ("error: corruption.kind must be one of symmetric, "
+                                           "asymmetric, superclass, explicit, got 'uniform'\n")
 
 
 class TestApproxErrorCommand:

@@ -24,7 +24,6 @@ from distillab import (
     ValidationError,
     analytic_eigensystem,
     build_gram,
-    eigensystem,
     numeric_eigensystem,
 )
 from distillab.distillation import (
@@ -46,6 +45,7 @@ from distillab.noise_theory import (
     make_corruption,
     predicted_population_accuracy,
     realize_labels,
+    sd_accuracy_condition,
     theory_constants,
 )
 
@@ -164,7 +164,8 @@ class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
     def test_apply_is_the_product_with_the_matrix(self, name, t):
         model = STRUCTURED_MODELS.get(name, PERTURBED_MODEL)
-        eig = eigensystem(model)
+        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+               else analytic_eigensystem(model))
         op = averaging_operator(eig, 1e-3, model.K, model.n, t)
         rows = random_one_hot(model).columns - 1.0 / model.K
         np.testing.assert_allclose(op.apply(rows), rows @ op.matrix, rtol=0, atol=1e-13)
@@ -275,22 +276,17 @@ class TestDeflatedTrajectory:
             assert np.array_equal(traj[t].columns, expected)
 
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
-    def test_warm_start_is_the_eigen_form_and_reaches_the_cold_fixed_point(self, name):
+    def test_linear_round_is_the_eigen_form(self, name):
+        # the linearized reference of measure_approx_error
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["I"]
         K, n, lam = model.K, model.n, 1e-3
         gram = build_gram(model)
         Y_prev = random_one_hot(model)
-        warm = SolverConfig(warm_start=True, tolerance=1e-10)
         eig = numeric_eigensystem(gram)
         ratios = eig.values / (K * K * n * lam + eig.values)
         eigen_form = (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
-        start = oracle._linear_round(Y_prev.columns, gram, lam, K, n)
-        np.testing.assert_allclose(start, eigen_form, rtol=0, atol=1e-12)
-        new = solve_round(Y_prev, gram, lam, K, n, warm)
-        cold = solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=1e-10))
-        assert new.converged and cold.converged
-        np.testing.assert_allclose(new.outputs.columns, cold.outputs.columns, rtol=0, atol=1e-8)
-        assert new.iterations_used <= cold.iterations_used
+        linear = oracle._linear_round(Y_prev.columns, gram, lam, K, n)
+        np.testing.assert_allclose(linear, eigen_form, rtol=0, atol=1e-12)
 
 
 class TestTrajectory:
@@ -428,13 +424,29 @@ class TestClosedFormOutput:
         assert np.all(diffs[:peak] > 0)
         assert np.all(diffs[peak:] < 0)
 
-    def test_rejects_cross_superclass_noise(self):
-        smap = SuperclassMap((1, 1, 2, 2))
-        model = GramModel(case=GramCase.IV, K=4, n=30, c=0.5, d=0.2, superclass_map=smap)
+    @pytest.mark.parametrize("case", [GramCase.IV, GramCase.V])
+    def test_cross_superclass_noise_matches_trajectory(self, case):
+        # the cell form is exact for any realised C; only the phase
+        # conditions need noise confined within superclasses
+        model = GramModel(case=case, K=4, n=12, c=0.5, d=0.2,
+                          e=0.1 if case is GramCase.V else 0.0,
+                          superclass_map=SuperclassMap.from_sizes([2, 2]))
+        C = make_corruption("symmetric", 0.25, 4)
+        assert not C.is_block_confined(model.effective_map())
+        la = realize_labels(C, n=model.n, seed=3)
         tc = theory_constants(model, 1e-3)
-        C = make_corruption("symmetric", 0.4, 4)
-        with pytest.raises(ValidationError):
-            closed_form_output((1, 2), C, tc, 1)
+        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), 1e-3, 4, model.n, 3)
+        for t in (1, 2, 3):
+            closed = np.stack([closed_form_output((int(y), int(g)), C, tc, t)
+                               for y, g in zip(la.true_labels, la.given_labels)], axis=1)
+            np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
+        with pytest.raises(ValidationError, match="confined within superclasses"):
+            sd_accuracy_condition(C, tc, 1)
+
+    def test_rejects_corruption_of_another_size(self):
+        tc = setup_a_constants()
+        with pytest.raises(ValidationError, match="size does not match"):
+            closed_form_output((1, 2), make_corruption("symmetric", 0.4, 3), tc, 1)
 
     def test_per_class_constants_drop_superclass_term(self):
         model = GramModel(case=GramCase.II, K=3, n=12, c=(0.3, 0.5, 0.7))
@@ -593,10 +605,9 @@ class TestCellOutputs:
                 engine = cell_outputs(one_hot_cells(K), C, tc, t)
                 per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
                 np.testing.assert_allclose(per_sample, traj[t].columns, rtol=0, atol=1e-12)
-                if C.is_block_confined(smap):
-                    closed = np.stack([closed_form_output(cell, C, tc, t) for cell in cells],
-                                      axis=1)
-                    np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
+                closed = np.stack([closed_form_output(cell, C, tc, t) for cell in cells],
+                                  axis=1)
+                np.testing.assert_allclose(closed, traj[t].columns, rtol=0, atol=1e-12)
 
     def test_round_zero_returns_targets(self):
         model = CASE_MODELS["V"]
@@ -773,7 +784,9 @@ class TestOutputMatrixIO:
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
     def test_writes_the_bytes_of_a_per_value_writer(self, tmp_path, name):
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["III"]
-        m = trajectory(random_one_hot(model), eigensystem(model), 1e-3, model.K, model.n, 2)[2]
+        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+               else analytic_eigensystem(model))
+        m = trajectory(random_one_hot(model), eig, 1e-3, model.K, model.n, 2)[2]
         distinct = np.unique(m.columns).size
         # every value distinct when perturbed; repeated per cell otherwise
         assert (distinct == m.columns.size) == (name == "perturbed")

@@ -68,12 +68,16 @@ class TestCorruptionMatrix:
     def test_explicit_validates_column_sums(self):
         bad = np.array([[0.7, 0.3], [0.4, 0.6]])
         with pytest.raises(ValidationError, match="column 1"):
-            make_corruption("explicit", 0.0, 2, explicit_matrix=bad)
+            CorruptionMatrix(bad)
 
     def test_explicit_validates_row_sums(self):
         bad = np.array([[0.7, 0.2], [0.2, 0.7]])
         with pytest.raises(ValidationError, match="row 1"):
-            make_corruption("explicit", 0.0, 2, explicit_matrix=bad)
+            CorruptionMatrix(bad)
+
+    def test_explicit_is_not_a_generated_kind(self):
+        with pytest.raises(ValidationError, match="unknown corruption kind 'explicit'"):
+            make_corruption("explicit", 0.0, 2)
 
     def test_csv_round_trip(self, tmp_path):
         C = make_corruption("asymmetric", 0.4, 4)

@@ -23,7 +23,7 @@ from distillab import (
 from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
                                     trajectory)
 from distillab import gram_models, oracle
-from distillab.gram_models import cell_gram, eigensystem
+from distillab.gram_models import cell_gram
 from distillab.noise_theory import (
     LabelAssignment,
     make_corruption,
@@ -35,7 +35,6 @@ from distillab.oracle import (
     OracleResult,
     SolverConfig,
     fixed_point_residual,
-    linearized_softmax,
     measure_approx_error,
     oracle_trajectory,
     run_rounds,
@@ -63,27 +62,6 @@ class TestSoftmax:
         rng = np.random.default_rng(0)
         v = rng.normal(scale=50.0, size=(5, 20))
         np.testing.assert_allclose(softmax(v).sum(axis=0), 1.0, atol=1e-12)
-
-
-class TestLinearizedSoftmax:
-    def test_zero_vector_uniform(self):
-        np.testing.assert_allclose(linearized_softmax(np.zeros(3)), 1 / 3, atol=1e-15)
-
-    def test_two_class_example(self):
-        np.testing.assert_allclose(
-            linearized_softmax(np.array([0.4, -0.4])), [0.7, 0.3], atol=1e-15
-        )
-
-    def test_three_class_example(self):
-        np.testing.assert_allclose(
-            linearized_softmax(np.array([0.1, 0.1, -0.2])),
-            [1 / 3 + 0.1 / 3, 1 / 3 + 0.1 / 3, 1 / 3 - 0.2 / 3],
-            atol=1e-12,
-        )
-
-    def test_rejects_nonzero_mean(self):
-        with pytest.raises(ValidationError):
-            linearized_softmax(np.array([0.5, 0.0]))
 
 
 def small_round(K=2, n=1, lam=0.25, labels=(1, 2), gram=None, **cfg):
@@ -147,19 +125,6 @@ class TestSolveRound:
             assert np.abs(Y - softmax(logits, tau)).max() <= 1e-9
             assert np.abs(Y - plain).max() > 1e-3
 
-    def test_warm_start_agrees_with_cold_start(self):
-        K, n, lam = 4, 12, 1e-3
-        model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1)
-        gram = build_gram(model)
-        C = make_corruption("symmetric", 0.5, K)
-        la = realize_labels(C, n=n, seed=0)
-        Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-        cold = solve_round(Y_prev, gram, lam, K, n, SolverConfig())
-        warm = solve_round(Y_prev, gram, lam, K, n, SolverConfig(warm_start=True))
-        assert warm.converged and cold.converged
-        assert warm.iterations_used < cold.iterations_used
-        np.testing.assert_allclose(warm.outputs.columns, cold.outputs.columns, atol=1e-8)
-
     def test_non_finite_input_reports_iteration(self):
         gram = np.eye(2)
         gram[0, 0] = np.nan
@@ -209,8 +174,8 @@ class TestNewtonSolver:
         labels = np.random.default_rng(7).integers(1, K + 1, size=model.size)
         Y_prev = OutputMatrix.from_labels(labels, K)
         results = [
-            solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=tol, **cfg))
-            for cfg in ({"seed": 1}, {"seed": 2}, {"warm_start": True})
+            solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=tol, seed=seed))
+            for seed in (1, 2, 3)
         ]
         for res in results:
             assert res.converged
@@ -444,7 +409,7 @@ class TestRunRounds:
         run = run_rounds(model, C, lam, t_max, ALL_STAGES, solver)
         Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=solver.seed).given_labels, K)
         gram = build_gram(model)
-        eig = eigensystem(model, gram)
+        eig = numeric_eigensystem(gram)
         closed = trajectory(Y0, eig, lam, K, n, t_max)
         refined = pll_refine(closed[1])
         student = pll_student(refined, eig, lam, K, n)
@@ -479,7 +444,7 @@ class TestRunRounds:
         assert threading.active_count() == before
 
     def test_closed_form_error_wins_over_the_oracle_error(self, monkeypatch):
-        def failing_eigensystem(model, gram=None):
+        def failing_eigensystem(gram):
             raise NumericalError("closed-form stage failed")
 
         calls = []
@@ -491,7 +456,7 @@ class TestRunRounds:
             time.sleep(0.2)
             return oracle_trajectory(*args)
 
-        monkeypatch.setattr(oracle, "eigensystem", failing_eigensystem)
+        monkeypatch.setattr(oracle, "numeric_eigensystem", failing_eigensystem)
         # looked up when the thread runs, as a tracer's rebinding needs
         monkeypatch.setattr(oracle, "oracle_trajectory", slow_oracle_trajectory)
         model, C = perturbed_case_iv()
