@@ -4,109 +4,17 @@ Structured Gram models and their eigensystems, label-noise corruption
 matrices, closed-form multi-round distillation dynamics, the top-2
 partial-label student, and an exact softmax fixed-point oracle, plus a
 CLI reproducing the synthetic experiments.
+
+The package exports every name in its modules' ``__all__`` lists.
 """
 
-from .config import CorruptionConfig, ExperimentConfig, GramConfig
-from .distillation import (
-    AveragingOperator,
-    OutputMatrix,
-    PartialLabelMatrix,
-    argmax_accuracy,
-    averaging_operator,
-    cell_outputs,
-    closed_form_output,
-    pll_refine,
-    pll_student,
-    trajectory,
-)
-from .errors import NumericalError, ValidationError
-from .gram_models import (
-    EigenSystem,
-    FeatureMatrix,
-    GramCase,
-    GramModel,
-    GramStatistics,
-    RelationStats,
-    SuperclassMap,
-    analytic_eigensystem,
-    build_gram,
-    gram_statistics,
-    load_superclass_map,
-    numeric_eigensystem,
-)
-from .noise_theory import (
-    ConditionResult,
-    CorruptionMatrix,
-    LabelAssignment,
-    TheoryConstants,
-    evolving_condition,
-    evolving_constants,
-    make_corruption,
-    minimal_rounds,
-    nearest_realizable,
-    pll_accuracy_condition,
-    predicted_population_accuracy,
-    realize_labels,
-    sd_accuracy_condition,
-    theory_constants,
-)
-from .oracle import (
-    OracleResult,
-    SolverConfig,
-    fixed_point_residual,
-    measure_approx_error,
-    softmax,
-    oracle_trajectory,
-    solve_round,
-)
+from . import config, distillation, errors, gram_models, noise_theory, oracle
+from .config import *  # noqa: F401,F403
+from .distillation import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .gram_models import *  # noqa: F401,F403
+from .noise_theory import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
-__all__ = [
-    "NumericalError",
-    "ValidationError",
-    "EigenSystem",
-    "FeatureMatrix",
-    "GramCase",
-    "GramModel",
-    "GramStatistics",
-    "RelationStats",
-    "SuperclassMap",
-    "analytic_eigensystem",
-    "build_gram",
-    "gram_statistics",
-    "load_superclass_map",
-    "numeric_eigensystem",
-    "ConditionResult",
-    "CorruptionMatrix",
-    "LabelAssignment",
-    "TheoryConstants",
-    "evolving_condition",
-    "evolving_constants",
-    "make_corruption",
-    "minimal_rounds",
-    "nearest_realizable",
-    "pll_accuracy_condition",
-    "predicted_population_accuracy",
-    "realize_labels",
-    "sd_accuracy_condition",
-    "theory_constants",
-    "AveragingOperator",
-    "OutputMatrix",
-    "PartialLabelMatrix",
-    "argmax_accuracy",
-    "averaging_operator",
-    "cell_outputs",
-    "closed_form_output",
-    "pll_refine",
-    "pll_student",
-    "trajectory",
-    "OracleResult",
-    "SolverConfig",
-    "fixed_point_residual",
-    "measure_approx_error",
-    "softmax",
-    "oracle_trajectory",
-    "solve_round",
-    "CorruptionConfig",
-    "ExperimentConfig",
-    "GramConfig",
-]
+__all__ = [name for module in (errors, gram_models, noise_theory, distillation, oracle, config)
+           for name in module.__all__]

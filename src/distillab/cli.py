@@ -9,18 +9,15 @@ Subcommands::
     ingest       correlation statistics and fitted constants from features
 
 ``trajectory``, ``phase`` and ``approx-error`` read the labels and rounds of
-one :func:`~distillab.oracle.run_rounds` call per run or sweep point.  Their
-modes: ``trajectory`` always runs the closed-form rounds, plus the top-2
-student under ``pll`` and the oracle rounds under ``oracle``; ``phase``
-measures the closed-form rounds under ``closed_form`` or ``pll``, the oracle
-rounds in their place under ``oracle``, and the student's row under ``pll``;
-``approx-error`` needs ``oracle``.  ``theory`` and ``ingest`` read no mode,
-and no command reads the ``theory`` mode.  ``run_rounds`` checks ``lam`` and
-realises the corruption before any file is written; ``approx-error`` snaps
-an off-grid corruption to the ``n``-grid, the other two reject it.  Every
-command runs on all five Gram cases.  CSV numbers have 12 significant digits
-and are byte-reproducible for a fixed configuration and seed.  Exit codes:
-0 success, 1 invalid input, 2 numerical failure.
+one :func:`~distillab.oracle.run_rounds` call per run or sweep point; what
+each command does with the config's ``modes`` is listed in
+:class:`~distillab.config.ExperimentConfig`.  ``run_rounds`` checks
+``lam`` and realises the corruption before any file is written;
+``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
+two reject it.  Every command runs on all five Gram cases.  CSV numbers
+have 12 significant digits and are byte-reproducible for a fixed
+configuration and seed.  Exit codes: 0 success, 1 invalid input, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -304,19 +301,7 @@ def cmd_ingest(
     K = int(labels.max())
     class_counts = np.bincount(labels, minlength=K + 1)[1:]
     n = int(np.median(class_counts))
-
-    def stat_dict(s):
-        if s is None:
-            return None
-        return {"mean": s.mean, "std": s.std, "pairs": s.pairs}
-
-    c = stats.same_class.mean if stats.same_class else None
-    d = (
-        stats.cross_class_within_superclass.mean
-        if stats.cross_class_within_superclass
-        else None
-    )
-    e = stats.cross_superclass.mean if stats.cross_superclass else None
+    c, d, e = (None if s is None else s["mean"] for s in stats.values())
     suggestions = []
     if c is not None and d is not None and c > d:
         for target in RATIO_TARGETS:
@@ -327,13 +312,7 @@ def cmd_ingest(
         "num_samples": int(labels.size),
         "K": K,
         "n": n,
-        "statistics": {
-            "same_class": stat_dict(stats.same_class),
-            "cross_class_within_superclass": stat_dict(
-                stats.cross_class_within_superclass
-            ),
-            "cross_superclass": stat_dict(stats.cross_superclass),
-        },
+        "statistics": stats,
         "fitted": {"c": c, "d": d, "e": e},
         "suggested_lambda": suggestions,
     }

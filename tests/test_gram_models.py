@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import embed_gram
+from _support import embed_gram, one_hot_cells
 from distillab import (
     EigenSystem,
     FeatureMatrix,
@@ -16,9 +16,13 @@ from distillab import (
     ValidationError,
     analytic_eigensystem,
     build_gram,
+    cell_outputs,
     gram_statistics,
     load_superclass_map,
+    make_corruption,
     numeric_eigensystem,
+    sd_accuracy_condition,
+    theory_constants,
 )
 from distillab.gram_models import _head_columns
 
@@ -43,9 +47,28 @@ class TestSuperclassMap:
         with pytest.raises(ValidationError):
             SuperclassMap((1, 1, 3, 3))
 
-    def test_rejects_non_canonical_order(self):
-        with pytest.raises(ValidationError):
-            SuperclassMap((1, 2, 1, 2))
+    def test_interleaved_superclasses_match_their_sorted_relabelling(self):
+        # class k of the interleaved map (1, 2, 1, 2) is class perm[k] of the
+        # sorted map (1, 1, 2, 2), 0-based
+        perm = [0, 2, 1, 3]
+        runs = []
+        for assignments in ((1, 2, 1, 2), (1, 1, 2, 2)):
+            smap = SuperclassMap(assignments)
+            model = GramModel(case=GramCase.V, K=4, n=30, c=0.5, d=0.2, e=0.05,
+                              superclass_map=smap)
+            runs.append((make_corruption("superclass", 0.4, 4, superclass_map=smap),
+                         theory_constants(model, 1e-3)))
+        (C_i, tc_i), (C_s, tc_s) = runs
+        for name in ("p", "q", "r"):
+            np.testing.assert_array_equal(getattr(tc_i, name), getattr(tc_s, name))
+        for t in range(1, 6):
+            verdicts = [sd_accuracy_condition(C, tc, t) for C, tc in runs]
+            assert verdicts[0].achieves_100 == verdicts[1].achieves_100
+            np.testing.assert_array_equal(verdicts[0].threshold, verdicts[1].threshold)
+            cells_i = cell_outputs(one_hot_cells(4), C_i, tc_i, t)
+            cells_s = cell_outputs(one_hot_cells(4), C_s, tc_s, t)
+            np.testing.assert_allclose(cells_i, cells_s[np.ix_(perm, perm, perm)],
+                                       rtol=0, atol=1e-14)
 
 
 class TestBuildGram:
@@ -429,29 +452,29 @@ class TestGramStatistics:
     def test_identical_within_orthogonal_across(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         stats = gram_statistics(FeatureMatrix(feats, np.array([1, 1, 2, 2])))
-        assert stats.same_class.mean == pytest.approx(1.0)
-        assert stats.same_class.std == pytest.approx(0.0)
-        assert stats.cross_class_within_superclass.mean == pytest.approx(0.0)
-        assert stats.cross_class_within_superclass.std == pytest.approx(0.0)
-        assert stats.cross_superclass is None
+        assert stats["same_class"]["mean"] == pytest.approx(1.0)
+        assert stats["same_class"]["std"] == pytest.approx(0.0)
+        assert stats["cross_class_within_superclass"]["mean"] == pytest.approx(0.0)
+        assert stats["cross_class_within_superclass"]["std"] == pytest.approx(0.0)
+        assert stats["cross_superclass"] is None
 
     def test_single_sample_per_class_has_no_same_class_stats(self):
         feats = np.eye(3)
         stats = gram_statistics(FeatureMatrix(feats, np.array([1, 2, 3])))
-        assert stats.same_class is None
-        assert stats.cross_class_within_superclass.pairs == 3
-        assert stats.cross_class_within_superclass.mean == pytest.approx(0.0)
+        assert stats["same_class"] is None
+        assert stats["cross_class_within_superclass"]["pairs"] == 3
+        assert stats["cross_class_within_superclass"]["mean"] == pytest.approx(0.0)
 
     def test_planar_angles_by_hand_trigonometry(self):
         angles = np.deg2rad([0.0, 10.0, 90.0, 100.0])
         feats = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         stats = gram_statistics(FeatureMatrix(feats, np.array([1, 1, 2, 2])))
         # same-class pairs: (0,10) and (90,100) degrees -> cos 10 each
-        assert stats.same_class.mean == pytest.approx(np.cos(np.deg2rad(10)), abs=1e-12)
+        assert stats["same_class"]["mean"] == pytest.approx(np.cos(np.deg2rad(10)), abs=1e-12)
         # cross pairs: cos90 + cos100 + cos80 + cos90 over 4 -> 0
-        assert abs(stats.cross_class_within_superclass.mean) < 1e-12
-        assert stats.same_class.pairs == 2
-        assert stats.cross_class_within_superclass.pairs == 4
+        assert abs(stats["cross_class_within_superclass"]["mean"]) < 1e-12
+        assert stats["same_class"]["pairs"] == 2
+        assert stats["cross_class_within_superclass"]["pairs"] == 4
 
     def test_generative_model_is_its_own_statistic(self):
         model = model_case(GramCase.V, K=4, n=3, c=0.5, d=0.2, e=0.05, sizes=(2, 2))
@@ -461,11 +484,11 @@ class TestGramStatistics:
             feats, model.class_of_sample(), superclass_map=model.superclass_map
         )
         stats = gram_statistics(fm)
-        assert stats.same_class.mean == pytest.approx(0.5, abs=1e-9)
-        assert stats.same_class.std == pytest.approx(0.0, abs=1e-9)
-        assert stats.cross_class_within_superclass.mean == pytest.approx(0.2, abs=1e-9)
-        assert stats.cross_superclass.mean == pytest.approx(0.05, abs=1e-9)
-        assert stats.cross_superclass.std == pytest.approx(0.0, abs=1e-9)
+        assert stats["same_class"]["mean"] == pytest.approx(0.5, abs=1e-9)
+        assert stats["same_class"]["std"] == pytest.approx(0.0, abs=1e-9)
+        assert stats["cross_class_within_superclass"]["mean"] == pytest.approx(0.2, abs=1e-9)
+        assert stats["cross_superclass"]["mean"] == pytest.approx(0.05, abs=1e-9)
+        assert stats["cross_superclass"]["std"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestFeatureMatrixIO:
