@@ -299,8 +299,8 @@ def cmd_ingest(
     stats = gram_statistics(features)
     labels = features.labels
     K = int(labels.max())
-    class_counts = np.bincount(labels, minlength=K + 1)[1:]
-    n = int(np.median(class_counts))
+    # FeatureMatrix rejects labels with an absent class, so every count is positive
+    n = int(np.median(np.bincount(labels)[1:]))
     c, d, e = (None if s is None else s["mean"] for s in stats.values())
     suggestions = []
     if c is not None and d is not None and c > d:

@@ -9,8 +9,10 @@ class mean by its class's bulk power and mixes the class means through one
 applies them in ``O(K N)`` memory for :func:`trajectory` and
 :func:`pll_student`, and :func:`cell_outputs` to all ``K^2`` (true class,
 given label) cells at once in ``O(K^3)``; :func:`closed_form_output` reads
-one cell.  The partial-label student replaces the teacher's soft output
-with a two-hot vector on its top two entries.
+one cell.  On a dense (perturbed) Gram ``G`` a round is
+``X <- (X G)(G + K^2 n lam I)^-1``, solved with one Cholesky factor of the
+shifted Gram that every round shares.  The partial-label student replaces
+the teacher's soft output with a two-hot vector on its top two entries.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .csvio import fmt_all, index_runs, read_csv, write_csv
 from .errors import ValidationError
-from .gram_models import EigenSystem, GramModel, _head_columns
+from .gram_models import EigenSystem, GramModel, _head_columns, _solve_shifted
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
@@ -161,21 +163,20 @@ class PartialLabelMatrix:
 
 @dataclass(frozen=True)
 class AveragingOperator:
-    """The round-``t`` label-averaging operator, kept factored.
+    """The round-``t`` label-averaging operator ``A_t``, kept factored.
 
-    The operator is ``diag(bulk) + vectors core vectors^T`` with full
-    spectrum ``eigenvalues = rho^t`` (see :func:`averaging_operator`): the
-    class indicators over ``sqrt(n)``, the class block and each sample's
-    bulk power on an unperturbed Gram, else the eigenvectors, the vector
-    ``rho^t`` and 0.  :meth:`apply` uses the factors; :attr:`matrix` builds
-    the ``N x N`` array on first read only.
+    Its full spectrum is ``eigenvalues = rho^t`` (see
+    :func:`averaging_operator`).  :meth:`apply` maps ``K x N`` centered rows
+    ``X`` to ``X A_t`` by ``repeats`` applications of ``step``: one with the
+    round-``t`` class block on an unperturbed Gram, ``t`` factored rounds
+    on a dense one, none at ``t = 0``.  :attr:`matrix` is ``apply(I)``,
+    built on first read only.
     """
 
-    vectors: np.ndarray
-    core: np.ndarray
-    bulk: float | np.ndarray
     t: int
     eigenvalues: np.ndarray
+    step: Callable[[np.ndarray], np.ndarray]
+    repeats: int
 
     def __post_init__(self):
         ev = np.array(self.eigenvalues, dtype=float)
@@ -187,23 +188,17 @@ class AveragingOperator:
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
 
-    def _times_core(self, rows: np.ndarray) -> np.ndarray:
-        return rows * self.core if self.core.ndim == 1 else rows @ self.core
-
     def apply(self, centered: np.ndarray) -> np.ndarray:
-        """``centered @ A`` for ``K x N`` rows ``centered``, in ``O(K r N)``
-        for ``r`` columns of ``vectors``."""
-        out = self._times_core(centered @ self.vectors) @ self.vectors.T
-        if np.any(self.bulk):
-            out += self.bulk * centered
+        """``centered @ A_t`` as a new array; exactly ``centered`` at ``t = 0``."""
+        out = np.array(centered, dtype=float)
+        for _ in range(self.repeats):
+            out = self.step(out)
         return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The read-only ``N x N`` matrix, in ``O(r N^2)`` on first read."""
-        matrix = self._times_core(self.vectors) @ self.vectors.T
-        if np.any(self.bulk):
-            matrix[np.diag_indices(matrix.shape[0])] += self.bulk
+        """The read-only ``N x N`` matrix ``apply(I)``, on first read only."""
+        matrix = self.apply(np.eye(self.eigenvalues.size))
         matrix.flags.writeable = False
         return matrix
 
@@ -240,17 +235,22 @@ def _class_block(model: GramModel, lam: float, t: int) -> tuple[np.ndarray, np.n
 def _operator(eig: EigenSystem, lam: float, K: int, n: int, t: int) -> AveragingOperator:
     """The round-``t`` operator of :func:`averaging_operator`, ``t >= 0``."""
     powered = _ratios(eig.values, lam, K, n) ** t
-    if t == 0:
-        # every power is 1: exactly the identity, on either form
-        return AveragingOperator(vectors=np.zeros((eig.size, 0)), core=powered[:0], bulk=1.0,
-                                 t=t, eigenvalues=powered)
     if eig.model is None:
-        return AveragingOperator(vectors=eig.vectors, core=powered, bulk=0.0, t=t,
-                                 eigenvalues=powered)
+        gram, shift = eig.gram, K * K * n * lam
+
+        def step(rows):
+            # one round X <- (X G)(G + cI)^-1; the factor is made on first use
+            return _solve_shifted(gram, eig.factor(shift), shift, rows @ gram)
+
+        return AveragingOperator(t=t, eigenvalues=powered, step=step, repeats=t)
     bulk, block = _class_block(eig.model, lam, t)
     indicators = np.repeat(np.eye(K) / np.sqrt(n), n, axis=0)
-    return AveragingOperator(vectors=indicators, core=block, bulk=np.repeat(bulk, n), t=t,
-                             eigenvalues=powered)
+    per_sample = np.repeat(bulk, n)
+
+    def step(rows):
+        return ((rows @ indicators) @ block) @ indicators.T + per_sample * rows
+
+    return AveragingOperator(t=t, eigenvalues=powered, step=step, repeats=min(t, 1))
 
 
 def averaging_operator(
@@ -260,15 +260,22 @@ def averaging_operator(
 
     Shares the Gram eigenvectors; eigenvalue ``lambda_i`` maps to
     ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is
-    exactly the identity.  Source eigenvalues below ``-1e-8`` are rejected;
-    tiny negatives from a perturbed matrix are clipped to zero.
+    exactly the identity.  Source eigenvalues below ``-1e-8`` are rejected
+    before anything is factored; tiny negatives from a perturbed matrix are
+    clipped to zero in ``eigenvalues``.
 
     On a class-structured eigensystem (one that holds its ``model``) the
     operator is ``diag(bulk[class]) + E block E^T / n``, with ``E`` the class
     indicators and :func:`_class_block`'s ``bulk`` and ``block``: ``O(K N)``
     to build and ``O(K^2 N)`` to apply, without the ``N x N`` eigenvectors.
-    A dense eigensystem keeps the plain product ``(V rho^t) V^T``, applied
-    in ``O(K N^2)``.
+    On a dense one (holding its Gram ``G``) it is ``t`` rounds
+    ``X <- (X G)(G + cI)^-1``, ``c = K^2 n lam``: each one ``K x N x N``
+    product and two triangular substitutions with the eigensystem's
+    Cholesky factor of ``G + cI`` (:meth:`~distillab.gram_models.EigenSystem.factor`),
+    computed on the first :meth:`~AveragingOperator.apply` and shared by
+    every operator at that ``lam``, plus the residual check of
+    :func:`~distillab.gram_models._solve_shifted`.  Building either form
+    factors nothing, so reading ``eigenvalues`` costs ``O(N)``.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
@@ -280,11 +287,12 @@ def trajectory(
 ) -> list[OutputMatrix]:
     """Outputs for rounds ``0..t_max`` from one-hot given labels.
 
-    Evaluates the eigen form: center the targets at the uniform vector,
-    apply the round-``t`` operator of :func:`averaging_operator` and shift
-    back: per round ``O(K^2 N)`` through the class block of
-    :func:`_class_block` on a class-structured eigensystem, ``O(K N^2)`` on
-    a dense one.
+    Centers the targets at the uniform vector, applies the round-``t``
+    operator of :func:`averaging_operator` and shifts back.  On a
+    class-structured eigensystem round ``t`` applies the round-``t`` class
+    block of :func:`_class_block` to round 0, ``O(K^2 N)``; on a dense one
+    it is one factored round from round ``t - 1``, ``O(K N^2)``, the same
+    arithmetic as the round-``t`` operator applied to round 0.
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -295,9 +303,13 @@ def trajectory(
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
     centered = Y0.columns - 1.0 / K
-    operators = (_operator(eig, lam, K, n, t) for t in range(1, t_max + 1))
-    return [Y0] + [OutputMatrix(columns=op.apply(centered) + 1.0 / K, round=op.t)
-                   for op in operators]
+    one_round = _operator(eig, lam, K, n, 1) if eig.model is None else None
+    rows, out = centered, [Y0]
+    for t in range(1, t_max + 1):
+        rows = (one_round.apply(rows) if one_round is not None
+                else _operator(eig, lam, K, n, t).apply(centered))
+        out.append(OutputMatrix(columns=rows + 1.0 / K, round=t))
+    return out
 
 
 def cell_outputs(

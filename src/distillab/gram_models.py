@@ -14,7 +14,10 @@ all read from it.  The rest of the spectrum is the within-class bulk
 ``1 - omega_k``, so a function of the Gram is one ``K x K`` block on the
 class means plus a per-class bulk power
 (:func:`~distillab.distillation._class_block`): the closed-form eigensystem
-holds only its values and model, and only a dense one ``N x N`` vectors.
+holds only its values and model.  A dense one holds its values and its
+Gram: its rounds are solves with one cached Cholesky factor of the shifted
+Gram (:meth:`EigenSystem.factor`), and neither form builds ``N x N``
+eigenvectors until they are read.
 
 Correlation cases
 -----------------
@@ -57,7 +60,10 @@ __all__ = [
 # Tolerances fixed by the module contracts.
 SYMMETRY_TOL = 1e-10
 EIGEN_RESIDUAL_REL_TOL = 1e-8
+SOLVE_RESIDUAL_REL_TOL = 1e-8
 UNIT_NORM_TOL = 1e-6
+# columns per diagonal block of the substitutions in _solve_shifted
+SOLVE_BLOCK = 128
 
 
 class GramCase(enum.Enum):
@@ -241,42 +247,63 @@ class EigenSystem:
     ``V f(values) V^T`` or ``(Y V) f(values) V^T``, which negation leaves
     bit for bit unchanged.
 
-    A dense system is given its ``N x N`` ``vectors``.  A class-structured
-    one (from :func:`analytic_eigensystem`) holds its unperturbed ``model``
-    and builds ``vectors`` from it on first read, in ``O(N^2)``; the
-    averaging operator reads the model's ``K x K`` class block instead.
+    A class-structured system (from :func:`analytic_eigensystem`) holds its
+    unperturbed ``model``; the averaging operator reads the model's
+    ``K x K`` class block.  A dense one (from :func:`numeric_eigensystem`)
+    holds its ``gram``; the averaging operator solves with its cached
+    :meth:`factor`.  Either builds its ``N x N`` ``vectors`` on first read
+    only, unless they are passed in.
     """
 
-    def __init__(self, values, vectors=None, model: Optional[GramModel] = None):
+    def __init__(self, values, vectors=None, model: Optional[GramModel] = None,
+                 gram: Optional[np.ndarray] = None):
         values = np.array(values, dtype=float)
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("eigenvalues must be sorted descending")
         values.flags.writeable = False
         self.values = values
         self.model = model
+        self.gram = gram
+        self._factors: dict[float, np.ndarray] = {}
         if vectors is not None:
             vectors = np.asarray(vectors, dtype=float)
             if vectors.shape != (values.size, values.size):
                 raise ValidationError("eigenvector matrix must be square and match values")
             vectors.flags.writeable = False
             self.__dict__["vectors"] = vectors
-        elif model is None:
-            raise ValidationError("an eigensystem needs its vectors or its model")
+        elif model is None and gram is None:
+            raise ValidationError("an eigensystem needs its vectors, its model or its Gram")
 
     @property
     def size(self) -> int:
         return self.values.size
 
+    def factor(self, shift: float) -> np.ndarray:
+        """The lower Cholesky factor of ``gram + shift I``
+        (:func:`_shifted_factor`), computed on first use and kept per
+        ``shift``, so every round and the student at one ``lam`` share it."""
+        if self.gram is None:
+            raise ValidationError("a dense averaging operator needs the eigensystem's Gram")
+        if shift not in self._factors:
+            self._factors[shift] = _shifted_factor(self.gram, shift)
+        return self._factors[shift]
+
     @cached_property
     def vectors(self) -> np.ndarray:
-        """The ``N x N`` eigenvectors of a class-structured system.
+        """The ``N x N`` eigenvectors, built on first read.
 
-        Each column is written once, straight into its sorted position of
-        one zeroed column-major array (so every column is one contiguous
-        block): the head columns (column ``j`` repeats ``coeffs[k, j] /
-        sqrt(n)`` over class ``k``), then each class's Helmert contrasts
-        (:func:`_helmert_vectors`) in its rows.
+        A dense system takes ``eigh``'s pairs of its Gram in reverse, with the
+        solver's column signs, and checks each against ``values`` by the
+        residual bound ``max|G v - lambda v| <= 1e-8 * max|G|``.
+
+        A class-structured system writes each column once, straight into its
+        sorted position of one zeroed column-major array (so every column is
+        one contiguous block): the head columns (column ``j`` repeats
+        ``coeffs[k, j] / sqrt(n)`` over class ``k``), then each class's
+        Helmert contrasts (:func:`_helmert_vectors`) in its rows.
         """
+        if self.model is None:
+            return _dense_vectors(self.gram, self.values)
         K, n, size = self.model.K, self.model.n, self.size
         coeffs, _, order = _spectrum_order(self.model)
         position = np.empty(size, dtype=np.intp)
@@ -292,6 +319,80 @@ class EigenSystem:
                 vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
         vectors.flags.writeable = False
         return vectors
+
+
+def _dense_vectors(gram: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``eigh``'s eigenvectors of ``gram`` in descending order, each checked
+    against its value in ``values``."""
+    vecs = np.linalg.eigh(gram)[1]
+    # Descending order, in place: a reordered copy would stay alive through
+    # the residual check below and raise the peak memory.
+    for start in range(0, vecs.shape[0], 256):
+        rows = vecs[start:start + 256]
+        rows[:] = rows[:, ::-1]
+    scale = float(np.abs(gram).max()) if gram.size else 0.0
+    # in place for the same reason
+    resid = gram @ vecs
+    resid -= vecs * values
+    resid = np.abs(resid, out=resid).max(axis=0)
+    bound = EIGEN_RESIDUAL_REL_TOL * max(scale, 1e-300)
+    if np.any(resid > bound):
+        raise NumericalError(
+            f"eigendecomposition residual {resid.max():.3e} exceeds {bound:.3e}"
+        )
+    vecs.flags.writeable = False
+    return vecs
+
+
+def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
+    """The read-only lower Cholesky factor ``L`` of ``gram + shift I``.
+
+    Fails with :class:`NumericalError` when the shifted Gram is not
+    positive definite, which a positive ``shift`` rules out on a positive
+    semidefinite Gram.
+    """
+    shifted = np.array(gram, dtype=float)
+    shifted.flat[::shifted.shape[0] + 1] += shift
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"Cholesky factorisation of G + {shift:.3e} I failed ({exc}); lower "
+            "gram.perturbation_amplitude until the Gram is positive semidefinite"
+        ) from exc
+    factor.flags.writeable = False
+    return factor
+
+
+def _solve_shifted(gram: np.ndarray, factor: np.ndarray, shift: float,
+                   rhs: np.ndarray) -> np.ndarray:
+    """``X`` with ``X (gram + shift I) = rhs`` for ``K x N`` rows ``rhs``.
+
+    ``factor`` is :func:`_shifted_factor`'s ``L``, so ``X L L^T = rhs``: a
+    forward substitution for ``W L^T = rhs``, then a back substitution for
+    ``X L = W``, each in blocks of :data:`SOLVE_BLOCK` columns (one small
+    solve per diagonal block, matrix products for the rest), ``O(K N^2)``.
+    The result is checked by its own residual, ``max|X (gram + shift I) -
+    rhs| <= 1e-8 * max|rhs|``, at one more ``K x N x N`` product.
+    """
+    x = np.array(rhs, dtype=float)
+    starts = range(0, x.shape[1], SOLVE_BLOCK)
+    for s in starts:
+        e = s + SOLVE_BLOCK
+        x[:, s:e] = np.linalg.solve(factor[s:e, s:e],
+                                    (x[:, s:e] - x[:, :s] @ factor[s:e, :s].T).T).T
+    for s in reversed(starts):
+        e = s + SOLVE_BLOCK
+        x[:, s:e] = np.linalg.solve(factor[s:e, s:e].T,
+                                    (x[:, s:e] - x[:, e:] @ factor[e:, s:e]).T).T
+    resid = x @ gram
+    resid += shift * x
+    resid -= rhs
+    worst = float(np.abs(resid).max()) if resid.size else 0.0
+    bound = SOLVE_RESIDUAL_REL_TOL * (float(np.abs(rhs).max()) if rhs.size else 0.0)
+    if not worst <= bound:
+        raise NumericalError(f"shifted Gram solve residual {worst:.3e} exceeds {bound:.3e}")
+    return x
 
 
 def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -421,32 +522,19 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
-    """Dense symmetric eigendecomposition, eigenvalues descending.
+    """Dense symmetric eigensystem, eigenvalues descending.
 
-    Fallback for perturbed or empirical Gram matrices: ``eigh``'s pairs in
-    reverse, with the solver's column signs.  The input must be symmetric
-    to 1e-10; each eigenpair is verified against the residual bound
-    ``max|A v - lambda v| <= 1e-8 * max|A|``.
+    Fallback for perturbed or empirical Gram matrices.  The input must be
+    symmetric to 1e-10.  The result holds ``eigvalsh``'s values in reverse
+    and the matrix itself, which it neither copies nor modifies: about a
+    third of the cost of ``eigh`` with vectors at ``N`` of a thousand.  The
+    averaging operator solves with the cached Cholesky factor of the
+    shifted matrix (:meth:`EigenSystem.factor`); the ``N x N``
+    :attr:`EigenSystem.vectors`, ``eigh``'s, are built and checked on first
+    read only.
     """
     a = _validate_symmetric(matrix)
-    vals, vecs = np.linalg.eigh(a)
-    # Descending order, in place: a reordered copy would stay alive through
-    # the residual check below and raise the peak memory of the dense path.
-    vals = vals[::-1]
-    for start in range(0, vecs.shape[0], 256):
-        rows = vecs[start:start + 256]
-        rows[:] = rows[:, ::-1]
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    # in place for the same reason
-    resid = a @ vecs
-    resid -= vecs * vals
-    resid = np.abs(resid, out=resid).max(axis=0)
-    bound = EIGEN_RESIDUAL_REL_TOL * max(scale, 1e-300)
-    if np.any(resid > bound):
-        raise NumericalError(
-            f"eigendecomposition residual {resid.max():.3e} exceeds {bound:.3e}"
-        )
-    return EigenSystem(values=vals, vectors=vecs)
+    return EigenSystem(values=np.linalg.eigvalsh(a)[::-1], gram=a)
 
 
 @dataclass(frozen=True)
@@ -454,7 +542,9 @@ class FeatureMatrix:
     """Unit-norm feature vectors with true labels.
 
     ``features`` has one row per sample; ``labels`` holds 1-based class
-    indices.  Every row must have unit Euclidean norm to 1e-6.
+    indices and every class up to the largest has a sample.  Every row must
+    have unit Euclidean norm to 1e-6.  A superclass map must list exactly
+    the labels' classes.
     """
 
     features: np.ndarray
@@ -476,9 +566,17 @@ class FeatureMatrix:
             raise ValidationError(
                 f"feature rows must be unit-norm to {UNIT_NORM_TOL:.0e}; worst deviation {worst:.3e}"
             )
-        if self.superclass_map is not None and labels.size:
-            if labels.max() > self.superclass_map.num_classes:
-                raise ValidationError("label exceeds superclass map size")
+        if labels.size:
+            K = int(labels.max())
+            absent = np.setdiff1d(np.arange(1, K + 1), labels)
+            if absent.size:
+                raise ValidationError(f"labels must cover every class 1..{K}; "
+                                      f"absent labels: {absent.tolist()}")
+            if self.superclass_map is not None and self.superclass_map.num_classes != K:
+                raise ValidationError(
+                    f"the superclass map lists {self.superclass_map.num_classes} classes "
+                    f"but the labels cover {K}; list exactly the classes 1..{K}"
+                )
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)

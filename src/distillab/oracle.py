@@ -55,8 +55,8 @@ import numpy as np
 from .distillation import (OutputMatrix, PartialLabelMatrix, pll_refine, pll_student,
                            trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem,
-                          build_gram, cell_gram, numeric_eigensystem)
+from .gram_models import (CellGram, EigenSystem, GramModel, _shifted_factor, _solve_shifted,
+                          analytic_eigensystem, build_gram, cell_gram, numeric_eigensystem)
 from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
                            nearest_realizable, realize_labels)
 
@@ -170,13 +170,24 @@ def _layout(gram: np.ndarray | CellGram) -> tuple[np.ndarray, np.ndarray | float
 
 
 def _linear_round(Y_prev: np.ndarray, gram: np.ndarray | CellGram, lam: float, K: int,
-                  n: int) -> np.ndarray:
+                  n: int, factor: Optional[np.ndarray] = None) -> np.ndarray:
     """The linearized round ``1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1``
-    as one linear solve, exact on the dense and on the cell layout."""
-    matrix = _layout(gram)[0]
-    shifted = matrix.copy()
-    shifted.flat[::matrix.shape[0] + 1] += K * K * n * lam
-    return 1.0 / K + np.linalg.solve(shifted.T, ((Y_prev - 1.0 / K) @ matrix).T).T
+    as one linear solve, exact on the dense and on the cell layout.
+
+    The cell matrix is not symmetric, so a cell round is one LU solve.  A
+    dense round solves with ``factor``, the Cholesky factor of the shifted
+    Gram (:func:`~distillab.gram_models._shifted_factor`, computed here when
+    not given), as the dense averaging operator does.
+    """
+    matrix, shift = _layout(gram)[0], K * K * n * lam
+    rhs = (Y_prev - 1.0 / K) @ matrix
+    if isinstance(gram, CellGram):
+        shifted = matrix.copy()
+        shifted.flat[::matrix.shape[0] + 1] += shift
+        return 1.0 / K + np.linalg.solve(shifted.T, rhs.T).T
+    if factor is None:
+        factor = _shifted_factor(matrix, shift)
+    return 1.0 / K + _solve_shifted(matrix, factor, shift, rhs)
 
 
 def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray,
@@ -384,7 +395,10 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     chained oracle rounds ``1..t_max`` under ``solver``, on the cell Gram of
     an unperturbed model and on the dense Gram otherwise; other modes are
     ignored.  The closed-form stages read the analytic eigensystem of an
-    unperturbed model and the dense one of a perturbed model's Gram.  ``lam`` is checked before anything runs.  Labels are drawn
+    unperturbed model, and on a perturbed model the dense one of its Gram:
+    its eigenvalues only, and one Cholesky factor of the shifted Gram that
+    the rounds and the student share, so no ``N x N`` eigenvectors are
+    built.  ``lam`` is checked before anything runs.  Labels are drawn
     from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
     ``snap`` runs on :func:`nearest_realizable` instead.
 
@@ -454,15 +468,19 @@ def measure_approx_error(
     the nearest realizable matrix when its rates are not integral on the
     ``n``-grid, and compares each with the linearized rounds chained from
     the same one-hot targets on the same Gram (:func:`_linear_round`; on an
-    unperturbed model per cell, with no ``N x N`` array).  Raises when the
-    oracle fails to converge at some round.
+    unperturbed model per cell, with no ``N x N`` array, and on a perturbed
+    one with one Cholesky factor for all rounds).  Raises when the oracle
+    fails to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
     config = config or SolverConfig()
     run = run_rounds(gram_model, C, lam, t, ("oracle",), config, snap=True)
+    K, n = gram_model.K, gram_model.n
+    # a dense Gram is factored once for all rounds
+    factor = None if isinstance(run.gram, CellGram) else _shifted_factor(run.gram, K * K * n * lam)
     linear, gap = run.Y0.columns, 0.0
     for result in run.oracle:
-        linear = _linear_round(linear, run.gram, lam, gram_model.K, gram_model.n)
+        linear = _linear_round(linear, run.gram, lam, K, n, factor)
         gap = max(gap, float(np.abs(result.outputs.columns - linear).max()))
     return gap

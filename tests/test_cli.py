@@ -711,6 +711,23 @@ class TestIngestCommand:
         assert main(["ingest", str(fpath), "--out", str(tmp_path / "out")]) == 1
         assert f"{fpath}{where}" in capsys.readouterr().err
 
+    def test_missing_class_exits_one_naming_the_absent_labels(self, tmp_path, capsys):
+        fpath = tmp_path / "features.csv"
+        fpath.write_text("1,0,1\n0,1,1\n1,0,1\n0,1,5\n")
+        assert main(["ingest", str(fpath), "--out", str(tmp_path / "out")]) == 1
+        assert "absent labels: [2, 3, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_superclass_map_of_more_classes_exits_one(self, tmp_path, capsys):
+        fpath, spath = tmp_path / "features.csv", tmp_path / "superclasses.csv"
+        fpath.write_text("1,0,0,1\n0,1,0,2\n0,0,1,3\n")
+        spath.write_text("1,1\n2,1\n3,2\n4,2\n")
+        assert main(["ingest", str(fpath), "--superclasses", str(spath),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("the superclass map lists 4 classes but the labels cover 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_orthonormal_single_samples(self, tmp_path):
         fpath = tmp_path / "features.csv"
         fpath.write_text("1,0,0,1\n0,1,0,2\n0,0,1,3\n")

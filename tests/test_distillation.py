@@ -20,6 +20,7 @@ from _support import (
 from distillab import (
     GramCase,
     GramModel,
+    NumericalError,
     SuperclassMap,
     ValidationError,
     analytic_eigensystem,
@@ -37,7 +38,7 @@ from distillab.distillation import (
     pll_student,
     trajectory,
 )
-from distillab import oracle
+from distillab import gram_models, oracle
 from distillab.csvio import fmt
 from distillab.oracle import SolverConfig, solve_round
 from distillab.noise_theory import (
@@ -131,9 +132,12 @@ class TestDeflatedAveragingOperator:
         eig = numeric_eigensystem(build_gram(model))
         assert np.unique(eig.values).size == eig.size  # no bulk value
         op = averaging_operator(eig, 1e-3, model.K, model.n, t)
-        # every round-0 value is 1, and round 0 is exactly the identity
-        expected = np.eye(model.size) if t == 0 else plain_operator(eig, 1e-3, model.K, model.n, t)
-        np.testing.assert_array_equal(op.matrix, expected)
+        np.testing.assert_allclose(
+            op.matrix, plain_operator(eig, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
+        )
+        if t == 0:
+            # every round-0 value is 1, and round 0 is exactly the identity
+            np.testing.assert_array_equal(op.matrix, np.eye(model.size))
 
     @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
     def test_pll_student_matches_eigen_form(self, name):
@@ -239,6 +243,102 @@ class TestStructuredAllocations:
                                    rtol=0, atol=1e-12)
 
 
+@st.composite
+def perturbed_models(draw):
+    """A small perturbed model of any case, positive definite by its margins:
+    the bulk ``1 - c`` is at least 0.3, the perturbation's spectral radius
+    below 0.2."""
+    case = draw(st.sampled_from(list(GramCase)))
+    sizes = None
+    if case in (GramCase.IV, GramCase.V):
+        sizes = draw(st.sampled_from([(2, 2), (1, 3), (2, 1, 2)]))
+    K = sum(sizes) if sizes else draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    c = draw(st.floats(0.2, 0.7))
+    kwargs = dict(case=case, K=K, n=n, c=c,
+                  perturbation_amplitude=draw(st.floats(1e-3, 0.02)),
+                  seed=draw(st.integers(0, 10_000)))
+    if case is GramCase.II:
+        kwargs["c"] = tuple(draw(st.floats(0.1, 0.7)) for _ in range(K))
+    elif case is not GramCase.I:
+        kwargs["d"] = draw(st.floats(0.0, c - 0.05))
+    if sizes:
+        kwargs["superclass_map"] = SuperclassMap.from_sizes(sizes)
+    if case is GramCase.V:
+        kwargs["e"] = draw(st.floats(0.0, kwargs["d"]))
+    return GramModel(**kwargs)
+
+
+# the traj_dense_oracle model: N = 960
+DENSE_STAGE_MODEL = GramModel(case=GramCase.IV, K=4, n=240, c=0.4, d=0.1,
+                              superclass_map=SuperclassMap.from_sizes([2, 2]),
+                              perturbation_amplitude=0.01, seed=3)
+
+
+class TestFactoredDenseRounds:
+    @given(perturbed_models(), st.floats(1e-4, 1e-2), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_trajectory_and_student_are_the_eigen_form(self, model, lam, seed):
+        K, n = model.K, model.n
+        eig = numeric_eigensystem(build_gram(model))
+        Y0 = random_one_hot(model, seed)
+        traj = trajectory(Y0, eig, lam, K, n, 4)
+        np.testing.assert_array_equal(traj[0].columns, Y0.columns)
+        for t in range(5):
+            np.testing.assert_allclose(traj[t].columns, eigen_form(Y0, eig, lam, K, n, t),
+                                       rtol=0, atol=1e-13)
+        refined = pll_refine(traj[1])
+        ratios = eig.values / (K * K * n * lam + eig.values)
+        expected = ((refined.columns - 1.0 / K) @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
+        np.testing.assert_allclose(pll_student(refined, eig, lam, K, n).columns, expected,
+                                   rtol=0, atol=1e-13)
+
+    def test_perturbed_run_builds_no_eigenvectors(self):
+        model = PERTURBED_MODEL
+        C = make_corruption("symmetric", 0.25, model.K)
+        run = oracle.run_rounds(model, C, 1e-3, 3, ("closed_form", "pll"), SolverConfig())
+        assert "vectors" not in run.eig.__dict__
+        # the rounds and the student share one factor
+        assert list(run.eig._factors) == [model.K**2 * model.n * 1e-3]
+        fresh = numeric_eigensystem(build_gram(model))
+        for t in range(4):
+            averaging_operator(fresh, 1e-3, model.K, model.n, t).eigenvalues
+        assert not fresh._factors  # the eigenvalue table factors nothing
+
+    def test_corrupted_factor_fails_the_solve_residual_check(self, monkeypatch):
+        exact = gram_models._shifted_factor
+        monkeypatch.setattr(gram_models, "_shifted_factor",
+                            lambda gram, shift: exact(gram, shift) * (1.0 + 1e-6))
+        model = PERTURBED_MODEL
+        eig = numeric_eigensystem(build_gram(model))
+        with pytest.raises(NumericalError, match="shifted Gram solve residual"):
+            trajectory(random_one_hot(model), eig, 1e-3, model.K, model.n, 1)
+
+    def test_failed_factorisation_names_the_amplitude(self):
+        # -5e-9 passes the negative-eigenvalue guard, but G + cI with
+        # c = 4e-10 is indefinite
+        eig = numeric_eigensystem(np.diag([1.0, -5e-9]))
+        op = averaging_operator(eig, 1e-10, 2, 1, 1)
+        with pytest.raises(NumericalError, match="gram.perturbation_amplitude"):
+            op.apply(np.array([[0.5, -0.5], [-0.5, 0.5]]))
+
+    def test_dense_stage_holds_at_most_three_n_by_n_arrays(self):
+        # the Gram, its shifted copy and the factor; the eigensystem with
+        # vectors held four (eigh's vectors and the residual beside the Gram)
+        model = DENSE_STAGE_MODEL
+        K, n, lam = model.K, model.n, 1e-3
+        Y0 = random_one_hot(model)
+
+        def run():
+            eig = numeric_eigensystem(build_gram(model))
+            traj = trajectory(Y0, eig, lam, K, n, 3)
+            pll_student(pll_refine(traj[1]), eig, lam, K, n)
+            for t in range(4):
+                averaging_operator(eig, lam, K, n, t).eigenvalues
+
+        assert _traced(run)[1] < 3.5 * model.size**2 * 8
+
+
 def eigen_form(Y0, eig, lam, K, n, t):
     """Round-``t`` outputs ``((Y0 - 1/K) V rho^t) V^T + 1/K``, undeflated."""
     ratios = eig.values / (K * K * n * lam + eig.values)
@@ -263,17 +363,19 @@ class TestDeflatedTrajectory:
                 rtol=0, atol=1e-13,
             )
 
-    def test_dense_eigensystem_keeps_the_eigen_form_arithmetic(self):
+    def test_dense_trajectory_is_the_eigen_form(self):
         model = PERTURBED_MODEL
         eig = numeric_eigensystem(build_gram(model))
         Y0 = random_one_hot(model)
         K, n = model.K, model.n
-        ratios = eig.values / (K * K * n * 1e-3 + eig.values)
-        basis = (Y0.columns - 1.0 / K) @ eig.vectors
         traj = trajectory(Y0, eig, 1e-3, K, n, 3)
+        np.testing.assert_array_equal(traj[0].columns, Y0.columns)
         for t in range(1, 4):
-            expected = (basis * ratios**t) @ eig.vectors.T + 1.0 / K
-            assert np.array_equal(traj[t].columns, expected)
+            np.testing.assert_allclose(traj[t].columns, eigen_form(Y0, eig, 1e-3, K, n, t),
+                                       rtol=0, atol=1e-13)
+            # round t chains round t - 1: the round-t operator on round 0
+            rows = averaging_operator(eig, 1e-3, K, n, t).apply(Y0.columns - 1.0 / K)
+            assert np.array_equal(traj[t].columns, rows + 1.0 / K)
 
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
     def test_linear_round_is_the_eigen_form(self, name):

@@ -485,6 +485,18 @@ class TestRunRounds:
         K, n, lam = model.K, model.n, 1e-3
         gram = build_gram(model)
         Y = OutputMatrix.from_labels(realize_labels(C, n, seed=0).given_labels, K).columns
-        shifted = gram + K * K * n * lam * np.eye(gram.shape[0])
-        reference = 1.0 / K + np.linalg.solve(shifted.T, ((Y - 1.0 / K) @ gram).T).T
-        assert np.array_equal(oracle._linear_round(Y, gram, lam, K, n), reference)
+        shift = K * K * n * lam
+        reference = 1.0 / K + np.linalg.solve((gram + shift * np.eye(gram.shape[0])).T,
+                                              ((Y - 1.0 / K) @ gram).T).T
+        # a dense round solves with the Cholesky factor, given or not
+        linear = oracle._linear_round(Y, gram, lam, K, n)
+        np.testing.assert_allclose(linear, reference, rtol=0, atol=1e-13)
+        factor = gram_models._shifted_factor(gram, shift)
+        assert np.array_equal(oracle._linear_round(Y, gram, lam, K, n, factor), linear)
+        # a cell round is one LU solve of the unsymmetric cell matrix
+        unperturbed = dataclasses.replace(model, perturbation_amplitude=0.0)
+        cells = cell_gram(unperturbed, realize_labels(C, n, seed=0))
+        Yc = OutputMatrix.from_labels(cells.cells[:, 1], K).columns
+        shifted = cells.matrix + shift * np.eye(cells.matrix.shape[0])
+        reference = 1.0 / K + np.linalg.solve(shifted.T, ((Yc - 1.0 / K) @ cells.matrix).T).T
+        assert np.array_equal(oracle._linear_round(Yc, cells, lam, K, n), reference)
