@@ -84,9 +84,18 @@ def _out_path(directory: str, name: str) -> str:
     return os.path.join(directory, name)
 
 
+def _check_sweep(config: ExperimentConfig, command: str) -> None:
+    # phase sweeps over eta, approx-error over n, the other commands over nothing
+    if config.sweep_parameter not in (None, {"phase": "eta", "approx-error": "n"}.get(command)):
+        raise ValidationError(
+            f"the {command} command does not sweep over {config.sweep_parameter}: drop "
+            "sweep_parameter and sweep_values, or use phase (eta) or approx-error (n)")
+
+
 def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     """Write per-round outputs, the 2-D projection table, and the operator
     eigenvalue table; with the oracle mode enabled, also the exact outputs."""
+    _check_sweep(config, "trajectory")
     model = config.gram_model()
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
@@ -163,29 +172,26 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
             for key, t, mode in models]
 
 
-def _sweep(config: ExperimentConfig, parameter: str, default, worker) -> list:
-    """``worker`` on each value of the config's sweep over ``parameter``, or
-    on ``default`` alone when the config sweeps nothing."""
-    if config.sweep_parameter == parameter:
-        values = list(config.sweep_values)
-    elif config.sweep_parameter is None:
-        values = [default]
-    else:
-        command = {"eta": "phase", "n": "approx-error"}[parameter]
-        raise ValidationError(f"the {command} command sweeps over {parameter}")
+def _sweep(config: ExperimentConfig, command: str, default, worker) -> list:
+    """``worker`` on each value of the config's sweep, or on ``default``
+    alone when the config sweeps nothing."""
+    _check_sweep(config, command)
     text = config.to_json()
+    values = [default] if config.sweep_parameter is None else config.sweep_values
     payloads = [(text, v) for v in values]
-    if config.workers > 1:
+    # the pool starts every worker at once, so no more than there are points
+    workers = min(config.workers, len(payloads))
+    if workers > 1:
         # imported here: the pool's modules cost every CLI start 13-20 ms
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]
 
 
 def cmd_phase(config: ExperimentConfig) -> str:
     """Predicted and empirical accuracy per corruption rate and round."""
-    chunks = _sweep(config, "eta", config.corruption.eta, _phase_point)
+    chunks = _sweep(config, "phase", config.corruption.eta, _phase_point)
     path = _out_path(config.output_dir, "phase.csv")
     write_csv(path, ("eta", "model", "predicted_accuracy", "empirical_accuracy"),
               zip(*(row for chunk in chunks for row in chunk)))
@@ -198,9 +204,7 @@ def _approx_point(payload: tuple[str, float]) -> list[str]:
     model = config.gram_model(n=n)
     C = config.corruption_matrix()
     try:
-        gap = measure_approx_error(
-            model, C, config.lam, max(1, config.t_max), config.solver()
-        )
+        gap = measure_approx_error(model, C, config.lam, config.t_max, config.solver())
         return [str(n), fmt(gap), "true"]
     except NumericalError as exc:
         # the row only flags the failure; the reason goes to stderr
@@ -212,7 +216,9 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
     """Max-norm oracle-vs-closed-form gap per dataset size."""
     if "oracle" not in config.modes:
         raise ValidationError("the approx-error command needs the oracle mode enabled")
-    rows = _sweep(config, "n", config.gram.n, _approx_point)
+    if config.t_max < 1:
+        raise ValidationError("approx-error measures rounds 1..t_max, so it needs t_max >= 1")
+    rows = _sweep(config, "approx-error", config.gram.n, _approx_point)
     path = _out_path(config.output_dir, "approx_error.csv")
     write_csv(path, ("n", "max_linf_error", "converged"), zip(*rows))
     return path
@@ -226,6 +232,7 @@ def _per_class(values: np.ndarray):
 
 def cmd_theory(config: ExperimentConfig) -> str:
     """JSON report: constants, thresholds, verdicts, per-pair gaps."""
+    _check_sweep(config, "theory")
     model = config.gram_model()
     C = config.corruption_matrix()
     tc = theory_constants(model, config.lam)

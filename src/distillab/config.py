@@ -139,17 +139,20 @@ class CorruptionConfig:
 class ExperimentConfig:
     """One experiment: model, corruption, ``lam``, rounds, modes and sweep.
 
-    What each command does with ``modes``:
+    What each command does with ``modes``, ``t_max`` and the sweep (the
+    ``pll`` mode needs ``t_max >= 1`` everywhere):
 
     - ``trajectory`` always runs ``closed_form``; ``pll`` adds the top-2
-      student and ``oracle`` the exact rounds.
+      student and ``oracle`` the exact rounds.  It rejects a sweep.
     - ``phase`` measures the closed-form rounds under ``closed_form`` or
       ``pll``, the oracle rounds in their place under ``oracle``, and adds
       the student's row under ``pll``; with none of the three, its rows
-      hold predictions only.
-    - ``approx-error`` needs ``oracle`` and reads no other mode.
-    - ``theory`` reads no mode.  No command reads the ``theory`` mode; it is
-      accepted so that existing configs that list it keep loading.
+      hold predictions only.  It sweeps over ``eta`` only.
+    - ``approx-error`` needs ``oracle`` and ``t_max >= 1``, reads no other
+      mode and sweeps over ``n`` only.
+    - ``theory`` reads no mode and rejects a sweep.  No command reads the
+      ``theory`` mode; it is accepted so that existing configs that list it
+      keep loading.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)

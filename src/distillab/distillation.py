@@ -2,17 +2,16 @@
 
 Centered one-hot targets evolve under powers of the label-averaging
 operator, whose eigenvalues are the ``t``-th powers of
-:func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  For an
-unperturbed Gram every such power scales each sample's deviation from its
-class mean by its class's bulk power and mixes the class means through one
-``K x K`` block, both from :func:`_class_block`: :func:`averaging_operator`
-applies them in ``O(K N)`` memory for :func:`trajectory` and
-:func:`pll_student`, and :func:`cell_outputs` to all ``K^2`` (true class,
-given label) cells at once in ``O(K^3)``; :func:`closed_form_output` reads
-one cell.  On a dense (perturbed) Gram ``G`` a round is
-``X <- (X G)(G + K^2 n lam I)^-1``, solved with one Cholesky factor of the
-shifted Gram that every round shares.  The partial-label student replaces
-the teacher's soft output with a two-hot vector on its top two entries.
+:func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  A
+round is written once per layout.  On an unperturbed Gram it is
+:func:`_class_round`, on columns that each stand for a weighted number of
+samples of one class: the samples of :func:`trajectory` and
+:func:`pll_student`, the oracle's realised cells, or the ``K^2`` (true
+class, given label) cells of :func:`cell_outputs`, in ``O(K^3)``.  On a
+dense (perturbed) Gram it is :func:`~distillab.gram_models._solve_shifted`,
+with one Cholesky factor of the shifted Gram that every round shares.  The
+partial-label student replaces the teacher's soft output with a two-hot
+vector on its top two entries.
 """
 
 from __future__ import annotations
@@ -167,9 +166,9 @@ class AveragingOperator:
 
     Its full spectrum is ``eigenvalues = rho^t`` (see
     :func:`averaging_operator`).  :meth:`apply` maps ``K x N`` centered rows
-    ``X`` to ``X A_t`` by ``repeats`` applications of ``step``: one with the
-    round-``t`` class block on an unperturbed Gram, ``t`` factored rounds
-    on a dense one, none at ``t = 0``.  :attr:`matrix` is ``apply(I)``,
+    ``X`` to ``X A_t`` by ``repeats`` applications of ``step``: one
+    :func:`_class_round` on an unperturbed Gram, ``t`` factored rounds on a
+    dense one, none at ``t = 0``.  :attr:`matrix` is ``apply(I)``,
     built on first read only.
     """
 
@@ -232,25 +231,33 @@ def _class_block(model: GramModel, lam: float, t: int) -> tuple[np.ndarray, np.n
     return bulk, block
 
 
+def _class_round(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray | float,
+                 model: GramModel, lam: float, t: int) -> np.ndarray:
+    """Round ``t`` of centered ``K x m`` ``rows`` on an unperturbed ``model``,
+    ``(((rows * weights) @ E) @ block) @ E^T + bulk[classes] * rows`` with
+    ``E = eye(K)[classes] / sqrt(n)`` and :func:`_class_block`'s ``bulk``
+    and ``block``.  Column ``j`` stands for ``weights[j]`` samples of true
+    class ``classes[j]`` (0-based): 1 per sample, the count per cell of a
+    ``CellGram`` and ``n C[k, k']`` per cell of :func:`cell_outputs`."""
+    bulk, block = _class_block(model, lam, t)
+    E = np.eye(model.K)[classes] / np.sqrt(model.n)
+    return (((rows * weights) @ E) @ block) @ E.T + bulk[classes] * rows
+
+
 def _operator(eig: EigenSystem, lam: float, K: int, n: int, t: int) -> AveragingOperator:
     """The round-``t`` operator of :func:`averaging_operator`, ``t >= 0``."""
     powered = _ratios(eig.values, lam, K, n) ** t
-    if eig.model is None:
-        gram, shift = eig.gram, K * K * n * lam
-
-        def step(rows):
-            # one round X <- (X G)(G + cI)^-1; the factor is made on first use
-            return _solve_shifted(gram, eig.factor(shift), shift, rows @ gram)
-
-        return AveragingOperator(t=t, eigenvalues=powered, step=step, repeats=t)
-    bulk, block = _class_block(eig.model, lam, t)
-    indicators = np.repeat(np.eye(K) / np.sqrt(n), n, axis=0)
-    per_sample = np.repeat(bulk, n)
+    model, shift = eig.model, K * K * n * lam
+    classes = None if model is None else model.class_of_sample() - 1
 
     def step(rows):
-        return ((rows @ indicators) @ block) @ indicators.T + per_sample * rows
+        if model is None:
+            # the factor is made on first use
+            return _solve_shifted(eig.gram, eig.factor(shift), shift, rows)
+        return _class_round(rows, classes, 1.0, model, lam, t)
 
-    return AveragingOperator(t=t, eigenvalues=powered, step=step, repeats=min(t, 1))
+    return AveragingOperator(t=t, eigenvalues=powered, step=step,
+                             repeats=t if model is None else min(t, 1))
 
 
 def averaging_operator(
@@ -265,17 +272,15 @@ def averaging_operator(
     clipped to zero in ``eigenvalues``.
 
     On a class-structured eigensystem (one that holds its ``model``) the
-    operator is ``diag(bulk[class]) + E block E^T / n``, with ``E`` the class
-    indicators and :func:`_class_block`'s ``bulk`` and ``block``: ``O(K N)``
-    to build and ``O(K^2 N)`` to apply, without the ``N x N`` eigenvectors.
-    On a dense one (holding its Gram ``G``) it is ``t`` rounds
-    ``X <- (X G)(G + cI)^-1``, ``c = K^2 n lam``: each one ``K x N x N``
-    product and two triangular substitutions with the eigensystem's
-    Cholesky factor of ``G + cI`` (:meth:`~distillab.gram_models.EigenSystem.factor`),
-    computed on the first :meth:`~AveragingOperator.apply` and shared by
-    every operator at that ``lam``, plus the residual check of
-    :func:`~distillab.gram_models._solve_shifted`.  Building either form
-    factors nothing, so reading ``eigenvalues`` costs ``O(N)``.
+    operator is :func:`_class_round` on the samples, ``O(K N)`` to build
+    and ``O(K^2 N)`` to apply, without the ``N x N`` eigenvectors.  On a
+    dense one (holding its Gram) it is ``t`` rounds of
+    :func:`~distillab.gram_models._solve_shifted`, ``O(K N^2)`` each, with
+    the eigensystem's Cholesky factor of the shifted Gram
+    (:meth:`~distillab.gram_models.EigenSystem.factor`), computed on the
+    first :meth:`~AveragingOperator.apply` and shared by every operator at
+    that ``lam``.  Building either form factors nothing, so reading
+    ``eigenvalues`` costs ``O(N)``.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
@@ -289,10 +294,10 @@ def trajectory(
 
     Centers the targets at the uniform vector, applies the round-``t``
     operator of :func:`averaging_operator` and shifts back.  On a
-    class-structured eigensystem round ``t`` applies the round-``t`` class
-    block of :func:`_class_block` to round 0, ``O(K^2 N)``; on a dense one
-    it is one factored round from round ``t - 1``, ``O(K N^2)``, the same
-    arithmetic as the round-``t`` operator applied to round 0.
+    class-structured eigensystem round ``t`` is :func:`_class_round` of
+    round 0, ``O(K^2 N)``; on a dense one it is one factored round from
+    round ``t - 1``, ``O(K N^2)``, the same arithmetic as the round-``t``
+    operator applied to round 0.
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -319,15 +324,15 @@ def cell_outputs(
 
     ``targets[:, k, k']`` is the label vector shared by the samples of true
     class ``k + 1`` given label ``k' + 1`` (0-based array indices), and
-    ``C`` weights the cells of each class.  With the centered class means
-    ``M[:, k] = sum_k' C[k, k'] (targets[:, k, k'] - 1/K)`` and
-    :func:`_class_block` of ``tc.model``::
+    ``C`` weights the cells of each class.  It is :func:`_class_round` on
+    the ``K^2`` centered targets, cell ``(k, k')`` weighted ``n C[k, k']``::
 
         out[:, k, k'] = bulk[k] (targets[:, k, k'] - 1/K) + (M block)[:, k] + 1/K
 
-    That is exact for all five Gram cases and any ``C`` whose cells the
-    samples realise, at a cost of ``O(K^3)`` independent of ``n``; at
-    ``t = 0`` the targets are returned unchanged.
+    with the centered class means ``M[:, k] = sum_k' C[k, k'] (targets[:,
+    k, k'] - 1/K)``.  That is exact for all five Gram cases and any ``C``
+    whose cells the samples realise, at a cost of ``O(K^3)`` independent of
+    ``n``; at ``t = 0`` the targets are returned unchanged.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
@@ -339,10 +344,10 @@ def cell_outputs(
         raise ValidationError(f"cell targets must have shape {(K, K, K)}, got {targets.shape}")
     if t == 0:
         return targets
-    bulk, block = _class_block(tc.model, tc.lam, t)
-    centered = targets - 1.0 / K
-    means = np.einsum("ikj,kj->ik", centered, C.entries)
-    return bulk[:, None] * centered + (means @ block)[:, :, None] + 1.0 / K
+    rows = (targets - 1.0 / K).reshape(K, K * K)
+    out = _class_round(rows, np.repeat(np.arange(K), K), tc.model.n * C.entries.ravel(),
+                       tc.model, tc.lam, t)
+    return out.reshape(K, K, K) + 1.0 / K
 
 
 def _check_sample(sample: tuple[int, int], K: int) -> tuple[int, int]:

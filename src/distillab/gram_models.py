@@ -365,17 +365,19 @@ def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
 
 
 def _solve_shifted(gram: np.ndarray, factor: np.ndarray, shift: float,
-                   rhs: np.ndarray) -> np.ndarray:
-    """``X`` with ``X (gram + shift I) = rhs`` for ``K x N`` rows ``rhs``.
+                   rows: np.ndarray) -> np.ndarray:
+    """The dense round ``X = (rows gram)(gram + shift I)^-1`` of ``K x N`` rows.
 
-    ``factor`` is :func:`_shifted_factor`'s ``L``, so ``X L L^T = rhs``: a
-    forward substitution for ``W L^T = rhs``, then a back substitution for
-    ``X L = W``, each in blocks of :data:`SOLVE_BLOCK` columns (one small
-    solve per diagonal block, matrix products for the rest), ``O(K N^2)``.
-    The result is checked by its own residual, ``max|X (gram + shift I) -
-    rhs| <= 1e-8 * max|rhs|``, at one more ``K x N x N`` product.
+    ``factor`` is :func:`_shifted_factor`'s ``L``, so ``X L L^T = rhs =
+    rows gram``: a forward substitution for ``W L^T = rhs``, then a back
+    substitution for ``X L = W``, each in blocks of :data:`SOLVE_BLOCK`
+    columns (one small solve per diagonal block, matrix products for the
+    rest), ``O(K N^2)``.  The result is checked by its own residual,
+    ``max|X (gram + shift I) - rhs| <= 1e-8 * max|rhs|``, at one more
+    ``K x N x N`` product.
     """
-    x = np.array(rhs, dtype=float)
+    rhs = rows @ gram
+    x = rhs.copy()
     starts = range(0, x.shape[1], SOLVE_BLOCK)
     for s in starts:
         e = s + SOLVE_BLOCK

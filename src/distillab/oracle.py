@@ -39,9 +39,10 @@ that its modes ask for.  When it runs both the oracle and a closed-form
 stage, the oracle chain runs on one helper thread while the calling thread
 computes the eigensystem, the closed-form rounds and the student; the two
 share only the labels and the read-only Gram, so no output depends on the
-overlap.  :func:`measure_approx_error` reads its oracle
-rounds and compares them with the linearized rounds
-``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` chained on the same Gram.
+overlap.  :func:`measure_approx_error` compares its oracle rounds with
+the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` on the
+same Gram: :func:`~distillab.distillation._class_round` on the cells,
+:func:`~distillab.gram_models._solve_shifted` on a dense Gram.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distillation import (OutputMatrix, PartialLabelMatrix, pll_refine, pll_student,
-                           trajectory)
+from .distillation import (OutputMatrix, PartialLabelMatrix, _class_round, pll_refine,
+                           pll_student, trajectory)
 from .errors import NumericalError, ValidationError
 from .gram_models import (CellGram, EigenSystem, GramModel, _shifted_factor, _solve_shifted,
                           analytic_eigensystem, build_gram, cell_gram, numeric_eigensystem)
@@ -167,27 +168,6 @@ def _layout(gram: np.ndarray | CellGram) -> tuple[np.ndarray, np.ndarray | float
     if isinstance(gram, CellGram):
         return gram.matrix, gram.weights
     return np.asarray(gram, dtype=float), 1.0
-
-
-def _linear_round(Y_prev: np.ndarray, gram: np.ndarray | CellGram, lam: float, K: int,
-                  n: int, factor: Optional[np.ndarray] = None) -> np.ndarray:
-    """The linearized round ``1/K + ((Y_prev - 1/K) G) (G + K^2 n lam I)^-1``
-    as one linear solve, exact on the dense and on the cell layout.
-
-    The cell matrix is not symmetric, so a cell round is one LU solve.  A
-    dense round solves with ``factor``, the Cholesky factor of the shifted
-    Gram (:func:`~distillab.gram_models._shifted_factor`, computed here when
-    not given), as the dense averaging operator does.
-    """
-    matrix, shift = _layout(gram)[0], K * K * n * lam
-    rhs = (Y_prev - 1.0 / K) @ matrix
-    if isinstance(gram, CellGram):
-        shifted = matrix.copy()
-        shifted.flat[::matrix.shape[0] + 1] += shift
-        return 1.0 / K + np.linalg.solve(shifted.T, rhs.T).T
-    if factor is None:
-        factor = _shifted_factor(matrix, shift)
-    return 1.0 / K + _solve_shifted(matrix, factor, shift, rhs)
 
 
 def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray,
@@ -466,21 +446,22 @@ def measure_approx_error(
 
     Runs the oracle rounds ``1..t`` of :func:`run_rounds`, snapping ``C`` to
     the nearest realizable matrix when its rates are not integral on the
-    ``n``-grid, and compares each with the linearized rounds chained from
-    the same one-hot targets on the same Gram (:func:`_linear_round`; on an
-    unperturbed model per cell, with no ``N x N`` array, and on a perturbed
-    one with one Cholesky factor for all rounds).  Raises when the oracle
-    fails to converge at some round.
+    ``n``-grid, and compares each with the linearized round of the same
+    one-hot targets on the same Gram: the class round of ``Y0`` on the
+    cells of an unperturbed model, with no ``N x N`` array, and on a
+    perturbed one dense rounds chained with one Cholesky factor.  Raises
+    when the oracle fails to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
     config = config or SolverConfig()
     run = run_rounds(gram_model, C, lam, t, ("oracle",), config, snap=True)
-    K, n = gram_model.K, gram_model.n
-    # a dense Gram is factored once for all rounds
-    factor = None if isinstance(run.gram, CellGram) else _shifted_factor(run.gram, K * K * n * lam)
-    linear, gap = run.Y0.columns, 0.0
-    for result in run.oracle:
-        linear = _linear_round(linear, run.gram, lam, K, n, factor)
-        gap = max(gap, float(np.abs(result.outputs.columns - linear).max()))
+    K, n, gram = gram_model.K, gram_model.n, run.gram
+    shift, centered = K * K * n * lam, run.Y0.columns - 1.0 / K
+    factor = None if isinstance(gram, CellGram) else _shifted_factor(gram, shift)
+    linear, gap = centered, 0.0
+    for s, result in enumerate(run.oracle, 1):
+        linear = (_solve_shifted(gram, factor, shift, linear) if factor is not None else
+                  _class_round(centered, gram.cells[:, 0] - 1, gram.weights, gram_model, lam, s))
+        gap = max(gap, float(np.abs(result.outputs.columns - (linear + 1.0 / K)).max()))
     return gap

@@ -140,6 +140,23 @@ class TestConfig:
         assert "t_max >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,parameter", [
+        ("trajectory", "n"), ("trajectory", "eta"), ("theory", "n"), ("theory", "eta"),
+        ("phase", "n"), ("approx-error", "eta"),
+    ])
+    def test_sweep_the_command_does_not_run_exits_one(self, tmp_path, capsys, command,
+                                                      parameter):
+        values = {"n": [12, 24], "eta": [0.0, 0.25]}[parameter]
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.25}, t_max=1,
+                           modes=["closed_form", "oracle"],
+                           sweep_parameter=parameter, sweep_values=values)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {command} command does not sweep over {parameter}")
+        assert "drop sweep_parameter and sweep_values" in err
+        assert not (tmp_path / "out").exists()
+
     # the oracle does not run, yet every command rejects the solver setting
     @pytest.mark.parametrize("command", ["trajectory", "phase", "approx-error", "theory"])
     @pytest.mark.parametrize("setting", ["solver_tolerance", "solver_max_iterations"])
@@ -426,6 +443,34 @@ class TestPhaseCommand:
             == (par_dir / "phase.csv").read_bytes()
         )
 
+    @pytest.mark.parametrize("values,pools", [([0.0, 0.25], [2]), ([0.25], [])],
+                             ids=["two-points", "one-point"])
+    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch, values, pools):
+        # a stand-in pool records its size and runs the points in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 3, "n": 16, "c": 0.5, "d": 0.2},
+                           corruption={"kind": "symmetric", "eta": 0.0}, workers=6,
+                           sweep_parameter="eta", sweep_values=values)
+        assert main(["phase", "--config", str(cfg)]) == 0
+        assert sizes == pools
+
     def test_config_is_serialised_once_per_sweep(self, tmp_path, monkeypatch):
         # one to_json for the sweep, one from_json per point after the load
         dumped, parsed = [], []
@@ -638,6 +683,14 @@ class TestApproxErrorCommand:
         assert [line.split(":")[0] for line in reasons] == ["approx-error n=5",
                                                            "approx-error n=10"]
         assert all("oracle failed to converge at round 1" in line for line in reasons)
+
+    def test_zero_rounds_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 5, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "symmetric", "eta": 0.6}, lam=1e-3, t_max=0,
+                           modes=["oracle"])
+        assert main(["approx-error", "--config", str(cfg)]) == 1
+        assert "t_max >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_requires_oracle_mode(self, tmp_path):
         cfg = write_config(tmp_path, modes=["closed_form"])

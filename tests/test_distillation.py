@@ -30,6 +30,7 @@ from distillab import (
 from distillab.distillation import (
     OutputMatrix,
     PartialLabelMatrix,
+    _class_round,
     argmax_accuracy,
     averaging_operator,
     cell_outputs,
@@ -379,15 +380,19 @@ class TestDeflatedTrajectory:
 
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
     def test_linear_round_is_the_eigen_form(self, name):
-        # the linearized reference of measure_approx_error
+        # the linearized reference of measure_approx_error: the dense round
+        # on a perturbed Gram, the per-sample class round on an unperturbed one
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["I"]
         K, n, lam = model.K, model.n, 1e-3
         gram = build_gram(model)
-        Y_prev = random_one_hot(model)
+        rows = random_one_hot(model).columns - 1.0 / K
         eig = numeric_eigensystem(gram)
         ratios = eig.values / (K * K * n * lam + eig.values)
-        eigen_form = (Y_prev.columns - 1.0 / K) @ eig.vectors * ratios @ eig.vectors.T + 1.0 / K
-        linear = oracle._linear_round(Y_prev.columns, gram, lam, K, n)
+        eigen_form = rows @ eig.vectors * ratios @ eig.vectors.T
+        shift = K * K * n * lam
+        linear = (gram_models._solve_shifted(gram, gram_models._shifted_factor(gram, shift),
+                                             shift, rows) if name == "perturbed" else
+                  _class_round(rows, model.class_of_sample() - 1, 1.0, model, lam, 1))
         np.testing.assert_allclose(linear, eigen_form, rtol=0, atol=1e-12)
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from _support import CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, one_hot_cells, setup_a_model
+from _support import (CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, one_hot_cells,
+                      random_doubly_stochastic, setup_a_model)
 from distillab import (
     GramCase,
     GramModel,
@@ -20,8 +21,8 @@ from distillab import (
     build_gram,
     numeric_eigensystem,
 )
-from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
-                                    trajectory)
+from distillab.distillation import (OutputMatrix, _class_round, cell_outputs, pll_refine,
+                                    pll_student, trajectory)
 from distillab import gram_models, oracle
 from distillab.gram_models import cell_gram
 from distillab.noise_theory import (
@@ -379,6 +380,32 @@ class TestCellGram:
             assert np.abs(R).max() <= tol + 1e-12
             previous = per_sample
 
+    @given(
+        st.sampled_from(sorted(CASE_MODELS)),
+        st.integers(1, 12),
+        st.sampled_from([1e-4, 1e-3, 1e-2]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_class_round_is_the_cell_solve_and_the_sample_round(self, name, n, lam, seed):
+        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        K, shift = model.K, model.K ** 2 * n * lam
+        rng = np.random.default_rng(seed)
+        C = nearest_realizable(random_doubly_stochastic(K, rng), n)
+        la = realize_labels(C, n, seed=seed)
+        cells = cell_gram(model, la)
+        rows = OutputMatrix.from_labels(cells.cells[:, 1], K).columns - 1.0 / K
+        shifted = cells.matrix + shift * np.eye(cells.weights.size)
+        closed = trajectory(OutputMatrix.from_labels(la.given_labels, K),
+                            analytic_eigensystem(model), lam, K, n, 4)
+        chained = rows
+        for t in range(1, 5):
+            chained = np.linalg.solve(shifted.T, (chained @ cells.matrix).T).T
+            by_cell = _class_round(rows, cells.cells[:, 0] - 1, cells.weights, model, lam, t)
+            np.testing.assert_allclose(by_cell, chained, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(by_cell[:, cells.sample_cell] + 1.0 / K,
+                                       closed[t].columns, rtol=0, atol=1e-12)
+
     def test_perturbed_model_and_foreign_labels_are_rejected(self):
         model = GramModel(case=GramCase.III, K=3, n=4, c=0.4, d=0.1,
                           perturbation_amplitude=0.01)
@@ -486,17 +513,19 @@ class TestRunRounds:
         gram = build_gram(model)
         Y = OutputMatrix.from_labels(realize_labels(C, n, seed=0).given_labels, K).columns
         shift = K * K * n * lam
-        reference = 1.0 / K + np.linalg.solve((gram + shift * np.eye(gram.shape[0])).T,
-                                              ((Y - 1.0 / K) @ gram).T).T
-        # a dense round solves with the Cholesky factor, given or not
-        linear = oracle._linear_round(Y, gram, lam, K, n)
-        np.testing.assert_allclose(linear, reference, rtol=0, atol=1e-13)
+        reference = np.linalg.solve((gram + shift * np.eye(gram.shape[0])).T,
+                                    ((Y - 1.0 / K) @ gram).T).T
+        # a dense round solves with the Cholesky factor of the shifted Gram
         factor = gram_models._shifted_factor(gram, shift)
-        assert np.array_equal(oracle._linear_round(Y, gram, lam, K, n, factor), linear)
-        # a cell round is one LU solve of the unsymmetric cell matrix
+        linear = gram_models._solve_shifted(gram, factor, shift, Y - 1.0 / K)
+        np.testing.assert_allclose(linear, reference, rtol=0, atol=1e-13)
+        # a cell round is the class round with the cell counts as weights,
+        # equal to an LU solve of the unsymmetric cell matrix
         unperturbed = dataclasses.replace(model, perturbation_amplitude=0.0)
         cells = cell_gram(unperturbed, realize_labels(C, n, seed=0))
         Yc = OutputMatrix.from_labels(cells.cells[:, 1], K).columns
         shifted = cells.matrix + shift * np.eye(cells.matrix.shape[0])
-        reference = 1.0 / K + np.linalg.solve(shifted.T, ((Yc - 1.0 / K) @ cells.matrix).T).T
-        assert np.array_equal(oracle._linear_round(Yc, cells, lam, K, n), reference)
+        reference = np.linalg.solve(shifted.T, ((Yc - 1.0 / K) @ cells.matrix).T).T
+        linear = _class_round(Yc - 1.0 / K, cells.cells[:, 0] - 1, cells.weights, unperturbed,
+                              lam, 1)
+        np.testing.assert_allclose(linear, reference, rtol=0, atol=1e-13)
