@@ -176,6 +176,8 @@ def _sweep(config: ExperimentConfig, command: str, default, worker) -> list:
     """``worker`` on each value of the config's sweep, or on ``default``
     alone when the config sweeps nothing."""
     _check_sweep(config, command)
+    if config.t_max < 1:
+        raise ValidationError(f"{command} measures rounds 1..t_max, so it needs t_max >= 1")
     text = config.to_json()
     values = [default] if config.sweep_parameter is None else config.sweep_values
     payloads = [(text, v) for v in values]
@@ -216,8 +218,6 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
     """Max-norm oracle-vs-closed-form gap per dataset size."""
     if "oracle" not in config.modes:
         raise ValidationError("the approx-error command needs the oracle mode enabled")
-    if config.t_max < 1:
-        raise ValidationError("approx-error measures rounds 1..t_max, so it needs t_max >= 1")
     rows = _sweep(config, "approx-error", config.gram.n, _approx_point)
     path = _out_path(config.output_dir, "approx_error.csv")
     write_csv(path, ("n", "max_linf_error", "converged"), zip(*rows))
@@ -300,9 +300,7 @@ def cmd_ingest(
 ) -> str:
     """Correlation statistics, fitted constants, and workable regularization
     suggestions from an exported feature matrix."""
-    features = FeatureMatrix.from_csv(
-        features_path, superclass_path=superclass_path, renormalize=True
-    )
+    features = FeatureMatrix.from_csv(features_path, superclass_path=superclass_path)
     stats = gram_statistics(features)
     labels = features.labels
     K = int(labels.max())

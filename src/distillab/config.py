@@ -147,12 +147,15 @@ class ExperimentConfig:
     - ``phase`` measures the closed-form rounds under ``closed_form`` or
       ``pll``, the oracle rounds in their place under ``oracle``, and adds
       the student's row under ``pll``; with none of the three, its rows
-      hold predictions only.  It sweeps over ``eta`` only.
+      hold predictions only.  It needs ``t_max >= 1`` and sweeps over
+      ``eta`` only.
     - ``approx-error`` needs ``oracle`` and ``t_max >= 1``, reads no other
       mode and sweeps over ``n`` only.
     - ``theory`` reads no mode and rejects a sweep.  No command reads the
       ``theory`` mode; it is accepted so that existing configs that list it
       keep loading.
+
+    A sweep lists one or more strictly ascending ``sweep_values``.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -189,8 +192,9 @@ class ExperimentConfig:
             if self.sweep_parameter not in ("eta", "n"):
                 raise ValidationError("sweep_parameter must be 'eta' or 'n'")
             vals = tuple(self.sweep_values)
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise ValidationError("sweep values must be sorted ascending")
+            if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ValidationError(f"sweep_values must be one or more strictly ascending "
+                                      f"values, got {list(vals)}")
             if self.sweep_parameter == "n" and not all(float(v).is_integer() for v in vals):
                 raise ValidationError(f"sweep_values must be whole sample counts to sweep n, "
                                       f"got {list(vals)}")

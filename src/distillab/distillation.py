@@ -265,7 +265,7 @@ def averaging_operator(
 ) -> AveragingOperator:
     """Spectral power of the one-round label-averaging map.
 
-    Shares the Gram eigenvectors; eigenvalue ``lambda_i`` maps to
+    Its ``eigenvalues`` are the Gram's, each ``lambda_i`` mapped to
     ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is
     exactly the identity.  Source eigenvalues below ``-1e-8`` are rejected
     before anything is factored; tiny negatives from a perturbed matrix are

@@ -238,25 +238,21 @@ def _spectrum_order(model: GramModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class EigenSystem:
-    """Full symmetric eigensystem, eigenvalues descending.
-
-    ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``; both
-    arrays are read-only.  Within a repeated value the basis is arbitrary
-    (:func:`analytic_eigensystem` and :func:`numeric_eigensystem` say which
-    they give), and so is a column's sign: every consumer forms
-    ``V f(values) V^T`` or ``(Y V) f(values) V^T``, which negation leaves
-    bit for bit unchanged.
+    """A symmetric spectrum, eigenvalues descending, and one layout.
 
     A class-structured system (from :func:`analytic_eigensystem`) holds its
     unperturbed ``model``; the averaging operator reads the model's
     ``K x K`` class block.  A dense one (from :func:`numeric_eigensystem`)
     holds its ``gram``; the averaging operator solves with its cached
-    :meth:`factor`.  Either builds its ``N x N`` ``vectors`` on first read
-    only, unless they are passed in.
+    :meth:`factor`.  Exactly one of the two is given.  Every output reads
+    only ``values`` and the layout; :attr:`vectors` is a reference, built
+    on first read.
     """
 
-    def __init__(self, values, vectors=None, model: Optional[GramModel] = None,
+    def __init__(self, values, model: Optional[GramModel] = None,
                  gram: Optional[np.ndarray] = None):
+        if (model is None) == (gram is None):
+            raise ValidationError("an eigensystem holds exactly one layout: its model or its Gram")
         values = np.array(values, dtype=float)
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("eigenvalues must be sorted descending")
@@ -265,14 +261,6 @@ class EigenSystem:
         self.model = model
         self.gram = gram
         self._factors: dict[float, np.ndarray] = {}
-        if vectors is not None:
-            vectors = np.asarray(vectors, dtype=float)
-            if vectors.shape != (values.size, values.size):
-                raise ValidationError("eigenvector matrix must be square and match values")
-            vectors.flags.writeable = False
-            self.__dict__["vectors"] = vectors
-        elif model is None and gram is None:
-            raise ValidationError("an eigensystem needs its vectors, its model or its Gram")
 
     @property
     def size(self) -> int:
@@ -290,7 +278,10 @@ class EigenSystem:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        """The ``N x N`` eigenvectors, built on first read.
+        """The read-only ``N x N`` eigenvectors, built on first read:
+        ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
+        Within a repeated value the basis is arbitrary, and so is a column's
+        sign.
 
         A dense system takes ``eigh``'s pairs of its Gram in reverse, with the
         solver's column signs, and checks each against ``values`` by the
@@ -303,7 +294,13 @@ class EigenSystem:
         Helmert contrasts (:func:`_helmert_vectors`) in its rows.
         """
         if self.model is None:
-            return _dense_vectors(self.gram, self.values)
+            vectors = np.linalg.eigh(self.gram)[1][:, ::-1]
+            resid = np.abs(self.gram @ vectors - vectors * self.values).max(initial=0.0)
+            bound = EIGEN_RESIDUAL_REL_TOL * max(np.abs(self.gram).max(initial=0.0), 1e-300)
+            if resid > bound:
+                raise NumericalError(f"eigendecomposition residual {resid:.3e} exceeds {bound:.3e}")
+            vectors.flags.writeable = False
+            return vectors
         K, n, size = self.model.K, self.model.n, self.size
         coeffs, _, order = _spectrum_order(self.model)
         position = np.empty(size, dtype=np.intp)
@@ -319,29 +316,6 @@ class EigenSystem:
                 vectors[k * n:(k + 1) * n, start:start + n - 1] = basis
         vectors.flags.writeable = False
         return vectors
-
-
-def _dense_vectors(gram: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``eigh``'s eigenvectors of ``gram`` in descending order, each checked
-    against its value in ``values``."""
-    vecs = np.linalg.eigh(gram)[1]
-    # Descending order, in place: a reordered copy would stay alive through
-    # the residual check below and raise the peak memory.
-    for start in range(0, vecs.shape[0], 256):
-        rows = vecs[start:start + 256]
-        rows[:] = rows[:, ::-1]
-    scale = float(np.abs(gram).max()) if gram.size else 0.0
-    # in place for the same reason
-    resid = gram @ vecs
-    resid -= vecs * values
-    resid = np.abs(resid, out=resid).max(axis=0)
-    bound = EIGEN_RESIDUAL_REL_TOL * max(scale, 1e-300)
-    if np.any(resid > bound):
-        raise NumericalError(
-            f"eigendecomposition residual {resid.max():.3e} exceeds {bound:.3e}"
-        )
-    vecs.flags.writeable = False
-    return vecs
 
 
 def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
@@ -395,16 +369,6 @@ def _solve_shifted(gram: np.ndarray, factor: np.ndarray, shift: float,
     if not worst <= bound:
         raise NumericalError(f"shifted Gram solve residual {worst:.3e} exceeds {bound:.3e}")
     return x
-
-
-def _validate_symmetric(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if dev > tol:
-        raise ValidationError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} > {tol:.0e}")
-    return a
 
 
 def build_gram(model: GramModel) -> np.ndarray:
@@ -535,7 +499,13 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     :attr:`EigenSystem.vectors`, ``eigh``'s, are built and checked on first
     read only.
     """
-    a = _validate_symmetric(matrix)
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    dev = float(np.abs(a - a.T).max(initial=0.0))
+    if dev > SYMMETRY_TOL:
+        raise ValidationError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} "
+                              f"> {SYMMETRY_TOL:.0e}")
     return EigenSystem(values=np.linalg.eigvalsh(a)[::-1], gram=a)
 
 
@@ -593,22 +563,17 @@ class FeatureMatrix:
         write_csv(path, (), [*fmt_all(self.features.T), map(str, self.labels.tolist())])
 
     @classmethod
-    def from_csv(
-        cls,
-        path,
-        superclass_path=None,
-        renormalize: bool = False,
-    ) -> "FeatureMatrix":
+    def from_csv(cls, path, superclass_path=None) -> "FeatureMatrix":
         """Load features from CSV (final column = integer class label).
 
-        With ``renormalize`` rows whose norm is within 1% of 1 are rescaled
-        to unit norm; anything farther off is rejected.
+        Rows whose norm is within 1% of 1 are rescaled to unit norm, with a
+        warning past 1e-6; anything farther off is rejected.
         """
         table = read_csv(path)
         feats, labels = table[:, :-1], table[:, -1]
         if np.any(labels % 1 != 0):
             raise ValidationError(f"{path}: the last column must hold integer class labels")
-        if renormalize and feats.size:
+        if feats.size:
             norms = np.linalg.norm(feats, axis=1)
             worst = float(np.abs(norms - 1.0).max())
             if worst > 0.01:

@@ -377,7 +377,8 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
     """The label-averaging eigen-ratios of an unperturbed model at ``lam``."""
     _check_lam(model, lam)
     if model.perturbation_amplitude != 0.0:
-        raise ValidationError("theory constants are defined for unperturbed models")
+        raise ValidationError("theory constants are defined for unperturbed models: "
+                              "set gram.perturbation_amplitude to 0")
     return TheoryConstants(model, lam)
 
 

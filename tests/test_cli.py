@@ -106,9 +106,15 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig().with_overrides(["gram.zeta=1"])
 
-    def test_unsorted_sweep_rejected(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig(sweep_parameter="eta", sweep_values=(0.3, 0.1))
+    @pytest.mark.parametrize("values", [(0.3, 0.1), (), (0.3, 0.3)],
+                             ids=["unsorted", "empty", "repeated"])
+    def test_unsorted_sweep_rejected(self, tmp_path, capsys, values):
+        with pytest.raises(ValidationError, match="sweep_values"):
+            ExperimentConfig(sweep_parameter="eta", sweep_values=values)
+        assert main(["phase", "--out", str(tmp_path / "out"), "--set", 'sweep_parameter="eta"',
+                     "--set", f"sweep_values={json.dumps(list(values))}"]) == 1
+        assert "sweep_values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_matrix_path_rejected(self):
         with pytest.raises(ValidationError):
@@ -525,6 +531,15 @@ class TestTheoryCommand:
         assert report["sd_conditions"]["3"]["achieves_100"] is True
         assert report["sd_conditions"]["2"]["achieves_100"] is False
 
+    @pytest.mark.parametrize("command", ["theory", "phase"])
+    def test_perturbed_model_names_the_fix(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1,
+                                           "perturbation_amplitude": 0.01})
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: theory constants are defined for unperturbed "
+                                           "models: set gram.perturbation_amplitude to 0\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eta,t_star", [(0.0, 1), (0.5, "unreachable")])
     def test_minimal_rounds_when_q_equals_p(self, tmp_path, eta, t_star):
         # c = d = 0: every threshold is infinite
@@ -684,12 +699,14 @@ class TestApproxErrorCommand:
                                                            "approx-error n=10"]
         assert all("oracle failed to converge at round 1" in line for line in reasons)
 
-    def test_zero_rounds_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["phase", "approx-error"])
+    def test_zero_rounds_exits_one(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 5, "c": 0.4, "d": 0.1},
                            corruption={"kind": "symmetric", "eta": 0.6}, lam=1e-3, t_max=0,
                            modes=["oracle"])
-        assert main(["approx-error", "--config", str(cfg)]) == 1
-        assert "t_max >= 1" in capsys.readouterr().err
+        assert main([command, "--config", str(cfg)]) == 1
+        assert (f"error: {command} measures rounds 1..t_max, so it needs t_max >= 1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_requires_oracle_mode(self, tmp_path):
@@ -806,7 +823,7 @@ class TestIngestCommand:
         fpath = tmp_path / "features.csv"
         fpath.write_text("1.004,0,1\n0,0.997,2\n")
         with pytest.warns(UserWarning, match="renormalizing"):
-            fm = FeatureMatrix.from_csv(fpath, renormalize=True)
+            fm = FeatureMatrix.from_csv(fpath)
         np.testing.assert_allclose(np.linalg.norm(fm.features, axis=1), 1.0, atol=1e-12)
 
     def test_far_off_norms_rejected(self, tmp_path):
@@ -815,7 +832,7 @@ class TestIngestCommand:
         fpath = tmp_path / "features.csv"
         fpath.write_text("1.2,0,1\n0,1,2\n")
         with pytest.raises(ValidationError):
-            FeatureMatrix.from_csv(fpath, renormalize=True)
+            FeatureMatrix.from_csv(fpath)
 
 
 class TestStartup:

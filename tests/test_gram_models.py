@@ -12,6 +12,7 @@ from distillab import (
     FeatureMatrix,
     GramCase,
     GramModel,
+    NumericalError,
     SuperclassMap,
     ValidationError,
     analytic_eigensystem,
@@ -347,7 +348,6 @@ class TestEigensystemLayout:
         assert np.array_equal(es.vectors, vectors)
         assert es.vectors.strides == vectors.strides  # same (column-major) layout
 
-    # n=100 spans more than one 256-row block of the in-place reversal
     @pytest.mark.parametrize("n", [8, 100])
     def test_numeric_bitwise_equal_to_column_loops(self, n):
         model = model_case(GramCase.III, K=3, n=n, c=0.4, d=0.1, amp=0.01, seed=5)
@@ -358,14 +358,21 @@ class TestEigensystemLayout:
         assert "vectors" not in es.__dict__
         assert np.array_equal(es.vectors, np.linalg.eigh(gram)[1][:, ::-1])
 
-    def test_takes_the_vectors_without_copying(self):
-        vectors = np.eye(3)
-        es = EigenSystem(values=np.ones(3), vectors=vectors)
-        assert es.vectors is vectors
-        assert not vectors.flags.writeable
-        assert not analytic_eigensystem(model_case(GramCase.I, K=2, n=3, c=0.4)).vectors.flags.writeable
-        with pytest.raises(ValidationError):
-            EigenSystem(values=np.ones(3))
+    def test_takes_exactly_one_layout(self):
+        model = model_case(GramCase.I, K=2, n=3, c=0.4)
+        gram = build_gram(model)
+        with pytest.raises(ValidationError, match="exactly one layout"):
+            EigenSystem(values=np.ones(6))
+        with pytest.raises(ValidationError, match="exactly one layout"):
+            EigenSystem(values=np.ones(6), model=model, gram=gram)
+        assert not analytic_eigensystem(model).vectors.flags.writeable
+        assert not numeric_eigensystem(gram).vectors.flags.writeable
+
+    def test_dense_vectors_check_their_residual(self):
+        gram = build_gram(model_case(GramCase.III, K=3, n=8, c=0.4, d=0.1, amp=0.01, seed=5))
+        es = EigenSystem(values=np.linalg.eigvalsh(gram)[::-1] * (1 + 1e-6), gram=gram)
+        with pytest.raises(NumericalError, match="eigendecomposition residual"):
+            es.vectors
 
     # the phase_eta benchmark model
     PEAK_MODEL = model_case(GramCase.V, K=6, n=200, c=0.4, d=0.15, e=0.05, sizes=(3, 3))
