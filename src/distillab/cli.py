@@ -157,8 +157,8 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
             modes = tuple(m for m in modes if m != "closed_form")
         try:
             run = run_rounds(model, C, config.lam, config.t_max, modes, config.solver())
-        except NumericalError as exc:
-            raise NumericalError(f"eta={eta}: {exc}") from exc
+        except (NumericalError, ValidationError) as exc:
+            raise type(exc)(f"eta={eta}: {exc}") from exc
         outputs = run.closed[1:] if run.oracle is None else run.oracle_outputs()
         for mat in outputs:
             empirical[mat.round] = argmax_accuracy(mat, run.assignment.true_labels)

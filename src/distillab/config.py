@@ -155,7 +155,8 @@ class ExperimentConfig:
       ``theory`` mode; it is accepted so that existing configs that list it
       keep loading.
 
-    A sweep lists one or more strictly ascending ``sweep_values``.
+    A sweep lists one or more strictly ascending ``sweep_values``: whole
+    sample counts >= 1 for ``n``, corruption rates in ``[0, 1]`` for ``eta``.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -195,9 +196,13 @@ class ExperimentConfig:
             if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValidationError(f"sweep_values must be one or more strictly ascending "
                                       f"values, got {list(vals)}")
-            if self.sweep_parameter == "n" and not all(float(v).is_integer() for v in vals):
-                raise ValidationError(f"sweep_values must be whole sample counts to sweep n, "
-                                      f"got {list(vals)}")
+            if self.sweep_parameter == "n" and not all(float(v).is_integer() and v >= 1
+                                                       for v in vals):
+                raise ValidationError(f"sweep_values must be whole sample counts >= 1 to sweep "
+                                      f"n, got {list(vals)}")
+            if self.sweep_parameter == "eta" and not all(0.0 <= v <= 1.0 for v in vals):
+                raise ValidationError(f"sweep_values must be corruption rates in [0, 1] to "
+                                      f"sweep eta, got {list(vals)}")
             if self.sweep_parameter == "eta" and self.corruption.kind == "explicit":
                 raise ValidationError("explicit corruption reads its rates from matrix_path, "
                                       "so an eta sweep would repeat one matrix: use a generated "

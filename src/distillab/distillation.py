@@ -8,9 +8,10 @@ round is written once per layout.  On an unperturbed Gram it is
 samples of one class: the samples of :func:`trajectory` and
 :func:`pll_student`, the oracle's realised cells, or the ``K^2`` (true
 class, given label) cells of :func:`cell_outputs`, in ``O(K^3)``.  On a
-dense (perturbed) Gram it is :func:`~distillab.gram_models._solve_shifted`,
-with one Cholesky factor of the shifted Gram that every round shares.  The
-partial-label student replaces the teacher's soft output with a two-hot
+dense (perturbed) Gram the rounds are the chain
+:func:`~distillab.gram_models._shifted_rounds`, all on one Cholesky factor of
+the shifted Gram.  :func:`_rounds` chains either layout for every consumer.
+The partial-label student replaces the teacher's soft output with a two-hot
 vector on its top two entries.
 """
 
@@ -19,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, repeat
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .csvio import fmt_all, index_runs, read_csv, write_csv
 from .errors import ValidationError
-from .gram_models import EigenSystem, GramModel, _head_columns, _solve_shifted
+from .gram_models import EigenSystem, GramModel, _head_columns, _shifted_rounds
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
@@ -165,17 +166,18 @@ class AveragingOperator:
     """The round-``t`` label-averaging operator ``A_t``, kept factored.
 
     Its full spectrum is ``eigenvalues = rho^t`` (see
-    :func:`averaging_operator`).  :meth:`apply` maps ``K x N`` centered rows
-    ``X`` to ``X A_t`` by ``repeats`` applications of ``step``: one
-    :func:`_class_round` on an unperturbed Gram, ``t`` factored rounds on a
-    dense one, none at ``t = 0``.  :attr:`matrix` is ``apply(I)``,
-    built on first read only.
+    :func:`averaging_operator`) of the Gram spectrum of ``eig`` at
+    ``lam``, ``K`` and ``n``.  :meth:`apply` maps ``K x N`` centered rows
+    ``X`` to ``X A_t``, the last of the rounds ``1..t`` of :func:`_rounds`.
+    :attr:`matrix` is ``apply(I)``, built on first read only.
     """
 
     t: int
     eigenvalues: np.ndarray
-    step: Callable[[np.ndarray], np.ndarray]
-    repeats: int
+    eig: EigenSystem
+    lam: float
+    K: int
+    n: int
 
     def __post_init__(self):
         ev = np.array(self.eigenvalues, dtype=float)
@@ -190,8 +192,8 @@ class AveragingOperator:
     def apply(self, centered: np.ndarray) -> np.ndarray:
         """``centered @ A_t`` as a new array; exactly ``centered`` at ``t = 0``."""
         out = np.array(centered, dtype=float)
-        for _ in range(self.repeats):
-            out = self.step(out)
+        for out in _rounds(self.eig, self.lam, self.K, self.n, out, self.t):
+            pass
         return out
 
     @cached_property
@@ -244,20 +246,21 @@ def _class_round(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray | fl
     return (((rows * weights) @ E) @ block) @ E.T + bulk[classes] * rows
 
 
-def _operator(eig: EigenSystem, lam: float, K: int, n: int, t: int) -> AveragingOperator:
-    """The round-``t`` operator of :func:`averaging_operator`, ``t >= 0``."""
-    powered = _ratios(eig.values, lam, K, n) ** t
-    model, shift = eig.model, K * K * n * lam
-    classes = None if model is None else model.class_of_sample() - 1
-
-    def step(rows):
-        if model is None:
-            # the factor is made on first use
-            return _solve_shifted(eig.gram, eig.factor(shift), shift, rows)
-        return _class_round(rows, classes, 1.0, model, lam, t)
-
-    return AveragingOperator(t=t, eigenvalues=powered, step=step,
-                             repeats=t if model is None else min(t, 1))
+def _rounds(eig: EigenSystem, lam: float, K: int, n: int, centered: np.ndarray,
+            t_max: int) -> Iterator[np.ndarray]:
+    """Rounds ``1..t_max`` of centered ``K x N`` rows on ``eig``, one new array
+    each: :func:`_class_round` of ``centered`` on a class-structured system,
+    the chain of :func:`~distillab.gram_models._shifted_rounds` with the
+    cached :meth:`~distillab.gram_models.EigenSystem.factor` on a dense one.
+    The eigenvalue guard runs first; ``t_max = 0`` factors nothing."""
+    _ratios(eig.values, lam, K, n)
+    if eig.model is not None:
+        classes = eig.model.class_of_sample() - 1
+        for t in range(1, t_max + 1):
+            yield _class_round(centered, classes, 1.0, eig.model, lam, t)
+    elif t_max:
+        shift = K * K * n * lam
+        yield from _shifted_rounds(eig.gram, eig.factor(shift), shift, centered, t_max)
 
 
 def averaging_operator(
@@ -271,20 +274,20 @@ def averaging_operator(
     before anything is factored; tiny negatives from a perturbed matrix are
     clipped to zero in ``eigenvalues``.
 
-    On a class-structured eigensystem (one that holds its ``model``) the
-    operator is :func:`_class_round` on the samples, ``O(K N)`` to build
-    and ``O(K^2 N)`` to apply, without the ``N x N`` eigenvectors.  On a
-    dense one (holding its Gram) it is ``t`` rounds of
-    :func:`~distillab.gram_models._solve_shifted`, ``O(K N^2)`` each, with
-    the eigensystem's Cholesky factor of the shifted Gram
-    (:meth:`~distillab.gram_models.EigenSystem.factor`), computed on the
-    first :meth:`~AveragingOperator.apply` and shared by every operator at
-    that ``lam``.  Building either form factors nothing, so reading
+    :meth:`~AveragingOperator.apply` takes the rounds of :func:`_rounds`: on
+    a class-structured eigensystem (one that holds its ``model``)
+    :func:`_class_round` on the samples, ``O(K^2 N)``, without the ``N x N``
+    eigenvectors; on a dense one (holding its Gram) ``t`` chained rounds of
+    :func:`~distillab.gram_models._shifted_rounds`, ``O(K N^2)`` each, with
+    the eigensystem's Cholesky factor of the shifted Gram, computed on the
+    first apply with ``t >= 1`` and shared by every operator at that
+    ``lam``.  Building either form factors nothing, so reading
     ``eigenvalues`` costs ``O(N)``.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    return _operator(eig, lam, K, n, t)
+    return AveragingOperator(t=t, eigenvalues=_ratios(eig.values, lam, K, n) ** t,
+                             eig=eig, lam=lam, K=K, n=n)
 
 
 def trajectory(
@@ -292,12 +295,9 @@ def trajectory(
 ) -> list[OutputMatrix]:
     """Outputs for rounds ``0..t_max`` from one-hot given labels.
 
-    Centers the targets at the uniform vector, applies the round-``t``
-    operator of :func:`averaging_operator` and shifts back.  On a
-    class-structured eigensystem round ``t`` is :func:`_class_round` of
-    round 0, ``O(K^2 N)``; on a dense one it is one factored round from
-    round ``t - 1``, ``O(K N^2)``, the same arithmetic as the round-``t``
-    operator applied to round 0.
+    Centers the targets at the uniform vector, takes the rounds of
+    :func:`_rounds` and shifts back: the same arithmetic as the round-``t``
+    operator of :func:`averaging_operator` applied to round 0.
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
@@ -307,14 +307,8 @@ def trajectory(
         )
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    centered = Y0.columns - 1.0 / K
-    one_round = _operator(eig, lam, K, n, 1) if eig.model is None else None
-    rows, out = centered, [Y0]
-    for t in range(1, t_max + 1):
-        rows = (one_round.apply(rows) if one_round is not None
-                else _operator(eig, lam, K, n, t).apply(centered))
-        out.append(OutputMatrix(columns=rows + 1.0 / K, round=t))
-    return out
+    rounds = enumerate(_rounds(eig, lam, K, n, Y0.columns - 1.0 / K, t_max), 1)
+    return [Y0, *(OutputMatrix(columns=rows + 1.0 / K, round=t) for t, rows in rounds)]
 
 
 def cell_outputs(

@@ -15,9 +15,9 @@ all read from it.  The rest of the spectrum is the within-class bulk
 class means plus a per-class bulk power
 (:func:`~distillab.distillation._class_block`): the closed-form eigensystem
 holds only its values and model.  A dense one holds its values and its
-Gram: its rounds are solves with one cached Cholesky factor of the shifted
-Gram (:meth:`EigenSystem.factor`), and neither form builds ``N x N``
-eigenvectors until they are read.
+Gram: its chain of rounds is :func:`_shifted_rounds`, solves with one
+cached Cholesky factor of the shifted Gram (:meth:`EigenSystem.factor`),
+and neither form builds ``N x N`` eigenvectors until they are read.
 
 Correlation cases
 -----------------
@@ -35,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ SYMMETRY_TOL = 1e-10
 EIGEN_RESIDUAL_REL_TOL = 1e-8
 SOLVE_RESIDUAL_REL_TOL = 1e-8
 UNIT_NORM_TOL = 1e-6
-# columns per diagonal block of the substitutions in _solve_shifted
+# columns per diagonal block of the substitutions in _shifted_rounds
 SOLVE_BLOCK = 128
 
 
@@ -267,11 +267,9 @@ class EigenSystem:
         return self.values.size
 
     def factor(self, shift: float) -> np.ndarray:
-        """The lower Cholesky factor of ``gram + shift I``
+        """The lower Cholesky factor of a dense system's ``gram + shift I``
         (:func:`_shifted_factor`), computed on first use and kept per
         ``shift``, so every round and the student at one ``lam`` share it."""
-        if self.gram is None:
-            raise ValidationError("a dense averaging operator needs the eigensystem's Gram")
         if shift not in self._factors:
             self._factors[shift] = _shifted_factor(self.gram, shift)
         return self._factors[shift]
@@ -338,37 +336,39 @@ def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
     return factor
 
 
-def _solve_shifted(gram: np.ndarray, factor: np.ndarray, shift: float,
-                   rows: np.ndarray) -> np.ndarray:
-    """The dense round ``X = (rows gram)(gram + shift I)^-1`` of ``K x N`` rows.
+def _shifted_rounds(gram: np.ndarray, factor: np.ndarray, shift: float,
+                    rows: np.ndarray, t: int) -> Iterator[np.ndarray]:
+    """Rounds ``1..t`` of the dense round ``X <- (X gram)(gram + shift I)^-1``
+    from ``K x N`` ``rows``, one new array per round.
 
     ``factor`` is :func:`_shifted_factor`'s ``L``, so ``X L L^T = rhs =
-    rows gram``: a forward substitution for ``W L^T = rhs``, then a back
+    X_prev gram``: a forward substitution for ``W L^T = rhs``, then a back
     substitution for ``X L = W``, each in blocks of :data:`SOLVE_BLOCK`
     columns (one small solve per diagonal block, matrix products for the
-    rest), ``O(K N^2)``.  The result is checked by its own residual,
-    ``max|X (gram + shift I) - rhs| <= 1e-8 * max|rhs|``, at one more
-    ``K x N x N`` product.
+    rest), ``O(K N^2)``.  Each round is checked by its own residual,
+    ``max|X (gram + shift I) - rhs| <= 1e-8 * max|rhs|``, whose product
+    ``X gram`` is the next round's ``rhs``: ``t`` rounds cost ``t + 1``
+    ``K x N x N`` products.
     """
-    rhs = rows @ gram
-    x = rhs.copy()
-    starts = range(0, x.shape[1], SOLVE_BLOCK)
-    for s in starts:
-        e = s + SOLVE_BLOCK
-        x[:, s:e] = np.linalg.solve(factor[s:e, s:e],
-                                    (x[:, s:e] - x[:, :s] @ factor[s:e, :s].T).T).T
-    for s in reversed(starts):
-        e = s + SOLVE_BLOCK
-        x[:, s:e] = np.linalg.solve(factor[s:e, s:e].T,
-                                    (x[:, s:e] - x[:, e:] @ factor[e:, s:e]).T).T
-    resid = x @ gram
-    resid += shift * x
-    resid -= rhs
-    worst = float(np.abs(resid).max()) if resid.size else 0.0
-    bound = SOLVE_RESIDUAL_REL_TOL * (float(np.abs(rhs).max()) if rhs.size else 0.0)
-    if not worst <= bound:
-        raise NumericalError(f"shifted Gram solve residual {worst:.3e} exceeds {bound:.3e}")
-    return x
+    rhs = rows @ gram if t else None
+    for _ in range(t):
+        x = rhs.copy()
+        starts = range(0, x.shape[1], SOLVE_BLOCK)
+        for s in starts:
+            e = s + SOLVE_BLOCK
+            x[:, s:e] = np.linalg.solve(factor[s:e, s:e],
+                                        (x[:, s:e] - x[:, :s] @ factor[s:e, :s].T).T).T
+        for s in reversed(starts):
+            e = s + SOLVE_BLOCK
+            x[:, s:e] = np.linalg.solve(factor[s:e, s:e].T,
+                                        (x[:, s:e] - x[:, e:] @ factor[e:, s:e]).T).T
+        product = x @ gram
+        worst = float(np.abs(product + shift * x - rhs).max(initial=0.0))
+        bound = SOLVE_RESIDUAL_REL_TOL * float(np.abs(rhs).max(initial=0.0))
+        if not worst <= bound:
+            raise NumericalError(f"shifted Gram solve residual {worst:.3e} exceeds {bound:.3e}")
+        yield x
+        rhs = product
 
 
 def build_gram(model: GramModel) -> np.ndarray:

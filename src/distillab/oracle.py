@@ -42,7 +42,7 @@ share only the labels and the read-only Gram, so no output depends on the
 overlap.  :func:`measure_approx_error` compares its oracle rounds with
 the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` on the
 same Gram: :func:`~distillab.distillation._class_round` on the cells,
-:func:`~distillab.gram_models._solve_shifted` on a dense Gram.
+:func:`~distillab.gram_models._shifted_rounds` on a dense Gram.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from .distillation import (OutputMatrix, PartialLabelMatrix, _class_round, pll_refine,
                            pll_student, trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import (CellGram, EigenSystem, GramModel, _shifted_factor, _solve_shifted,
+from .gram_models import (CellGram, EigenSystem, GramModel, _shifted_factor, _shifted_rounds,
                           analytic_eigensystem, build_gram, cell_gram, numeric_eigensystem)
 from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
                            nearest_realizable, realize_labels)
@@ -449,8 +449,8 @@ def measure_approx_error(
     ``n``-grid, and compares each with the linearized round of the same
     one-hot targets on the same Gram: the class round of ``Y0`` on the
     cells of an unperturbed model, with no ``N x N`` array, and on a
-    perturbed one dense rounds chained with one Cholesky factor.  Raises
-    when the oracle fails to converge at some round.
+    perturbed one the :func:`~distillab.gram_models._shifted_rounds` chain.
+    Raises when the oracle fails to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
@@ -458,10 +458,10 @@ def measure_approx_error(
     run = run_rounds(gram_model, C, lam, t, ("oracle",), config, snap=True)
     K, n, gram = gram_model.K, gram_model.n, run.gram
     shift, centered = K * K * n * lam, run.Y0.columns - 1.0 / K
-    factor = None if isinstance(gram, CellGram) else _shifted_factor(gram, shift)
-    linear, gap = centered, 0.0
-    for s, result in enumerate(run.oracle, 1):
-        linear = (_solve_shifted(gram, factor, shift, linear) if factor is not None else
-                  _class_round(centered, gram.cells[:, 0] - 1, gram.weights, gram_model, lam, s))
-        gap = max(gap, float(np.abs(result.outputs.columns - (linear + 1.0 / K)).max()))
-    return gap
+    if isinstance(gram, CellGram):
+        linear = (_class_round(centered, gram.cells[:, 0] - 1, gram.weights, gram_model, lam, s)
+                  for s in range(1, t + 1))
+    else:
+        linear = _shifted_rounds(gram, _shifted_factor(gram, shift), shift, centered, t)
+    return max(float(np.abs(result.outputs.columns - (rows + 1.0 / K)).max())
+               for result, rows in zip(run.oracle, linear))

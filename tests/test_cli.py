@@ -106,12 +106,16 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig().with_overrides(["gram.zeta=1"])
 
-    @pytest.mark.parametrize("values", [(0.3, 0.1), (), (0.3, 0.3)],
-                             ids=["unsorted", "empty", "repeated"])
-    def test_unsorted_sweep_rejected(self, tmp_path, capsys, values):
+    @pytest.mark.parametrize(
+        "command, parameter, values",
+        [("phase", "eta", (0.3, 0.1)), ("phase", "eta", ()), ("phase", "eta", (0.3, 0.3)),
+         ("approx-error", "n", (0, 12)), ("phase", "eta", (0.3, 1.5))],
+        ids=["unsorted", "empty", "repeated", "n-below-one", "eta-above-one"])
+    def test_unsorted_sweep_rejected(self, tmp_path, capsys, command, parameter, values):
         with pytest.raises(ValidationError, match="sweep_values"):
-            ExperimentConfig(sweep_parameter="eta", sweep_values=values)
-        assert main(["phase", "--out", str(tmp_path / "out"), "--set", 'sweep_parameter="eta"',
+            ExperimentConfig(sweep_parameter=parameter, sweep_values=values)
+        assert main([command, "--out", str(tmp_path / "out"),
+                     "--set", f'sweep_parameter="{parameter}"',
                      "--set", f"sweep_values={json.dumps(list(values))}"]) == 1
         assert "sweep_values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -367,6 +371,13 @@ class TestPhaseCommand:
         # the one-round top-2 student holds out to much heavier corruption
         for eta in ("0.3", "0.5", "0.7"):
             assert table[(eta, "PLL")][0] == pytest.approx(1.0)
+
+    def test_unrealisable_point_names_its_eta(self, tmp_path, capsys):
+        assert main(["phase", "--out", str(tmp_path / "out"), "--set", "gram.n=10",
+                     "--set", 'sweep_parameter="eta"', "--set", "sweep_values=[0.3, 0.35]"]) == 1
+        # 0.3 / 3 of ten samples is one per cell; 0.35 / 3 is not a whole count
+        assert capsys.readouterr().err.startswith("error: eta=0.35: cell (1,2) needs 1.16667 "
+                                                  "samples")
 
     def test_predictions_match_the_benchmark_reference(self, tmp_path, monkeypatch):
         # the phase_eta workload pins these predictions; only they are

@@ -305,6 +305,10 @@ class TestFactoredDenseRounds:
         for t in range(4):
             averaging_operator(fresh, 1e-3, model.K, model.n, t).eigenvalues
         assert not fresh._factors  # the eigenvalue table factors nothing
+        rows = random_one_hot(model).columns - 1.0 / model.K
+        identity = averaging_operator(fresh, 1e-3, model.K, model.n, 0).apply(rows)
+        assert np.array_equal(identity, rows) and identity is not rows
+        assert not fresh._factors  # neither does the round-0 operator
 
     def test_corrupted_factor_fails_the_solve_residual_check(self, monkeypatch):
         exact = gram_models._shifted_factor
@@ -390,8 +394,9 @@ class TestDeflatedTrajectory:
         ratios = eig.values / (K * K * n * lam + eig.values)
         eigen_form = rows @ eig.vectors * ratios @ eig.vectors.T
         shift = K * K * n * lam
-        linear = (gram_models._solve_shifted(gram, gram_models._shifted_factor(gram, shift),
-                                             shift, rows) if name == "perturbed" else
+        linear = (next(gram_models._shifted_rounds(
+                      gram, gram_models._shifted_factor(gram, shift), shift, rows, 1))
+                  if name == "perturbed" else
                   _class_round(rows, model.class_of_sample() - 1, 1.0, model, lam, 1))
         np.testing.assert_allclose(linear, eigen_form, rtol=0, atol=1e-12)
 

@@ -25,7 +25,7 @@ from distillab import (
     sd_accuracy_condition,
     theory_constants,
 )
-from distillab.gram_models import _head_columns
+from distillab.gram_models import _head_columns, _shifted_factor, _shifted_rounds
 
 
 def model_case(case, K, n, c, d=0.0, e=0.0, sizes=None, amp=0.0, seed=0):
@@ -400,6 +400,36 @@ class TestEigensystemLayout:
         assert peak < 1.25 * model.size**2 * 8
         assert es.vectors is vectors
         assert not vectors.flags.writeable
+
+
+class TestShiftedRounds:
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_t_rounds_take_t_plus_one_gram_products(self, t):
+        products = []
+
+        class CountingGram(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(other.shape)
+                return other @ self.view(np.ndarray)
+
+        # N = 150 spans two blocks of the substitutions
+        model = model_case(GramCase.III, K=3, n=50, c=0.4, d=0.1, amp=0.02, seed=1)
+        gram = build_gram(model)
+        shift = model.K**2 * model.n * 1e-3
+        labels = np.random.default_rng(0).integers(0, model.K, size=model.size)
+        rows = np.eye(model.K)[:, labels] - 1.0 / model.K
+        factor = _shifted_factor(gram, shift)
+        counted = list(_shifted_rounds(gram.view(CountingGram), factor, shift, rows, t))
+        # one product for the first right-hand side, then one per round's
+        # residual, which is the next round's right-hand side
+        assert products == [rows.shape] * (t + 1)
+        plain = list(_shifted_rounds(gram, factor, shift, rows, t))
+        previous = rows
+        for x, y in zip(counted, plain, strict=True):
+            assert type(x) is np.ndarray and np.array_equal(x, y)
+            # chaining round t reuses the product a fresh round t would form
+            assert np.array_equal(x, next(_shifted_rounds(gram, factor, shift, previous, 1)))
+            previous = x
 
 
 @st.composite

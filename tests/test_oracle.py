@@ -517,7 +517,7 @@ class TestRunRounds:
                                     ((Y - 1.0 / K) @ gram).T).T
         # a dense round solves with the Cholesky factor of the shifted Gram
         factor = gram_models._shifted_factor(gram, shift)
-        linear = gram_models._solve_shifted(gram, factor, shift, Y - 1.0 / K)
+        linear = next(gram_models._shifted_rounds(gram, factor, shift, Y - 1.0 / K, 1))
         np.testing.assert_allclose(linear, reference, rtol=0, atol=1e-13)
         # a cell round is the class round with the cell counts as weights,
         # equal to an LU solve of the unsymmetric cell matrix
