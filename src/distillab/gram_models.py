@@ -18,6 +18,10 @@ holds only its values and model.  A dense one holds its values and its
 Gram: its chain of rounds is :func:`_shifted_rounds`, solves with one
 cached Cholesky factor of the shifted Gram (:meth:`EigenSystem.factor`),
 and neither form builds ``N x N`` eigenvectors until they are read.
+Each stage of the dense path (the perturbed draw, the symmetry check, the
+eigenvalues and the factor) holds the Gram plus at most one ``N x N``
+working array: the draw and the check go by blocks of :data:`SOLVE_BLOCK`
+rows, and the factor is formed in place in one copy of the Gram.
 
 Correlation cases
 -----------------
@@ -62,7 +66,8 @@ SYMMETRY_TOL = 1e-10
 EIGEN_RESIDUAL_REL_TOL = 1e-8
 SOLVE_RESIDUAL_REL_TOL = 1e-8
 UNIT_NORM_TOL = 1e-6
-# columns per diagonal block of the substitutions in _shifted_rounds
+# rows or columns per block of the perturbed draw, the symmetry check, the
+# in-place factorisation and the substitutions of the dense path
 SOLVE_BLOCK = 128
 
 
@@ -158,10 +163,14 @@ class GramModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1 or self.n < 1:
-            raise ValidationError("K and n must be positive")
+        if self.K < 1:
+            raise ValidationError(f"gram.K must be a positive class count, got {self.K}")
+        if self.n < 1:
+            raise ValidationError("gram.n must be a positive sample count per class, "
+                                  f"got {self.n}")
         if self.perturbation_amplitude < 0:
-            raise ValidationError("perturbation amplitude must be >= 0")
+            raise ValidationError("gram.perturbation_amplitude must be >= 0, "
+                                  f"got {self.perturbation_amplitude}")
         case = self.case.value
         if self.case in (GramCase.IV, GramCase.V):
             if self.superclass_map is None:
@@ -177,24 +186,26 @@ class GramModel:
         if self.case is GramCase.II:
             omega = np.asarray(self.c, dtype=float)
             if omega.shape != (self.K,):
-                raise ValidationError(
-                    f"case II needs a length-{self.K} intra-class correlation vector"
-                )
+                raise ValidationError(f"gram.c must list {self.K} intra-class correlations, "
+                                      f"one per class, in case II, got {self.c}")
             if np.any(omega <= 0.0) or np.any(omega >= 1.0):
-                raise ValidationError("case II correlations must satisfy 0 < omega(k) < 1")
+                raise ValidationError("gram.c must satisfy 0 < omega(k) < 1 in case II, "
+                                      f"got {omega.tolist()}")
             object.__setattr__(self, "c", tuple(float(w) for w in omega))
             return
         c = float(self.c)  # type: ignore[arg-type]
         if not 0.0 <= c < 1.0:
-            raise ValidationError("intra-class correlation must satisfy 0 <= c < 1")
+            raise ValidationError(f"gram.c must satisfy 0 <= c < 1, got {c}")
         if self.case in (GramCase.III, GramCase.IV):
             if not c > self.d >= 0.0:
-                raise ValidationError(f"case {case} requires 1 > c > d >= 0")
+                raise ValidationError(f"case {case} requires 1 > gram.c > gram.d >= 0, "
+                                      f"got c={c}, d={self.d}")
             if self.e != 0.0:
                 raise ValidationError(f"case {case} has no inter-superclass correlation: "
                                       "set gram.e to 0")
         elif self.case is GramCase.V and not c > self.d >= self.e >= 0.0:
-            raise ValidationError("case V requires 1 > c > d >= e >= 0")
+            raise ValidationError("case V requires 1 > gram.c > gram.d >= gram.e >= 0, "
+                                  f"got c={c}, d={self.d}, e={self.e}")
 
     @property
     def size(self) -> int:
@@ -269,7 +280,9 @@ class EigenSystem:
     def factor(self, shift: float) -> np.ndarray:
         """The lower Cholesky factor of a dense system's ``gram + shift I``
         (:func:`_shifted_factor`), computed on first use and kept per
-        ``shift``, so every round and the student at one ``lam`` share it."""
+        ``shift``, so every round and the student at one ``lam`` share it.
+        Each factor is one ``N x N`` array beside the Gram, formed in place
+        with no other ``N x N`` temporary."""
         if shift not in self._factors:
             self._factors[shift] = _shifted_factor(self.gram, shift)
         return self._factors[shift]
@@ -319,14 +332,30 @@ class EigenSystem:
 def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
     """The read-only lower Cholesky factor ``L`` of ``gram + shift I``.
 
-    Fails with :class:`NumericalError` when the shifted Gram is not
-    positive definite, which a positive ``shift`` rules out on a positive
-    semidefinite Gram.
+    Factors one shifted copy of ``gram`` in place, so it holds a single
+    ``N x N`` array beside the Gram: for each diagonal block of
+    :data:`SOLVE_BLOCK` rows, ``np.linalg.cholesky`` of the block, the panel
+    below it from a solve with that block, and the lower trailing part
+    updated by one matrix product per block of rows; the entries above the
+    diagonal are set to exact zeros.  Fails with :class:`NumericalError`
+    when the shifted Gram is not positive definite, which a positive
+    ``shift`` rules out on a positive semidefinite Gram.
     """
-    shifted = np.array(gram, dtype=float)
-    shifted.flat[::shifted.shape[0] + 1] += shift
+    factor = np.array(gram, dtype=float)
+    size = factor.shape[0]
+    factor.flat[::size + 1] += shift
     try:
-        factor = np.linalg.cholesky(shifted)
+        for s in range(0, size, SOLVE_BLOCK):
+            e = s + SOLVE_BLOCK
+            block = np.linalg.cholesky(factor[s:e, s:e])
+            factor[s:e, s:e] = block
+            factor[s:e, e:] = 0.0
+            panel = factor[e:, s:e]
+            panel[...] = np.linalg.solve(block, panel.T).T
+            trailing = factor[e:, e:]
+            for r in range(0, size - e, SOLVE_BLOCK):
+                end = r + SOLVE_BLOCK
+                trailing[r:end, :end] -= panel[r:end] @ panel[:end].T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"Cholesky factorisation of G + {shift:.3e} I failed ({exc}); lower "
@@ -377,18 +406,27 @@ def build_gram(model: GramModel) -> np.ndarray:
     Samples are in canonical order (sorted by true class).  The entry for
     samples ``i != j`` is the :attr:`GramModel.class_gram` entry of their
     classes; the diagonal is exactly 1 before perturbation.
+
+    The perturbation is drawn from one seeded generator, :data:`SOLVE_BLOCK`
+    rows at a time in row order, which is the stream of a single ``N x N``
+    draw.  Each block keeps its entries right of the diagonal and is added
+    to its rows and, transposed, to its columns, so each off-diagonal entry
+    gets exactly one nonzero addition.  The result is bitwise that of the
+    full draw, while only the Gram and one block are alive.
     """
     labels = model.class_of_sample() - 1
     gram = model.class_gram[np.ix_(labels, labels)]
     np.fill_diagonal(gram, 1.0)
-    if model.perturbation_amplitude > 0.0:
+    amplitude, size = model.perturbation_amplitude, gram.shape[0]
+    if amplitude > 0.0:
         rng = np.random.default_rng(model.seed)
-        upper = rng.uniform(-model.perturbation_amplitude, model.perturbation_amplitude,
-                            size=gram.shape)
-        upper[np.tri(gram.shape[0], dtype=bool)] = 0.0
-        # in place, so that at most two N x N float arrays are alive at once
-        gram += upper
-        gram += upper.T
+        for s in range(0, size, SOLVE_BLOCK):
+            e = min(s + SOLVE_BLOCK, size)
+            upper = rng.uniform(-amplitude, amplitude, size=(e - s, size))
+            upper[np.tri(e - s, size, s, dtype=bool)] = 0.0
+            gram[s:e] += upper
+            gram[:, s:e] += upper.T
+            del upper  # before the next block's draw
     return gram
 
 
@@ -491,18 +529,25 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Dense symmetric eigensystem, eigenvalues descending.
 
     Fallback for perturbed or empirical Gram matrices.  The input must be
-    symmetric to 1e-10.  The result holds ``eigvalsh``'s values in reverse
-    and the matrix itself, which it neither copies nor modifies: about a
-    third of the cost of ``eigh`` with vectors at ``N`` of a thousand.  The
+    symmetric to 1e-10, checked as the largest ``|A - A^T|`` over blocks of
+    :data:`SOLVE_BLOCK` rows, so the check holds one block beside the
+    matrix.  The result holds ``eigvalsh``'s values in reverse and the
+    matrix itself, which it neither copies nor modifies: about a third of
+    the cost of ``eigh`` with vectors at ``N`` of a thousand.  The
     averaging operator solves with the cached Cholesky factor of the
-    shifted matrix (:meth:`EigenSystem.factor`); the ``N x N``
+    shifted matrix (:meth:`EigenSystem.factor`), formed after the values so
+    that its one working copy can reuse the memory ``eigvalsh``'s internal
+    copy freed; the ``N x N``
     :attr:`EigenSystem.vectors`, ``eigh``'s, are built and checked on first
     read only.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.abs(a - a.T).max(initial=0.0))
+    dev = 0.0
+    for s in range(0, a.shape[0], SOLVE_BLOCK):
+        e = s + SOLVE_BLOCK
+        dev = max(dev, float(np.abs(a[s:e] - a[:, s:e].T).max()))
     if dev > SYMMETRY_TOL:
         raise ValidationError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} "
                               f"> {SYMMETRY_TOL:.0e}")

@@ -378,7 +378,8 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     unperturbed model, and on a perturbed model the dense one of its Gram:
     its eigenvalues only, and one Cholesky factor of the shifted Gram that
     the rounds and the student share, so no ``N x N`` eigenvectors are
-    built.  ``lam`` is checked before anything runs.  Labels are drawn
+    built and each dense stage holds the Gram plus at most one ``N x N``
+    working array.  ``lam`` is checked before anything runs.  Labels are drawn
     from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
     ``snap`` runs on :func:`nearest_realizable` instead.
 

@@ -39,6 +39,22 @@ CASE_NOISE = {
 }
 
 
+def full_draw_gram(model):
+    """``build_gram`` as one ``N x N`` uniform draw: the structured Gram plus
+    the draw's strict upper triangle and its transpose."""
+    labels = model.class_of_sample() - 1
+    gram = model.class_gram[np.ix_(labels, labels)]
+    np.fill_diagonal(gram, 1.0)
+    if model.perturbation_amplitude > 0.0:
+        rng = np.random.default_rng(model.seed)
+        upper = rng.uniform(-model.perturbation_amplitude, model.perturbation_amplitude,
+                            size=gram.shape)
+        upper[np.tri(gram.shape[0], dtype=bool)] = 0.0
+        gram += upper
+        gram += upper.T
+    return gram
+
+
 def embed_gram(gram):
     """Feature rows ``F`` with ``F F^T = gram`` for a PSD Gram matrix, so a
     structured correlation model becomes an explicit unit-norm feature

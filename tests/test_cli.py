@@ -102,6 +102,23 @@ class TestConfig:
         assert capsys.readouterr().err == ("error: gram.superclass_sizes must be positive "
                                            "class counts, got [0, 4]\n")
 
+    # every command builds its model before it writes anything
+    @pytest.mark.parametrize("command", ["trajectory", "phase", "approx-error", "theory"])
+    @pytest.mark.parametrize("setting,message", [
+        ("gram.K=0", "gram.K must be a positive class count, got 0"),
+        ("gram.n=0", "gram.n must be a positive sample count per class, got 0"),
+        ("gram.perturbation_amplitude=-0.01",
+         "gram.perturbation_amplitude must be >= 0, got -0.01"),
+        ("gram.c=1.2", "gram.c must satisfy 0 <= c < 1, got 1.2"),
+    ], ids=["K", "n", "amplitude", "c"])
+    def test_gram_value_out_of_range_exits_one_naming_its_key(self, tmp_path, capsys, command,
+                                                              setting, message):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 8, "c": 0.4, "d": 0.1},
+                           t_max=1, modes=["closed_form", "oracle"])
+        assert main([command, "--config", str(cfg), "--set", setting]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig().with_overrides(["gram.zeta=1"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import embed_gram, one_hot_cells
+from _support import CASE_MODELS, embed_gram, full_draw_gram, one_hot_cells
 from distillab import (
     EigenSystem,
     FeatureMatrix,
@@ -25,7 +26,8 @@ from distillab import (
     sd_accuracy_condition,
     theory_constants,
 )
-from distillab.gram_models import _head_columns, _shifted_factor, _shifted_rounds
+from distillab.gram_models import (SOLVE_BLOCK, _head_columns, _shifted_factor,
+                                   _shifted_rounds)
 
 
 def model_case(case, K, n, c, d=0.0, e=0.0, sizes=None, amp=0.0, seed=0):
@@ -34,6 +36,21 @@ def model_case(case, K, n, c, d=0.0, e=0.0, sizes=None, amp=0.0, seed=0):
         case=case, K=K, n=n, c=c, d=d, e=e, superclass_map=smap,
         perturbation_amplitude=amp, seed=seed,
     )
+
+
+def sized_case_model(name, size, **changes):
+    """``CASE_MODELS[name]`` at ``size`` samples, with a single class when
+    its ``K`` does not divide ``size``."""
+    model = CASE_MODELS[name]
+    if size % model.K:
+        model = dataclasses.replace(
+            model, K=1, c=model.c[:1] if model.case is GramCase.II else model.c,
+            superclass_map=model.superclass_map and SuperclassMap((1,)))
+    return dataclasses.replace(model, n=size // model.K, **changes)
+
+
+# the traj_dense_oracle model: N = 960
+DENSE_MODEL = model_case(GramCase.IV, K=4, n=240, c=0.4, d=0.1, sizes=(2, 2), amp=0.01)
 
 
 class TestSuperclassMap:
@@ -150,16 +167,24 @@ class TestBuildGram:
             tracemalloc.stop()
         assert peak < 1.05 * model.size**2 * 8
 
-    def test_perturbed_peak_memory_is_two_gram_matrices_and_a_mask(self):
-        model = model_case(GramCase.IV, K=4, n=240, c=0.4, d=0.1, sizes=(2, 2), amp=0.01)
+    def test_perturbed_peak_memory_is_one_gram_matrix_and_a_block(self):
+        model = DENSE_MODEL
+        np.random.default_rng()  # its first call imports modules
         tracemalloc.start()
         try:
             build_gram(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the Gram, the uniform draw and a boolean N x N mask
-        assert peak < 2.2 * model.size**2 * 8
+        # the Gram and one block of SOLVE_BLOCK rows of the draw and its mask
+        assert peak < 1.2 * model.size**2 * 8
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_blocked_draw_is_bitwise_the_full_draw(self, name, size):
+        model = sized_case_model(name, size, perturbation_amplitude=0.03, seed=size)
+        assert model.size == size
+        assert np.array_equal(build_gram(model), full_draw_gram(model))
 
 
 class TestAnalyticEigensystem:
@@ -252,6 +277,21 @@ class TestNumericEigensystem:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValidationError):
             numeric_eigensystem(np.array([[1.0, 0.2], [0.1, 1.0]]))
+
+    def test_symmetry_check_reads_every_block_and_allocates_one_block(self):
+        gram = build_gram(DENSE_MODEL)
+        size = DENSE_MODEL.size
+        # asymmetric only in the last block of rows and in the first block
+        # of columns
+        gram[size - 1, 0] += 3e-10
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"max \|A - A\^T\| = 3\.000e-10"):
+                numeric_eigensystem(gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * size**2 * 8
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(3)
@@ -400,6 +440,32 @@ class TestEigensystemLayout:
         assert peak < 1.25 * model.size**2 * 8
         assert es.vectors is vectors
         assert not vectors.flags.writeable
+
+
+class TestShiftedFactor:
+    # below one block, and a size that is not a multiple of the block
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_is_the_read_only_lower_cholesky_factor(self, n):
+        model = model_case(GramCase.III, K=3, n=n, c=0.4, d=0.1, amp=0.02, seed=n)
+        assert model.size < SOLVE_BLOCK or model.size % SOLVE_BLOCK
+        gram = build_gram(model)
+        shift = model.K**2 * model.n * 1e-3
+        factor = _shifted_factor(gram, shift)
+        expected = np.linalg.cholesky(gram + shift * np.eye(model.size))
+        np.testing.assert_allclose(factor, expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+        assert np.all(np.triu(factor, 1) == 0.0)
+        assert not factor.flags.writeable
+        np.testing.assert_array_equal(gram, build_gram(model))
+
+    def test_failure_in_a_later_block_names_the_amplitude(self):
+        # the first block is the identity; rows 10 and 200 make the Gram
+        # indefinite, which shows only once block 1 is updated
+        gram = np.eye(300)
+        gram[10, 200] = gram[200, 10] = 2.0
+        np.linalg.cholesky(gram[:SOLVE_BLOCK, :SOLVE_BLOCK])
+        with pytest.raises(NumericalError, match="gram.perturbation_amplitude"):
+            _shifted_factor(gram, 1e-3)
 
 
 class TestShiftedRounds:
