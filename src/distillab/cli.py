@@ -16,8 +16,8 @@ each command does with the config's ``modes`` is listed in
 ``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
 two reject it.  Every command runs on all five Gram cases.  CSV numbers
 have 12 significant digits and are byte-reproducible for a fixed
-configuration and seed.  Exit codes: 0 success, 1 invalid input, 2
-numerical failure.
+configuration and seed.  Exit codes: 0 success, 1 invalid input or an
+output that cannot be written, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import fmt, fmt_all, index_runs, write_csv
+from .csvio import cannot_write, fmt, index_runs, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -60,7 +60,11 @@ __all__ = [
 
 
 def _write_json(path, report: dict) -> None:
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise cannot_write(path, exc) from exc
+    with fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -80,8 +84,12 @@ def simplex_projection(columns: np.ndarray) -> np.ndarray:
 
 
 def _out_path(directory: str, name: str) -> str:
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, name)
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise cannot_write(path, exc) from exc
+    return path
 
 
 def _check_sweep(config: ExperimentConfig, command: str) -> None:
@@ -113,15 +121,15 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         emit(f"outputs_round_{mat.round:03d}.csv", mat.to_csv)
     rounds, N = len(run.closed), run.assignment.true_labels.size
     # per round and sample: x, y, then the output column
-    table = np.vstack([np.column_stack([simplex_projection(mat.columns), mat.columns.T])
-                       for mat in run.closed])
+    xy = np.vstack([simplex_projection(mat.columns) for mat in run.closed])
+    outputs = np.hstack([mat.columns for mat in run.closed])
     per_sample = [list(map(str, range(N))), list(map(str, run.assignment.true_labels.tolist())),
                   list(map(str, run.assignment.given_labels.tolist()))]
     emit("projection.csv", lambda p: write_csv(
         p, ["round", "sample_index", "true_label", "given_label", "x", "y",
             *(f"y_{k}" for k in range(1, model.K + 1))],
-        [index_runs(rounds, N), *(column * rounds for column in per_sample),
-         *fmt_all(table.T)]))
+        [index_runs(rounds, N), *(chain.from_iterable(repeat(c, rounds)) for c in per_sample),
+         *xy.T, *outputs]))
     spectra = []
     for t in range(config.t_max + 1):
         values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
@@ -130,8 +138,9 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     size = spectra[0].size
     emit("eigenvalues.csv", lambda p: write_csv(
         p, ("round", "index", "eigenvalue"),
-        [index_runs(len(spectra), size), list(map(str, range(size))) * len(spectra),
-         chain.from_iterable(fmt_all(spectra))]))
+        [index_runs(len(spectra), size),
+         chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
+         np.concatenate(spectra)]))
     if run.student is not None:
         emit("pll_targets.csv", run.refined.to_csv)
         emit("pll_outputs.csv", run.student.to_csv)

@@ -1,18 +1,26 @@
 """The one CSV writer every output file goes through, and the one reader
 every input file goes through.
 
-Files are written column-wise: a table is its header and a list of
-columns of field strings, joined into lines in one pass.
+Both stream, so their memory does not grow with the file.  A table is
+written column-wise, a block of about :data:`BLOCK_FIELDS` fields at a
+time: the block's float columns are formatted together by one
+:func:`fmt_all` call, its lines joined and written, and the next block
+taken.  A file is read record by record into one flat typed buffer,
+which is reshaped once at the end.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
 from .errors import ValidationError
+
+# fields per written block: the block's float fields share one dedupe in
+# fmt_all, and its text is all the writer holds beside its inputs
+BLOCK_FIELDS = 8192
 
 
 def fmt(x: float) -> str:
@@ -23,10 +31,11 @@ def fmt(x: float) -> str:
 def fmt_all(values) -> list:
     """:func:`fmt` of every entry of ``values``, nested as ``values.tolist()``.
 
-    A 2-D table gives one list per row, so ``fmt_all(table.T)`` gives its
-    columns.  Each distinct number is formatted once.  Numbers are told
-    apart by their bit patterns, so ``-0.0`` and ``0.0``, which print
-    differently, stay apart.
+    A 2-D table gives one list per row, so the writer's block of float
+    columns, stacked as rows, gives one list of fields per column.  Each
+    distinct number is formatted once per call.  Numbers are told apart by
+    their bit patterns, so ``-0.0`` and ``0.0``, which print differently,
+    stay apart.
     """
     values = np.asarray(values, dtype=float)
     bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
@@ -39,47 +48,87 @@ def index_runs(count: int, length: int):
     return chain.from_iterable(map(repeat, map(str, range(count)), repeat(length)))
 
 
+def cannot_write(path, exc: OSError) -> ValidationError:
+    """The error for an output ``path`` the system refused with ``exc``."""
+    return ValidationError(f"{path}: cannot write the file ({exc.strerror}); choose another --out")
+
+
 def write_csv(path, header, columns) -> None:
-    """A header line, then one line per row, with ``\\r\\n`` line ends, in one join.
+    """A header line, then one line per row, with ``\\r\\n`` line ends.
 
     ``header`` is a sequence of names, or empty for no header line.  Each
-    column is an iterable of field strings; a constant field is given as
-    ``itertools.repeat(s)``.  The table has as many rows as its shortest
-    column, so at least one column must be finite.  Fields are written as
-    given: the bytes ``csv.writer`` writes for fields that need no quoting
+    column is either a 1-D float array, whose entries are written by
+    :func:`fmt`, or an iterable of field strings; a constant field is given
+    as ``itertools.repeat(s)``.  The table has as many rows as its shortest
+    column, so at least one column must be finite.  Rows go out in blocks
+    of :data:`BLOCK_FIELDS` fields: each block formats its float columns in
+    one :func:`fmt_all` call and writes its lines in one join, so the
+    writer holds one block of text at a time.  Fields are written as given:
+    the bytes ``csv.writer`` writes for fields that need no quoting
     (numbers, bare words, and empty fields in rows of two or more, as every
     field here is).
     """
-    # the trailing "" ends the last line; a table with no lines joins to ""
-    lines = chain([",".join(header)] if header else [], map(",".join, zip(*columns)), [""])
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
+    floats = [isinstance(c, np.ndarray) for c in columns]
+    rows = max(1, BLOCK_FIELDS // max(1, len(columns)))
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise cannot_write(path, exc) from exc
+    with fh:
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        for start in count(0, rows):
+            block = [c[start:start + rows] if f else list(islice(c, rows))
+                     for c, f in zip(columns, floats)]
+            height = min(map(len, block), default=0)
+            text = iter(fmt_all([b[:height] for b, f in zip(block, floats) if f]))
+            block = [next(text) if f else b for b, f in zip(block, floats)]
+            if height:
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
+            # a short block is the last one: some column ended inside it
+            if height < rows:
+                break
 
 
 def read_csv(path, dtype=float, header: bool = False) -> np.ndarray:
-    """The rows of a CSV file as a 2-D array, each field parsed by ``dtype``.
+    """The rows of a CSV file as a 2-D array, each field parsed by ``dtype``
+    (``float`` or ``int``).
 
-    Blank lines are skipped.  With ``header`` the first row is a header: it
-    is not parsed, but it sets the width like any first row.  A missing
-    file, a file with no data rows, a row whose width differs from the
-    first, or a field ``dtype`` cannot parse raises :class:`ValidationError`
-    naming ``path`` and, for a row, its line.
+    Each record is parsed as it is read and appended to one flat typed
+    buffer, reshaped once at the end, so no record is held as strings past
+    its own line.  Blank lines are skipped.  With ``header`` the first row
+    is a header: it is not parsed, but it sets the width like any first
+    row.  A missing file, a file with no data rows, a row whose width
+    differs from the first, or a field ``dtype`` cannot parse raises
+    :class:`ValidationError` naming ``path`` and, for a row, its line.
     """
+    # imported here: the module costs every CLI start 0.1 MB of RSS, and
+    # only commands that read a file need it
+    from array import array
+
+    values = array({float: "d", int: "q"}[dtype])
+    width = None
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            records = [(reader.line_num, rec) for rec in reader if rec]
+            for rec in reader:
+                if not rec:
+                    continue
+                if width is None:
+                    width = len(rec)
+                    if header:
+                        continue
+                elif len(rec) != width:
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: expected {width} fields, got {len(rec)}")
+                try:
+                    values.extend(map(dtype, rec))
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: malformed field ({exc})") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read the file ({exc.strerror})") from exc
-    rows = []
-    for line, rec in records[header:]:
-        if len(rec) != len(records[0][1]):
-            raise ValidationError(
-                f"{path}:{line}: expected {len(records[0][1])} fields, got {len(rec)}")
-        try:
-            rows.append([dtype(x) for x in rec])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{line}: malformed field ({exc})") from exc
-    if not rows:
+    if not values:
         raise ValidationError(f"{path}: no data rows")
-    return np.array(rows, dtype=dtype)
+    return np.frombuffer(values, dtype=values.typecode).reshape(-1, width)

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .csvio import fmt_all, index_runs, read_csv, write_csv
+from .csvio import index_runs, read_csv, write_csv
 from .errors import ValidationError
 from .gram_models import EigenSystem, GramModel, _head_columns, _shifted_rounds
 from .noise_theory import (
@@ -132,7 +132,7 @@ def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
         repeat(str(round_idx)),
         index_runs(m, K),
         cycle([str(k) for k in range(1, K + 1)]),
-        fmt_all(columns.T.ravel()),
+        columns.T.ravel(),
     ])
 
 

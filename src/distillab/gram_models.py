@@ -43,7 +43,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt_all, read_csv, write_csv
+from .csvio import read_csv, write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -529,17 +529,17 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Dense symmetric eigensystem, eigenvalues descending.
 
     Fallback for perturbed or empirical Gram matrices.  The input must be
-    symmetric to 1e-10, checked as the largest ``|A - A^T|`` over blocks of
-    :data:`SOLVE_BLOCK` rows, so the check holds one block beside the
-    matrix.  The result holds ``eigvalsh``'s values in reverse and the
-    matrix itself, which it neither copies nor modifies: about a third of
-    the cost of ``eigh`` with vectors at ``N`` of a thousand.  The
-    averaging operator solves with the cached Cholesky factor of the
-    shifted matrix (:meth:`EigenSystem.factor`), formed after the values so
-    that its one working copy can reuse the memory ``eigvalsh``'s internal
-    copy freed; the ``N x N``
-    :attr:`EigenSystem.vectors`, ``eigh``'s, are built and checked on first
-    read only.
+    finite and symmetric to 1e-10, both checked over blocks of
+    :data:`SOLVE_BLOCK` rows (the symmetry as the largest ``|A - A^T|``),
+    so the checks hold one block beside the matrix.  The result holds
+    ``eigvalsh``'s values in reverse and the matrix itself, which it
+    neither copies nor modifies: about a third of the cost of ``eigh`` with
+    vectors at ``N`` of a thousand.  The averaging operator solves with the
+    cached Cholesky factor of the shifted matrix
+    (:meth:`EigenSystem.factor`), formed after the values so that its one
+    working copy can reuse the memory ``eigvalsh``'s internal copy freed;
+    the ``N x N`` :attr:`EigenSystem.vectors`, ``eigh``'s, are built and
+    checked on first read only.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -547,6 +547,12 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     dev = 0.0
     for s in range(0, a.shape[0], SOLVE_BLOCK):
         e = s + SOLVE_BLOCK
+        # a NaN difference never exceeds the tolerance, so finiteness comes first
+        finite = np.isfinite(a[s:e]).all(axis=1)
+        if not finite.all():
+            raise ValidationError(
+                f"matrix has a NaN or infinite entry in row {s + int(np.argmin(finite))}; "
+                "give a Gram whose every entry is finite")
         dev = max(dev, float(np.abs(a[s:e] - a[:, s:e].T).max()))
     if dev > SYMMETRY_TOL:
         raise ValidationError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} "
@@ -605,7 +611,7 @@ class FeatureMatrix:
 
     def to_csv(self, path) -> None:
         """One row per sample: feature components then the integer label."""
-        write_csv(path, (), [*fmt_all(self.features.T), map(str, self.labels.tolist())])
+        write_csv(path, (), [*self.features.T, map(str, self.labels.tolist())])
 
     @classmethod
     def from_csv(cls, path, superclass_path=None) -> "FeatureMatrix":

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import fmt_all, read_csv, write_csv
+from .csvio import read_csv, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
 
@@ -106,7 +106,7 @@ class CorruptionMatrix:
         return bool(np.all(np.abs(self.entries[cross]) <= STOCHASTIC_TOL))
 
     def to_csv(self, path) -> None:
-        write_csv(path, (), fmt_all(self.entries.T))
+        write_csv(path, (), list(self.entries.T))
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":

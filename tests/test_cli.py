@@ -219,6 +219,29 @@ class TestConfig:
         assert sorted(os.listdir(tmp_path)) == sorted(["config.json", name])
         assert (out / "theory.json").is_file()
 
+    @pytest.mark.parametrize("command,first", [("trajectory", "corruption.csv"),
+                                               ("ingest", "ingest.json")])
+    @pytest.mark.parametrize("obstacle,reason", [
+        ("out", "File exists"),  # --out names a file: the directory cannot be made
+        ("first", "Is a directory"),  # the first output file cannot be opened
+    ])
+    def test_unwritable_output_exits_one_naming_the_fix(self, tmp_path, capsys, command, first,
+                                                        obstacle, reason):
+        out = tmp_path / "out"
+        if obstacle == "out":
+            out.write_text("")
+        else:
+            (out / first).mkdir(parents=True)
+        if command == "ingest":
+            features = tmp_path / "features.csv"
+            features.write_text("1,0,0,1\n0,1,0,2\n0,0,1,3\n")
+            argv = ["ingest", str(features), "--out", str(out)]
+        else:
+            argv = ["trajectory", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: {out / first}: cannot write the file "
+                                           f"({reason}); choose another --out\n")
+
     @pytest.mark.parametrize("command,setting,key", [
         ("theory", "gram.c=[0.3,0.5,0.7,0.6]", "gram.c"),
         ("theory", 'gram.c="abc"', "gram.c"),

@@ -278,6 +278,17 @@ class TestNumericEigensystem:
         with pytest.raises(ValidationError):
             numeric_eigensystem(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 200])
+    def test_rejects_a_non_finite_entry(self, bad, row):
+        # symmetric, so only the finiteness check can catch it; row 200
+        # sits in the second block of rows
+        a = np.eye(300)
+        a[row, row + 1] = a[row + 1, row] = bad
+        with pytest.raises(ValidationError, match=f"NaN or infinite entry in row {row}; "
+                                                  "give a Gram whose every entry is finite"):
+            numeric_eigensystem(a)
+
     def test_symmetry_check_reads_every_block_and_allocates_one_block(self):
         gram = build_gram(DENSE_MODEL)
         size = DENSE_MODEL.size
