@@ -102,12 +102,23 @@ def _check_sweep(config: ExperimentConfig, command: str) -> None:
 
 def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     """Write per-round outputs, the 2-D projection table, and the operator
-    eigenvalue table; with the oracle mode enabled, also the exact outputs."""
+    eigenvalue table; with the oracle mode enabled, also the exact outputs.
+
+    Every result is computed before the first file is written, so a
+    numerical failure writes nothing, and the eigensystem and the Gram are
+    dropped from the run first: on a perturbed model no ``N x N`` array
+    (the Gram or its cached factor) is alive while the files are written."""
     _check_sweep(config, "trajectory")
     model = config.gram_model()
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
+    spectra = []
+    for t in range(config.t_max + 1):
+        values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
+        # descending; equal values keep their order, as in sorted(reverse=True)
+        spectra.append(values[np.argsort(-values, kind="stable")])
+    run = run._replace(eig=None, gram=None)
     written: list[str] = []
 
     def emit(name, fn):
@@ -130,11 +141,6 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
             *(f"y_{k}" for k in range(1, model.K + 1))],
         [index_runs(rounds, N), *(chain.from_iterable(repeat(c, rounds)) for c in per_sample),
          *xy.T, *outputs]))
-    spectra = []
-    for t in range(config.t_max + 1):
-        values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
-        # descending; equal values keep their order, as in sorted(reverse=True)
-        spectra.append(values[np.argsort(-values, kind="stable")])
     size = spectra[0].size
     emit("eigenvalues.csv", lambda p: write_csv(
         p, ("round", "index", "eigenvalue"),

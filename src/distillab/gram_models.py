@@ -21,7 +21,11 @@ and neither form builds ``N x N`` eigenvectors until they are read.
 Each stage of the dense path (the perturbed draw, the symmetry check, the
 eigenvalues and the factor) holds the Gram plus at most one ``N x N``
 working array: the draw and the check go by blocks of :data:`SOLVE_BLOCK`
-rows, and the factor is formed in place in one copy of the Gram.
+rows, and the factor is formed in place in one copy of the Gram, its
+panels solved by blocks of rows.  The eigenvalues (the Gram and
+``eigvalsh``'s one copy of it) are the peak; the CLI writes its
+per-sample files only after the Gram and its factor are released, so no
+``N x N`` array is alive while it writes.
 
 Correlation cases
 -----------------
@@ -334,12 +338,17 @@ def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
 
     Factors one shifted copy of ``gram`` in place, so it holds a single
     ``N x N`` array beside the Gram: for each diagonal block of
-    :data:`SOLVE_BLOCK` rows, ``np.linalg.cholesky`` of the block, the panel
-    below it from a solve with that block, and the lower trailing part
-    updated by one matrix product per block of rows; the entries above the
-    diagonal are set to exact zeros.  Fails with :class:`NumericalError`
-    when the shifted Gram is not positive definite, which a positive
-    ``shift`` rules out on a positive semidefinite Gram.
+    :data:`SOLVE_BLOCK` rows, ``np.linalg.cholesky`` of the block, then per
+    chunk of :data:`SOLVE_BLOCK` rows of the panel below it a solve with
+    that block and the chunk's rows of the lower trailing part updated by
+    one matrix product; the entries above the diagonal are set to exact
+    zeros.  The panel is solved a chunk at a time because LAPACK's solve
+    copies its operands into buffers of its own, which ``tracemalloc`` does
+    not see: a solve over the whole panel would hold up to
+    ``N x SOLVE_BLOCK`` doubles more.  The chunks give the panel bitwise as
+    that one solve would.  Fails with :class:`NumericalError` when the
+    shifted Gram is not positive definite, which a positive ``shift`` rules
+    out on a positive semidefinite Gram.
     """
     factor = np.array(gram, dtype=float)
     size = factor.shape[0]
@@ -351,10 +360,11 @@ def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
             factor[s:e, s:e] = block
             factor[s:e, e:] = 0.0
             panel = factor[e:, s:e]
-            panel[...] = np.linalg.solve(block, panel.T).T
             trailing = factor[e:, e:]
             for r in range(0, size - e, SOLVE_BLOCK):
                 end = r + SOLVE_BLOCK
+                # the earlier chunks solved panel[:r], so panel[:end] is final
+                panel[r:end] = np.linalg.solve(block, panel[r:end].T).T
                 trailing[r:end, :end] -= panel[r:end] @ panel[:end].T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
@@ -536,10 +546,12 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     neither copies nor modifies: about a third of the cost of ``eigh`` with
     vectors at ``N`` of a thousand.  The averaging operator solves with the
     cached Cholesky factor of the shifted matrix
-    (:meth:`EigenSystem.factor`), formed after the values so that its one
-    working copy can reuse the memory ``eigvalsh``'s internal copy freed;
-    the ``N x N`` :attr:`EigenSystem.vectors`, ``eigh``'s, are built and
-    checked on first read only.
+    (:meth:`EigenSystem.factor`), formed only after the values: ``eigvalsh``
+    works on a copy of the matrix that it frees (back to the operating
+    system) when it returns, so that copy and the factor are never alive
+    together, and the operator's negative-eigenvalue guard reads the values
+    before anything is factored.  The ``N x N`` :attr:`EigenSystem.vectors`,
+    ``eigh``'s, are built and checked on first read only.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -41,7 +41,6 @@ __all__ = [
     "nearest_realizable",
     "realize_labels",
     "theory_constants",
-    "evolving_constants",
     "sd_accuracy_condition",
     "minimal_rounds",
     "pll_accuracy_condition",
@@ -382,30 +381,6 @@ def theory_constants(model: GramModel, lam: float) -> TheoryConstants:
     return TheoryConstants(model, lam)
 
 
-def evolving_constants(
-    schedule: Sequence[tuple[float, float]],
-    lam: float,
-    K: int,
-    n: int,
-    superclass_map: Optional[SuperclassMap] = None,
-) -> list[TheoryConstants]:
-    """Per-round constants for a feature map whose correlations evolve.
-
-    Each schedule entry ``(c_i, d_i)`` yields one set of ratios; round ``t``
-    then uses products of the per-round ratios in place of ``t``-th powers.
-    """
-    smap = superclass_map or SuperclassMap.trivial(K)
-    out = []
-    for i, (c_i, d_i) in enumerate(schedule, start=1):
-        if not 1.0 > c_i > d_i >= 0.0:
-            raise ValidationError(f"schedule entry {i} must satisfy 1 > c > d >= 0")
-        case = GramCase.III if smap.num_superclasses == 1 else GramCase.IV
-        model = GramModel(case=case, K=K, n=n, c=c_i, d=d_i, superclass_map=(
-            smap if case is GramCase.IV else None))
-        out.append(theory_constants(model, lam))
-    return out
-
-
 @dataclass(frozen=True)
 class ConditionResult:
     """Outcome of a 100%-population-accuracy test, with one threshold per class."""
@@ -526,15 +501,25 @@ def evolving_condition(
 ) -> bool:
     """Accuracy condition when correlations evolve across rounds.
 
-    The fixed ratio power ``(q_k/p_k)^t`` becomes the product of per-round
+    Each schedule entry ``(c_i, d_i)`` is the case III model (case IV with a
+    ``superclass_map`` of more than one superclass) of one round, and the
+    fixed ratio power ``(q_k/p_k)^t`` becomes the product of its per-round
     ratios ``q_k,i / p_k,i`` over ``i = 1..t``.  Per-round superclass ratios
-    are derived alongside but do not enter the condition.
+    do not enter the condition.
     """
     if t < 1:
         raise ValidationError("round must be >= 1")
     if len(schedule) < t:
         raise ValidationError(f"schedule has {len(schedule)} rounds, need at least {t}")
-    rounds = evolving_constants(schedule, lam, K, n, superclass_map)
+    smap = superclass_map or SuperclassMap.trivial(K)
+    case = GramCase.III if smap.num_superclasses == 1 else GramCase.IV
+    rounds = []
+    for i, (c_i, d_i) in enumerate(schedule, start=1):
+        if not 1.0 > c_i > d_i >= 0.0:
+            raise ValidationError(f"schedule entry {i} must satisfy 1 > c > d >= 0")
+        rounds.append(theory_constants(GramModel(
+            case=case, K=K, n=n, c=c_i, d=d_i,
+            superclass_map=smap if case is GramCase.IV else None), lam))
     _check_corruption(C, rounds[0])
     prod = np.prod([tc_i.q / tc_i.p for tc_i in rounds[:t]], axis=0)
     return not _failing_cells(C, _threshold(prod))

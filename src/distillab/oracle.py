@@ -379,7 +379,10 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     its eigenvalues only, and one Cholesky factor of the shifted Gram that
     the rounds and the student share, so no ``N x N`` eigenvectors are
     built and each dense stage holds the Gram plus at most one ``N x N``
-    working array.  ``lam`` is checked before anything runs.  Labels are drawn
+    working array.  The returned :class:`Rounds` holds that Gram and factor
+    (through ``eig`` and ``gram``) as long as it lives: ``trajectory`` drops
+    both from it before it writes, so its output phase holds no ``N x N``
+    array.  ``lam`` is checked before anything runs.  Labels are drawn
     from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
     ``snap`` runs on :func:`nearest_realizable` instead.
 

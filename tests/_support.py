@@ -6,6 +6,7 @@ import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap
 from distillab.distillation import OutputMatrix, cell_outputs, pll_refine
+from distillab.gram_models import SOLVE_BLOCK
 from distillab.noise_theory import (TIE_TOL, CorruptionMatrix, nearest_realizable,
                                     theory_constants)
 
@@ -28,6 +29,11 @@ CASE_MODELS = {
     "V": GramModel(case=GramCase.V, K=6, n=5, c=0.5, d=0.2, e=0.05,
                    superclass_map=SuperclassMap.from_sizes([3, 3])),
 }
+
+# the traj_dense_oracle model: N = 960
+DENSE_STAGE_MODEL = GramModel(case=GramCase.IV, K=4, n=240, c=0.4, d=0.1,
+                              superclass_map=SuperclassMap.from_sizes([2, 2]),
+                              perturbation_amplitude=0.01, seed=3)
 
 # one realisable eta > 0 per model of CASE_MODELS
 CASE_NOISE = {
@@ -53,6 +59,26 @@ def full_draw_gram(model):
         gram += upper
         gram += upper.T
     return gram
+
+
+def whole_panel_factor(gram, shift):
+    """``_shifted_factor`` with each panel solved in one call over all its
+    rows: the blocked in-place Cholesky factor of ``gram + shift I``."""
+    factor = np.array(gram, dtype=float)
+    size = factor.shape[0]
+    factor.flat[::size + 1] += shift
+    for s in range(0, size, SOLVE_BLOCK):
+        e = s + SOLVE_BLOCK
+        block = np.linalg.cholesky(factor[s:e, s:e])
+        factor[s:e, s:e] = block
+        factor[s:e, e:] = 0.0
+        panel = factor[e:, s:e]
+        panel[...] = np.linalg.solve(block, panel.T).T
+        trailing = factor[e:, e:]
+        for r in range(0, size - e, SOLVE_BLOCK):
+            end = r + SOLVE_BLOCK
+            trailing[r:end, :end] -= panel[r:end] @ panel[:end].T
+    return factor
 
 
 def embed_gram(gram):

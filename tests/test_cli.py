@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from distillab import (
     ValidationError,
     build_gram,
 )
-from distillab import oracle
+from distillab import cli, oracle
 from distillab.cli import cmd_trajectory, main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
 from distillab.noise_theory import (eigen_ratio, make_corruption, sd_accuracy_condition,
@@ -371,6 +372,37 @@ class TestTrajectoryCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: oracle failed to converge at round 1")
         assert not (tmp_path / "out").exists()
+
+    def test_no_n_by_n_array_is_alive_while_files_are_written(self, tmp_path, monkeypatch):
+        # the traj_dense_oracle config, N = 960: the Gram and its factor are
+        # freed before the first file, and every file is written after them
+        cfg = write_config(
+            tmp_path,
+            gram={"case": "IV", "K": 4, "n": 240, "c": 0.4, "d": 0.1,
+                  "superclass_sizes": [2, 2], "perturbation_amplitude": 0.01},
+            corruption={"kind": "superclass", "eta": 0.3},
+            lam=1e-3,
+            t_max=3,
+            modes=["closed_form", "pll", "oracle"],
+            solver_tolerance=1e-9,
+        )
+        config = ExperimentConfig.load(str(cfg))
+        readings = []
+        out_path = cli._out_path
+
+        def traced_out_path(directory, name):
+            readings.append(tracemalloc.get_traced_memory()[0])
+            return out_path(directory, name)
+
+        monkeypatch.setattr(cli, "_out_path", traced_out_path)
+        tracemalloc.start()
+        try:
+            written = cmd_trajectory(config)
+        finally:
+            tracemalloc.stop()
+        N = 960
+        assert len(readings) == len(written) == 16
+        assert max(readings) < N * N * 8
 
     def test_projection_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, t_max=1, modes=["closed_form"])
@@ -899,15 +931,23 @@ class TestStartup:
 
 
 class TestDeterminism:
-    def test_rerun_byte_identical(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            gram={"case": "III", "K": 3, "n": 12, "c": 0.5, "d": 0.2},
-            corruption={"kind": "symmetric", "eta": 0.5},
-            t_max=2,
-            output_dir=str(tmp_path / "a"),
-        )
+    # unperturbed case III; and perturbed case IV, whose oracle rounds run on
+    # the helper thread beside the dense eigensystem and its factor
+    RERUN_CONFIGS = {
+        "III": dict(gram={"case": "III", "K": 3, "n": 12, "c": 0.5, "d": 0.2},
+                    corruption={"kind": "symmetric", "eta": 0.5}),
+        "IV-perturbed": dict(gram={"case": "IV", "K": 4, "n": 20, "c": 0.4, "d": 0.1,
+                                   "superclass_sizes": [2, 2],
+                                   "perturbation_amplitude": 0.01},
+                             corruption={"kind": "superclass", "eta": 0.3},
+                             lam=1e-3, modes=["closed_form", "pll", "oracle"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RERUN_CONFIGS))
+    def test_rerun_byte_identical(self, tmp_path, name):
+        cfg = write_config(tmp_path, t_max=2, output_dir=str(tmp_path / "a"),
+                           **self.RERUN_CONFIGS[name])
         assert main(["trajectory", "--config", str(cfg)]) == 0
         assert main(["trajectory", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        for name in sorted(os.listdir(tmp_path / "a")):
-            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+        for file in sorted(os.listdir(tmp_path / "a")):
+            assert filecmp.cmp(tmp_path / "a" / file, tmp_path / "b" / file, shallow=False), file

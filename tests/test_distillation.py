@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from _support import (
     CASE_MODELS,
     CASE_NOISE,
+    DENSE_STAGE_MODEL,
     SETUP_A_LAMBDA,
     cell_accuracy,
     cell_pll_outputs,
@@ -268,12 +269,6 @@ def perturbed_models(draw):
     if case is GramCase.V:
         kwargs["e"] = draw(st.floats(0.0, kwargs["d"]))
     return GramModel(**kwargs)
-
-
-# the traj_dense_oracle model: N = 960
-DENSE_STAGE_MODEL = GramModel(case=GramCase.IV, K=4, n=240, c=0.4, d=0.1,
-                              superclass_map=SuperclassMap.from_sizes([2, 2]),
-                              perturbation_amplitude=0.01, seed=3)
 
 
 class TestFactoredDenseRounds:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import CASE_MODELS, embed_gram, full_draw_gram, one_hot_cells
+from _support import (CASE_MODELS, DENSE_STAGE_MODEL, embed_gram, full_draw_gram,
+                      one_hot_cells, whole_panel_factor)
 from distillab import (
     EigenSystem,
     FeatureMatrix,
@@ -468,6 +469,21 @@ class TestShiftedFactor:
         assert np.all(np.triu(factor, 1) == 0.0)
         assert not factor.flags.writeable
         np.testing.assert_array_equal(gram, build_gram(model))
+
+    # every case below, at and above one block, and the traj_dense_oracle model
+    CHUNKED_MODELS = {
+        **{f"{name}-{size}": sized_case_model(name, size, perturbation_amplitude=0.01, seed=size)
+           for name in sorted(CASE_MODELS) for size in (1, 127, 128, 129, 300)},
+        "dense-stage": DENSE_STAGE_MODEL,
+    }
+
+    @pytest.mark.parametrize("key", list(CHUNKED_MODELS))
+    def test_chunked_panels_are_bitwise_the_whole_panel_solve(self, key):
+        model = self.CHUNKED_MODELS[key]
+        gram = build_gram(model)
+        for lam in (1e-4, 1e-3, 1e-2):
+            shift = model.K**2 * model.n * lam
+            assert np.array_equal(_shifted_factor(gram, shift), whole_panel_factor(gram, shift))
 
     def test_failure_in_a_later_block_names_the_amplitude(self):
         # the first block is the identity; rows 10 and 200 make the Gram

@@ -412,6 +412,13 @@ class TestEvolvingCondition:
             C, [(0.4, 0.1)], SETUP_A_LAMBDA, 4, 100, 1
         ) == sd_accuracy_condition(C, setup_a_constants(), 1).achieves_100
 
+    @pytest.mark.parametrize("entry", [(0.1, 0.4), (1.0, 0.1), (0.4, -0.1), (0.4, 0.4)])
+    def test_schedule_entry_out_of_order_rejected(self, entry):
+        C = make_corruption("symmetric", 0.5, 4)
+        with pytest.raises(ValidationError,
+                           match=r"^schedule entry 2 must satisfy 1 > c > d >= 0$"):
+            evolving_condition(C, [(0.4, 0.1), entry], SETUP_A_LAMBDA, 4, 100, 1)
+
     def test_short_schedule_rejected(self):
         C = make_corruption("symmetric", 0.5, 4)
         with pytest.raises(ValidationError, match="schedule"):
