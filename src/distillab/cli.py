@@ -106,18 +106,16 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
 
     Every result is computed before the first file is written, so a
     numerical failure writes nothing, and the eigensystem and the Gram are
-    dropped from the run first: on a perturbed model no ``N x N`` array
-    (the Gram or its cached factor) is alive while the files are written."""
+    dropped from the run after the oracle outputs are gathered: no ``N x N``
+    array (a perturbed Gram or its factor) is alive while files are written."""
     _check_sweep(config, "trajectory")
     model = config.gram_model()
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
-    spectra = []
-    for t in range(config.t_max + 1):
-        values = averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
-        # descending; equal values keep their order, as in sorted(reverse=True)
-        spectra.append(values[np.argsort(-values, kind="stable")])
+    spectra = [averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
+               for t in range(config.t_max + 1)]
+    oracle = [] if run.oracle is None else list(zip(run.oracle, run.oracle_outputs()))
     run = run._replace(eig=None, gram=None)
     written: list[str] = []
 
@@ -150,11 +148,10 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     if run.student is not None:
         emit("pll_targets.csv", run.refined.to_csv)
         emit("pll_outputs.csv", run.student.to_csv)
-    if run.oracle is not None:
-        for result, outputs in zip(run.oracle, run.oracle_outputs()):
-            report = result.convergence_report()
-            emit(f"oracle_round_{outputs.round:03d}.csv", outputs.to_csv)
-            emit(f"oracle_round_{outputs.round:03d}.json", lambda p, r=report: _write_json(p, r))
+    for result, outputs in oracle:
+        report = result.convergence_report()
+        emit(f"oracle_round_{outputs.round:03d}.csv", outputs.to_csv)
+        emit(f"oracle_round_{outputs.round:03d}.json", lambda p, r=report: _write_json(p, r))
     return written
 
 
@@ -223,6 +220,8 @@ def _approx_point(payload: tuple[str, float]) -> list[str]:
     try:
         gap = measure_approx_error(model, C, config.lam, config.t_max, config.solver())
         return [str(n), fmt(gap), "true"]
+    except ValidationError as exc:
+        raise ValidationError(f"n={n}: {exc}") from exc
     except NumericalError as exc:
         # the row only flags the failure; the reason goes to stderr
         print(f"approx-error n={n}: {exc}", file=sys.stderr)

@@ -150,7 +150,8 @@ class ExperimentConfig:
       hold predictions only.  It needs ``t_max >= 1`` and sweeps over
       ``eta`` only.
     - ``approx-error`` needs ``oracle`` and ``t_max >= 1``, reads no other
-      mode and sweeps over ``n`` only.
+      mode and sweeps over ``n`` only.  On a perturbed model it also checks
+      the Gram's spectrum, as ``trajectory`` does.
     - ``theory`` reads no mode and rejects a sweep.  No command reads the
       ``theory`` mode; it is accepted so that existing configs that list it
       keep loading.

@@ -441,10 +441,10 @@ def build_gram(model: GramModel) -> np.ndarray:
 
 
 class CellGram(NamedTuple):
-    """An unperturbed Gram on outputs constant on each realised (true class,
-    given label) cell: ``cells[j]`` is cell ``j``'s 1-based pair (row-major),
-    ``weights[j]`` its sample count and ``sample_cell[i]`` sample ``i``'s
-    cell.  ``X @ matrix`` is the cell form of ``X[:, sample_cell] @ G``."""
+    """A Gram on outputs constant on each cell: ``cells[j]`` is cell ``j``'s
+    1-based (true class, given label) pair, ``weights[j]`` its sample count
+    and ``sample_cell[i]`` sample ``i``'s cell.  ``X @ matrix`` is the cell
+    form of ``X[:, sample_cell] @ G``."""
 
     cells: np.ndarray
     weights: np.ndarray
@@ -453,16 +453,19 @@ class CellGram(NamedTuple):
 
 
 def cell_gram(model: GramModel, assignment) -> CellGram:
-    """The :class:`CellGram` of the cells a label assignment realises.
-
-    With ``B`` the :attr:`GramModel.class_gram`, a sample of class ``k``
-    sees ``1 - omega_k`` from itself and ``B[k', k]`` from each sample of
-    class ``k'``.
-    """
-    if model.perturbation_amplitude != 0.0:
-        raise ValidationError("cell Gram matrices are only defined for unperturbed models")
+    """The :class:`CellGram` of a label assignment: on an unperturbed model
+    its realised cells, row-major, where with ``B`` the
+    :attr:`GramModel.class_gram` a sample of class ``k`` sees ``1 - omega_k``
+    from itself and ``B[k', k]`` from each sample of class ``k'``; on a
+    perturbed one a cell per sample, of weight 1, on the read-only
+    :func:`build_gram`."""
     if (assignment.K, assignment.n) != (model.K, model.n):
         raise ValidationError("label assignment size does not match the model")
+    if model.perturbation_amplitude:
+        matrix = build_gram(model)
+        matrix.flags.writeable = False
+        return CellGram(np.column_stack([assignment.true_labels, assignment.given_labels]),
+                        np.ones(model.size), np.arange(model.size), matrix)
     K, omega = model.K, model.omega
     pairs = (assignment.true_labels - 1) * K + assignment.given_labels - 1
     codes, sample_cell, weights = np.unique(pairs, return_inverse=True, return_counts=True)

@@ -22,8 +22,8 @@ On an unperturbed Gram ``Phi`` is invariant under permutations within a
 (true class, given label) cell, so its minimiser is constant on each cell
 and the same solver runs on the ``m <= K^2`` realised cells
 (:class:`~distillab.gram_models.CellGram`), every sum over samples weighted
-by the cell counts, at a cost independent of ``n``.  Perturbed models keep
-the dense Gram, where every weight is 1.
+by the cell counts, at a cost independent of ``n``.  On a perturbed model
+each sample is its own cell, of weight 1, on the dense Gram.
 
 Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
 solved from the previous round's oracle outputs; a round that does not
@@ -41,8 +41,8 @@ computes the eigensystem, the closed-form rounds and the student; the two
 share only the labels and the read-only Gram, so no output depends on the
 overlap.  :func:`measure_approx_error` compares its oracle rounds with
 the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` on the
-same Gram: :func:`~distillab.distillation._class_round` on the cells,
-:func:`~distillab.gram_models._shifted_rounds` on a dense Gram.
+same Gram: :func:`~distillab.distillation._class_round` on the cells of an
+unperturbed model, the run's own closed-form rounds on a perturbed one.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ import numpy as np
 from .distillation import (OutputMatrix, PartialLabelMatrix, _class_round, pll_refine,
                            pll_student, trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import (CellGram, EigenSystem, GramModel, _shifted_factor, _shifted_rounds,
-                          analytic_eigensystem, build_gram, cell_gram, numeric_eigensystem)
+from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem, build_gram,
+                          cell_gram, numeric_eigensystem)
 from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
                            nearest_realizable, realize_labels)
 
@@ -323,22 +323,20 @@ def oracle_trajectory(
 class Rounds(NamedTuple):
     """What :func:`run_rounds` computed on one set of realised labels (a stage
     its modes skip is ``None``): the closed-form rounds ``0..t_max`` on
-    ``eig``, the top-2 targets and student, and the oracle rounds on ``gram``
-    from ``Y0``, whose column ``column[i]`` is sample ``i``'s output."""
+    ``eig``, the top-2 targets and student, and the oracle rounds on the
+    cells of ``gram``, from their one-hot given labels."""
 
     assignment: LabelAssignment
     eig: Optional[EigenSystem]
     closed: Optional[list[OutputMatrix]]
     refined: Optional[PartialLabelMatrix]
     student: Optional[OutputMatrix]
-    gram: Optional[np.ndarray | CellGram]
-    Y0: Optional[OutputMatrix]
-    column: Optional[np.ndarray]
+    gram: Optional[CellGram]
     oracle: Optional[list[OracleResult]]
 
     def oracle_outputs(self) -> list[OutputMatrix]:
         """The oracle rounds' outputs, one column per sample."""
-        return [OutputMatrix(r.outputs.columns[:, self.column], r.outputs.round)
+        return [OutputMatrix(r.outputs.columns[:, self.gram.sample_cell], r.outputs.round)
                 for r in self.oracle]
 
 
@@ -372,14 +370,14 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
 
     ``closed_form`` runs the closed-form rounds ``1..t_max``, ``pll`` the
     top-2 student (and the closed-form rounds it refines) and ``oracle`` the
-    chained oracle rounds ``1..t_max`` under ``solver``, on the cell Gram of
-    an unperturbed model and on the dense Gram otherwise; other modes are
-    ignored.  The closed-form stages read the analytic eigensystem of an
-    unperturbed model, and on a perturbed model the dense one of its Gram:
-    its eigenvalues only, and one Cholesky factor of the shifted Gram that
-    the rounds and the student share, so no ``N x N`` eigenvectors are
-    built and each dense stage holds the Gram plus at most one ``N x N``
-    working array.  The returned :class:`Rounds` holds that Gram and factor
+    chained oracle rounds ``1..t_max`` under ``solver`` on the
+    :func:`~distillab.gram_models.cell_gram` of the labels (one cell per
+    sample on a perturbed model); other modes are ignored.  The closed-form
+    stages read the analytic eigensystem of an unperturbed model, and on a
+    perturbed model the dense one of its Gram: its eigenvalues only, and
+    one Cholesky factor of the shifted Gram that the rounds and the student
+    share, so no ``N x N`` eigenvectors are built and each dense stage
+    holds the Gram plus at most one ``N x N`` working array.  The returned :class:`Rounds` holds that Gram and factor
     (through ``eig`` and ``gram``) as long as it lives: ``trajectory`` drops
     both from it before it writes, so its output phase holds no ``N x N``
     array.  ``lam`` is checked before anything runs.  Labels are drawn
@@ -402,15 +400,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         if not snap:
             raise
         assignment = realize_labels(nearest_realizable(C, n), n, seed=solver.seed)
-    gram = Y0 = column = None
-    if "oracle" in modes:
-        if model.perturbation_amplitude:
-            gram, column = build_gram(model), np.arange(model.size)
-            gram.flags.writeable = False
-            Y0 = OutputMatrix.from_labels(assignment.given_labels, K)
-        else:
-            gram = cell_gram(model, assignment)
-            Y0, column = OutputMatrix.from_labels(gram.cells[:, 1], K), gram.sample_cell
+    gram = cell_gram(model, assignment) if "oracle" in modes else None
     wants_closed = "closed_form" in modes or "pll" in modes
 
     def closed_stage():
@@ -420,7 +410,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
             eig = analytic_eigensystem(model)
         else:
             # the oracle's Gram when it runs, so that it is built only once
-            eig = numeric_eigensystem(build_gram(model) if gram is None else gram)
+            eig = numeric_eigensystem(build_gram(model) if gram is None else gram.matrix)
         closed = trajectory(OutputMatrix.from_labels(assignment.given_labels, K), eig,
                             lam, K, n, t_max)
         if "pll" not in modes:
@@ -429,6 +419,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         return eig, closed, refined, pll_student(refined, eig, lam, K, n)
 
     def oracle_stage():
+        Y0 = OutputMatrix.from_labels(gram.cells[:, 1], K)
         return oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
 
     if "oracle" in modes and wants_closed:
@@ -436,7 +427,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     else:
         eig, closed, refined, student = closed_stage()
         oracle = oracle_stage() if "oracle" in modes else None
-    return Rounds(assignment, eig, closed, refined, student, gram, Y0, column, oracle)
+    return Rounds(assignment, eig, closed, refined, student, gram, oracle)
 
 
 def measure_approx_error(
@@ -451,21 +442,23 @@ def measure_approx_error(
     Runs the oracle rounds ``1..t`` of :func:`run_rounds`, snapping ``C`` to
     the nearest realizable matrix when its rates are not integral on the
     ``n``-grid, and compares each with the linearized round of the same
-    one-hot targets on the same Gram: the class round of ``Y0`` on the
-    cells of an unperturbed model, with no ``N x N`` array, and on a
-    perturbed one the :func:`~distillab.gram_models._shifted_rounds` chain.
-    Raises when the oracle fails to converge at some round.
+    one-hot targets on the same Gram: on an unperturbed model the class
+    round of the cells, with no ``N x N`` array, and on a perturbed one the
+    run's own closed-form rounds, beside the oracle, whose dense
+    eigensystem rejects an indefinite Gram.  Raises when the oracle fails
+    to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
     config = config or SolverConfig()
-    run = run_rounds(gram_model, C, lam, t, ("oracle",), config, snap=True)
-    K, n, gram = gram_model.K, gram_model.n, run.gram
-    shift, centered = K * K * n * lam, run.Y0.columns - 1.0 / K
-    if isinstance(gram, CellGram):
-        linear = (_class_round(centered, gram.cells[:, 0] - 1, gram.weights, gram_model, lam, s)
-                  for s in range(1, t + 1))
+    modes = ("oracle", "closed_form") if gram_model.perturbation_amplitude else ("oracle",)
+    run = run_rounds(gram_model, C, lam, t, modes, config, snap=True)
+    K, cells = gram_model.K, run.gram
+    if run.closed is not None:
+        linear = (mat.columns for mat in run.closed[1:])
     else:
-        linear = _shifted_rounds(gram, _shifted_factor(gram, shift), shift, centered, t)
-    return max(float(np.abs(result.outputs.columns - (rows + 1.0 / K)).max())
+        centered = OutputMatrix.from_labels(cells.cells[:, 1], K).columns - 1.0 / K
+        linear = (_class_round(centered, cells.cells[:, 0] - 1, cells.weights, gram_model, lam, s)
+                  + 1.0 / K for s in range(1, t + 1))
+    return max(float(np.abs(result.outputs.columns - rows).max())
                for result, rows in zip(run.oracle, linear))

@@ -796,6 +796,20 @@ class TestApproxErrorCommand:
         cfg = write_config(tmp_path, modes=["closed_form"])
         assert main(["approx-error", "--config", str(cfg)]) == 1
 
+    def test_indefinite_gram_is_rejected_as_trajectory_rejects_it(self, tmp_path, capsys):
+        # smallest Gram eigenvalue -0.108: the oracle alone converges here, but
+        # the dense closed-form reference of the same run refuses the Gram
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 240, "c": 0.4, "d": 0.1,
+                                           "perturbation_amplitude": 0.02},
+                           lam=1e-2, t_max=1, modes=["oracle"])
+        assert main(["approx-error", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=240: Gram eigenvalue -1.077e-01 below -1e-08")
+        assert "lower gram.perturbation_amplitude" in err
+        assert main(["trajectory", "--config", str(cfg)]) == 1
+        assert "error: Gram eigenvalue -1.077e-01 below -1e-08" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSnappingPolicy:
     def test_only_approx_error_snaps_an_off_grid_corruption(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from _support import (CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, one_hot_cells,
                       random_doubly_stochastic, setup_a_model)
@@ -65,6 +64,19 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(v).sum(axis=0), 1.0, atol=1e-12)
 
 
+def bisect_root(f, lo, hi, xtol):
+    """The root of ``f`` in ``[lo, hi]``, where ``f`` changes sign, to ``xtol``."""
+    f_lo = f(lo)
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def small_round(K=2, n=1, lam=0.25, labels=(1, 2), gram=None, **cfg):
     gram = np.eye(K * n) if gram is None else gram
     Y_prev = OutputMatrix.from_labels(np.array(labels), K)
@@ -86,8 +98,8 @@ class TestSolveRound:
         res, Y_prev, gram = small_round()
         assert res.converged
         # sample 1 (given label 1): y1 solves y1 = 1/(1 + exp(-4(1-y1)))
-        root = brentq(lambda y1: y1 - 1.0 / (1.0 + math.exp(-4.0 * (1.0 - y1))),
-                      0.5, 1.0, xtol=1e-13)
+        root = bisect_root(lambda y1: y1 - 1.0 / (1.0 + math.exp(-4.0 * (1.0 - y1))),
+                           0.5, 1.0, xtol=1e-13)
         assert res.outputs.columns[0, 0] == pytest.approx(root, abs=1e-8)
         assert res.outputs.columns[1, 1] == pytest.approx(root, abs=1e-8)
 
@@ -236,7 +248,7 @@ class TestMeasureApproxError:
         # oracle's top component solves y1 = 1/(1 + exp(-2 (1 - y1)/(K n lam)));
         # the closed form predicts 1/K + (1 - 1/K)/(K^2 n lam + 1)
         knlam = K * n * lam
-        root = brentq(
+        root = bisect_root(
             lambda y1: y1 - 1.0 / (1.0 + math.exp(-2.0 * (1.0 - y1) / knlam)),
             0.5, 1.0, xtol=1e-14,
         )
@@ -307,6 +319,23 @@ class TestMeasureApproxError:
         worst = max(float(np.abs(r.outputs.columns - traj[t].columns).max())
                     for t, r in enumerate(rounds, start=1))
         assert gap == pytest.approx(worst, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_perturbed_gap_is_the_private_dense_chain(self, t):
+        # the reference: the oracle rounds against the dense chain of
+        # _shifted_rounds on a fresh factor of the shifted Gram
+        model, C = perturbed_case_iv(n=20, seed=7)
+        K, n, lam = model.K, model.n, 1e-3
+        config = SolverConfig(seed=1)
+        gram = build_gram(model)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=config.seed).given_labels, K)
+        shift = K * K * n * lam
+        linear = gram_models._shifted_rounds(gram, gram_models._shifted_factor(gram, shift),
+                                             shift, Y0.columns - 1.0 / K, t)
+        rounds = oracle_trajectory(Y0, gram, lam, K, n, t, config)
+        want = max(float(np.abs(r.outputs.columns - (rows + 1.0 / K)).max())
+                   for r, rows in zip(rounds, linear))
+        assert measure_approx_error(model, C, lam, t, config) == want
 
     def test_perturbed_model_builds_gram_once(self, monkeypatch):
         calls = []
@@ -406,12 +435,38 @@ class TestCellGram:
             np.testing.assert_allclose(by_cell[:, cells.sample_cell] + 1.0 / K,
                                        closed[t].columns, rtol=0, atol=1e-12)
 
-    def test_perturbed_model_and_foreign_labels_are_rejected(self):
+    def test_perturbed_model_has_one_cell_per_sample(self):
         model = GramModel(case=GramCase.III, K=3, n=4, c=0.4, d=0.1,
                           perturbation_amplitude=0.01)
-        with pytest.raises(ValidationError, match="unperturbed"):
-            cell_gram(model, partly_shuffled_assignment(3, 4, 6, 0))
-        model = dataclasses.replace(model, perturbation_amplitude=0.0)
+        la = partly_shuffled_assignment(3, 4, 6, 0)
+        cells = cell_gram(model, la)
+        assert np.array_equal(cells.cells, np.column_stack([la.true_labels, la.given_labels]))
+        assert np.array_equal(cells.weights, np.ones(model.size))
+        assert np.array_equal(cells.sample_cell, np.arange(model.size))
+        assert np.array_equal(cells.matrix, build_gram(model))
+        assert not cells.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cells.matrix[0, 1] = 0.0
+        with pytest.raises(ValidationError, match="does not match"):
+            cell_gram(model, partly_shuffled_assignment(4, 3, 6, 0))
+
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_per_sample_cells_solve_as_the_bare_gram(self, name):
+        model = dataclasses.replace(CASE_MODELS[name], perturbation_amplitude=0.01, seed=3)
+        K, n, lam = model.K, model.n, 0.02
+        kind, eta = CASE_NOISE[name]
+        C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
+        cells = cell_gram(model, realize_labels(C, n, seed=2))
+        Y_prev = OutputMatrix.from_labels(cells.cells[:, 1], K)
+        config = SolverConfig(seed=5)
+        by_cell = solve_round(Y_prev, cells, lam, K, n, config)
+        bare = solve_round(Y_prev, build_gram(model), lam, K, n, config)
+        assert by_cell.converged
+        assert np.array_equal(by_cell.outputs.columns, bare.outputs.columns)
+        assert by_cell.convergence_report() == bare.convergence_report()
+
+    def test_foreign_labels_are_rejected(self):
+        model = GramModel(case=GramCase.III, K=3, n=4, c=0.4, d=0.1)
         with pytest.raises(ValidationError, match="does not match"):
             cell_gram(model, partly_shuffled_assignment(4, 3, 6, 0))
 
@@ -441,7 +496,7 @@ class TestRunRounds:
         refined = pll_refine(closed[1])
         student = pll_student(refined, eig, lam, K, n)
         rounds = oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
-        assert np.array_equal(run.gram, gram)
+        assert np.array_equal(run.gram.matrix, gram)
         assert np.array_equal(run.eig.values, eig.values)
         assert np.array_equal(run.eig.vectors, eig.vectors)
         assert len(run.closed) == len(closed) == t_max + 1
@@ -456,7 +511,7 @@ class TestRunRounds:
 
     def test_dense_gram_is_read_only(self):
         model, C = perturbed_case_iv(n=10)
-        gram = run_rounds(model, C, 1e-3, 1, ALL_STAGES, SolverConfig()).gram
+        gram = run_rounds(model, C, 1e-3, 1, ALL_STAGES, SolverConfig()).gram.matrix
         assert not gram.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             gram[0, 1] = 0.0
@@ -494,18 +549,27 @@ class TestRunRounds:
         assert len(calls) == 1
 
     def test_single_stage_runs_start_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
+        started = []
 
-        monkeypatch.setattr(threading, "Thread", no_thread)
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
         model, C = perturbed_case_iv(n=10)
-        for m in (model, dataclasses.replace(model, perturbation_amplitude=0.0)):
-            assert np.isfinite(measure_approx_error(m, C, 1e-3, t=2))
+        unperturbed = dataclasses.replace(model, perturbation_amplitude=0.0)
+        assert np.isfinite(measure_approx_error(unperturbed, C, 1e-3, t=2))
+        for m in (model, unperturbed):
             run = run_rounds(m, C, 1e-3, 2, ("closed_form", "pll"), SolverConfig())
             assert run.oracle is None and run.student is not None
-        # the patch does catch a thread: both stages together start one
-        with pytest.raises(AssertionError, match="a thread was started"):
-            run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig())
+        assert started == []
+        # the perturbed approx-error runs its closed-form reference beside
+        # the oracle, on the one helper thread, as do both stages of a run
+        assert np.isfinite(measure_approx_error(model, C, 1e-3, t=2))
+        assert started == ["distillab-oracle"]
+        run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig())
+        assert started == ["distillab-oracle"] * 2
 
     def test_linear_round_is_the_shifted_solve(self):
         model, C = perturbed_case_iv(n=10)
