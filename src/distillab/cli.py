@@ -14,7 +14,11 @@ each command does with the config's ``modes`` is listed in
 :class:`~distillab.config.ExperimentConfig`.  ``run_rounds`` checks
 ``lam`` and realises the corruption before any file is written;
 ``approx-error`` snaps an off-grid corruption to the ``n``-grid, the other
-two reject it.  Every command runs on all five Gram cases.  CSV numbers
+two reject it.  The rounds come one per realised (true class, given label)
+cell: ``phase`` scores them there, each weighted by its sample count, so on
+an unperturbed model it builds no per-sample array and draws no labels;
+``trajectory`` gathers them to the samples that its files list.  Every
+command runs on all five Gram cases.  CSV numbers
 have 12 significant digits and are byte-reproducible for a fixed
 configuration and seed.  Exit codes: 0 success, 1 invalid input or an
 output that cannot be written, 2 numerical failure.
@@ -105,9 +109,10 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     eigenvalue table; with the oracle mode enabled, also the exact outputs.
 
     Every result is computed before the first file is written, so a
-    numerical failure writes nothing, and the eigensystem and the Gram are
-    dropped from the run after the oracle outputs are gathered: no ``N x N``
-    array (a perturbed Gram or its factor) is alive while files are written."""
+    numerical failure writes nothing.  The rounds are gathered from the
+    cells to the samples, and then the eigensystem and the Gram are
+    dropped: no ``N x N`` array (a perturbed Gram or its factor) is alive
+    while files are written."""
     _check_sweep(config, "trajectory")
     model = config.gram_model()
     C = config.corruption_matrix()
@@ -115,8 +120,9 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
                      config.solver())
     spectra = [averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
                for t in range(config.t_max + 1)]
-    oracle = [] if run.oracle is None else list(zip(run.oracle, run.oracle_outputs()))
-    run = run._replace(eig=None, gram=None)
+    pll = [] if run.student is None else [run.gather(run.refined), run.gather(run.student)]
+    oracle = [(r.convergence_report(), run.gather(r.outputs)) for r in run.oracle or ()]
+    run = run._replace(eig=None, gram=None, closed=[run.gather(mat) for mat in run.closed])
     written: list[str] = []
 
     def emit(name, fn):
@@ -145,11 +151,9 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         [index_runs(len(spectra), size),
          chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
          np.concatenate(spectra)]))
-    if run.student is not None:
-        emit("pll_targets.csv", run.refined.to_csv)
-        emit("pll_outputs.csv", run.student.to_csv)
-    for result, outputs in oracle:
-        report = result.convergence_report()
+    for name, mat in zip(("pll_targets.csv", "pll_outputs.csv"), pll):
+        emit(name, mat.to_csv)
+    for report, outputs in oracle:
         emit(f"oracle_round_{outputs.round:03d}.csv", outputs.to_csv)
         emit(f"oracle_round_{outputs.round:03d}.json", lambda p, r=report: _write_json(p, r))
     return written
@@ -171,11 +175,13 @@ def _phase_point(payload: tuple[str, float]) -> list[list[str]]:
             run = run_rounds(model, C, config.lam, config.t_max, modes, config.solver())
         except (NumericalError, ValidationError) as exc:
             raise type(exc)(f"eta={eta}: {exc}") from exc
-        outputs = run.closed[1:] if run.oracle is None else run.oracle_outputs()
+        # scored on the cells, each weighted by its sample count
+        true, weights = run.gram.cells[:, 0], run.gram.weights
+        outputs = run.closed[1:] if run.oracle is None else [r.outputs for r in run.oracle]
         for mat in outputs:
-            empirical[mat.round] = argmax_accuracy(mat, run.assignment.true_labels)
+            empirical[mat.round] = argmax_accuracy(mat, true, weights)
         if run.student is not None:
-            empirical["PLL"] = argmax_accuracy(run.student, run.assignment.true_labels)
+            empirical["PLL"] = argmax_accuracy(run.student, true, weights)
     # one row per (model, round of its prediction, prediction mode)
     models = [(t, t, "sd") for t in range(1, config.t_max + 1)]
     models += [("PLL", 1, "pll")] if "pll" in config.modes else []

@@ -5,14 +5,15 @@ operator, whose eigenvalues are the ``t``-th powers of
 :func:`~distillab.noise_theory.eigen_ratio` of the Gram eigenvalues.  A
 round is written once per layout.  On an unperturbed Gram it is
 :func:`_class_round`, on columns that each stand for a weighted number of
-samples of one class: the samples of :func:`trajectory` and
-:func:`pll_student`, the oracle's realised cells, or the ``K^2`` (true
-class, given label) cells of :func:`cell_outputs`, in ``O(K^3)``.  On a
-dense (perturbed) Gram the rounds are the chain
-:func:`~distillab.gram_models._shifted_rounds`, all on one Cholesky factor of
-the shifted Gram.  :func:`_rounds` chains either layout for every consumer.
+samples of one class: a run's realised (true class, given label) cells
+(:class:`~distillab.gram_models.CellGram`), the ``K^2`` cells of
+:func:`cell_outputs`, or single samples; on cells it costs ``O(K^3)``,
+whatever ``n``.  On a dense (perturbed) Gram, where each sample is its own
+cell, it is the chain :func:`~distillab.gram_models._shifted_rounds` on one
+Cholesky factor of the shifted Gram.  :func:`_rounds` chains either layout.
 The partial-label student replaces the teacher's soft output with a two-hot
-vector on its top two entries.
+vector on its top two entries; :func:`argmax_accuracy` weights each cell by
+its count.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .csvio import index_runs, read_csv, write_csv
 from .errors import ValidationError
-from .gram_models import EigenSystem, GramModel, _head_columns, _shifted_rounds
+from .gram_models import CellGram, EigenSystem, GramModel, _head_columns, _shifted_rounds
 from .noise_theory import (
     TIE_TOL,
     CorruptionMatrix,
@@ -119,7 +120,15 @@ class OutputMatrix:
         if len(rounds) != 1:
             raise ValidationError(f"expected a single round per file, got {rounds}")
         sample, k = table[:, 1].astype(int), table[:, 2].astype(int)
-        cols = np.zeros((k.max(), sample.max() + 1))
+        if sample.min() < 0 or k.min() < 1:
+            raise ValidationError(f"{path}: sample indices start at 0 and class indices at 1")
+        K = k.max()
+        listed = np.bincount(sample * K + k - 1, minlength=(sample.max() + 1) * K)
+        if np.any(listed != 1):
+            s, c = divmod(int(np.argmax(listed != 1)), K)
+            raise ValidationError(f"{path}: (sample {s}, class {c + 1}) has {listed[s * K + c]} "
+                                  "rows; give each pair exactly one")
+        cols = np.zeros((K, sample.max() + 1))
         cols[k - 1, sample] = table[:, 3]
         return cls(columns=cols, round=rounds[0])
 
@@ -165,43 +174,50 @@ class PartialLabelMatrix:
 class AveragingOperator:
     """The round-``t`` label-averaging operator ``A_t``, kept factored.
 
-    Its full spectrum is ``eigenvalues = rho^t`` (see
-    :func:`averaging_operator`) of the Gram spectrum of ``eig`` at
-    ``lam``, ``K`` and ``n``.  :meth:`apply` maps ``K x N`` centered rows
-    ``X`` to ``X A_t``, the last of the rounds ``1..t`` of :func:`_rounds`.
-    :attr:`matrix` is ``apply(I)``, built on first read only.
+    :meth:`apply` maps centered rows ``X`` to ``X A_t``, the last of the
+    rounds ``1..t`` of :func:`_rounds`.  Its spectrum :attr:`eigenvalues`,
+    ``rho^t`` of the Gram spectrum of ``eig`` (see :func:`averaging_operator`),
+    and its ``N x N`` :attr:`matrix`, ``apply(I)``, are built on first read.
     """
 
     t: int
-    eigenvalues: np.ndarray
     eig: EigenSystem
     lam: float
     K: int
     n: int
 
-    def __post_init__(self):
-        ev = np.array(self.eigenvalues, dtype=float)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The read-only ``rho^t``, in the order of ``eig.values``."""
+        ev = _ratios(self.eig.values, self.lam, self.K, self.n) ** self.t
         # the round-0 operator is the identity; from round 1 on the spectrum
         # contracts strictly below 1
         ceiling_ok = np.all(ev == 1.0) if self.t == 0 else np.all(ev < 1.0)
         if np.any(ev < 0.0) or not ceiling_ok:
             raise ValidationError("operator eigenvalues must lie in [0, 1)")
         ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
+        return ev
 
-    def apply(self, centered: np.ndarray) -> np.ndarray:
-        """``centered @ A_t`` as a new array; exactly ``centered`` at ``t = 0``."""
+    def apply(self, centered: np.ndarray, cells: Optional[CellGram] = None) -> np.ndarray:
+        """``centered @ A_t`` as a new array, one column per sample or per
+        cell of ``cells``; exactly ``centered`` at ``t = 0``."""
         out = np.array(centered, dtype=float)
-        for out in _rounds(self.eig, self.lam, self.K, self.n, out, self.t):
+        for out in _rounds(self.eig, self.lam, self.K, self.n, out, self.t, cells):
             pass
         return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The read-only ``N x N`` matrix ``apply(I)``, on first read only."""
-        matrix = self.apply(np.eye(self.eigenvalues.size))
+        matrix = self.apply(np.eye(self.eig.size))
         matrix.flags.writeable = False
         return matrix
+
+
+def _check_spectrum(eig: EigenSystem, lam: float, K: int, n: int) -> None:
+    """:func:`_ratios`' checks on a dense system's values, or on the head
+    values of a class-structured one (its bulk ``1 - omega`` is positive)."""
+    _ratios(eig.values if eig.model is None else _head_columns(eig.model)[0], lam, K, n)
 
 
 def _ratios(values: np.ndarray, lam: float, K: int, n: int) -> np.ndarray:
@@ -247,17 +263,19 @@ def _class_round(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray | fl
 
 
 def _rounds(eig: EigenSystem, lam: float, K: int, n: int, centered: np.ndarray,
-            t_max: int) -> Iterator[np.ndarray]:
-    """Rounds ``1..t_max`` of centered ``K x N`` rows on ``eig``, one new array
-    each: :func:`_class_round` of ``centered`` on a class-structured system,
-    the chain of :func:`~distillab.gram_models._shifted_rounds` with the
-    cached :meth:`~distillab.gram_models.EigenSystem.factor` on a dense one.
-    The eigenvalue guard runs first; ``t_max = 0`` factors nothing."""
-    _ratios(eig.values, lam, K, n)
+            t_max: int, cells: Optional[CellGram] = None) -> Iterator[np.ndarray]:
+    """Rounds ``1..t_max`` of centered ``K x m`` rows on ``eig``, one new array
+    each: :func:`_class_round` on a class-structured system, its columns the
+    samples or the weighted ``cells``; the chain of
+    :func:`~distillab.gram_models._shifted_rounds` with the cached
+    :meth:`~distillab.gram_models.EigenSystem.factor` on a dense one.  The
+    eigenvalue guard runs first; ``t_max = 0`` factors nothing."""
+    _check_spectrum(eig, lam, K, n)
     if eig.model is not None:
-        classes = eig.model.class_of_sample() - 1
+        classes, weights = ((eig.model.class_of_sample() - 1, 1.0) if cells is None
+                            else (cells.cells[:, 0] - 1, cells.weights))
         for t in range(1, t_max + 1):
-            yield _class_round(centered, classes, 1.0, eig.model, lam, t)
+            yield _class_round(centered, classes, weights, eig.model, lam, t)
     elif t_max:
         shift = K * K * n * lam
         yield from _shifted_rounds(eig.gram, eig.factor(shift), shift, centered, t_max)
@@ -274,26 +292,26 @@ def averaging_operator(
     before anything is factored; tiny negatives from a perturbed matrix are
     clipped to zero in ``eigenvalues``.
 
-    :meth:`~AveragingOperator.apply` takes the rounds of :func:`_rounds`: on
-    a class-structured eigensystem (one that holds its ``model``)
-    :func:`_class_round` on the samples, ``O(K^2 N)``, without the ``N x N``
-    eigenvectors; on a dense one (holding its Gram) ``t`` chained rounds of
-    :func:`~distillab.gram_models._shifted_rounds`, ``O(K N^2)`` each, with
-    the eigensystem's Cholesky factor of the shifted Gram, computed on the
-    first apply with ``t >= 1`` and shared by every operator at that
-    ``lam``.  Building either form factors nothing, so reading
-    ``eigenvalues`` costs ``O(N)``.
+    :meth:`~AveragingOperator.apply` takes the rounds of :func:`_rounds`:
+    :func:`_class_round` on a class-structured eigensystem (one that holds
+    its ``model``), ``O(K^2 m)`` on ``m`` columns; on a dense one ``t``
+    chained rounds, ``O(K N^2)`` each, with the eigensystem's Cholesky
+    factor of the shifted Gram, computed on the first apply with ``t >= 1``
+    and shared by every operator at that ``lam``.  Building an operator
+    factors nothing and computes no ``O(N)`` array.
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    return AveragingOperator(t=t, eigenvalues=_ratios(eig.values, lam, K, n) ** t,
-                             eig=eig, lam=lam, K=K, n=n)
+    _check_spectrum(eig, lam, K, n)
+    return AveragingOperator(t=t, eig=eig, lam=lam, K=K, n=n)
 
 
 def trajectory(
-    Y0: OutputMatrix, eig: EigenSystem, lam: float, K: int, n: int, t_max: int
+    Y0: OutputMatrix, eig: EigenSystem, lam: float, K: int, n: int, t_max: int,
+    cells: Optional[CellGram] = None,
 ) -> list[OutputMatrix]:
-    """Outputs for rounds ``0..t_max`` from one-hot given labels.
+    """Outputs for rounds ``0..t_max`` from one-hot given labels, one column
+    per sample or per cell of ``cells``.
 
     Centers the targets at the uniform vector, takes the rounds of
     :func:`_rounds` and shifts back: the same arithmetic as the round-``t``
@@ -301,13 +319,12 @@ def trajectory(
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
-    if Y0.num_samples != eig.size:
-        raise ValidationError(
-            f"output matrix has {Y0.num_samples} samples but the eigensystem has {eig.size}"
-        )
+    size = eig.size if cells is None else cells.weights.size
+    if Y0.num_samples != size:
+        raise ValidationError(f"output matrix has {Y0.num_samples} columns, the layout {size}")
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    rounds = enumerate(_rounds(eig, lam, K, n, Y0.columns - 1.0 / K, t_max), 1)
+    rounds = enumerate(_rounds(eig, lam, K, n, Y0.columns - 1.0 / K, t_max, cells), 1)
     return [Y0, *(OutputMatrix(columns=rows + 1.0 / K, round=t) for t, rows in rounds)]
 
 
@@ -395,27 +412,30 @@ def pll_refine(teacher: OutputMatrix) -> PartialLabelMatrix:
 
 
 def pll_student(
-    targets: PartialLabelMatrix, eig: EigenSystem, lam: float, K: int, n: int
+    targets: PartialLabelMatrix, eig: EigenSystem, lam: float, K: int, n: int,
+    cells: Optional[CellGram] = None,
 ) -> OutputMatrix:
-    """Outputs of the student trained one round on two-hot ``targets``.
+    """Outputs of the student trained one round on two-hot ``targets`` (one
+    column per sample or per cell of ``cells``).
 
     Applies the one-round averaging operator to the centered targets:
     ``(targets - 1/K) @ A_1 + 1/K``, one round after the targets' source.
     """
-    student = averaging_operator(eig, lam, K, n, 1).apply(targets.columns - 1.0 / K) + 1.0 / K
+    student = averaging_operator(eig, lam, K, n, 1).apply(targets.columns - 1.0 / K, cells) + 1.0 / K
     return OutputMatrix(columns=student, round=targets.source_round + 1)
 
 
-def argmax_accuracy(outputs: OutputMatrix, true_labels: Sequence[int]) -> float:
-    """Fraction of samples whose strict output argmax is the true label.
+def argmax_accuracy(outputs: OutputMatrix, true_labels: Sequence[int],
+                    weights: Optional[np.ndarray] = None) -> float:
+    """Fraction of samples whose strict output argmax is the true label,
+    column ``j`` standing for ``weights[j]`` samples (1 when not given).
 
     Entries within ``TIE_TOL`` (1e-12) of the column maximum are tied with
     it, and a tie for the maximum counts as incorrect.
     """
     labels = np.asarray(true_labels, dtype=int)
     if labels.shape != (outputs.num_samples,):
-        raise ValidationError("true labels must have one entry per sample")
+        raise ValidationError("true labels must have one entry per column")
     tied = _within_tie_band(outputs.columns)
-    unique = tied.sum(axis=0) == 1
-    hits = tied[labels - 1, np.arange(labels.size)]
-    return float(np.mean(unique & hits)) if labels.size else 0.0
+    correct = (tied.sum(axis=0) == 1) & tied[labels - 1, np.arange(labels.size)]
+    return float(np.average(correct, weights=weights)) if labels.size else 0.0

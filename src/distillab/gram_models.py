@@ -14,18 +14,13 @@ all read from it.  The rest of the spectrum is the within-class bulk
 ``1 - omega_k``, so a function of the Gram is one ``K x K`` block on the
 class means plus a per-class bulk power
 (:func:`~distillab.distillation._class_block`): the closed-form eigensystem
-holds only its values and model.  A dense one holds its values and its
-Gram: its chain of rounds is :func:`_shifted_rounds`, solves with one
-cached Cholesky factor of the shifted Gram (:meth:`EigenSystem.factor`),
-and neither form builds ``N x N`` eigenvectors until they are read.
-Each stage of the dense path (the perturbed draw, the symmetry check, the
-eigenvalues and the factor) holds the Gram plus at most one ``N x N``
-working array: the draw and the check go by blocks of :data:`SOLVE_BLOCK`
-rows, and the factor is formed in place in one copy of the Gram, its
-panels solved by blocks of rows.  The eigenvalues (the Gram and
-``eigvalsh``'s one copy of it) are the peak; the CLI writes its
-per-sample files only after the Gram and its factor are released, so no
-``N x N`` array is alive while it writes.
+holds only its model.  A dense one holds its values and its Gram, whose
+chain of rounds :func:`_shifted_rounds` solves with one cached Cholesky
+factor of the shifted Gram (:meth:`EigenSystem.factor`).  Each stage of the
+dense path (the perturbed draw, the symmetry check, the eigenvalues and the
+factor) holds the Gram plus at most one ``N x N`` working array: the draw
+and the check go by blocks of :data:`SOLVE_BLOCK` rows, and the factor is
+formed in place in one copy of the Gram.
 
 Correlation cases
 -----------------
@@ -258,28 +253,39 @@ class EigenSystem:
     A class-structured system (from :func:`analytic_eigensystem`) holds its
     unperturbed ``model``; the averaging operator reads the model's
     ``K x K`` class block.  A dense one (from :func:`numeric_eigensystem`)
-    holds its ``gram``; the averaging operator solves with its cached
-    :meth:`factor`.  Exactly one of the two is given.  Every output reads
-    only ``values`` and the layout; :attr:`vectors` is a reference, built
-    on first read.
+    holds its ``gram`` and ``values``; the averaging operator solves with its
+    cached :meth:`factor`.  Exactly one layout is given.  Every output reads
+    only ``values`` and the layout.  A class-structured system builds its
+    ``values`` on first read; :attr:`vectors`, a reference, are built on
+    first read on either.
     """
 
-    def __init__(self, values, model: Optional[GramModel] = None,
+    def __init__(self, values=None, model: Optional[GramModel] = None,
                  gram: Optional[np.ndarray] = None):
-        if (model is None) == (gram is None):
-            raise ValidationError("an eigensystem holds exactly one layout: its model or its Gram")
-        values = np.array(values, dtype=float)
-        if np.any(np.diff(values) > 1e-12):
-            raise ValidationError("eigenvalues must be sorted descending")
-        values.flags.writeable = False
-        self.values = values
+        if (model is None) == (gram is None) or (values is None) != (gram is None):
+            raise ValidationError("an eigensystem holds exactly one layout: its model, or its "
+                                  "Gram and values")
+        if values is not None:
+            values = np.array(values, dtype=float)
+            if np.any(np.diff(values) > 1e-12):
+                raise ValidationError("eigenvalues must be sorted descending")
+            values.flags.writeable = False
+            self.values = values
         self.model = model
         self.gram = gram
         self._factors: dict[float, np.ndarray] = {}
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """A class-structured system's values, by :func:`_spectrum_order`."""
+        _, values, order = _spectrum_order(self.model)
+        values = values[order]
+        values.flags.writeable = False
+        return values
+
     @property
     def size(self) -> int:
-        return self.values.size
+        return self.gram.shape[0] if self.model is None else self.model.size
 
     def factor(self, shift: float) -> np.ndarray:
         """The lower Cholesky factor of a dense system's ``gram + shift I``
@@ -294,19 +300,14 @@ class EigenSystem:
     @cached_property
     def vectors(self) -> np.ndarray:
         """The read-only ``N x N`` eigenvectors, built on first read:
-        ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``.
-        Within a repeated value the basis is arbitrary, and so is a column's
-        sign.
-
-        A dense system takes ``eigh``'s pairs of its Gram in reverse, with the
-        solver's column signs, and checks each against ``values`` by the
-        residual bound ``max|G v - lambda v| <= 1e-8 * max|G|``.
-
-        A class-structured system writes each column once, straight into its
-        sorted position of one zeroed column-major array (so every column is
-        one contiguous block): the head columns (column ``j`` repeats
-        ``coeffs[k, j] / sqrt(n)`` over class ``k``), then each class's
-        Helmert contrasts (:func:`_helmert_vectors`) in its rows.
+        ``vectors[:, i]`` is the orthonormal eigenvector for ``values[i]``;
+        within a repeated value the basis, and a column's sign, is arbitrary.
+        A dense system takes ``eigh``'s pairs of its Gram in reverse, checked
+        by the residual bound ``max|G v - lambda v| <= 1e-8 * max|G|``.  A
+        class-structured system writes each column once into its sorted
+        position of one zeroed column-major array: the head columns (column
+        ``j`` repeats ``coeffs[k, j] / sqrt(n)`` over class ``k``), then each
+        class's Helmert contrasts (:func:`_helmert_vectors`) in its rows.
         """
         if self.model is None:
             vectors = np.linalg.eigh(self.gram)[1][:, ::-1]
@@ -337,18 +338,15 @@ def _shifted_factor(gram: np.ndarray, shift: float) -> np.ndarray:
     """The read-only lower Cholesky factor ``L`` of ``gram + shift I``.
 
     Factors one shifted copy of ``gram`` in place, so it holds a single
-    ``N x N`` array beside the Gram: for each diagonal block of
+    ``N x N`` array beside the Gram: per diagonal block of
     :data:`SOLVE_BLOCK` rows, ``np.linalg.cholesky`` of the block, then per
-    chunk of :data:`SOLVE_BLOCK` rows of the panel below it a solve with
-    that block and the chunk's rows of the lower trailing part updated by
-    one matrix product; the entries above the diagonal are set to exact
-    zeros.  The panel is solved a chunk at a time because LAPACK's solve
-    copies its operands into buffers of its own, which ``tracemalloc`` does
-    not see: a solve over the whole panel would hold up to
-    ``N x SOLVE_BLOCK`` doubles more.  The chunks give the panel bitwise as
-    that one solve would.  Fails with :class:`NumericalError` when the
-    shifted Gram is not positive definite, which a positive ``shift`` rules
-    out on a positive semidefinite Gram.
+    chunk of :data:`SOLVE_BLOCK` rows of the panel below it a solve with the
+    block and a product updating those rows of the lower trailing part;
+    entries above the diagonal are exact zeros.  Solving by chunks keeps
+    LAPACK's own copies of the operands, which ``tracemalloc`` does not see,
+    to one chunk, and gives the panel bitwise as one solve would.  Fails
+    with :class:`NumericalError` when the shifted Gram is not positive
+    definite, which a positive ``shift`` rules out on a PSD Gram.
     """
     factor = np.array(gram, dtype=float)
     size = factor.shape[0]
@@ -442,38 +440,46 @@ def build_gram(model: GramModel) -> np.ndarray:
 
 class CellGram(NamedTuple):
     """A Gram on outputs constant on each cell: ``cells[j]`` is cell ``j``'s
-    1-based (true class, given label) pair, ``weights[j]`` its sample count
-    and ``sample_cell[i]`` sample ``i``'s cell.  ``X @ matrix`` is the cell
-    form of ``X[:, sample_cell] @ G``."""
+    1-based (true class, given label) pair and ``weights[j]`` its sample
+    count.  ``X @ matrix`` is the cell form of ``X[:, sample_cell] @ G``.
+    ``assignment`` holds the labels that :attr:`sample_cell` reads; it is
+    ``None`` when each cell is one sample, in sample order."""
 
     cells: np.ndarray
     weights: np.ndarray
-    sample_cell: np.ndarray
     matrix: np.ndarray
+    assignment: Optional[object]
+
+    @property
+    def sample_cell(self) -> np.ndarray:
+        """Each sample's cell, built on each read from the per-sample labels."""
+        if self.assignment is None:
+            return np.arange(self.weights.size)
+        counts = self.assignment.counts
+        position = np.cumsum(counts.ravel() > 0) - 1
+        return position[(self.assignment.true_labels - 1) * counts.shape[0]
+                        + self.assignment.given_labels - 1]
 
 
 def cell_gram(model: GramModel, assignment) -> CellGram:
-    """The :class:`CellGram` of a label assignment: on an unperturbed model
-    its realised cells, row-major, where with ``B`` the
-    :attr:`GramModel.class_gram` a sample of class ``k`` sees ``1 - omega_k``
-    from itself and ``B[k', k]`` from each sample of class ``k'``; on a
-    perturbed one a cell per sample, of weight 1, on the read-only
-    :func:`build_gram`."""
+    """The :class:`CellGram` of a label assignment.  On an unperturbed model
+    its realised cells, row-major, read from ``assignment.counts`` with no
+    per-sample array: with ``B`` the :attr:`GramModel.class_gram`, a sample
+    of class ``k`` sees ``1 - omega_k`` from itself and ``B[k', k]`` from
+    each sample of class ``k'``.  On a perturbed one a cell per sample, of
+    weight 1, on the read-only :func:`build_gram`."""
     if (assignment.K, assignment.n) != (model.K, model.n):
         raise ValidationError("label assignment size does not match the model")
     if model.perturbation_amplitude:
         matrix = build_gram(model)
         matrix.flags.writeable = False
         return CellGram(np.column_stack([assignment.true_labels, assignment.given_labels]),
-                        np.ones(model.size), np.arange(model.size), matrix)
-    K, omega = model.K, model.omega
-    pairs = (assignment.true_labels - 1) * K + assignment.given_labels - 1
-    codes, sample_cell, weights = np.unique(pairs, return_inverse=True, return_counts=True)
-    true = codes // K
+                        np.ones(model.size), matrix, None)
+    true, given = np.nonzero(assignment.counts)
+    weights = assignment.counts[true, given].astype(float)
     matrix = (weights[:, None] * model.class_gram[np.ix_(true, true)]
-              + np.diag(1.0 - omega[true]))
-    return CellGram(np.column_stack([true, codes % K]) + 1, weights.astype(float),
-                    sample_cell, matrix)
+              + np.diag(1.0 - model.omega[true]))
+    return CellGram(np.column_stack([true, given]) + 1, weights, matrix, assignment)
 
 
 def _helmert_vectors(m: int) -> np.ndarray:
@@ -494,17 +500,15 @@ def _head_columns(model: GramModel) -> tuple[np.ndarray, np.ndarray]:
     """The ``K`` eigenpairs that are constant on each class, values descending.
 
     On the normalised class indicators the Gram acts as the ``K x K``
-    matrix ``n B + diag(1 - omega)`` (``B`` the
-    :attr:`GramModel.class_gram`), so its eigenpairs are these.  Returns
-    the eigenvalues and a ``K x K`` matrix whose column ``j`` holds the
-    class-space coefficients of eigenvector ``j`` (lifted to samples by
-    repeating ``coeff_k / sqrt(n)`` over class ``k``).  With the bulk value
-    ``1 - omega_k`` (multiplicity ``n - 1`` per class) they are the whole
-    spectrum of an unperturbed model.  The values equal the family formulas
+    matrix ``n B + diag(1 - omega)`` (``B`` the :attr:`GramModel.class_gram`).
+    Returns its eigenvalues and coefficients: column ``j`` is eigenvector
+    ``j`` in class space, lifted to samples by repeating ``coeff_k /
+    sqrt(n)`` over class ``k``.  With the bulk ``1 - omega_k`` (``n - 1``
+    times per class) they are the whole spectrum of an unperturbed model.
+    The values equal the family formulas
     (:class:`~distillab.noise_theory.TheoryConstants`) only to rounding, and
-    within a repeated value the basis is the solver's.  Cached, since every
-    round of the averaging operator and the cell engine reads them, so both
-    arrays are read-only.
+    within a repeated value the basis is the solver's.  Cached, and so
+    read-only, since every round reads them.
     """
     head = model.n * model.class_gram + np.diag(1.0 - model.omega)
     values, coeffs = np.linalg.eigh(head)
@@ -525,36 +529,31 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
     :func:`numeric_eigensystem` on the realized matrix instead.
 
     The pairs are sorted by a stable descending sort of the values (head
-    first, then class by class the bulk).  The result holds the sorted
-    values and ``model``, ``O(N)`` memory; its ``N x N``
-    :attr:`EigenSystem.vectors` are built on first read only.
+    first, then class by class the bulk).  The result holds only ``model``:
+    its ``O(N)`` values and its ``N x N`` :attr:`EigenSystem.vectors` are
+    built on first read only.
     """
     if model.perturbation_amplitude != 0.0:
         raise ValidationError(
             "analytic eigensystem is only defined for unperturbed models; "
             "use numeric_eigensystem on build_gram output"
         )
-    _, values, order = _spectrum_order(model)
-    return EigenSystem(values=values[order], model=model)
+    return EigenSystem(model=model)
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Dense symmetric eigensystem, eigenvalues descending.
 
     Fallback for perturbed or empirical Gram matrices.  The input must be
-    finite and symmetric to 1e-10, both checked over blocks of
-    :data:`SOLVE_BLOCK` rows (the symmetry as the largest ``|A - A^T|``),
-    so the checks hold one block beside the matrix.  The result holds
-    ``eigvalsh``'s values in reverse and the matrix itself, which it
-    neither copies nor modifies: about a third of the cost of ``eigh`` with
-    vectors at ``N`` of a thousand.  The averaging operator solves with the
-    cached Cholesky factor of the shifted matrix
-    (:meth:`EigenSystem.factor`), formed only after the values: ``eigvalsh``
-    works on a copy of the matrix that it frees (back to the operating
-    system) when it returns, so that copy and the factor are never alive
-    together, and the operator's negative-eigenvalue guard reads the values
-    before anything is factored.  The ``N x N`` :attr:`EigenSystem.vectors`,
-    ``eigh``'s, are built and checked on first read only.
+    finite and symmetric to 1e-10 (the largest ``|A - A^T|``), both checked
+    over blocks of :data:`SOLVE_BLOCK` rows.  The result holds
+    ``eigvalsh``'s values in reverse and the matrix itself, neither copied
+    nor modified.  ``eigvalsh`` frees its copy of the matrix when it
+    returns, so that copy and the cached Cholesky factor of the shifted
+    matrix (:meth:`EigenSystem.factor`) are never alive together, and the
+    operator's negative-eigenvalue guard reads the values before anything
+    is factored.  The ``N x N`` :attr:`EigenSystem.vectors`, ``eigh``'s, are
+    built and checked on first read only.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -163,40 +164,69 @@ def make_corruption(
 
 @dataclass(frozen=True)
 class LabelAssignment:
-    """Paired true/given labels for ``Kn`` samples in canonical class order."""
+    """The labels of ``K n`` samples in canonical class order, as counts.
 
-    true_labels: np.ndarray
-    given_labels: np.ndarray
+    ``counts[k-1, k'-1]`` samples of true class ``k`` carry given label
+    ``k'``; every row and column sums to ``n``.  A run on an unperturbed
+    model reads only these.  The per-sample :attr:`true_labels` and
+    :attr:`given_labels` are built on first read: class ``k``'s given labels
+    are its counts' labels in label order, shuffled by ``default_rng(seed)``
+    (one shuffle per class, in class order).  :meth:`from_labels` keeps the
+    per-sample labels it is given.
+    """
+
+    counts: np.ndarray
+    seed: int = 0
 
     def __post_init__(self):
-        t = np.array(self.true_labels, dtype=int)
-        g = np.array(self.given_labels, dtype=int)
-        if t.shape != g.shape or t.ndim != 1:
-            raise ValidationError("true and given labels must be equal-length vectors")
-        K = int(t.max(initial=0))
-        counts_t = np.bincount(t, minlength=K + 1)[1:]
-        counts_g = np.bincount(g, minlength=K + 1)[1:]
-        if not np.all(counts_t == counts_t[0]) or not np.all(counts_g == counts_t[0]):
+        counts = np.array(self.counts, dtype=int)
+        if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or np.any(counts < 0):
+            raise ValidationError("label counts must be a square matrix of nonnegative integers")
+        sums = np.concatenate([counts.sum(axis=0), counts.sum(axis=1)])
+        if not sums.size or np.any(sums != sums[0]):
             raise ValidationError("labels must be balanced in both true and given classes")
-        if np.any(np.diff(t) < 0):
-            raise ValidationError("samples must be sorted by true label")
-        t.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "true_labels", t)
-        object.__setattr__(self, "given_labels", g)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def K(self) -> int:
-        return int(self.true_labels.max())
+        return self.counts.shape[0]
 
     @property
     def n(self) -> int:
-        return self.true_labels.size // self.K
+        return int(self.counts[0].sum())
+
+    @cached_property
+    def true_labels(self) -> np.ndarray:
+        return _read_only(np.repeat(np.arange(1, self.K + 1), self.n))
+
+    @cached_property
+    def given_labels(self) -> np.ndarray:
+        K, n = self.K, self.n
+        rng = np.random.default_rng(self.seed)
+        given = np.empty(K * n, dtype=int)
+        for k in range(K):
+            block = np.repeat(np.arange(1, K + 1), self.counts[k])
+            rng.shuffle(block)
+            given[k * n : (k + 1) * n] = block
+        return _read_only(given)
+
+    @classmethod
+    def from_labels(cls, true_labels, given_labels) -> "LabelAssignment":
+        """The assignment of per-sample labels, sorted by true label."""
+        t, g = (_read_only(np.array(x, dtype=int)) for x in (true_labels, given_labels))
+        K = int(t.max(initial=0))
+        if (t.shape != g.shape or t.ndim != 1 or np.any(np.diff(t) < 0)
+                or min(t.min(initial=1), g.min(initial=1)) < 1 or g.max(initial=1) > K):
+            raise ValidationError("true and given labels must be equal-length vectors "
+                                  "in 1..K, sorted by true label")
+        assignment = cls(np.bincount((t - 1) * K + g - 1, minlength=K * K).reshape(K, K))
+        # sorted and balanced, so the true labels are the canonical ones
+        object.__setattr__(assignment, "given_labels", g)
+        return assignment
 
     def empirical_corruption(self) -> CorruptionMatrix:
-        m = np.zeros((self.K, self.K))
-        np.add.at(m, (self.true_labels - 1, self.given_labels - 1), 1.0)
-        return CorruptionMatrix(m / self.n)
+        return CorruptionMatrix(self.counts / self.n)
 
     def to_csv(self, path) -> None:
         write_csv(path, ("index", "true_label", "given_label"),
@@ -205,8 +235,13 @@ class LabelAssignment:
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":
+        """The labels of a :meth:`to_csv` file; its index must read ``0..N-1``."""
         table = read_csv(path, int, header=True)
-        return cls(table[:, 1], table[:, 2])
+        wrong = np.flatnonzero(table[:, 0] != np.arange(len(table)))
+        if wrong.size:
+            raise ValidationError(f"{path}:{wrong[0] + 2}: index {table[wrong[0], 0]} where "
+                                  f"{wrong[0]} belongs; list the samples 0..N-1 in order")
+        return cls.from_labels(table[:, 1], table[:, 2])
 
 
 def _minimal_feasible_n(entries: np.ndarray) -> int:
@@ -255,13 +290,13 @@ def nearest_realizable(C: CorruptionMatrix, n: int) -> CorruptionMatrix:
 
 
 def realize_labels(C: CorruptionMatrix, n: int, seed: int = 0) -> LabelAssignment:
-    """Materialize ``n`` samples per class whose empirical corruption is ``C``.
+    """The labels of ``n`` samples per class whose empirical corruption is ``C``.
 
     Every off-diagonal cell count ``n * C[k, k']`` must be an integer
     (the diagonal then is too); otherwise the offending entry and the
-    smallest workable ``n`` are reported.  Which sample slots of class
-    ``k`` receive each given label is a per-class shuffle drawn from
-    ``seed``.
+    smallest workable ``n`` are reported.  Returns the counts and ``seed``
+    and draws nothing: the per-class shuffle that places the given labels
+    is drawn from ``seed`` only when they are first read.
     """
     if n < 1:
         raise ValidationError("n must be positive")
@@ -278,14 +313,7 @@ def realize_labels(C: CorruptionMatrix, n: int, seed: int = 0) -> LabelAssignmen
             f"cell ({k + 1},{kp + 1}) needs {C.entries[k, kp] * n:.6g} samples, "
             f"which is not an integer; smallest feasible n is {_minimal_feasible_n(C.entries)}"
         )
-    rng = np.random.default_rng(seed)
-    true_labels = np.repeat(np.arange(1, K + 1), n)
-    given_labels = np.empty(K * n, dtype=int)
-    for k in range(K):
-        block = np.repeat(np.arange(1, K + 1), counts[k])
-        rng.shuffle(block)
-        given_labels[k * n : (k + 1) * n] = block
-    return LabelAssignment(true_labels, given_labels)
+    return LabelAssignment(counts, seed)
 
 
 def eigen_ratio(values, lam: float, K: int, n: int):

@@ -20,33 +20,25 @@ residual of the fixed-point equation itself, evaluated at
 
 On an unperturbed Gram ``Phi`` is invariant under permutations within a
 (true class, given label) cell, so its minimiser is constant on each cell
-and the same solver runs on the ``m <= K^2`` realised cells
+and the solver runs on the ``m <= K^2`` realised cells
 (:class:`~distillab.gram_models.CellGram`), every sum over samples weighted
 by the cell counts, at a cost independent of ``n``.  On a perturbed model
 each sample is its own cell, of weight 1, on the dense Gram.
-
-Multi-round runs chain the rounds in :func:`oracle_trajectory`, each round
-solved from the previous round's oracle outputs; a round that does not
-converge stops the chain with a :class:`NumericalError`.  A temperature
-``tau`` on a round's logits rescales the regularization: the fixed point
-with ``softmax(., tau)`` is the one at ``lam * tau``, so the solver takes no
-temperature.
+:func:`oracle_trajectory` chains the rounds; a round that does not converge
+stops the chain with a :class:`NumericalError`.  A temperature ``tau`` on
+the logits gives the fixed point at ``lam * tau``, so the solver takes none.
 
 :func:`run_rounds` is the one pipeline of the ``trajectory``, ``phase`` and
-``approx-error`` commands: it realises the labels once and runs, on them,
-the closed-form rounds, the top-2 student and the chained oracle rounds
-that its modes ask for.  When it runs both the oracle and a closed-form
-stage, the oracle chain runs on one helper thread while the calling thread
-computes the eigensystem, the closed-form rounds and the student; the two
-share only the labels and the read-only Gram, so no output depends on the
-overlap.  :func:`measure_approx_error` compares its oracle rounds with
-the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1`` on the
-same Gram: :func:`~distillab.distillation._class_round` on the cells of an
-unperturbed model, the run's own closed-form rounds on a perturbed one.
+``approx-error`` commands: on the cells of one set of realised labels it
+runs the closed-form rounds, the top-2 student and the chained oracle
+rounds that its modes ask for.  :func:`measure_approx_error` compares the
+oracle rounds with the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n
+lam I)^-1`` on the same cells.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -56,8 +48,8 @@ import numpy as np
 from .distillation import (OutputMatrix, PartialLabelMatrix, _class_round, pll_refine,
                            pll_student, trajectory)
 from .errors import NumericalError, ValidationError
-from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem, build_gram,
-                          cell_gram, numeric_eigensystem)
+from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem, cell_gram,
+                          numeric_eigensystem)
 from .noise_theory import (CorruptionMatrix, LabelAssignment, _check_lam,
                            nearest_realizable, realize_labels)
 
@@ -163,13 +155,6 @@ def fixed_point_residual(
     return _residual(Y, Y_prev, gram, K * n * lam)[0]
 
 
-def _layout(gram: np.ndarray | CellGram) -> tuple[np.ndarray, np.ndarray | float]:
-    """The matrix a round multiplies by and its column weights (all 1 when dense)."""
-    if isinstance(gram, CellGram):
-        return gram.matrix, gram.weights
-    return np.asarray(gram, dtype=float), 1.0
-
-
 def _dual_objective(A: np.ndarray, Z: np.ndarray, Y_prev: np.ndarray,
                     weights: np.ndarray | float = 1.0) -> float:
     """``Phi(A)`` from its logits ``Z = A G / c``, each column counted
@@ -216,19 +201,13 @@ def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, matrix: np.n
     return d, dG
 
 
-def solve_round(
-    Y_prev: OutputMatrix,
-    gram: np.ndarray | CellGram,
-    lam: float,
-    K: int,
-    n: int,
-    config: Optional[SolverConfig] = None,
-) -> OracleResult:
+def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int,
+                config: Optional[SolverConfig] = None) -> OracleResult:
     """Solve one distillation round's softmax fixed point exactly.
 
-    ``gram`` is a dense Gram (one column of ``Y_prev`` per sample) or a
-    :class:`CellGram` (one per cell, each weighted by its count in ``Phi``
-    and every inner product); the outputs keep that layout.
+    ``gram`` is a :class:`CellGram`: one column of ``Y_prev`` per cell,
+    each weighted by its count in ``Phi`` and every inner product (a dense
+    Gram is a cell per sample, of weight 1); the outputs keep that layout.
 
     Starts from dual coefficients ``A = Y_prev - Y0``, with ``Y0`` the
     seed-deterministic normalized uniform random columns, and takes damped
@@ -237,15 +216,14 @@ def solve_round(
     max-norm gradient residual ``A - (Y_prev - softmax(Z))`` with ``Phi``
     risen by no more than rounding; the second test carries the last steps,
     where differences of ``Phi`` fall below rounding.  Stops when the
-    max-norm fixed-point residual at
-    ``Y = softmax(Z)`` drops below the tolerance or after
-    ``max_iterations`` Newton steps (returning the best iterate found,
-    flagged unconverged).  A non-finite residual reports the iteration at
-    which it appeared; a Gram matrix that is not positive definite raises
-    :class:`NumericalError`.
+    max-norm fixed-point residual at ``Y = softmax(Z)`` drops below the
+    tolerance or after ``max_iterations`` Newton steps (returning the best
+    iterate found, flagged unconverged).  A non-finite residual reports the
+    iteration at which it appeared; a Gram matrix that is not positive
+    definite raises :class:`NumericalError`.
     """
     config = config or SolverConfig()
-    matrix, weights = _layout(gram)
+    matrix, weights = gram.matrix, gram.weights
     if matrix.shape != (Y_prev.num_samples, Y_prev.num_samples):
         raise ValidationError("Gram matrix size does not match the previous outputs")
     if lam <= 0.0:
@@ -293,15 +271,8 @@ def solve_round(
     )
 
 
-def oracle_trajectory(
-    Y0: OutputMatrix,
-    gram: np.ndarray | CellGram,
-    lam: float,
-    K: int,
-    n: int,
-    t_max: int,
-    config: Optional[SolverConfig] = None,
-) -> list[OracleResult]:
+def oracle_trajectory(Y0: OutputMatrix, gram: CellGram, lam: float, K: int, n: int, t_max: int,
+                      config: Optional[SolverConfig] = None) -> list[OracleResult]:
     """Oracle results for rounds ``1..t_max``, each solved from the previous
     round's oracle outputs (round 1 from ``Y0``).  A round that fails to
     converge raises :class:`NumericalError` naming the round, its residual
@@ -323,21 +294,21 @@ def oracle_trajectory(
 class Rounds(NamedTuple):
     """What :func:`run_rounds` computed on one set of realised labels (a stage
     its modes skip is ``None``): the closed-form rounds ``0..t_max`` on
-    ``eig``, the top-2 targets and student, and the oracle rounds on the
-    cells of ``gram``, from their one-hot given labels."""
+    ``eig``, the top-2 targets and student, and the oracle rounds, each from
+    the one-hot given labels of the cells of ``gram`` and with one column
+    per cell; :meth:`gather` spreads them to the samples."""
 
     assignment: LabelAssignment
     eig: Optional[EigenSystem]
     closed: Optional[list[OutputMatrix]]
     refined: Optional[PartialLabelMatrix]
     student: Optional[OutputMatrix]
-    gram: Optional[CellGram]
+    gram: CellGram
     oracle: Optional[list[OracleResult]]
 
-    def oracle_outputs(self) -> list[OutputMatrix]:
-        """The oracle rounds' outputs, one column per sample."""
-        return [OutputMatrix(r.outputs.columns[:, self.gram.sample_cell], r.outputs.round)
-                for r in self.oracle]
+    def gather(self, outputs):
+        """``outputs`` of the cells, as the same matrix with one column per sample."""
+        return dataclasses.replace(outputs, columns=outputs.columns[:, self.gram.sample_cell])
 
 
 def _beside(side, main):
@@ -366,31 +337,30 @@ def _beside(side, main):
 
 def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
                modes: Sequence[str], solver: SolverConfig, snap: bool = False) -> Rounds:
-    """Realise ``C``'s labels and run the rounds ``modes`` ask for.
+    """Realise ``C``'s label counts and run the rounds ``modes`` ask for.
 
-    ``closed_form`` runs the closed-form rounds ``1..t_max``, ``pll`` the
-    top-2 student (and the closed-form rounds it refines) and ``oracle`` the
-    chained oracle rounds ``1..t_max`` under ``solver`` on the
-    :func:`~distillab.gram_models.cell_gram` of the labels (one cell per
-    sample on a perturbed model); other modes are ignored.  The closed-form
-    stages read the analytic eigensystem of an unperturbed model, and on a
-    perturbed model the dense one of its Gram: its eigenvalues only, and
-    one Cholesky factor of the shifted Gram that the rounds and the student
-    share, so no ``N x N`` eigenvectors are built and each dense stage
-    holds the Gram plus at most one ``N x N`` working array.  The returned :class:`Rounds` holds that Gram and factor
-    (through ``eig`` and ``gram``) as long as it lives: ``trajectory`` drops
-    both from it before it writes, so its output phase holds no ``N x N``
-    array.  ``lam`` is checked before anything runs.  Labels are drawn
-    from ``solver.seed``; a ``C`` off the ``n``-sample grid raises, or with
-    ``snap`` runs on :func:`nearest_realizable` instead.
+    Every stage runs on the :func:`~distillab.gram_models.cell_gram` of the
+    labels: the realised cells of an unperturbed model, weighted by their
+    counts, so no stage builds a per-sample array, and a cell per sample on
+    the dense Gram of a perturbed one.  ``closed_form`` runs the closed-form
+    rounds ``1..t_max``, ``pll`` the top-2 student (and the rounds it
+    refines) and ``oracle`` the chained oracle rounds under ``solver``;
+    other modes are ignored.  The closed-form stages read the analytic
+    eigensystem of an unperturbed model, and the dense one of a perturbed
+    model's Gram: its eigenvalues and one Cholesky factor of the shifted
+    Gram, shared by the rounds and the student, so each dense stage holds
+    the Gram plus at most one ``N x N`` working array; the returned
+    :class:`Rounds` holds both as long as it lives.  ``lam`` is checked
+    first.  ``solver.seed`` places the labels; a ``C`` off the ``n``-sample
+    grid raises, or with ``snap`` runs on :func:`nearest_realizable`.
 
     With both the oracle and a closed-form stage, the oracle rounds run on
-    one helper thread while this thread computes the eigensystem, the
-    closed-form rounds and the student; a run with one stage starts no
-    thread.  The oracle draws from its own seeded generator and only reads
-    the Gram, which is made read-only, so every output is the same as when
-    the stages run one after the other.  The thread is joined before this
-    returns or raises, and a closed-form error wins over an oracle error.
+    one helper thread beside the eigensystem, the closed-form rounds and
+    the student; a run with one stage starts no thread.  The oracle draws
+    from its own seeded generator and only reads the read-only Gram, so
+    every output is the same as when the stages run one after the other.
+    The thread is joined before this returns or raises, and a closed-form
+    error wins over an oracle error.
     """
     _check_lam(model, lam)
     K, n = model.K, model.n
@@ -400,7 +370,8 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         if not snap:
             raise
         assignment = realize_labels(nearest_realizable(C, n), n, seed=solver.seed)
-    gram = cell_gram(model, assignment) if "oracle" in modes else None
+    gram = cell_gram(model, assignment)
+    Y0 = OutputMatrix.from_labels(gram.cells[:, 1], K)
     wants_closed = "closed_form" in modes or "pll" in modes
 
     def closed_stage():
@@ -409,17 +380,14 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         if not model.perturbation_amplitude:
             eig = analytic_eigensystem(model)
         else:
-            # the oracle's Gram when it runs, so that it is built only once
-            eig = numeric_eigensystem(build_gram(model) if gram is None else gram.matrix)
-        closed = trajectory(OutputMatrix.from_labels(assignment.given_labels, K), eig,
-                            lam, K, n, t_max)
+            eig = numeric_eigensystem(gram.matrix)
+        closed = trajectory(Y0, eig, lam, K, n, t_max, gram)
         if "pll" not in modes:
             return eig, closed, None, None
         refined = pll_refine(closed[1])
-        return eig, closed, refined, pll_student(refined, eig, lam, K, n)
+        return eig, closed, refined, pll_student(refined, eig, lam, K, n, gram)
 
     def oracle_stage():
-        Y0 = OutputMatrix.from_labels(gram.cells[:, 1], K)
         return oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
 
     if "oracle" in modes and wants_closed:
@@ -439,14 +407,12 @@ def measure_approx_error(
 ) -> float:
     """Max-norm gap between the exact oracle and the linearized rounds.
 
-    Runs the oracle rounds ``1..t`` of :func:`run_rounds`, snapping ``C`` to
-    the nearest realizable matrix when its rates are not integral on the
-    ``n``-grid, and compares each with the linearized round of the same
-    one-hot targets on the same Gram: on an unperturbed model the class
-    round of the cells, with no ``N x N`` array, and on a perturbed one the
-    run's own closed-form rounds, beside the oracle, whose dense
-    eigensystem rejects an indefinite Gram.  Raises when the oracle fails
-    to converge at some round.
+    Runs the oracle rounds ``1..t`` of :func:`run_rounds` on ``C``, snapped
+    to the ``n``-grid when off it, and compares each with the linearized
+    round of the same cells: the class round on an unperturbed model, which
+    starts no thread, and on a perturbed one the run's own closed-form
+    rounds, whose dense eigensystem rejects an indefinite Gram.  Raises when
+    the oracle fails to converge at some round.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")

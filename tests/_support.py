@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from distillab import GramCase, GramModel, SuperclassMap
-from distillab.distillation import OutputMatrix, cell_outputs, pll_refine
-from distillab.gram_models import SOLVE_BLOCK
+from distillab import GramCase, GramModel, SuperclassMap, analytic_eigensystem
+from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
+                                    trajectory)
+from distillab.gram_models import SOLVE_BLOCK, CellGram
 from distillab.noise_theory import (TIE_TOL, CorruptionMatrix, nearest_realizable,
                                     theory_constants)
 
@@ -43,6 +44,41 @@ CASE_NOISE = {
     "IV": ("superclass", 1.0 / 3.0),
     "V": ("superclass", 0.4),
 }
+
+
+def sample_cells(gram):
+    """``gram`` as the oracle's layout of one cell per sample, each of
+    weight 1, in sample order.  The solver reads no cell's labels, so every
+    pair is (1, 1)."""
+    gram = np.asarray(gram, dtype=float)
+    size = gram.shape[0]
+    return CellGram(np.ones((size, 2), dtype=int), np.ones(size), gram, None)
+
+
+def eager_labels(counts, seed):
+    """The per-sample true and given labels of a ``K x K`` count matrix,
+    drawn at once as runs drew them before labels were kept as counts:
+    ``default_rng(seed)``, then one shuffle of each class's given labels,
+    in class order."""
+    K, n = counts.shape[0], int(counts[0].sum())
+    rng = np.random.default_rng(seed)
+    given = np.empty(K * n, dtype=int)
+    for k in range(K):
+        block = np.repeat(np.arange(1, K + 1), counts[k])
+        rng.shuffle(block)
+        given[k * n:(k + 1) * n] = block
+    return np.repeat(np.arange(1, K + 1), n), given
+
+
+def per_sample_rounds(model, given, lam, t_max):
+    """The closed-form rounds ``0..t_max``, the top-2 targets and the top-2
+    student of an unperturbed ``model`` with one column per sample, as runs
+    computed them before they ran on the cells."""
+    K, n = model.K, model.n
+    eig = analytic_eigensystem(model)
+    closed = trajectory(OutputMatrix.from_labels(given, K), eig, lam, K, n, t_max)
+    refined = pll_refine(closed[1])
+    return closed, refined, pll_student(refined, eig, lam, K, n)
 
 
 def full_draw_gram(model):

@@ -18,6 +18,7 @@ from _support import (
     cell_accuracy,
     cell_pll_outputs,
     random_doubly_stochastic,
+    sample_cells,
     setup_a_constants,
     setup_a_model,
 )
@@ -210,7 +211,7 @@ def test_criterion_06_oracle_fidelity():
     la = realize_labels(nearest_realizable(C, model.n), model.n, seed=0)
     Y_prev = OutputMatrix.from_labels(la.given_labels, 4)
     config = SolverConfig(tolerance=1e-10, max_iterations=50_000)
-    result = solve_round(Y_prev, gram, SETUP_A_LAMBDA, 4, 100, config)
+    result = solve_round(Y_prev, sample_cells(gram), SETUP_A_LAMBDA, 4, 100, config)
     assert result.converged
     assert result.final_loss < 1e-10
     assert result.iterations_used <= 50_000
@@ -237,10 +238,11 @@ def test_criterion_07_temperature_rescales_regularization():
     C = make_corruption("symmetric", 0.3, K)
     la = realize_labels(C, n, seed=0)
     Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-    plain = solve_round(Y_prev, gram, lam, K, n, SolverConfig()).outputs.columns
+    plain = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig()).outputs.columns
     worst, moved = 0.0, np.inf
     for tau in (0.5, 2.0):
-        Y = solve_round(Y_prev, gram, lam * tau, K, n, SolverConfig()).outputs.columns
+        Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
+                        SolverConfig()).outputs.columns
         logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
         worst = max(worst, float(np.abs(Y - softmax(logits, tau)).max()))
         moved = min(moved, float(np.abs(Y - plain).max()))

@@ -944,6 +944,22 @@ class TestStartup:
         assert out.stdout.strip() == "[]"
 
 
+    def test_unperturbed_phase_draws_no_labels(self, tmp_path):
+        # the run reads the label counts only: no per-sample shuffle, so
+        # numpy.random is never imported
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
+                           sweep_parameter="eta", sweep_values=[0.0, 0.25, 0.5])
+        code = ("import sys\nfrom distillab import cli\n"
+                f"assert cli.main(['phase', '--config', {str(cfg)!r}]) == 0\n"
+                "print('numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.split()[-1] == "False"
+        rows = read_csv_rows(tmp_path / "out" / "phase.csv")[1]
+        assert len(rows) == 15 and all(row[3] for row in rows)
+
+
 class TestDeterminism:
     # unperturbed case III; and perturbed case IV, whose oracle rounds run on
     # the helper thread beside the dense eigensystem and its factor

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -232,10 +233,15 @@ class TestStructuredAllocations:
         (rounds, spectra), peak = _traced(run)
         assert peak < 32e6
         tc = theory_constants(model, lam)
-        cell = (rounds.assignment.true_labels - 1, rounds.assignment.given_labels - 1)
+        # the rounds hold one column per realised cell, and gather to the samples
+        cell = tuple(rounds.gram.cells.T - 1)
+        sample = (rounds.assignment.true_labels - 1, rounds.assignment.given_labels - 1)
         for t in range(t_max + 1):
-            expected = cell_outputs(one_hot_cells(K), C, tc, t)[:, cell[0], cell[1]]
-            np.testing.assert_allclose(rounds.closed[t].columns, expected, rtol=0, atol=1e-12)
+            expected = cell_outputs(one_hot_cells(K), C, tc, t)
+            np.testing.assert_allclose(rounds.closed[t].columns, expected[:, cell[0], cell[1]],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rounds.gather(rounds.closed[t]).columns,
+                                       expected[:, sample[0], sample[1]], rtol=0, atol=1e-12)
             # superclass value, K - 1 class contrasts, then the bulk
             powers = np.concatenate([tc.r, np.repeat(tc.q[0], K - 1),
                                      np.repeat(tc.p[0], model.size - K)]) ** t
@@ -905,6 +911,16 @@ class TestOutputMatrixIO:
             for i in range(m.num_samples) for k in range(m.K)
         ]
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("0,0,1,1\n0,0,2,0\n0,1,1,0\n0,1,2,1\n0,1,2,1\n", "(sample 1, class 2) has 2 rows"),
+        ("0,0,1,1\n0,0,2,0\n0,1,2,1\n", "(sample 1, class 1) has 0 rows"),
+    ])
+    def test_from_csv_names_a_repeated_or_missing_pair(self, tmp_path, rows, problem):
+        path = tmp_path / "outputs.csv"
+        path.write_text("round,sample_index,class_index,value\n" + rows)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {problem}")):
+            OutputMatrix.from_csv(path)
 
     def test_round0_must_be_one_hot(self):
         with pytest.raises(ValidationError):

@@ -417,6 +417,11 @@ class TestEigensystemLayout:
             EigenSystem(values=np.ones(6))
         with pytest.raises(ValidationError, match="exactly one layout"):
             EigenSystem(values=np.ones(6), model=model, gram=gram)
+        # a dense system is given its values, a class-structured one builds them
+        for bad in (dict(gram=gram), dict(values=np.ones(6), model=model)):
+            with pytest.raises(ValidationError, match="exactly one layout"):
+                EigenSystem(**bad)
+        assert "values" not in analytic_eigensystem(model).__dict__
         assert not analytic_eigensystem(model).vectors.flags.writeable
         assert not numeric_eigensystem(gram).vectors.flags.writeable
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,33 @@ class TestRealizeLabels:
         loaded = LabelAssignment.from_csv(path)
         np.testing.assert_array_equal(loaded.true_labels, la.true_labels)
         np.testing.assert_array_equal(loaded.given_labels, la.given_labels)
+        np.testing.assert_array_equal(loaded.counts, la.counts)
+
+    def test_csv_index_must_count_the_samples_in_order(self, tmp_path):
+        from distillab.noise_theory import LabelAssignment
+
+        path = tmp_path / "labels.csv"
+        path.write_text("index,true_label,given_label\n1,1,2\n0,1,1\n2,2,1\n3,2,2\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: index 1 where 0")):
+            LabelAssignment.from_csv(path)
+        path.write_text("index,true_label,given_label\n0,1,2\n1,1,1\n2,2,1\n4,2,2\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:5: index 4 where 3")):
+            LabelAssignment.from_csv(path)
+
+    def test_counts_are_the_labels_and_build_them_on_first_read(self):
+        from distillab.noise_theory import LabelAssignment
+
+        la = realize_labels(make_corruption("symmetric", 0.5, 4), n=6, seed=3)
+        assert la.counts.tolist() == [[3, 1, 1, 1], [1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3]]
+        assert "given_labels" not in la.__dict__ and la.seed == 3
+        again = LabelAssignment.from_labels(la.true_labels, la.given_labels)
+        assert np.array_equal(again.counts, la.counts)
+        assert np.array_equal(again.given_labels, la.given_labels)
+        assert not again.given_labels.flags.writeable
+        with pytest.raises(ValidationError, match="balanced"):
+            LabelAssignment(np.array([[2, 0], [1, 1]]))
+        with pytest.raises(ValidationError, match="sorted by true label"):
+            LabelAssignment.from_labels([2, 1], [1, 2])
 
 
 class TestNearestRealizable:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import (CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, one_hot_cells,
-                      random_doubly_stochastic, setup_a_model)
+from _support import (CASE_MODELS, CASE_NOISE, SETUP_A_LAMBDA, eager_labels, one_hot_cells,
+                      per_sample_rounds, random_doubly_stochastic, sample_cells, setup_a_model)
 from distillab import (
     GramCase,
     GramModel,
@@ -20,8 +20,8 @@ from distillab import (
     build_gram,
     numeric_eigensystem,
 )
-from distillab.distillation import (OutputMatrix, _class_round, cell_outputs, pll_refine,
-                                    pll_student, trajectory)
+from distillab.distillation import (OutputMatrix, _class_round, argmax_accuracy, cell_outputs,
+                                    pll_refine, pll_student, trajectory)
 from distillab import gram_models, oracle
 from distillab.gram_models import cell_gram
 from distillab.noise_theory import (
@@ -81,7 +81,7 @@ def small_round(K=2, n=1, lam=0.25, labels=(1, 2), gram=None, **cfg):
     gram = np.eye(K * n) if gram is None else gram
     Y_prev = OutputMatrix.from_labels(np.array(labels), K)
     config = SolverConfig(**cfg) if cfg else SolverConfig()
-    return solve_round(Y_prev, gram, lam, K, n, config), Y_prev, gram
+    return solve_round(Y_prev, sample_cells(gram), lam, K, n, config), Y_prev, gram
 
 
 class TestSolveRound:
@@ -89,7 +89,7 @@ class TestSolveRound:
         K, n = 3, 2
         Y_prev_cols = np.full((K, K * n), 1.0 / K)
         Y_prev = OutputMatrix(Y_prev_cols, round=1)
-        res = solve_round(Y_prev, np.eye(K * n), 0.1, K, n, SolverConfig())
+        res = solve_round(Y_prev, sample_cells(np.eye(K * n)), 0.1, K, n, SolverConfig())
         assert res.converged
         np.testing.assert_allclose(res.outputs.columns, 1.0 / K, atol=1e-9)
         assert res.outputs.round == 2
@@ -131,9 +131,10 @@ class TestSolveRound:
         C = make_corruption("symmetric", 0.5, K)
         la = realize_labels(C, n=n, seed=0)
         Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-        plain = solve_round(Y_prev, gram, lam, K, n, SolverConfig()).outputs.columns
+        plain = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig()).outputs.columns
         for tau in (0.5, 2.0):
-            Y = solve_round(Y_prev, gram, lam * tau, K, n, SolverConfig()).outputs.columns
+            Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
+                            SolverConfig()).outputs.columns
             logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
             assert np.abs(Y - softmax(logits, tau)).max() <= 1e-9
             assert np.abs(Y - plain).max() > 1e-3
@@ -143,7 +144,7 @@ class TestSolveRound:
         gram[0, 0] = np.nan
         Y_prev = OutputMatrix.from_labels(np.array([1, 2]), 2)
         with pytest.raises(NumericalError):
-            solve_round(Y_prev, gram, 0.25, 2, 1, SolverConfig(max_iterations=5))
+            solve_round(Y_prev, sample_cells(gram), 0.25, 2, 1, SolverConfig(max_iterations=5))
 
     def test_unconverged_result_flagged(self):
         res, *_ = small_round(K=4, n=2, lam=1e-4,
@@ -187,7 +188,8 @@ class TestNewtonSolver:
         labels = np.random.default_rng(7).integers(1, K + 1, size=model.size)
         Y_prev = OutputMatrix.from_labels(labels, K)
         results = [
-            solve_round(Y_prev, gram, lam, K, n, SolverConfig(tolerance=tol, seed=seed))
+            solve_round(Y_prev, sample_cells(gram), lam, K, n,
+                        SolverConfig(tolerance=tol, seed=seed))
             for seed in (1, 2, 3)
         ]
         for res in results:
@@ -204,7 +206,7 @@ class TestNewtonSolver:
         C = make_corruption("symmetric", 0.5, model.K)
         la = realize_labels(nearest_realizable(C, model.n), model.n, seed=0)
         Y_prev = OutputMatrix.from_labels(la.given_labels, model.K)
-        res = solve_round(Y_prev, build_gram(model), SETUP_A_LAMBDA, model.K, model.n,
+        res = solve_round(Y_prev, sample_cells(build_gram(model)), SETUP_A_LAMBDA, model.K, model.n,
                           SolverConfig(tolerance=1e-10))
         assert res.converged
         assert res.iterations_used <= 30
@@ -217,7 +219,7 @@ class TestNewtonSolver:
         C = make_corruption("superclass", 0.3, K, superclass_map=model.effective_map())
         la = realize_labels(C, n, seed=0)
         Y0 = OutputMatrix.from_labels(la.given_labels, K)
-        rounds = oracle_trajectory(Y0, build_gram(model), lam, K, n, 3,
+        rounds = oracle_trajectory(Y0, sample_cells(build_gram(model)), lam, K, n, 3,
                                    SolverConfig(tolerance=1e-9))
         assert len(rounds) == 3
         assert max(r.iterations_used for r in rounds) <= 30, [r.iterations_used for r in rounds]
@@ -227,7 +229,7 @@ class TestNewtonSolver:
         # and the iterates cycled between two points with residual 0.99
         K, lam = 3, 2.0**-8
         Y0 = OutputMatrix.from_labels(np.arange(1, K + 1), K)
-        rounds = oracle_trajectory(Y0, np.eye(K), lam, K, 1, 2,
+        rounds = oracle_trajectory(Y0, sample_cells(np.eye(K)), lam, K, 1, 2,
                                    SolverConfig(tolerance=1e-12, max_iterations=100))
         assert [r.converged for r in rounds] == [True, True]
 
@@ -235,7 +237,7 @@ class TestNewtonSolver:
         K, n = 3, 2
         Y_prev = OutputMatrix.from_labels(np.array([1, 2, 3, 1, 2, 3]), K)
         with pytest.raises(NumericalError, match="positive definite"):
-            solve_round(Y_prev, -np.eye(K * n), 0.1, K, n, SolverConfig())
+            solve_round(Y_prev, sample_cells(-np.eye(K * n)), 0.1, K, n, SolverConfig())
 
 
 class TestMeasureApproxError:
@@ -300,7 +302,7 @@ class TestMeasureApproxError:
         traj = trajectory(Y0, analytic_eigensystem(model), lam, K, n, 3)
         cur, worst = Y0, 0.0
         for t in range(1, 4):
-            cur = solve_round(cur, gram, lam, K, n, config).outputs
+            cur = solve_round(cur, sample_cells(gram), lam, K, n, config).outputs
             worst = max(worst, float(np.abs(cur.columns - traj[t].columns).max()))
         assert gap == pytest.approx(worst, abs=1e-9)
 
@@ -315,7 +317,7 @@ class TestMeasureApproxError:
         gram = build_gram(model)
         Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=config.seed).given_labels, K)
         traj = trajectory(Y0, numeric_eigensystem(gram), lam, K, n, 3)
-        rounds = oracle_trajectory(Y0, gram, lam, K, n, 3, config)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, 3, config)
         worst = max(float(np.abs(r.outputs.columns - traj[t].columns).max())
                     for t, r in enumerate(rounds, start=1))
         assert gap == pytest.approx(worst, abs=1e-12)
@@ -332,7 +334,7 @@ class TestMeasureApproxError:
         shift = K * K * n * lam
         linear = gram_models._shifted_rounds(gram, gram_models._shifted_factor(gram, shift),
                                              shift, Y0.columns - 1.0 / K, t)
-        rounds = oracle_trajectory(Y0, gram, lam, K, n, t, config)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, t, config)
         want = max(float(np.abs(r.outputs.columns - (rows + 1.0 / K)).max())
                    for r, rows in zip(rounds, linear))
         assert measure_approx_error(model, C, lam, t, config) == want
@@ -345,7 +347,6 @@ class TestMeasureApproxError:
             return build_gram(model)
 
         monkeypatch.setattr(gram_models, "build_gram", counting_build_gram)
-        monkeypatch.setattr(oracle, "build_gram", counting_build_gram)
         K, n = 3, 8
         model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1,
                           perturbation_amplitude=0.01, seed=5)
@@ -363,7 +364,7 @@ def partly_shuffled_assignment(K, n, moved, seed):
     given = true.copy()
     picked = rng.choice(K * n, size=min(moved, K * n), replace=False)
     given[picked] = rng.permutation(given[picked])
-    return LabelAssignment(true, given)
+    return LabelAssignment.from_labels(true, given)
 
 
 class TestCellGram:
@@ -396,7 +397,7 @@ class TestCellGram:
         la = partly_shuffled_assignment(K, n, seed % (model.size + 1), seed)
         gram, cells = build_gram(model), cell_gram(model, la)
         config = SolverConfig(tolerance=tol, seed=seed)
-        dense = oracle_trajectory(OutputMatrix.from_labels(la.given_labels, K), gram,
+        dense = oracle_trajectory(OutputMatrix.from_labels(la.given_labels, K), sample_cells(gram),
                                   lam, K, n, t_max, config)
         by_cell = oracle_trajectory(OutputMatrix.from_labels(cells.cells[:, 1], K), cells,
                                     lam, K, n, t_max, config)
@@ -460,7 +461,7 @@ class TestCellGram:
         Y_prev = OutputMatrix.from_labels(cells.cells[:, 1], K)
         config = SolverConfig(seed=5)
         by_cell = solve_round(Y_prev, cells, lam, K, n, config)
-        bare = solve_round(Y_prev, build_gram(model), lam, K, n, config)
+        bare = solve_round(Y_prev, sample_cells(build_gram(model)), lam, K, n, config)
         assert by_cell.converged
         assert np.array_equal(by_cell.outputs.columns, bare.outputs.columns)
         assert by_cell.convergence_report() == bare.convergence_report()
@@ -484,6 +485,28 @@ ALL_STAGES = ("closed_form", "pll", "oracle")
 
 
 class TestRunRounds:
+    @given(st.sampled_from(sorted(CASE_MODELS)), st.integers(1, 12),
+           st.sampled_from([1e-4, 1e-3, 1e-2]), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_cell_rounds_score_and_gather_as_the_per_sample_rounds(self, name, n, lam, seed):
+        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        K = model.K
+        C = nearest_realizable(random_doubly_stochastic(K, np.random.default_rng(seed)), n)
+        run = run_rounds(model, C, lam, 4, ("closed_form", "pll"), SolverConfig(seed=seed))
+        assert np.array_equal(run.assignment.counts, np.rint(C.entries * n))
+        # the labels built on first read are the ones drawn at once
+        true, given = eager_labels(run.assignment.counts, seed)
+        assert np.array_equal(run.assignment.true_labels, true)
+        assert np.array_equal(run.assignment.given_labels, given)
+        closed, refined, student = per_sample_rounds(model, given, lam, 4)
+        assert np.array_equal(run.gather(run.refined).columns, refined.columns)
+        classes, weights = run.gram.cells[:, 0], run.gram.weights
+        for by_cell, by_sample in zip([*run.closed[1:], run.student], [*closed[1:], student]):
+            assert (argmax_accuracy(by_cell, classes, weights)
+                    == argmax_accuracy(by_sample, true))
+            np.testing.assert_allclose(run.gather(by_cell).columns, by_sample.columns,
+                                       rtol=0, atol=1e-14)
+
     def test_overlapped_stages_equal_the_stages_run_one_after_the_other(self):
         model, C = perturbed_case_iv()
         K, n, lam, t_max = model.K, model.n, 1e-3, 3
@@ -495,7 +518,7 @@ class TestRunRounds:
         closed = trajectory(Y0, eig, lam, K, n, t_max)
         refined = pll_refine(closed[1])
         student = pll_student(refined, eig, lam, K, n)
-        rounds = oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, t_max, solver)
         assert np.array_equal(run.gram.matrix, gram)
         assert np.array_equal(run.eig.values, eig.values)
         assert np.array_equal(run.eig.vectors, eig.vectors)
