@@ -150,14 +150,15 @@ class ExperimentConfig:
       hold predictions only.  It needs ``t_max >= 1`` and sweeps over
       ``eta`` only.
     - ``approx-error`` needs ``oracle`` and ``t_max >= 1``, reads no other
-      mode and sweeps over ``n`` only.  On a perturbed model it also checks
-      the Gram's spectrum, as ``trajectory`` does.
+      mode and sweeps over ``n`` only.  It runs the closed-form stage on
+      every model, and so checks the Gram's spectrum as ``trajectory`` does.
     - ``theory`` reads no mode and rejects a sweep.  No command reads the
       ``theory`` mode; it is accepted so that existing configs that list it
       keep loading.
 
     A sweep lists one or more strictly ascending ``sweep_values``: whole
-    sample counts >= 1 for ``n``, corruption rates in ``[0, 1]`` for ``eta``.
+    sample counts in ``1..2**53`` for ``n``, as ``gram.n``, and corruption
+    rates in ``[0, 1]`` for ``eta``.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -197,10 +198,10 @@ class ExperimentConfig:
             if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValidationError(f"sweep_values must be one or more strictly ascending "
                                       f"values, got {list(vals)}")
-            if self.sweep_parameter == "n" and not all(float(v).is_integer() and v >= 1
+            if self.sweep_parameter == "n" and not all(float(v).is_integer() and 1 <= v <= 2**53
                                                        for v in vals):
-                raise ValidationError(f"sweep_values must be whole sample counts >= 1 to sweep "
-                                      f"n, got {list(vals)}")
+                raise ValidationError(f"sweep_values must be whole sample counts in 1..2**53 to "
+                                      f"sweep n, got {list(vals)}")
             if self.sweep_parameter == "eta" and not all(0.0 <= v <= 1.0 for v in vals):
                 raise ValidationError(f"sweep_values must be corruption rates in [0, 1] to "
                                       f"sweep eta, got {list(vals)}")
@@ -237,7 +238,11 @@ class ExperimentConfig:
 
     def corruption_matrix(self, eta: Optional[float] = None) -> CorruptionMatrix:
         smap = self.gram_model().effective_map()
-        return self.corruption.build(self.gram.K, smap, eta=eta)
+        C = self.corruption.build(self.gram.K, smap, eta=eta)
+        if C.K != self.gram.K:
+            raise ValidationError(f"{self.corruption.matrix_path}: the corruption matrix is "
+                                  f"{C.K} x {C.K}, but gram.K is {self.gram.K}")
+        return C
 
     def solver(self) -> SolverConfig:
         return self._solver

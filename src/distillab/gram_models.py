@@ -167,6 +167,8 @@ class GramModel:
         if self.n < 1:
             raise ValidationError("gram.n must be a positive sample count per class, "
                                   f"got {self.n}")
+        if self.n > 2**53:  # the float64 cell counts C n stop being exact
+            raise ValidationError(f"gram.n must be at most 2**53, got {self.n}")
         if self.perturbation_amplitude < 0:
             raise ValidationError("gram.perturbation_amplitude must be >= 0, "
                                   f"got {self.perturbation_amplitude}")

@@ -31,9 +31,10 @@ the logits gives the fixed point at ``lam * tau``, so the solver takes none.
 :func:`run_rounds` is the one pipeline of the ``trajectory``, ``phase`` and
 ``approx-error`` commands: on the cells of one set of realised labels it
 runs the closed-form rounds, the top-2 student and the chained oracle
-rounds that its modes ask for.  :func:`measure_approx_error` compares the
-oracle rounds with the linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n
-lam I)^-1`` on the same cells.
+rounds that its modes ask for, the oracle on a helper thread only beside
+dense (perturbed) closed-form stages.  :func:`measure_approx_error`
+compares the oracle rounds with the run's own closed-form rounds, the
+linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distillation import (OutputMatrix, PartialLabelMatrix, _class_round, pll_refine,
-                           pll_student, trajectory)
+from .distillation import OutputMatrix, PartialLabelMatrix, pll_refine, pll_student, trajectory
 from .errors import NumericalError, ValidationError
 from .gram_models import (CellGram, EigenSystem, GramModel, analytic_eigensystem, cell_gram,
                           numeric_eigensystem)
@@ -71,13 +71,10 @@ PHI_ROUNDING = 1e-12  # relative; a larger rise of Phi lets the iterates cycle
 _MAX_HALVINGS = 30
 
 
-def softmax(v: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Numerically stable softmax with temperature ``tau``."""
-    if tau <= 0.0:
-        raise ValidationError("temperature must be positive")
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of each column."""
     v = np.asarray(v, dtype=float)
-    z = v / tau
-    z = z - z.max(axis=0, keepdims=True)
+    z = v - v.max(axis=0, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=0, keepdims=True)
 
@@ -314,7 +311,8 @@ class Rounds(NamedTuple):
 def _beside(side, main):
     """``(side(), main())``, with ``side`` on one helper thread while ``main``
     runs on the caller's.  The thread is joined before anything returns or
-    raises; when both raise, ``main``'s exception wins."""
+    raises; when both raise, ``main``'s exception wins.  Only for the oracle
+    beside a dense closed-form stage, where overlap pays."""
     outcome = []
 
     def target():
@@ -354,13 +352,13 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     first.  ``solver.seed`` places the labels; a ``C`` off the ``n``-sample
     grid raises, or with ``snap`` runs on :func:`nearest_realizable`.
 
-    With both the oracle and a closed-form stage, the oracle rounds run on
-    one helper thread beside the eigensystem, the closed-form rounds and
-    the student; a run with one stage starts no thread.  The oracle draws
-    from its own seeded generator and only reads the read-only Gram, so
-    every output is the same as when the stages run one after the other.
-    The thread is joined before this returns or raises, and a closed-form
-    error wins over an oracle error.
+    The oracle rounds run on one helper thread only beside dense
+    closed-form stages (a perturbed model), whose eigensystem and factor
+    take time worth overlapping; on cells, where they take microseconds,
+    every stage runs on the caller's thread.  The oracle only reads the
+    read-only Gram and draws from its own generator, so the outputs are the
+    same either way.  The thread is joined before this returns or raises,
+    and a closed-form error wins over an oracle error.
     """
     _check_lam(model, lam)
     K, n = model.K, model.n
@@ -390,7 +388,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     def oracle_stage():
         return oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
 
-    if "oracle" in modes and wants_closed:
+    if "oracle" in modes and wants_closed and model.perturbation_amplitude:
         oracle, (eig, closed, refined, student) = _beside(oracle_stage, closed_stage)
     else:
         eig, closed, refined, student = closed_stage()
@@ -407,24 +405,15 @@ def measure_approx_error(
 ) -> float:
     """Max-norm gap between the exact oracle and the linearized rounds.
 
-    Runs the oracle rounds ``1..t`` of :func:`run_rounds` on ``C``, snapped
-    to the ``n``-grid when off it, and compares each with the linearized
-    round of the same cells: the class round on an unperturbed model, which
-    starts no thread, and on a perturbed one the run's own closed-form
-    rounds, whose dense eigensystem rejects an indefinite Gram.  Raises when
-    the oracle fails to converge at some round.
+    Runs the oracle and closed-form rounds ``1..t`` of :func:`run_rounds`
+    on ``C``, snapped to the ``n``-grid when off it, and compares them round
+    by round: on the caller's thread on an unperturbed model, beside the
+    oracle's helper thread on a perturbed one, whose dense eigensystem
+    rejects an indefinite Gram.  Raises when the oracle fails to converge.
     """
     if t < 1:
         raise ValidationError("need at least one round to measure")
-    config = config or SolverConfig()
-    modes = ("oracle", "closed_form") if gram_model.perturbation_amplitude else ("oracle",)
-    run = run_rounds(gram_model, C, lam, t, modes, config, snap=True)
-    K, cells = gram_model.K, run.gram
-    if run.closed is not None:
-        linear = (mat.columns for mat in run.closed[1:])
-    else:
-        centered = OutputMatrix.from_labels(cells.cells[:, 1], K).columns - 1.0 / K
-        linear = (_class_round(centered, cells.cells[:, 0] - 1, cells.weights, gram_model, lam, s)
-                  + 1.0 / K for s in range(1, t + 1))
-    return max(float(np.abs(result.outputs.columns - rows).max())
-               for result, rows in zip(run.oracle, linear))
+    run = run_rounds(gram_model, C, lam, t, ("oracle", "closed_form"), config or SolverConfig(),
+                     snap=True)
+    return max(float(np.abs(result.outputs.columns - linear.columns).max())
+               for result, linear in zip(run.oracle, run.closed[1:]))

@@ -244,7 +244,7 @@ def test_criterion_07_temperature_rescales_regularization():
         Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
                         SolverConfig()).outputs.columns
         logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
-        worst = max(worst, float(np.abs(Y - softmax(logits, tau)).max()))
+        worst = max(worst, float(np.abs(Y - softmax(logits / tau)).max()))
         moved = min(moved, float(np.abs(Y - plain).max()))
     assert worst <= 1e-9
     assert moved > 1e-3

@@ -120,6 +120,40 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    # above 2**53 the float64 cell counts C n are no longer exact integers
+    @pytest.mark.parametrize("command,setting,key", [
+        ("theory", "gram.n=100000000000000000000", "gram.n"),
+        ("phase", f"gram.n={2**63 - 1}", "gram.n"),
+        ("trajectory", f"gram.n={2**53 + 1}", "gram.n"),
+        ("approx-error", "sweep_values=[100,1e30]", "sweep_values"),
+    ], ids=["theory", "phase", "trajectory", "approx-error"])
+    def test_sample_count_above_2_53_exits_one_naming_its_key(self, tmp_path, capsys, command,
+                                                              setting, key):
+        cfg = write_config(tmp_path, t_max=1, modes=["closed_form", "oracle"],
+                           sweep_parameter="n" if command == "approx-error" else None,
+                           sweep_values=[100] if command == "approx-error" else None)
+        assert main([command, "--config", str(cfg), "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and "2**53" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_sample_count_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, t_max=1)
+        assert main(["theory", "--config", str(cfg), "--set", f"gram.n={2**53}"]) == 0
+
+    # an explicit matrix of the wrong size fails before any command reads it
+    @pytest.mark.parametrize("command", ["trajectory", "phase", "approx-error", "theory"])
+    def test_wrong_size_corruption_matrix_names_path_size_and_k(self, tmp_path, capsys,
+                                                                command):
+        matrix = tmp_path / "corruption.csv"
+        make_corruption("symmetric", 0.5, 2).to_csv(matrix)
+        cfg = write_config(tmp_path, t_max=1, modes=["closed_form", "oracle"],
+                           corruption={"kind": "explicit", "matrix_path": str(matrix)})
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"error: {matrix}: the corruption matrix is 2 x 2, "
+                                           "but gram.K is 4\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig().with_overrides(["gram.zeta=1"])

@@ -52,12 +52,6 @@ class TestSoftmax:
             softmax(np.array([math.log(2.0), 0.0])), [2 / 3, 1 / 3], atol=1e-15
         )
 
-    def test_temperature_scaling_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(
-            softmax(v, tau=2.0), softmax(v / 2.0, tau=1.0), atol=1e-15
-        )
-
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         v = rng.normal(scale=50.0, size=(5, 20))
@@ -124,7 +118,7 @@ class TestSolveRound:
         np.testing.assert_allclose(a.outputs.columns, b.outputs.columns, atol=1e-8)
 
     def test_temperature_rescales_regularization(self):
-        # the fixed point with softmax(., tau) on the lam logits is the one at lam * tau
+        # the fixed point with softmax(. / tau) on the lam logits is the one at lam * tau
         K, n, lam = 4, 18, 1e-3
         model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1)
         gram = build_gram(model)
@@ -136,7 +130,7 @@ class TestSolveRound:
             Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
                             SolverConfig()).outputs.columns
             logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
-            assert np.abs(Y - softmax(logits, tau)).max() <= 1e-9
+            assert np.abs(Y - softmax(logits / tau)).max() <= 1e-9
             assert np.abs(Y - plain).max() > 1e-3
 
     def test_non_finite_input_reports_iteration(self):
@@ -321,6 +315,25 @@ class TestMeasureApproxError:
         worst = max(float(np.abs(r.outputs.columns - traj[t].columns).max())
                     for t, r in enumerate(rounds, start=1))
         assert gap == pytest.approx(worst, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_unperturbed_gap_is_the_private_class_round(self, name):
+        # the reference: the oracle rounds on the cells against _class_round
+        # of their centered one-hot labels, each cell weighted by its count
+        model = CASE_MODELS[name]
+        K, n, lam, t = model.K, model.n, 0.02, 3
+        kind, eta = CASE_NOISE[name]
+        C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
+        config = SolverConfig(seed=3)
+        cells = cell_gram(model, realize_labels(C, n, seed=config.seed))
+        Y0 = OutputMatrix.from_labels(cells.cells[:, 1], K)
+        rounds = oracle_trajectory(Y0, cells, lam, K, n, t, config)
+        want = max(
+            float(np.abs(r.outputs.columns
+                         - (_class_round(Y0.columns - 1.0 / K, cells.cells[:, 0] - 1,
+                                         cells.weights, model, lam, s) + 1.0 / K)).max())
+            for s, r in enumerate(rounds, start=1))
+        assert measure_approx_error(model, C, lam, t, config) == want
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_perturbed_gap_is_the_private_dense_chain(self, t):
@@ -582,13 +595,19 @@ class TestRunRounds:
         monkeypatch.setattr(threading, "Thread", CountingThread)
         model, C = perturbed_case_iv(n=10)
         unperturbed = dataclasses.replace(model, perturbation_amplitude=0.0)
+        # on the cells the closed-form stage runs first on the caller's
+        # thread, whatever the stages
         assert np.isfinite(measure_approx_error(unperturbed, C, 1e-3, t=2))
+        run = run_rounds(unperturbed, C, 1e-3, 2, ALL_STAGES, SolverConfig())
+        assert run.oracle is not None and run.student is not None
         for m in (model, unperturbed):
             run = run_rounds(m, C, 1e-3, 2, ("closed_form", "pll"), SolverConfig())
             assert run.oracle is None and run.student is not None
+        run = run_rounds(model, C, 1e-3, 2, ("oracle",), SolverConfig())
+        assert run.oracle is not None and run.closed is None
         assert started == []
-        # the perturbed approx-error runs its closed-form reference beside
-        # the oracle, on the one helper thread, as do both stages of a run
+        # beside a dense closed-form stage the oracle runs on the one helper
+        # thread, for approx-error and for a run alike
         assert np.isfinite(measure_approx_error(model, C, 1e-3, t=2))
         assert started == ["distillab-oracle"]
         run_rounds(model, C, 1e-3, 2, ALL_STAGES, SolverConfig())
