@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -22,14 +23,15 @@ from .oracle import SolverConfig
 
 __all__ = ["ExperimentConfig", "GramConfig", "CorruptionConfig"]
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
           type(None): "null"}
-_PLURAL_KINDS = {int: "integers", float: "numbers", str: "strings"}
+_PLURAL_KINDS = {int: "integers", float: "finite numbers", str: "strings"}
 
 
 def _type_check(hint):
     """A predicate for JSON-like values of the declared type ``hint`` and its
-    description: an int is a number, a bool is neither."""
+    description: an int is a number, a bool is neither, and a number is
+    finite (JSON's ``NaN`` and ``Infinity`` are not)."""
     args = get_args(hint)
     if get_origin(hint) is Union:
         checks = [_type_check(arg) for arg in args]
@@ -38,8 +40,10 @@ def _type_check(hint):
         ok = _type_check(args[0])[0]
         return (lambda v: isinstance(v, (list, tuple)) and all(map(ok, v)),
                 f"a list of {_PLURAL_KINDS[args[0]]}")
-    kind = (int, float) if hint is float else hint
-    return (lambda v: isinstance(v, kind) and (hint is bool or not isinstance(v, bool)),
+    if hint is float:
+        return (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                and -math.inf < v < math.inf), _KINDS[float]
+    return (lambda v: isinstance(v, hint) and (hint is bool or not isinstance(v, bool)),
             _KINDS.get(hint, hint.__name__))
 
 
@@ -80,12 +84,12 @@ class GramConfig:
             raise ValidationError("gram.superclass_sizes must be positive class counts, "
                                   f"got {self.superclass_sizes}")
 
+    def superclass_map(self) -> Optional[SuperclassMap]:
+        """The map of ``superclass_sizes``, or ``None`` when they are omitted."""
+        return SuperclassMap.from_sizes(self.superclass_sizes) if self.superclass_sizes else None
+
     def build(self, n: Optional[int] = None, seed: int = 0) -> GramModel:
-        smap = (
-            SuperclassMap.from_sizes(self.superclass_sizes)
-            if self.superclass_sizes
-            else None
-        )
+        smap = self.superclass_map()
         c = tuple(self.c) if isinstance(self.c, (list, tuple)) else self.c
         d = (0.0 if self.case in ("I", "II") else 0.1) if self.d is None else self.d
         return GramModel(
@@ -159,6 +163,9 @@ class ExperimentConfig:
     A sweep lists one or more strictly ascending ``sweep_values``: whole
     sample counts in ``1..2**53`` for ``n``, as ``gram.n``, and corruption
     rates in ``[0, 1]`` for ``eta``.
+
+    ``seed`` places the labels and draws the Gram perturbation, and nothing
+    else: the exact oracle starts every round at the same point.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -237,7 +244,12 @@ class ExperimentConfig:
         return self.gram.build(n=n, seed=self.seed)
 
     def corruption_matrix(self, eta: Optional[float] = None) -> CorruptionMatrix:
-        smap = self.gram_model().effective_map()
+        """The corruption matrix, at rate ``eta`` when given.  The superclass
+        map in force (a single superclass when ``gram.superclass_sizes`` is
+        omitted) is read from the config, not from a model, so that no
+        ``n``-sweep point builds a model at ``gram.n``; the caller's own
+        model checks the map against its case."""
+        smap = self.gram.superclass_map() or SuperclassMap.trivial(self.gram.K)
         C = self.corruption.build(self.gram.K, smap, eta=eta)
         if C.K != self.gram.K:
             raise ValidationError(f"{self.corruption.matrix_path}: the corruption matrix is "

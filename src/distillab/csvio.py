@@ -33,13 +33,16 @@ def fmt_all(values) -> list:
 
     A 2-D table gives one list per row, so the writer's block of float
     columns, stacked as rows, gives one list of fields per column.  Each
-    distinct number is formatted once per call.  Numbers are told apart by
+    distinct number is formatted once per call, all of them by one ``%``
+    on a repeated ``%.12g`` template, whose text is :func:`fmt`'s for every
+    double, ``nan``, ``inf`` and ``-0`` included.  Numbers are told apart by
     their bit patterns, so ``-0.0`` and ``0.0``, which print differently,
     stay apart.
     """
     values = np.asarray(values, dtype=float)
     bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    text = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    distinct = tuple(bits.view(np.float64).tolist())
+    text = np.array(("%.12g\n" * len(distinct) % distinct).split("\n")[:-1], dtype=object)
     return text[inverse.reshape(values.shape)].tolist()
 
 

@@ -14,7 +14,10 @@ whose gradient is ``(softmax(Z) - Y_prev + A) G / c`` (Keerthi et al., "A
 fast dual algorithm for kernel logistic regression", 2005).  The solver
 minimises ``Phi`` by damped inexact Newton steps: conjugate gradients in
 the ``G``-inner product solve each Newton system, and a backtracking line
-search on ``Phi`` damps the step.  Convergence is declared on the max-norm
+search on ``Phi`` damps the step.  Every round starts at the zero dual
+``A = 0``, the uniform outputs ``softmax(0) = 1/K`` about which the
+linearized rounds expand softmax, so the first Newton step is the
+linearized round and the solver draws no random numbers.  Convergence is declared on the max-norm
 residual of the fixed-point equation itself, evaluated at
 ``Y = softmax(Z)``.
 
@@ -85,8 +88,9 @@ class SolverConfig:
 
     ``max_iterations`` caps the Newton steps of one round.  ``tolerance``
     is the max-norm fixed-point residual below which the round counts as
-    converged.  ``seed`` draws the random normalized starting columns, and
-    :func:`run_rounds` also places the labels with it.
+    converged, positive and finite.  ``seed`` places the labels in
+    :func:`run_rounds`; the solver does not read it, since every round starts
+    at the zero dual, whose first Newton step is the linear round.
     """
 
     max_iterations: int = 50_000
@@ -94,8 +98,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be positive")
 
@@ -206,9 +210,14 @@ def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int
     each weighted by its count in ``Phi`` and every inner product (a dense
     Gram is a cell per sample, of weight 1); the outputs keep that layout.
 
-    Starts from dual coefficients ``A = Y_prev - Y0``, with ``Y0`` the
-    seed-deterministic normalized uniform random columns, and takes damped
-    Newton-CG steps on the convex objective ``Phi`` of the module docstring.
+    Starts at the zero dual ``A = 0``, where ``Z = 0`` and
+    ``softmax(Z) = 1/K``, the point where the rounds are linearized, and
+    takes damped Newton-CG steps on the convex objective ``Phi`` of the
+    module docstring.  There the Newton system on zero-sum columns reads
+    ``d (I + G / (K c)) = Y_prev - 1/K``, so ``Y_prev - d`` is the linear
+    round ``1/K + ((Y_prev - 1/K) G)(G + K^2 n lam I)^-1``: the first exact
+    step lands on the closed-form round, and the later ones add the softmax
+    correction.
     A step is accepted when it passes an Armijo test on ``Phi`` or halves the
     max-norm gradient residual ``A - (Y_prev - softmax(Z))`` with ``Phi``
     risen by no more than rounding; the second test carries the last steps,
@@ -227,9 +236,7 @@ def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int
         raise ValidationError("regularization strength must be positive")
     c = K * n * lam
     Yp = Y_prev.columns
-    raw = np.random.default_rng(config.seed).uniform(0.0, 1.0, size=Yp.shape)
-    A = Yp - raw / raw.sum(axis=0, keepdims=True)
-    Z = (A @ matrix) / c
+    A = Z = np.zeros(Yp.shape)  # the zero dual; no step updates either in place
     best_S, best_linf = None, np.inf
     iterations = 0
     while True:
@@ -356,7 +363,7 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     closed-form stages (a perturbed model), whose eigensystem and factor
     take time worth overlapping; on cells, where they take microseconds,
     every stage runs on the caller's thread.  The oracle only reads the
-    read-only Gram and draws from its own generator, so the outputs are the
+    read-only Gram and draws no random numbers, so the outputs are the
     same either way.  The thread is joined before this returns or raises,
     and a closed-form error wins over an oracle error.
     """

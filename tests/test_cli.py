@@ -97,6 +97,19 @@ class TestConfig:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    # JSON reads NaN and Infinity as floats; each float key must be finite
+    @pytest.mark.parametrize("key", ["gram.c", "gram.d", "gram.e", "gram.perturbation_amplitude",
+                                     "corruption.eta", "lam", "solver_tolerance",
+                                     "sweep_values"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exits_one_naming_its_key(self, tmp_path, capsys, key, value):
+        setting = f"{key}=[{value}]" if key == "sweep_values" else f"{key}={value}"
+        assert main(["theory", "--out", str(tmp_path / "out"), "--set", "gram.n=8",
+                     "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and "finite number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_positive_superclass_size_exits_one(self, tmp_path, capsys):
         assert main(["theory", "--out", str(tmp_path / "out"), "--set", 'gram.case="IV"',
                      "--set", "gram.superclass_sizes=[0,4]"]) == 1
@@ -816,6 +829,21 @@ class TestApproxErrorCommand:
                                                            "approx-error n=10"]
         assert all("oracle failed to converge at round 1" in line for line in reasons)
 
+    def test_n_sweep_never_builds_a_model_at_gram_n(self, tmp_path):
+        # the superclass map comes from the config, the models from the swept n
+        texts = []
+        for gram_n in (0, 7):
+            out = tmp_path / f"gram_n_{gram_n}"
+            assert main(["approx-error", "--out", str(out), "--set", f"gram.n={gram_n}",
+                         "--set", 'gram.case="IV"', "--set", "gram.superclass_sizes=[2,2]",
+                         "--set", 'corruption.kind="superclass"', "--set", "corruption.eta=0.5",
+                         "--set", "t_max=1", "--set", 'modes=["oracle"]',
+                         "--set", 'sweep_parameter="n"', "--set", "sweep_values=[50,100]"]) == 0
+            texts.append((out / "approx_error.csv").read_text())
+        assert texts[0] == texts[1]
+        rows = read_csv_rows(tmp_path / "gram_n_0" / "approx_error.csv")[1]
+        assert [row[0::2] for row in rows] == [["50", "true"], ["100", "true"]]
+
     @pytest.mark.parametrize("command", ["phase", "approx-error"])
     def test_zero_rounds_exits_one(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 5, "c": 0.4, "d": 0.1},
@@ -977,6 +1005,21 @@ class TestStartup:
                              env=env, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
+
+    # the solver starts at the zero dual, so an unperturbed oracle run draws
+    # no random number either
+    @pytest.mark.parametrize("command,modes", [("approx-error", ["oracle"]),
+                                               ("phase", ["oracle", "pll"])])
+    def test_unperturbed_oracle_run_never_imports_numpy_random(self, tmp_path, command, modes):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
+                           modes=modes, t_max=2, lam=1e-3)
+        code = ("import sys\nfrom distillab import cli\n"
+                f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0\n"
+                "print('numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.split()[-1] == "False"
 
     def test_unperturbed_phase_draws_no_labels(self, tmp_path):
         # the run reads the label counts only: no per-sample shuffle, so

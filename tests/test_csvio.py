@@ -35,6 +35,16 @@ def test_matches_fmt_per_value_with_heavy_repeats(pool, picks, width):
     assert fmt_all(table.T) == reference(table.T)
 
 
+# any bit pattern of a double: every exponent, subnormals and NaN payloads
+BIT_PATTERNS = st.integers(-2**63, 2**63 - 1).map(lambda b: float(np.int64(b).view(np.float64)))
+
+
+@given(st.lists(st.one_of(VALUES, BIT_PATTERNS), max_size=300))
+def test_one_template_matches_fmt_on_many_distinct_values(values):
+    # the distinct values of a block are formatted by one "%.12g" template
+    assert fmt_all(np.array(values, dtype=float)) == [fmt(x) for x in values]
+
+
 def test_signed_zeros_stay_apart():
     assert fmt_all(np.array([0.0, -0.0, 0.0, -0.0])) == ["0", "-0", "0", "-0"]
 

@@ -105,17 +105,20 @@ class TestSolveRound:
         assert np.abs(R).max() <= res.final_loss + 1e-15
         assert np.abs(R).max() < 1e-10
 
-    def test_seed_determinism_bit_exact(self):
-        a, *_ = small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=5)
-        b, *_ = small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=5)
-        assert np.array_equal(a.outputs.columns, b.outputs.columns)
-        assert a.iterations_used == b.iterations_used
-        assert a.final_loss == b.final_loss
+    def test_solver_seed_leaves_the_round_bit_identical(self):
+        # every round starts at the zero dual: the seed places labels only
+        a, b, c = (small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=seed)[0]
+                   for seed in (1, 2, 3))
+        for other in (b, c):
+            assert np.array_equal(a.outputs.columns, other.outputs.columns)
+            assert a.iterations_used == other.iterations_used
+            assert a.final_loss == other.final_loss
 
-    def test_different_seeds_reach_same_fixed_point(self):
-        a, *_ = small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=1)
-        b, *_ = small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=2)
-        np.testing.assert_allclose(a.outputs.columns, b.outputs.columns, atol=1e-8)
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # under NaN no residual ever converges; under inf the start would
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            SolverConfig(tolerance=tolerance)
 
     def test_temperature_rescales_regularization(self):
         # the fixed point with softmax(. / tau) on the lam logits is the one at lam * tau
@@ -176,24 +179,31 @@ class TestSolveRound:
 class TestNewtonSolver:
     @pytest.mark.parametrize("name", sorted(CASE_MODELS))
     def test_every_case_converges_to_one_fixed_point(self, name):
+        # checked against a second solver: damped Picard iteration
+        # Y <- (1 - beta) Y + beta softmax((Y_prev - Y) G / c).  The map's
+        # Jacobian -J_S G / c is similar to a symmetric matrix with spectrum in
+        # [-L, 0], L = lambda_max(G) / (2 c), so beta = 1 / (1 + L) contracts,
+        # and a step below 1e-13 bounds the distance to the fixed point
         model = CASE_MODELS[name]
         K, n, lam, tol = model.K, model.n, 1e-3, 1e-10
         gram = build_gram(model)
         labels = np.random.default_rng(7).integers(1, K + 1, size=model.size)
         Y_prev = OutputMatrix.from_labels(labels, K)
-        results = [
-            solve_round(Y_prev, sample_cells(gram), lam, K, n,
-                        SolverConfig(tolerance=tol, seed=seed))
-            for seed in (1, 2, 3)
-        ]
-        for res in results:
-            assert res.converged
-            R = fixed_point_residual(res.outputs.columns, Y_prev.columns, gram, lam, K, n)
-            assert np.abs(R).max() < tol
-        for res in results[1:]:
-            np.testing.assert_allclose(
-                res.outputs.columns, results[0].outputs.columns, rtol=0, atol=1e-8
-            )
+        res = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig(tolerance=tol))
+        assert res.converged
+        R = fixed_point_residual(res.outputs.columns, Y_prev.columns, gram, lam, K, n)
+        assert np.abs(R).max() < tol
+        c = K * n * lam
+        beta = 1.0 / (1.0 + np.linalg.eigvalsh(gram)[-1] / (2.0 * c))
+        Y = np.full_like(Y_prev.columns, 1.0 / K)
+        for _ in range(20_000):
+            step = softmax((Y_prev.columns - Y) @ gram / c) - Y
+            if np.abs(step).max() < 1e-13:
+                break
+            Y = Y + beta * step
+        else:
+            pytest.fail("the Picard reference did not converge")
+        np.testing.assert_allclose(res.outputs.columns, Y, rtol=0, atol=1e-8)
 
     def test_criterion_6_round_takes_few_newton_steps(self):
         model = setup_a_model()
@@ -203,7 +213,8 @@ class TestNewtonSolver:
         res = solve_round(Y_prev, sample_cells(build_gram(model)), SETUP_A_LAMBDA, model.K, model.n,
                           SolverConfig(tolerance=1e-10))
         assert res.converged
-        assert res.iterations_used <= 30
+        # 10 steps from the zero dual (15 from the random start it replaced)
+        assert res.iterations_used <= 12
 
     def test_chained_perturbed_rounds_take_few_newton_steps(self):
         K, n, lam = 4, 60, 1e-3
@@ -216,7 +227,8 @@ class TestNewtonSolver:
         rounds = oracle_trajectory(Y0, sample_cells(build_gram(model)), lam, K, n, 3,
                                    SolverConfig(tolerance=1e-9))
         assert len(rounds) == 3
-        assert max(r.iterations_used for r in rounds) <= 30, [r.iterations_used for r in rounds]
+        # [9, 8, 10] from the zero dual ([14, 12, 15] from the random start)
+        assert max(r.iterations_used for r in rounds) <= 12, [r.iterations_used for r in rounds]
 
     def test_saturated_chained_round_does_not_cycle(self):
         # a residual-halving step that raised Phi used to be accepted here,
