@@ -17,8 +17,8 @@ each command does with the config's ``modes`` is listed in
 two reject it.  The rounds come one per realised (true class, given label)
 cell: ``phase`` scores them there, each weighted by its sample count, so on
 an unperturbed model it builds no per-sample array and draws no labels;
-``trajectory`` gathers them to the samples that its files list.  Every
-command runs on all five Gram cases.  CSV numbers
+``trajectory`` writes each sample's lines from its cell's text, formatted
+once per cell.  Every command runs on all five Gram cases.  CSV numbers
 have 12 significant digits and are byte-reproducible for a fixed
 configuration and seed.  Exit codes: 0 success, 1 invalid input or an
 output that cannot be written, 2 numerical failure.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import cannot_write, fmt, index_runs, write_csv
+from .csvio import cannot_write, fmt, fmt_all, index_runs, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -109,10 +109,12 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     eigenvalue table; with the oracle mode enabled, also the exact outputs.
 
     Every result is computed before the first file is written, so a
-    numerical failure writes nothing.  The rounds are gathered from the
-    cells to the samples, and then the eigensystem and the Gram are
-    dropped: no ``N x N`` array (a perturbed Gram or its factor) is alive
-    while files are written."""
+    numerical failure writes nothing.  The rounds stay on the cells of the
+    run: each per-sample file is written from its cells' text, formatted
+    once per cell, sample ``i`` reading cell ``sample_cell[i]``, so no
+    per-sample output array is built.  The eigensystem and the Gram are
+    dropped before the first file: no ``N x N`` array (a perturbed Gram or
+    its factor) is alive while files are written."""
     _check_sweep(config, "trajectory")
     model = config.gram_model()
     C = config.corruption_matrix()
@@ -120,9 +122,8 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
                      config.solver())
     spectra = [averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
                for t in range(config.t_max + 1)]
-    pll = [] if run.student is None else [run.gather(run.refined), run.gather(run.student)]
-    oracle = [(r.convergence_report(), run.gather(r.outputs)) for r in run.oracle or ()]
-    run = run._replace(eig=None, gram=None, closed=[run.gather(mat) for mat in run.closed])
+    cells, sample_cell = run.gram.cells, run.gram.sample_cell
+    run = run._replace(eig=None, gram=None)
     written: list[str] = []
 
     def emit(name, fn):
@@ -130,32 +131,36 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         fn(path)
         written.append(path)
 
+    def emit_rounds(name, mat):
+        emit(name, lambda p: mat.to_csv(p, sample_cell))
+
+    def projection_rows(mat):
+        # per cell: its labels, x, y, then its output column
+        table = fmt_all(np.hstack([simplex_projection(mat.columns), mat.columns.T]))
+        return (str(mat.round),), [[[*pair, *fields]] for pair, fields in zip(labels, table)]
+
     emit("corruption.csv", C.to_csv)
     emit("labels.csv", run.assignment.to_csv)
     for mat in run.closed:
-        emit(f"outputs_round_{mat.round:03d}.csv", mat.to_csv)
-    rounds, N = len(run.closed), run.assignment.true_labels.size
-    # per round and sample: x, y, then the output column
-    xy = np.vstack([simplex_projection(mat.columns) for mat in run.closed])
-    outputs = np.hstack([mat.columns for mat in run.closed])
-    per_sample = [list(map(str, range(N))), list(map(str, run.assignment.true_labels.tolist())),
-                  list(map(str, run.assignment.given_labels.tolist()))]
-    emit("projection.csv", lambda p: write_csv(
+        emit_rounds(f"outputs_round_{mat.round:03d}.csv", mat)
+    labels = [list(map(str, pair)) for pair in cells.tolist()]
+    emit("projection.csv", lambda p: write_cell_rows(
         p, ["round", "sample_index", "true_label", "given_label", "x", "y",
             *(f"y_{k}" for k in range(1, model.K + 1))],
-        [index_runs(rounds, N), *(chain.from_iterable(repeat(c, rounds)) for c in per_sample),
-         *xy.T, *outputs]))
+        map(projection_rows, run.closed), sample_cell))
     size = spectra[0].size
     emit("eigenvalues.csv", lambda p: write_csv(
         p, ("round", "index", "eigenvalue"),
         [index_runs(len(spectra), size),
          chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
          np.concatenate(spectra)]))
-    for name, mat in zip(("pll_targets.csv", "pll_outputs.csv"), pll):
-        emit(name, mat.to_csv)
-    for report, outputs in oracle:
-        emit(f"oracle_round_{outputs.round:03d}.csv", outputs.to_csv)
-        emit(f"oracle_round_{outputs.round:03d}.json", lambda p, r=report: _write_json(p, r))
+    if run.student is not None:
+        emit_rounds("pll_targets.csv", run.refined)
+        emit_rounds("pll_outputs.csv", run.student)
+    for result in run.oracle or ():
+        emit_rounds(f"oracle_round_{result.outputs.round:03d}.csv", result.outputs)
+        emit(f"oracle_round_{result.outputs.round:03d}.json",
+             lambda p, r=result: _write_json(p, r.convergence_report()))
     return written
 
 

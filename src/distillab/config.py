@@ -144,7 +144,7 @@ class ExperimentConfig:
     """One experiment: model, corruption, ``lam``, rounds, modes and sweep.
 
     What each command does with ``modes``, ``t_max`` and the sweep (the
-    ``pll`` mode needs ``t_max >= 1`` everywhere):
+    ``pll`` and ``oracle`` modes need ``t_max >= 1`` everywhere):
 
     - ``trajectory`` always runs ``closed_form``; ``pll`` adds the top-2
       student and ``oracle`` the exact rounds.  It rejects a sweep.
@@ -196,6 +196,8 @@ class ExperimentConfig:
         object.__setattr__(self, "modes", tuple(self.modes))
         if "pll" in self.modes and self.t_max < 1:
             raise ValidationError("the pll mode refines round-1 outputs, so it needs t_max >= 1")
+        if "oracle" in self.modes and self.t_max < 1:
+            raise ValidationError("the oracle mode solves rounds 1..t_max, so it needs t_max >= 1")
         if (self.sweep_parameter is None) != (self.sweep_values is None):
             raise ValidationError("sweep_parameter and sweep_values go together")
         if self.sweep_parameter is not None:

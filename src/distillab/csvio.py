@@ -1,12 +1,16 @@
-"""The one CSV writer every output file goes through, and the one reader
+"""The two CSV writers every output file goes through, and the one reader
 every input file goes through.
 
-Both stream, so their memory does not grow with the file.  A table is
-written column-wise, a block of about :data:`BLOCK_FIELDS` fields at a
-time: the block's float columns are formatted together by one
-:func:`fmt_all` call, its lines joined and written, and the next block
-taken.  A file is read record by record into one flat typed buffer,
-which is reshaped once at the end.
+All three stream, so their memory does not grow with the file.  A table
+is written column-wise by :func:`write_csv`, a block of about
+:data:`BLOCK_FIELDS` fields at a time: the block's float columns are
+formatted together by one :func:`fmt_all` call, its lines joined and
+written, and the next block taken.  A per-sample file whose samples share
+the lines of their cell, but for the sample index, is written by
+:func:`write_cell_rows` from the cells' text, formatted once per cell: each
+sample's lines are its cell's template filled with its index, a block of
+about :data:`BLOCK_FIELDS` fields per join.  A file is read record by
+record into one flat typed buffer, which is reshaped once at the end.
 """
 
 from __future__ import annotations
@@ -92,6 +96,46 @@ def write_csv(path, header, columns) -> None:
             # a short block is the last one: some column ended inside it
             if height < rows:
                 break
+
+
+def _template(lead: str, rows) -> list:
+    """The text of one sample's ``rows`` split at its index slots: joined
+    by the index, it reads ``lead`` + index + ``,row`` for each row."""
+    tails = ["," + ",".join(row) + "\r\n" for row in rows]
+    return [lead, *(tail + lead for tail in tails[:-1]), tails[-1]]
+
+
+def write_cell_rows(path, header, passes, sample_cell) -> None:
+    """A header line, then the lines of each pass, with ``\\r\\n`` line
+    ends; in a pass each sample ``i``, in order, writes the lines of its
+    cell ``sample_cell[i]``.
+
+    ``passes`` is an iterable of ``(lead, rows)`` pairs: ``lead`` the fields
+    that open every line of the pass, and ``rows[j]`` the lines of a sample
+    of cell ``j``, each a sequence of the fields that follow the sample
+    index, with as many lines in every cell.  A sample's line reads
+    ``lead, i, row``.  Each cell's lines are made once per pass into a
+    template with a slot for the index (:func:`_template`), and the samples
+    go out in blocks of about :data:`BLOCK_FIELDS` fields, each filled in by
+    one join and written by one write, so the writer formats no number and
+    holds one pass's templates and one block of text.  Fields are written
+    as given, as by :func:`write_csv`.
+    """
+    sample_cell = np.asarray(sample_cell)
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise cannot_write(path, exc) from exc
+    with fh:
+        fh.write(",".join(header) + "\r\n")
+        for lead, rows in passes:
+            lead = "".join(field + "," for field in lead)
+            templates = [_template(lead, cell) for cell in rows]
+            step = max(1, BLOCK_FIELDS // (len(header) * len(rows[0])))
+            for start in range(0, sample_cell.size, step):
+                cells = sample_cell[start:start + step].tolist()
+                fh.write("".join(map(str.join, map(str, range(start, start + len(cells))),
+                                     map(templates.__getitem__, cells))))
 
 
 def read_csv(path, dtype=float, header: bool = False) -> np.ndarray:

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .csvio import index_runs, read_csv, write_csv
+from .csvio import fmt_all, read_csv, write_cell_rows
 from .errors import ValidationError
 from .gram_models import CellGram, EigenSystem, GramModel, _head_columns, _shifted_rounds
 from .noise_theory import (
@@ -110,8 +109,10 @@ class OutputMatrix:
         cols[labels - 1, np.arange(labels.size)] = 1.0
         return cls(columns=cols, round=0)
 
-    def to_csv(self, path) -> None:
-        _write_long_csv(path, self.columns, self.round)
+    def to_csv(self, path, sample_cell: Optional[np.ndarray] = None) -> None:
+        """One row per (sample, class), sample ``i`` reading column
+        ``sample_cell[i]`` (column ``i`` when not given)."""
+        _write_long_csv(path, self.columns, self.round, sample_cell)
 
     @classmethod
     def from_csv(cls, path) -> "OutputMatrix":
@@ -133,16 +134,18 @@ class OutputMatrix:
         return cls(columns=cols, round=rounds[0])
 
 
-def _write_long_csv(path, columns: np.ndarray, round_idx: int) -> None:
+def _write_long_csv(path, columns: np.ndarray, round_idx: int,
+                    sample_cell: Optional[np.ndarray]) -> None:
     """One ``round,sample_index,class_index,value`` row per entry, sample
-    major: each sample index ``K`` times, the class index cycling ``1..K``."""
+    major: each sample index ``K`` times, the class index cycling ``1..K``
+    and the values of the sample's column of ``columns``, ``sample_cell[i]``
+    for sample ``i`` (``i`` when not given), each column formatted once."""
     K, m = columns.shape
-    write_csv(path, ("round", "sample_index", "class_index", "value"), [
-        repeat(str(round_idx)),
-        index_runs(m, K),
-        cycle([str(k) for k in range(1, K + 1)]),
-        columns.T.ravel(),
-    ])
+    classes = [str(k) for k in range(1, K + 1)]
+    write_cell_rows(path, ("round", "sample_index", "class_index", "value"),
+                    [((str(round_idx),), [list(zip(classes, values))
+                                         for values in fmt_all(columns.T)])],
+                    np.arange(m) if sample_cell is None else sample_cell)
 
 
 @dataclass(frozen=True)
@@ -166,8 +169,9 @@ class PartialLabelMatrix:
     def K(self) -> int:
         return self.columns.shape[0]
 
-    def to_csv(self, path) -> None:
-        _write_long_csv(path, self.columns, self.source_round)
+    def to_csv(self, path, sample_cell: Optional[np.ndarray] = None) -> None:
+        """As :meth:`OutputMatrix.to_csv`, in the round of the targets' source."""
+        _write_long_csv(path, self.columns, self.source_round, sample_cell)
 
 
 @dataclass(frozen=True)

@@ -454,13 +454,12 @@ class CellGram(NamedTuple):
 
     @property
     def sample_cell(self) -> np.ndarray:
-        """Each sample's cell, built on each read from the per-sample labels."""
+        """Each sample's cell: the assignment's
+        :attr:`~distillab.noise_theory.LabelAssignment.sample_cell`, or each
+        sample its own."""
         if self.assignment is None:
             return np.arange(self.weights.size)
-        counts = self.assignment.counts
-        position = np.cumsum(counts.ravel() > 0) - 1
-        return position[(self.assignment.true_labels - 1) * counts.shape[0]
-                        + self.assignment.given_labels - 1]
+        return self.assignment.sample_cell
 
 
 def cell_gram(model: GramModel, assignment) -> CellGram:
@@ -477,11 +476,12 @@ def cell_gram(model: GramModel, assignment) -> CellGram:
         matrix.flags.writeable = False
         return CellGram(np.column_stack([assignment.true_labels, assignment.given_labels]),
                         np.ones(model.size), matrix, None)
-    true, given = np.nonzero(assignment.counts)
+    cells = assignment.cells
+    true, given = (cells - 1).T
     weights = assignment.counts[true, given].astype(float)
     matrix = (weights[:, None] * model.class_gram[np.ix_(true, true)]
               + np.diag(1.0 - model.omega[true]))
-    return CellGram(np.column_stack([true, given]) + 1, weights, matrix, assignment)
+    return CellGram(cells, weights, matrix, assignment)
 
 
 def _helmert_vectors(m: int) -> np.ndarray:

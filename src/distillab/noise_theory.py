@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
 
@@ -168,11 +168,11 @@ class LabelAssignment:
 
     ``counts[k-1, k'-1]`` samples of true class ``k`` carry given label
     ``k'``; every row and column sums to ``n``.  A run on an unperturbed
-    model reads only these.  The per-sample :attr:`true_labels` and
-    :attr:`given_labels` are built on first read: class ``k``'s given labels
-    are its counts' labels in label order, shuffled by ``default_rng(seed)``
-    (one shuffle per class, in class order).  :meth:`from_labels` keeps the
-    per-sample labels it is given.
+    model reads only these.  The per-sample :attr:`true_labels`,
+    :attr:`given_labels` and :attr:`sample_cell` are built on first read:
+    class ``k``'s given labels are its counts' labels in label order,
+    shuffled by ``default_rng(seed)`` (one shuffle per class, in class
+    order).  :meth:`from_labels` keeps the per-sample labels it is given.
     """
 
     counts: np.ndarray
@@ -211,6 +211,18 @@ class LabelAssignment:
             given[k * n : (k + 1) * n] = block
         return _read_only(given)
 
+    @property
+    def cells(self) -> np.ndarray:
+        """The realised (true class, given label) pairs, 1-based, one row per
+        nonzero count in row-major order."""
+        return np.argwhere(self.counts) + 1
+
+    @cached_property
+    def sample_cell(self) -> np.ndarray:
+        """Each sample's row of :attr:`cells`."""
+        position = np.cumsum(self.counts.ravel() > 0) - 1
+        return _read_only(position[(self.true_labels - 1) * self.K + self.given_labels - 1])
+
     @classmethod
     def from_labels(cls, true_labels, given_labels) -> "LabelAssignment":
         """The assignment of per-sample labels, sorted by true label."""
@@ -229,9 +241,10 @@ class LabelAssignment:
         return CorruptionMatrix(self.counts / self.n)
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("index", "true_label", "given_label"),
-                  [map(str, range(self.true_labels.size)), map(str, self.true_labels.tolist()),
-                   map(str, self.given_labels.tolist())])
+        """One ``index,true_label,given_label`` line per sample, from its cell."""
+        write_cell_rows(path, ("index", "true_label", "given_label"),
+                        [((), [[list(map(str, pair))] for pair in self.cells.tolist()])],
+                        self.sample_cell)
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":

@@ -42,7 +42,6 @@ linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1``.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -300,7 +299,7 @@ class Rounds(NamedTuple):
     its modes skip is ``None``): the closed-form rounds ``0..t_max`` on
     ``eig``, the top-2 targets and student, and the oracle rounds, each from
     the one-hot given labels of the cells of ``gram`` and with one column
-    per cell; :meth:`gather` spreads them to the samples."""
+    per cell; sample ``i`` reads column ``gram.sample_cell[i]``."""
 
     assignment: LabelAssignment
     eig: Optional[EigenSystem]
@@ -309,10 +308,6 @@ class Rounds(NamedTuple):
     student: Optional[OutputMatrix]
     gram: CellGram
     oracle: Optional[list[OracleResult]]
-
-    def gather(self, outputs):
-        """``outputs`` of the cells, as the same matrix with one column per sample."""
-        return dataclasses.replace(outputs, columns=outputs.columns[:, self.gram.sample_cell])
 
 
 def _beside(side, main):

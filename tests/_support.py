@@ -1,15 +1,20 @@
 """Shared helpers for the test suite."""
 
 import math
+import os
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap, analytic_eigensystem
+from distillab.cli import simplex_projection
+from distillab.csvio import index_runs, write_csv
 from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
                                     trajectory)
 from distillab.gram_models import SOLVE_BLOCK, CellGram
 from distillab.noise_theory import (TIE_TOL, CorruptionMatrix, nearest_realizable,
                                     theory_constants)
+from distillab.oracle import run_rounds
 
 
 def setup_a_model():
@@ -79,6 +84,51 @@ def per_sample_rounds(model, given, lam, t_max):
     closed = trajectory(OutputMatrix.from_labels(given, K), eig, lam, K, n, t_max)
     refined = pll_refine(closed[1])
     return closed, refined, pll_student(refined, eig, lam, K, n)
+
+
+def per_sample_trajectory(config, directory):
+    """The per-sample files of ``cmd_trajectory(config)``, written to
+    ``directory`` as the command wrote them before it wrote from the cells:
+    every round, the top-2 targets and student and every oracle round
+    gathered to one column per sample, the projection stacked per sample,
+    and each file written by ``write_csv``.  Returns the file names."""
+    K = config.gram.K
+    run = run_rounds(config.gram_model(), config.corruption_matrix(), config.lam, config.t_max,
+                     ("closed_form", *config.modes), config.solver())
+    sample_cell = run.gram.sample_cell
+    true, given = run.assignment.true_labels.tolist(), run.assignment.given_labels.tolist()
+    N = len(true)
+    closed = [mat.columns[:, sample_cell] for mat in run.closed]
+    names = []
+
+    def write(name, header, columns):
+        write_csv(os.path.join(directory, name), header, columns)
+        names.append(name)
+
+    def write_long(name, columns, round_idx):
+        write(name, ("round", "sample_index", "class_index", "value"),
+              [repeat(str(round_idx)), index_runs(N, K),
+               cycle([str(k) for k in range(1, K + 1)]), columns[:, sample_cell].T.ravel()])
+
+    os.makedirs(directory, exist_ok=True)
+    write("labels.csv", ("index", "true_label", "given_label"),
+          [map(str, range(N)), map(str, true), map(str, given)])
+    for mat in run.closed:
+        write_long(f"outputs_round_{mat.round:03d}.csv", mat.columns, mat.round)
+    xy = np.vstack([simplex_projection(columns) for columns in closed])
+    per_sample = [list(map(str, range(N))), list(map(str, true)), list(map(str, given))]
+    write("projection.csv", ["round", "sample_index", "true_label", "given_label", "x", "y",
+                             *(f"y_{k}" for k in range(1, K + 1))],
+          [index_runs(len(closed), N), *(chain.from_iterable(repeat(c, len(closed)))
+                                         for c in per_sample),
+           *xy.T, *np.hstack(closed)])
+    if run.student is not None:
+        write_long("pll_targets.csv", run.refined.columns, run.refined.source_round)
+        write_long("pll_outputs.csv", run.student.columns, run.student.round)
+    for result in run.oracle or ():
+        write_long(f"oracle_round_{result.outputs.round:03d}.csv", result.outputs.columns,
+                   result.outputs.round)
+    return names
 
 
 def full_draw_gram(model):

@@ -10,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _support import embed_gram
+from _support import CASE_MODELS, embed_gram, per_sample_trajectory, random_doubly_stochastic
 from distillab import (
     ExperimentConfig,
     FeatureMatrix,
@@ -25,8 +27,8 @@ from distillab import (
 from distillab import cli, oracle
 from distillab.cli import cmd_trajectory, main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
-from distillab.noise_theory import (eigen_ratio, make_corruption, sd_accuracy_condition,
-                                    theory_constants)
+from distillab.noise_theory import (eigen_ratio, make_corruption, nearest_realizable,
+                                    sd_accuracy_condition, theory_constants)
 
 
 def write_config(tmp_path, **overrides):
@@ -213,6 +215,14 @@ class TestConfig:
                            modes=["closed_form", "pll"])
         assert main([command, "--config", str(cfg)]) == 1
         assert "t_max >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["trajectory", "phase", "approx-error", "theory"])
+    def test_oracle_mode_without_rounds_exits_one(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path / "out"), "--set", "t_max=0",
+                     "--set", 'modes=["oracle"]']) == 1
+        assert ("error: the oracle mode solves rounds 1..t_max, so it needs t_max >= 1"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,parameter", [
@@ -451,6 +461,32 @@ class TestTrajectoryCommand:
         assert len(readings) == len(written) == 16
         assert max(readings) < N * N * 8
 
+    def test_no_per_sample_output_matrix_is_alive_while_files_are_written(
+            self, tmp_path, monkeypatch):
+        # unperturbed, N = 30,000: the rounds stay on the cells, and what the
+        # write phase holds per sample (the labels, each sample's cell and
+        # the eigenvalue table's spectra) stays below one K x N output matrix
+        K, n, t_max = 10, 3000, 2
+        config = ExperimentConfig.load(str(write_config(
+            tmp_path, gram={"case": "III", "K": K, "n": n, "c": 0.4, "d": 0.1},
+            corruption={"kind": "symmetric", "eta": 0.3}, t_max=t_max,
+            modes=["closed_form", "pll", "oracle"])))
+        readings = []
+        out_path = cli._out_path
+
+        def traced_out_path(directory, name):
+            readings.append(tracemalloc.get_traced_memory()[0])
+            return out_path(directory, name)
+
+        monkeypatch.setattr(cli, "_out_path", traced_out_path)
+        tracemalloc.start()
+        try:
+            written = cmd_trajectory(config)
+        finally:
+            tracemalloc.stop()
+        assert len(readings) == len(written) == 13
+        assert max(readings) < K * K * n * 8
+
     def test_projection_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, t_max=1, modes=["closed_form"])
         main(["trajectory", "--config", str(cfg)])
@@ -460,6 +496,43 @@ class TestTrajectoryCommand:
         xy = simplex_projection(vec[:, None])[0]
         assert float(row[4]) == pytest.approx(xy[0], abs=1e-12)
         assert float(row[5]) == pytest.approx(xy[1], abs=1e-12)
+
+
+def case_gram(name, K, n):
+    """The gram section of ``CASE_MODELS[name]`` with ``K`` classes of ``n``
+    samples: two superclasses in cases IV and V, and in case II the class
+    correlations spread over [0.3, 0.7]."""
+    model = CASE_MODELS[name]
+    return {"case": name, "K": K, "n": n, "d": model.d, "e": model.e,
+            "c": np.linspace(0.3, 0.7, K).tolist() if name == "II" else model.c,
+            "superclass_sizes": None if model.superclass_map is None else [K // 2, K - K // 2]}
+
+
+class TestCellWriter:
+    @given(st.sampled_from([*sorted(CASE_MODELS), "perturbed IV"]), st.integers(2, 12),
+           st.integers(1, 6), st.integers(0, 3),
+           st.sets(st.sampled_from(["pll", "oracle"])), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_files_equal_the_per_sample_reference(self, tmp_path_factory, name, K, n, t_max,
+                                                  modes, seed):
+        tmp_path = tmp_path_factory.mktemp("cells")
+        gram = case_gram(name.split()[-1], K, n)
+        if name.startswith("perturbed"):
+            gram["perturbation_amplitude"] = 0.01
+        C = nearest_realizable(random_doubly_stochastic(K, np.random.default_rng(seed)), n)
+        # every digit, so that the file holds the realisable matrix itself
+        np.savetxt(tmp_path / "C.csv", C.entries, fmt="%.17g", delimiter=",")
+        config = ExperimentConfig.from_dict({
+            "gram": gram, "corruption": {"kind": "explicit", "matrix_path": str(tmp_path / "C.csv")},
+            "lam": 1e-3, "t_max": t_max, "modes": sorted(modes) if t_max else [],
+            "seed": seed, "output_dir": str(tmp_path / "cells")})
+        written = {os.path.basename(p) for p in cmd_trajectory(config)}
+        names = per_sample_trajectory(config, tmp_path / "samples")
+        assert set(names) == {w for w in written if w.endswith(".csv")} - {
+            "corruption.csv", "eigenvalues.csv"}
+        for file in names:
+            assert filecmp.cmp(tmp_path / "cells" / file, tmp_path / "samples" / file,
+                               shallow=False), file
 
 
 class TestPhaseCommand:
@@ -844,14 +917,18 @@ class TestApproxErrorCommand:
         rows = read_csv_rows(tmp_path / "gram_n_0" / "approx_error.csv")[1]
         assert [row[0::2] for row in rows] == [["50", "true"], ["100", "true"]]
 
-    @pytest.mark.parametrize("command", ["phase", "approx-error"])
-    def test_zero_rounds_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,modes,message", [
+        # the config rejects the oracle mode at t_max = 0 before approx-error runs
+        pytest.param("phase", ["closed_form"], "phase measures rounds 1..t_max", id="phase"),
+        pytest.param("approx-error", ["oracle"], "the oracle mode solves rounds 1..t_max",
+                     id="approx-error"),
+    ])
+    def test_zero_rounds_exits_one(self, tmp_path, capsys, command, modes, message):
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 5, "c": 0.4, "d": 0.1},
                            corruption={"kind": "symmetric", "eta": 0.6}, lam=1e-3, t_max=0,
-                           modes=["oracle"])
+                           modes=modes)
         assert main([command, "--config", str(cfg)]) == 1
-        assert (f"error: {command} measures rounds 1..t_max, so it needs t_max >= 1"
-                in capsys.readouterr().err)
+        assert f"error: {message}, so it needs t_max >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_requires_oracle_mode(self, tmp_path):

@@ -233,14 +233,14 @@ class TestStructuredAllocations:
         (rounds, spectra), peak = _traced(run)
         assert peak < 32e6
         tc = theory_constants(model, lam)
-        # the rounds hold one column per realised cell, and gather to the samples
+        # the rounds hold one column per realised cell, which the samples read
         cell = tuple(rounds.gram.cells.T - 1)
         sample = (rounds.assignment.true_labels - 1, rounds.assignment.given_labels - 1)
         for t in range(t_max + 1):
             expected = cell_outputs(one_hot_cells(K), C, tc, t)
             np.testing.assert_allclose(rounds.closed[t].columns, expected[:, cell[0], cell[1]],
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(rounds.gather(rounds.closed[t]).columns,
+            np.testing.assert_allclose(rounds.closed[t].columns[:, rounds.gram.sample_cell],
                                        expected[:, sample[0], sample[1]], rtol=0, atol=1e-12)
             # superclass value, K - 1 class contrasts, then the bulk
             powers = np.concatenate([tc.r, np.repeat(tc.q[0], K - 1),
