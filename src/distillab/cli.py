@@ -79,12 +79,18 @@ def simplex_projection(columns: np.ndarray) -> np.ndarray:
     Class ``k`` occupies the unit-circle vertex at angle
     ``90 + 360 (k-1)/K`` degrees and each output is the convex combination
     of the vertices it weights (for K=4 the vertices form a square, one
-    corner per one-hot vector).
+    corner per one-hot vector).  A vertex on an axis is exact (``0`` and
+    ``+-1``), so an output symmetric about that axis projects to ``0``.
+    Each point is summed class by class, so it depends on its own column
+    alone, not on the columns beside it.
     """
     K = columns.shape[0]
     angles = np.pi / 2 + 2.0 * np.pi * np.arange(K) / K
     verts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return columns.T @ verts
+    on_axis = 4 * np.arange(K) % K == 0
+    # + 0.0 turns rint's -0.0 into 0.0
+    verts[on_axis] = np.rint(verts[on_axis]) + 0.0
+    return sum(np.outer(column, vert) for column, vert in zip(columns, verts))
 
 
 def _out_path(directory: str, name: str) -> str:

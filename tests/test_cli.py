@@ -369,8 +369,8 @@ class TestTrajectoryCommand:
         assert all(v <= p4 + 1e-12 for v in at4[4:])
 
     def test_files_are_byte_identical_to_the_golden_run(self, tmp_path):
-        # tests/data/trajectory_III/ holds every file of this run, written by
-        # the row-wise writer these bytes must not drift from
+        # tests/data/trajectory_III/ holds every file of this run, whose bytes
+        # must not drift
         golden = os.path.join(DATA_DIR, "trajectory_III")
         cfg = ExperimentConfig(gram=GramConfig(case="III", K=4, n=12, c=0.4, d=0.1),
                                corruption=CorruptionConfig(kind="symmetric", eta=0.5),
@@ -496,6 +496,20 @@ class TestTrajectoryCommand:
         xy = simplex_projection(vec[:, None])[0]
         assert float(row[4]) == pytest.approx(xy[0], abs=1e-12)
         assert float(row[5]) == pytest.approx(xy[1], abs=1e-12)
+
+    def test_projection_vertices_on_an_axis_are_exact(self):
+        square = simplex_projection(np.eye(4))
+        assert square.tolist() == [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+        assert not np.signbit(square).any(where=square == 0.0)
+        # an output symmetric between classes 2 and 4 sits on the y axis
+        assert simplex_projection(np.array([[0.1], [0.3], [0.3], [0.3]]))[0, 0] == 0.0
+
+    @pytest.mark.parametrize("K", [3, 4, 5, 6, 12])
+    def test_a_point_depends_on_its_own_column_alone(self, K):
+        rng = np.random.default_rng(K)
+        cols = rng.dirichlet(np.ones(K), size=100).T
+        alone = np.vstack([simplex_projection(cols[:, [j]]) for j in range(100)])
+        assert np.array_equal(simplex_projection(cols), alone)
 
 
 def case_gram(name, K, n):
