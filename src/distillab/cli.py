@@ -141,15 +141,15 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         emit(name, lambda p: mat.to_csv(p, sample_cell))
 
     def projection_rows(mat):
-        # per cell: its labels, x, y, then its output column
-        table = fmt_all(np.hstack([simplex_projection(mat.columns), mat.columns.T]))
-        return (str(mat.round),), [[[*pair, *fields]] for pair, fields in zip(labels, table)]
+        # per cell: its labels (whole numbers, which fmt prints as integers),
+        # x, y, then its output column
+        table = np.hstack([cells, simplex_projection(mat.columns), mat.columns.T])
+        return (str(mat.round),), 1, fmt_all(table.ravel())
 
     emit("corruption.csv", C.to_csv)
     emit("labels.csv", run.assignment.to_csv)
     for mat in run.closed:
         emit_rounds(f"outputs_round_{mat.round:03d}.csv", mat)
-    labels = [list(map(str, pair)) for pair in cells.tolist()]
     emit("projection.csv", lambda p: write_cell_rows(
         p, ["round", "sample_index", "true_label", "given_label", "x", "y",
             *(f"y_{k}" for k in range(1, model.K + 1))],

@@ -98,28 +98,23 @@ def write_csv(path, header, columns) -> None:
                 break
 
 
-def _template(lead: str, rows) -> list:
-    """The text of one sample's ``rows`` split at its index slots: joined
-    by the index, it reads ``lead`` + index + ``,row`` for each row."""
-    tails = ["," + ",".join(row) + "\r\n" for row in rows]
-    return [lead, *(tail + lead for tail in tails[:-1]), tails[-1]]
-
-
 def write_cell_rows(path, header, passes, sample_cell) -> None:
     """A header line, then the lines of each pass, with ``\\r\\n`` line
     ends; in a pass each sample ``i``, in order, writes the lines of its
     cell ``sample_cell[i]``.
 
-    ``passes`` is an iterable of ``(lead, rows)`` pairs: ``lead`` the fields
-    that open every line of the pass, and ``rows[j]`` the lines of a sample
-    of cell ``j``, each a sequence of the fields that follow the sample
-    index, with as many lines in every cell.  A sample's line reads
-    ``lead, i, row``.  Each cell's lines are made once per pass into a
-    template with a slot for the index (:func:`_template`), and the samples
-    go out in blocks of about :data:`BLOCK_FIELDS` fields, each filled in by
-    one join and written by one write, so the writer formats no number and
-    holds one pass's templates and one block of text.  Fields are written
-    as given, as by :func:`write_csv`.
+    ``passes`` is an iterable of ``(lead, lines, fields)`` triples.  Every
+    line of the pass reads the fields ``lead``, the sample index, then the
+    next ``len(header) - len(lead) - 1`` of ``fields``; a sample of cell
+    ``j`` writes cell ``j``'s ``lines`` lines, whose fields follow those of
+    the cells before it in the flat ``fields``.  A pass makes the text of
+    all its cells at once, by one ``%`` on a repeated cell format, each
+    cell's text a template with a slot (``\\0``) for the index, and the
+    samples go out in blocks of about :data:`BLOCK_FIELDS` fields: each
+    sample's template with its index in the slot, one join and one write
+    per block.  So the writer formats no number and holds one pass's
+    templates and one block of text.  Fields are written as given, as by
+    :func:`write_csv`, and hold no ``\\0`` or ``\\1``.
     """
     sample_cell = np.asarray(sample_cell)
     try:
@@ -128,14 +123,18 @@ def write_cell_rows(path, header, passes, sample_cell) -> None:
         raise cannot_write(path, exc) from exc
     with fh:
         fh.write(",".join(header) + "\r\n")
-        for lead, rows in passes:
-            lead = "".join(field + "," for field in lead)
-            templates = [_template(lead, cell) for cell in rows]
-            step = max(1, BLOCK_FIELDS // (len(header) * len(rows[0])))
-            for start in range(0, sample_cell.size, step):
-                cells = sample_cell[start:start + step].tolist()
-                fh.write("".join(map(str.join, map(str, range(start, start + len(cells))),
-                                     map(templates.__getitem__, cells))))
+        for lead, lines, fields in passes:
+            fields = tuple(fields)
+            width = len(header) - len(lead) - 1
+            head = "".join(field + "," for field in lead).replace("%", "%%")
+            # \1 ends each cell's text
+            cell = (head + "\0" + ",%s" * width + "\r\n") * lines + "\1"
+            templates = (cell * (len(fields) // (lines * width)) % fields).split("\1")[:-1]
+            samples = max(1, BLOCK_FIELDS // (len(header) * lines))
+            for start in range(0, sample_cell.size, samples):
+                cells = sample_cell[start:start + samples].tolist()
+                fh.write("".join(map(str.replace, map(templates.__getitem__, cells), repeat("\0"),
+                                     map(str, range(start, start + len(cells))))))
 
 
 def read_csv(path, dtype=float, header: bool = False) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, cycle
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -141,10 +142,9 @@ def _write_long_csv(path, columns: np.ndarray, round_idx: int,
     and the values of the sample's column of ``columns``, ``sample_cell[i]``
     for sample ``i`` (``i`` when not given), each column formatted once."""
     K, m = columns.shape
-    classes = [str(k) for k in range(1, K + 1)]
+    fields = zip(cycle([str(k) for k in range(1, K + 1)]), fmt_all(columns.T.ravel()))
     write_cell_rows(path, ("round", "sample_index", "class_index", "value"),
-                    [((str(round_idx),), [list(zip(classes, values))
-                                         for values in fmt_all(columns.T)])],
+                    [((str(round_idx),), K, chain.from_iterable(fields))],
                     np.arange(m) if sample_cell is None else sample_cell)
 
 

@@ -243,8 +243,7 @@ class LabelAssignment:
     def to_csv(self, path) -> None:
         """One ``index,true_label,given_label`` line per sample, from its cell."""
         write_cell_rows(path, ("index", "true_label", "given_label"),
-                        [((), [[list(map(str, pair))] for pair in self.cells.tolist()])],
-                        self.sample_cell)
+                        [((), 1, map(str, self.cells.ravel().tolist()))], self.sample_cell)
 
     @classmethod
     def from_csv(cls, path) -> "LabelAssignment":
