@@ -79,10 +79,11 @@ def simplex_projection(columns: np.ndarray) -> np.ndarray:
     Class ``k`` occupies the unit-circle vertex at angle
     ``90 + 360 (k-1)/K`` degrees and each output is the convex combination
     of the vertices it weights (for K=4 the vertices form a square, one
-    corner per one-hot vector).  A vertex on an axis is exact (``0`` and
-    ``+-1``), so an output symmetric about that axis projects to ``0``.
-    Each point is summed class by class, so it depends on its own column
-    alone, not on the columns beside it.
+    corner per one-hot vector).  A vertex on an axis is exact, ``0`` and
+    ``+-1`` (all four for K=4, so there an output that weights two opposite
+    classes equally projects to ``0`` across them).  Each point is summed
+    class by class, so it depends on its own column alone, not on the
+    columns beside it.
     """
     K = columns.shape[0]
     angles = np.pi / 2 + 2.0 * np.pi * np.arange(K) / K
