@@ -127,7 +127,7 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
-    spectra = [averaging_operator(run.eig, config.lam, model.K, model.n, t).eigenvalues
+    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues
                for t in range(config.t_max + 1)]
     cells, sample_cell = run.gram.cells, run.gram.sample_cell
     run = run._replace(eig=None, gram=None)

@@ -164,8 +164,9 @@ class ExperimentConfig:
     sample counts in ``1..2**53`` for ``n``, as ``gram.n``, and corruption
     rates in ``[0, 1]`` for ``eta``.
 
-    ``seed`` places the labels and draws the Gram perturbation, and nothing
-    else: the exact oracle starts every round at the same point.
+    ``seed`` is the seed of :meth:`gram_model`, which places the labels
+    and draws the Gram perturbation, and nothing else: the exact oracle
+    starts every round at the same point.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -230,11 +231,7 @@ class ExperimentConfig:
                 f"corruption matrix_path does not exist: {self.corruption.matrix_path}"
             )
         try:
-            solver = SolverConfig(
-                max_iterations=self.solver_max_iterations,
-                tolerance=self.solver_tolerance,
-                seed=self.seed,
-            )
+            solver = SolverConfig(self.solver_max_iterations, self.solver_tolerance)
         except ValidationError as exc:
             # SolverConfig names its own fields; the config keys add "solver_"
             raise ValidationError(f"solver_{exc}") from exc

@@ -187,13 +187,11 @@ class AveragingOperator:
     t: int
     eig: EigenSystem
     lam: float
-    K: int
-    n: int
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """The read-only ``rho^t``, in the order of ``eig.values``."""
-        ev = _ratios(self.eig.values, self.lam, self.K, self.n) ** self.t
+        ev = _ratios(self.eig.values, self.lam, self.eig.K, self.eig.n) ** self.t
         # the round-0 operator is the identity; from round 1 on the spectrum
         # contracts strictly below 1
         ceiling_ok = np.all(ev == 1.0) if self.t == 0 else np.all(ev < 1.0)
@@ -206,7 +204,7 @@ class AveragingOperator:
         """``centered @ A_t`` as a new array, one column per sample or per
         cell of ``cells``; exactly ``centered`` at ``t = 0``."""
         out = np.array(centered, dtype=float)
-        for out in _rounds(self.eig, self.lam, self.K, self.n, out, self.t, cells):
+        for out in _rounds(self.eig, self.lam, out, self.t, cells):
             pass
         return out
 
@@ -218,10 +216,10 @@ class AveragingOperator:
         return matrix
 
 
-def _check_spectrum(eig: EigenSystem, lam: float, K: int, n: int) -> None:
+def _check_spectrum(eig: EigenSystem, lam: float) -> None:
     """:func:`_ratios`' checks on a dense system's values, or on the head
     values of a class-structured one (its bulk ``1 - omega`` is positive)."""
-    _ratios(eig.values if eig.model is None else _head_columns(eig.model)[0], lam, K, n)
+    _ratios(eig.values if eig.model is None else _head_columns(eig.model)[0], lam, eig.K, eig.n)
 
 
 def _ratios(values: np.ndarray, lam: float, K: int, n: int) -> np.ndarray:
@@ -266,35 +264,33 @@ def _class_round(rows: np.ndarray, classes: np.ndarray, weights: np.ndarray | fl
     return (((rows * weights) @ E) @ block) @ E.T + bulk[classes] * rows
 
 
-def _rounds(eig: EigenSystem, lam: float, K: int, n: int, centered: np.ndarray,
-            t_max: int, cells: Optional[CellGram] = None) -> Iterator[np.ndarray]:
+def _rounds(eig: EigenSystem, lam: float, centered: np.ndarray, t_max: int,
+            cells: Optional[CellGram] = None) -> Iterator[np.ndarray]:
     """Rounds ``1..t_max`` of centered ``K x m`` rows on ``eig``, one new array
     each: :func:`_class_round` on a class-structured system, its columns the
     samples or the weighted ``cells``; the chain of
     :func:`~distillab.gram_models._shifted_rounds` with the cached
     :meth:`~distillab.gram_models.EigenSystem.factor` on a dense one.  The
     eigenvalue guard runs first; ``t_max = 0`` factors nothing."""
-    _check_spectrum(eig, lam, K, n)
+    _check_spectrum(eig, lam)
     if eig.model is not None:
         classes, weights = ((eig.model.class_of_sample() - 1, 1.0) if cells is None
                             else (cells.cells[:, 0] - 1, cells.weights))
         for t in range(1, t_max + 1):
             yield _class_round(centered, classes, weights, eig.model, lam, t)
     elif t_max:
-        shift = K * K * n * lam
+        shift = eig.K * eig.K * eig.n * lam
         yield from _shifted_rounds(eig.gram, eig.factor(shift), shift, centered, t_max)
 
 
-def averaging_operator(
-    eig: EigenSystem, lam: float, K: int, n: int, t: int
-) -> AveragingOperator:
+def averaging_operator(eig: EigenSystem, lam: float, t: int) -> AveragingOperator:
     """Spectral power of the one-round label-averaging map.
 
     Its ``eigenvalues`` are the Gram's, each ``lambda_i`` mapped to
-    ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t``.  ``t = 0`` is
-    exactly the identity.  Source eigenvalues below ``-1e-8`` are rejected
-    before anything is factored; tiny negatives from a perturbed matrix are
-    clipped to zero in ``eigenvalues``.
+    ``rho_i^t = (lambda_i / (K^2 n lam + lambda_i))^t`` with the ``K`` and
+    ``n`` of ``eig``.  ``t = 0`` is exactly the identity.  Source eigenvalues
+    below ``-1e-8`` are rejected before anything is factored; tiny negatives
+    from a perturbed matrix are clipped to zero in ``eigenvalues``.
 
     :meth:`~AveragingOperator.apply` takes the rounds of :func:`_rounds`:
     :func:`_class_round` on a class-structured eigensystem (one that holds
@@ -306,16 +302,14 @@ def averaging_operator(
     """
     if t < 0:
         raise ValidationError("round must be >= 0")
-    _check_spectrum(eig, lam, K, n)
-    return AveragingOperator(t=t, eig=eig, lam=lam, K=K, n=n)
+    _check_spectrum(eig, lam)
+    return AveragingOperator(t=t, eig=eig, lam=lam)
 
 
-def trajectory(
-    Y0: OutputMatrix, eig: EigenSystem, lam: float, K: int, n: int, t_max: int,
-    cells: Optional[CellGram] = None,
-) -> list[OutputMatrix]:
-    """Outputs for rounds ``0..t_max`` from one-hot given labels, one column
-    per sample or per cell of ``cells``.
+def trajectory(Y0: OutputMatrix, eig: EigenSystem, lam: float, t_max: int,
+               cells: Optional[CellGram] = None) -> list[OutputMatrix]:
+    """Outputs for rounds ``0..t_max`` from one-hot given labels of
+    ``eig.K`` classes, one column per sample or per cell of ``cells``.
 
     Centers the targets at the uniform vector, takes the rounds of
     :func:`_rounds` and shifts back: the same arithmetic as the round-``t``
@@ -323,13 +317,15 @@ def trajectory(
     """
     if Y0.round != 0:
         raise ValidationError("trajectory starts from round-0 one-hot targets")
+    if Y0.K != eig.K:
+        raise ValidationError(f"targets have {Y0.K} classes, the eigensystem {eig.K}")
     size = eig.size if cells is None else cells.weights.size
     if Y0.num_samples != size:
         raise ValidationError(f"output matrix has {Y0.num_samples} columns, the layout {size}")
     if t_max < 0:
         raise ValidationError("t_max must be >= 0")
-    rounds = enumerate(_rounds(eig, lam, K, n, Y0.columns - 1.0 / K, t_max, cells), 1)
-    return [Y0, *(OutputMatrix(columns=rows + 1.0 / K, round=t) for t, rows in rounds)]
+    rounds = enumerate(_rounds(eig, lam, Y0.columns - 1.0 / eig.K, t_max, cells), 1)
+    return [Y0, *(OutputMatrix(columns=rows + 1.0 / eig.K, round=t) for t, rows in rounds)]
 
 
 def cell_outputs(
@@ -415,18 +411,18 @@ def pll_refine(teacher: OutputMatrix) -> PartialLabelMatrix:
     return PartialLabelMatrix(columns=cols, source_round=teacher.round)
 
 
-def pll_student(
-    targets: PartialLabelMatrix, eig: EigenSystem, lam: float, K: int, n: int,
-    cells: Optional[CellGram] = None,
-) -> OutputMatrix:
-    """Outputs of the student trained one round on two-hot ``targets`` (one
-    column per sample or per cell of ``cells``).
+def pll_student(targets: PartialLabelMatrix, eig: EigenSystem, lam: float,
+                cells: Optional[CellGram] = None) -> OutputMatrix:
+    """Outputs of the student trained one round on two-hot ``targets`` of
+    ``eig.K`` classes (one column per sample or per cell of ``cells``).
 
     Applies the one-round averaging operator to the centered targets:
     ``(targets - 1/K) @ A_1 + 1/K``, one round after the targets' source.
     """
-    student = averaging_operator(eig, lam, K, n, 1).apply(targets.columns - 1.0 / K, cells) + 1.0 / K
-    return OutputMatrix(columns=student, round=targets.source_round + 1)
+    if targets.K != eig.K:
+        raise ValidationError(f"targets have {targets.K} classes, the eigensystem {eig.K}")
+    student = averaging_operator(eig, lam, 1).apply(targets.columns - 1.0 / eig.K, cells)
+    return OutputMatrix(columns=student + 1.0 / eig.K, round=targets.source_round + 1)
 
 
 def argmax_accuracy(outputs: OutputMatrix, true_labels: Sequence[int],

@@ -148,7 +148,8 @@ class GramModel:
     single-superclass specialisation.  A positive ``perturbation_amplitude``
     adds a symmetric matrix of i.i.d. uniform entries in ``+-amplitude`` to
     the off-diagonal (diagonal kept at 1, lower triangle mirrored from the
-    upper), drawn reproducibly from ``seed``.
+    upper), drawn reproducibly from ``seed``, which also places a run's
+    labels (:func:`~distillab.oracle.run_rounds`).
     """
 
     case: GramCase
@@ -250,23 +251,31 @@ def _spectrum_order(model: GramModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class EigenSystem:
-    """A symmetric spectrum, eigenvalues descending, and one layout.
+    """A symmetric spectrum, eigenvalues descending, and one layout of ``K``
+    classes of ``n`` samples, the run's only record of both.
 
     A class-structured system (from :func:`analytic_eigensystem`) holds its
-    unperturbed ``model``; the averaging operator reads the model's
-    ``K x K`` class block.  A dense one (from :func:`numeric_eigensystem`)
-    holds its ``gram`` and ``values``; the averaging operator solves with its
-    cached :meth:`factor`.  Exactly one layout is given.  Every output reads
-    only ``values`` and the layout.  A class-structured system builds its
+    unperturbed ``model``, whose ``K`` and ``n`` it reads; the averaging
+    operator reads the model's ``K x K`` class block.  A dense one (from
+    :func:`numeric_eigensystem`) holds its ``gram``, ``values`` and ``K``,
+    with ``n = N / K``; the averaging operator solves with its cached
+    :meth:`factor`.  Exactly one layout is given.  Every output reads only
+    ``values`` and the layout.  A class-structured system builds its
     ``values`` on first read; :attr:`vectors`, a reference, are built on
     first read on either.
     """
 
     def __init__(self, values=None, model: Optional[GramModel] = None,
-                 gram: Optional[np.ndarray] = None):
-        if (model is None) == (gram is None) or (values is None) != (gram is None):
+                 gram: Optional[np.ndarray] = None, K: Optional[int] = None):
+        if [x is None for x in (values, gram, K)] != [model is not None] * 3:
             raise ValidationError("an eigensystem holds exactly one layout: its model, or its "
-                                  "Gram and values")
+                                  "Gram, values and K")
+        size = model.size if gram is None else gram.shape[0]
+        self.K = K = model.K if K is None else K
+        if K < 1 or size % K:
+            raise ValidationError(f"K={K} classes do not divide the N={size} samples of the "
+                                  "Gram into classes of equal size")
+        self.n, self.size = size // K, size
         if values is not None:
             values = np.array(values, dtype=float)
             if np.any(np.diff(values) > 1e-12):
@@ -284,10 +293,6 @@ class EigenSystem:
         values = values[order]
         values.flags.writeable = False
         return values
-
-    @property
-    def size(self) -> int:
-        return self.gram.shape[0] if self.model is None else self.model.size
 
     def factor(self, shift: float) -> np.ndarray:
         """The lower Cholesky factor of a dense system's ``gram + shift I``
@@ -543,12 +548,13 @@ def analytic_eigensystem(model: GramModel) -> EigenSystem:
     return EigenSystem(model=model)
 
 
-def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
-    """Dense symmetric eigensystem, eigenvalues descending.
+def numeric_eigensystem(matrix: np.ndarray, K: int) -> EigenSystem:
+    """Dense symmetric eigensystem of ``K`` classes, eigenvalues descending.
 
     Fallback for perturbed or empirical Gram matrices.  The input must be
     finite and symmetric to 1e-10 (the largest ``|A - A^T|``), both checked
-    over blocks of :data:`SOLVE_BLOCK` rows.  The result holds
+    over blocks of :data:`SOLVE_BLOCK` rows, and ``K`` must divide its size
+    ``N``, the system's ``n`` being ``N / K``.  The result holds
     ``eigvalsh``'s values in reverse and the matrix itself, neither copied
     nor modified.  ``eigvalsh`` frees its copy of the matrix when it
     returns, so that copy and the cached Cholesky factor of the shifted
@@ -573,7 +579,7 @@ def numeric_eigensystem(matrix: np.ndarray) -> EigenSystem:
     if dev > SYMMETRY_TOL:
         raise ValidationError(f"matrix is not symmetric: max |A - A^T| = {dev:.3e} "
                               f"> {SYMMETRY_TOL:.0e}")
-    return EigenSystem(values=np.linalg.eigvalsh(a)[::-1], gram=a)
+    return EigenSystem(values=np.linalg.eigvalsh(a)[::-1], gram=a, K=K)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ The optimal outputs of a round solve, column by column,
     y_i = softmax( sum_j gram[i, j] * (y_prev_j - y_j) / (K n lam) ),
 
 with no linearization.  With dual coefficients ``A = Y_prev - Y`` and
-logits ``Z = A G / c`` (``c = K n lam``) this is the stationarity condition
+logits ``Z = A G / c`` (``c = K n lam = N lam``, ``N`` the sum of the cell
+weights) this is the stationarity condition
 of the strictly convex kernel-logistic objective
 
     Phi(A) = sum_i logsumexp(Z_i) - <Y_prev, Z> + <A, Z> / 2,
@@ -42,6 +43,7 @@ linearized rounds ``1/K + ((Y - 1/K) G)(G + K^2 n lam I)^-1``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -87,14 +89,12 @@ class SolverConfig:
 
     ``max_iterations`` caps the Newton steps of one round.  ``tolerance``
     is the max-norm fixed-point residual below which the round counts as
-    converged, positive and finite.  ``seed`` places the labels in
-    :func:`run_rounds`; the solver does not read it, since every round starts
-    at the zero dual, whose first Newton step is the linear round.
+    converged, positive and finite.  The solver takes no seed: every round
+    starts at the zero dual, whose first Newton step is the linear round.
     """
 
     max_iterations: int = 50_000
     tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < np.inf:
@@ -201,7 +201,7 @@ def _newton_direction(r: np.ndarray, rG: np.ndarray, S: np.ndarray, matrix: np.n
     return d, dG
 
 
-def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int,
+def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float,
                 config: Optional[SolverConfig] = None) -> OracleResult:
     """Solve one distillation round's softmax fixed point exactly.
 
@@ -233,7 +233,7 @@ def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int
         raise ValidationError("Gram matrix size does not match the previous outputs")
     if lam <= 0.0:
         raise ValidationError("regularization strength must be positive")
-    c = K * n * lam
+    c = math.fsum(weights) * lam  # the weights sum to N = K n, rounded once as in K * n * lam
     Yp = Y_prev.columns
     A = Z = np.zeros(Yp.shape)  # the zero dual; no step updates either in place
     best_S, best_linf = None, np.inf
@@ -274,7 +274,7 @@ def solve_round(Y_prev: OutputMatrix, gram: CellGram, lam: float, K: int, n: int
     )
 
 
-def oracle_trajectory(Y0: OutputMatrix, gram: CellGram, lam: float, K: int, n: int, t_max: int,
+def oracle_trajectory(Y0: OutputMatrix, gram: CellGram, lam: float, t_max: int,
                       config: Optional[SolverConfig] = None) -> list[OracleResult]:
     """Oracle results for rounds ``1..t_max``, each solved from the previous
     round's oracle outputs (round 1 from ``Y0``).  A round that fails to
@@ -283,7 +283,7 @@ def oracle_trajectory(Y0: OutputMatrix, gram: CellGram, lam: float, K: int, n: i
     results: list[OracleResult] = []
     current = Y0
     for t in range(1, t_max + 1):
-        result = solve_round(current, gram, lam, K, n, config)
+        result = solve_round(current, gram, lam, config)
         if not result.converged:
             raise NumericalError(
                 f"oracle failed to converge at round {t} (residual "
@@ -351,8 +351,9 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     Gram, shared by the rounds and the student, so each dense stage holds
     the Gram plus at most one ``N x N`` working array; the returned
     :class:`Rounds` holds both as long as it lives.  ``lam`` is checked
-    first.  ``solver.seed`` places the labels; a ``C`` off the ``n``-sample
-    grid raises, or with ``snap`` runs on :func:`nearest_realizable`.
+    first.  ``model.seed`` places the labels, as it draws a perturbation; a
+    ``C`` off the ``n``-sample grid raises, or with ``snap`` runs on
+    :func:`nearest_realizable`.
 
     The oracle rounds run on one helper thread only beside dense
     closed-form stages (a perturbed model), whose eigensystem and factor
@@ -363,15 +364,14 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     and a closed-form error wins over an oracle error.
     """
     _check_lam(model, lam)
-    K, n = model.K, model.n
     try:
-        assignment = realize_labels(C, n, seed=solver.seed)
+        assignment = realize_labels(C, model.n, seed=model.seed)
     except ValidationError:
         if not snap:
             raise
-        assignment = realize_labels(nearest_realizable(C, n), n, seed=solver.seed)
+        assignment = realize_labels(nearest_realizable(C, model.n), model.n, seed=model.seed)
     gram = cell_gram(model, assignment)
-    Y0 = OutputMatrix.from_labels(gram.cells[:, 1], K)
+    Y0 = OutputMatrix.from_labels(gram.cells[:, 1], model.K)
     wants_closed = "closed_form" in modes or "pll" in modes
 
     def closed_stage():
@@ -380,15 +380,15 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
         if not model.perturbation_amplitude:
             eig = analytic_eigensystem(model)
         else:
-            eig = numeric_eigensystem(gram.matrix)
-        closed = trajectory(Y0, eig, lam, K, n, t_max, gram)
+            eig = numeric_eigensystem(gram.matrix, model.K)
+        closed = trajectory(Y0, eig, lam, t_max, gram)
         if "pll" not in modes:
             return eig, closed, None, None
         refined = pll_refine(closed[1])
-        return eig, closed, refined, pll_student(refined, eig, lam, K, n, gram)
+        return eig, closed, refined, pll_student(refined, eig, lam, gram)
 
     def oracle_stage():
-        return oracle_trajectory(Y0, gram, lam, K, n, t_max, solver)
+        return oracle_trajectory(Y0, gram, lam, t_max, solver)
 
     if "oracle" in modes and wants_closed and model.perturbation_amplitude:
         oracle, (eig, closed, refined, student) = _beside(oracle_stage, closed_stage)

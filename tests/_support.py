@@ -79,11 +79,10 @@ def per_sample_rounds(model, given, lam, t_max):
     """The closed-form rounds ``0..t_max``, the top-2 targets and the top-2
     student of an unperturbed ``model`` with one column per sample, as runs
     computed them before they ran on the cells."""
-    K, n = model.K, model.n
     eig = analytic_eigensystem(model)
-    closed = trajectory(OutputMatrix.from_labels(given, K), eig, lam, K, n, t_max)
+    closed = trajectory(OutputMatrix.from_labels(given, model.K), eig, lam, t_max)
     refined = pll_refine(closed[1])
-    return closed, refined, pll_student(refined, eig, lam, K, n)
+    return closed, refined, pll_student(refined, eig, lam)
 
 
 def per_sample_trajectory(config, directory):

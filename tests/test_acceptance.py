@@ -74,7 +74,7 @@ def test_criterion_01_eigen_structure_equivalence():
                     kwargs["e"] = 0.05
                 model = GramModel(**kwargs)
                 analytic = analytic_eigensystem(model)
-                dense = numeric_eigensystem(build_gram(model))
+                dense = numeric_eigensystem(build_gram(model), model.K)
                 np.testing.assert_allclose(
                     analytic.values, dense.values, atol=1e-8,
                     err_msg=f"{case} K={K} n={n}",
@@ -101,8 +101,8 @@ def test_criterion_02_trajectory_consistency():
         eig = analytic_eigensystem(model)
         labels = rng.integers(1, K + 1, size=K * n)
         Y0 = OutputMatrix.from_labels(labels, K)
-        traj = trajectory(Y0, eig, lam, K, n, 8)
-        step = averaging_operator(eig, lam, K, n, 1).matrix
+        traj = trajectory(Y0, eig, lam, 8)
+        step = averaging_operator(eig, lam, 1).matrix
         cur = Y0.columns
         for t in range(1, 9):
             cur = (cur - 1.0 / K) @ step + 1.0 / K
@@ -121,7 +121,7 @@ def test_criterion_02_trajectory_consistency():
         tc = theory_constants(model, 1e-3)
         eig = analytic_eigensystem(model)
         traj = trajectory(OutputMatrix.from_labels(la.given_labels, 4), eig,
-                          1e-3, 4, model.n, 5)
+                          1e-3, 5)
         for t in (1, 3, 5):
             for i in range(0, 48, 5):
                 expected = closed_form_output(
@@ -211,7 +211,7 @@ def test_criterion_06_oracle_fidelity():
     la = realize_labels(nearest_realizable(C, model.n), model.n, seed=0)
     Y_prev = OutputMatrix.from_labels(la.given_labels, 4)
     config = SolverConfig(tolerance=1e-10, max_iterations=50_000)
-    result = solve_round(Y_prev, sample_cells(gram), SETUP_A_LAMBDA, 4, 100, config)
+    result = solve_round(Y_prev, sample_cells(gram), SETUP_A_LAMBDA, config)
     assert result.converged
     assert result.final_loss < 1e-10
     assert result.iterations_used <= 50_000
@@ -238,10 +238,10 @@ def test_criterion_07_temperature_rescales_regularization():
     C = make_corruption("symmetric", 0.3, K)
     la = realize_labels(C, n, seed=0)
     Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-    plain = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig()).outputs.columns
+    plain = solve_round(Y_prev, sample_cells(gram), lam, SolverConfig()).outputs.columns
     worst, moved = 0.0, np.inf
     for tau in (0.5, 2.0):
-        Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
+        Y = solve_round(Y_prev, sample_cells(gram), lam * tau,
                         SolverConfig()).outputs.columns
         logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
         worst = max(worst, float(np.abs(Y - softmax(logits / tau)).max()))

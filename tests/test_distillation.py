@@ -62,29 +62,29 @@ class TestAveragingOperator:
     def test_round_zero_is_identity(self):
         model = setup_a_model()
         eig = analytic_eigensystem(model)
-        op = averaging_operator(eig, SETUP_A_LAMBDA, model.K, model.n, 0)
+        op = averaging_operator(eig, SETUP_A_LAMBDA, 0)
         np.testing.assert_allclose(op.matrix, np.eye(model.size), atol=1e-10)
 
     def test_identity_gram_contracts_uniformly(self):
         model = GramModel(case=GramCase.I, K=4, n=100, c=0.0)
         eig = analytic_eigensystem(model)
-        op = averaging_operator(eig, SETUP_A_LAMBDA, 4, 100, 1)
+        op = averaging_operator(eig, SETUP_A_LAMBDA, 1)
         # every eigenvalue is 1/(K^2 n lam + 1) = 1/1.5
         np.testing.assert_allclose(op.matrix, np.eye(400) / 1.5, atol=1e-12)
 
     def test_reference_operator_spectrum(self):
         model = setup_a_model()
         eig = analytic_eigensystem(model)
-        op = averaging_operator(eig, SETUP_A_LAMBDA, 4, 100, 1)
+        op = averaging_operator(eig, SETUP_A_LAMBDA, 1)
         ev = np.sort(op.eigenvalues)[::-1]
         assert ev[0] == pytest.approx(70.6 / 71.1, abs=1e-12)
         np.testing.assert_allclose(ev[1:4], 30.6 / 31.1, atol=1e-12)
         np.testing.assert_allclose(ev[4:], 0.6 / 1.1, atol=1e-12)
 
     def test_rejects_negative_source_eigenvalue(self):
-        bad = numeric_eigensystem(np.array([[1.0, 0.0], [0.0, -0.5]]))
+        bad = numeric_eigensystem(np.array([[1.0, 0.0], [0.0, -0.5]]), 2)
         with pytest.raises(ValidationError):
-            averaging_operator(bad, 1e-3, 2, 1, 1)
+            averaging_operator(bad, 1e-3, 1)
 
 
 # the five Gram cases plus n=1, which has no within-class bulk family
@@ -107,7 +107,7 @@ def structured_reference(name):
     eigensystem."""
     model = STRUCTURED_MODELS[name.removesuffix("-dense")]
     if name.endswith("-dense"):
-        return model, numeric_eigensystem(build_gram(model))
+        return model, numeric_eigensystem(build_gram(model), model.K)
     return model, analytic_eigensystem(model)
 
 
@@ -122,7 +122,7 @@ class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("name", STRUCTURED_REFERENCES)
     def test_matches_plain_product_on_analytic_eigensystems(self, name, t):
         model, reference = structured_reference(name)
-        op = averaging_operator(analytic_eigensystem(model), 1e-3, model.K, model.n, t)
+        op = averaging_operator(analytic_eigensystem(model), 1e-3, t)
         np.testing.assert_allclose(
             op.matrix, plain_operator(reference, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
         )
@@ -132,9 +132,9 @@ class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("t", [0, 1, 3])
     def test_dense_eigensystem_is_the_plain_product(self, t):
         model = PERTURBED_MODEL
-        eig = numeric_eigensystem(build_gram(model))
+        eig = numeric_eigensystem(build_gram(model), model.K)
         assert np.unique(eig.values).size == eig.size  # no bulk value
-        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        op = averaging_operator(eig, 1e-3, t)
         np.testing.assert_allclose(
             op.matrix, plain_operator(eig, 1e-3, model.K, model.n, t), rtol=0, atol=1e-13
         )
@@ -145,7 +145,7 @@ class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
     def test_pll_student_matches_eigen_form(self, name):
         model = STRUCTURED_MODELS.get(name, PERTURBED_MODEL)
-        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+        eig = (numeric_eigensystem(build_gram(model), model.K) if name == "perturbed"
                else analytic_eigensystem(model))
         K, n, lam = model.K, model.n, 1e-3
         rng = np.random.default_rng(0)
@@ -155,13 +155,13 @@ class TestDeflatedAveragingOperator:
         targets = PartialLabelMatrix(columns=cols)
         ratios = eig.values / (K * K * n * lam + eig.values)
         expected = ((cols - 1.0 / K) @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
-        student = pll_student(targets, eig, lam, K, n)
+        student = pll_student(targets, eig, lam)
         np.testing.assert_allclose(student.columns, expected, rtol=0, atol=1e-13)
         assert student.round == 2
 
     def test_matrix_is_built_once_read_only_and_is_the_plain_product(self):
         eig = analytic_eigensystem(STRUCTURED_MODELS["III"])
-        op = averaging_operator(eig, 1e-3, 4, 6, 1)
+        op = averaging_operator(eig, 1e-3, 1)
         assert op.matrix is op.matrix
         assert not op.matrix.flags.writeable
         np.testing.assert_allclose(op.matrix, plain_operator(eig, 1e-3, 4, 6, 1),
@@ -171,9 +171,9 @@ class TestDeflatedAveragingOperator:
     @pytest.mark.parametrize("name", sorted(STRUCTURED_MODELS) + ["perturbed"])
     def test_apply_is_the_product_with_the_matrix(self, name, t):
         model = STRUCTURED_MODELS.get(name, PERTURBED_MODEL)
-        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+        eig = (numeric_eigensystem(build_gram(model), model.K) if name == "perturbed"
                else analytic_eigensystem(model))
-        op = averaging_operator(eig, 1e-3, model.K, model.n, t)
+        op = averaging_operator(eig, 1e-3, t)
         rows = random_one_hot(model).columns - 1.0 / model.K
         np.testing.assert_allclose(op.apply(rows), rows @ op.matrix, rtol=0, atol=1e-13)
 
@@ -205,28 +205,28 @@ class TestStructuredAllocations:
         # the eigensystem, the trajectory, the student and the eigenvalue
         # table of the trajectory command, all inside the traced region
         model = ALLOCATION_MODELS[name]
-        K, n, lam = model.K, model.n, 1e-3
+        lam = 1e-3
         Y0 = random_one_hot(model)
 
         def run():
             eig = analytic_eigensystem(model)
-            traj = trajectory(Y0, eig, lam, K, n, 4)
-            pll_student(pll_refine(traj[1]), eig, lam, K, n)
+            traj = trajectory(Y0, eig, lam, 4)
+            pll_student(pll_refine(traj[1]), eig, lam)
             for t in range(5):
-                averaging_operator(eig, lam, K, n, t).eigenvalues
+                averaging_operator(eig, lam, t).eigenvalues
 
         assert _traced(run)[1] < model.size**2 * 8 / 16
 
     def test_case_iii_at_n_12000_matches_the_cell_engine(self):
         # an N x N eigenvector matrix would take 1.15 GB here
-        model = GramModel(case=GramCase.III, K=4, n=3000, c=0.4, d=0.1)
-        K, n, lam, t_max = model.K, model.n, SETUP_A_LAMBDA, 4
+        model = GramModel(case=GramCase.III, K=4, n=3000, c=0.4, d=0.1, seed=3)
+        K, lam, t_max = model.K, SETUP_A_LAMBDA, 4
         C = make_corruption("symmetric", 0.5, K)
 
         def run():
             rounds = oracle.run_rounds(model, C, lam, t_max, ("closed_form", "pll"),
-                                       SolverConfig(seed=3))
-            spectra = [averaging_operator(rounds.eig, lam, K, n, t).eigenvalues
+                                       SolverConfig())
+            spectra = [averaging_operator(rounds.eig, lam, t).eigenvalues
                        for t in range(t_max + 1)]
             return rounds, spectra
 
@@ -282,9 +282,9 @@ class TestFactoredDenseRounds:
     @settings(max_examples=40, deadline=None)
     def test_trajectory_and_student_are_the_eigen_form(self, model, lam, seed):
         K, n = model.K, model.n
-        eig = numeric_eigensystem(build_gram(model))
+        eig = numeric_eigensystem(build_gram(model), model.K)
         Y0 = random_one_hot(model, seed)
-        traj = trajectory(Y0, eig, lam, K, n, 4)
+        traj = trajectory(Y0, eig, lam, 4)
         np.testing.assert_array_equal(traj[0].columns, Y0.columns)
         for t in range(5):
             np.testing.assert_allclose(traj[t].columns, eigen_form(Y0, eig, lam, K, n, t),
@@ -292,7 +292,7 @@ class TestFactoredDenseRounds:
         refined = pll_refine(traj[1])
         ratios = eig.values / (K * K * n * lam + eig.values)
         expected = ((refined.columns - 1.0 / K) @ eig.vectors * ratios) @ eig.vectors.T + 1.0 / K
-        np.testing.assert_allclose(pll_student(refined, eig, lam, K, n).columns, expected,
+        np.testing.assert_allclose(pll_student(refined, eig, lam).columns, expected,
                                    rtol=0, atol=1e-13)
 
     def test_perturbed_run_builds_no_eigenvectors(self):
@@ -302,12 +302,12 @@ class TestFactoredDenseRounds:
         assert "vectors" not in run.eig.__dict__
         # the rounds and the student share one factor
         assert list(run.eig._factors) == [model.K**2 * model.n * 1e-3]
-        fresh = numeric_eigensystem(build_gram(model))
+        fresh = numeric_eigensystem(build_gram(model), model.K)
         for t in range(4):
-            averaging_operator(fresh, 1e-3, model.K, model.n, t).eigenvalues
+            averaging_operator(fresh, 1e-3, t).eigenvalues
         assert not fresh._factors  # the eigenvalue table factors nothing
         rows = random_one_hot(model).columns - 1.0 / model.K
-        identity = averaging_operator(fresh, 1e-3, model.K, model.n, 0).apply(rows)
+        identity = averaging_operator(fresh, 1e-3, 0).apply(rows)
         assert np.array_equal(identity, rows) and identity is not rows
         assert not fresh._factors  # neither does the round-0 operator
 
@@ -316,15 +316,15 @@ class TestFactoredDenseRounds:
         monkeypatch.setattr(gram_models, "_shifted_factor",
                             lambda gram, shift: exact(gram, shift) * (1.0 + 1e-6))
         model = PERTURBED_MODEL
-        eig = numeric_eigensystem(build_gram(model))
+        eig = numeric_eigensystem(build_gram(model), model.K)
         with pytest.raises(NumericalError, match="shifted Gram solve residual"):
-            trajectory(random_one_hot(model), eig, 1e-3, model.K, model.n, 1)
+            trajectory(random_one_hot(model), eig, 1e-3, 1)
 
     def test_failed_factorisation_names_the_amplitude(self):
         # -5e-9 passes the negative-eigenvalue guard, but G + cI with
         # c = 4e-10 is indefinite
-        eig = numeric_eigensystem(np.diag([1.0, -5e-9]))
-        op = averaging_operator(eig, 1e-10, 2, 1, 1)
+        eig = numeric_eigensystem(np.diag([1.0, -5e-9]), 2)
+        op = averaging_operator(eig, 1e-10, 1)
         with pytest.raises(NumericalError, match="gram.perturbation_amplitude"):
             op.apply(np.array([[0.5, -0.5], [-0.5, 0.5]]))
 
@@ -333,15 +333,15 @@ class TestFactoredDenseRounds:
         # the eigensystem with vectors held four (eigh's vectors and the
         # residual beside the Gram)
         model = DENSE_STAGE_MODEL
-        K, n, lam = model.K, model.n, 1e-3
+        lam = 1e-3
         Y0 = random_one_hot(model)
 
         def run():
-            eig = numeric_eigensystem(build_gram(model))
-            traj = trajectory(Y0, eig, lam, K, n, 3)
-            pll_student(pll_refine(traj[1]), eig, lam, K, n)
+            eig = numeric_eigensystem(build_gram(model), model.K)
+            traj = trajectory(Y0, eig, lam, 3)
+            pll_student(pll_refine(traj[1]), eig, lam)
             for t in range(4):
-                averaging_operator(eig, lam, K, n, t).eigenvalues
+                averaging_operator(eig, lam, t).eigenvalues
 
         assert _traced(run)[1] < 2.2 * model.size**2 * 8
 
@@ -363,7 +363,7 @@ class TestDeflatedTrajectory:
         model = STRUCTURED_MODELS[name]
         eig = analytic_eigensystem(model)
         Y0 = random_one_hot(model)
-        traj = trajectory(Y0, eig, 1e-3, model.K, model.n, 4)
+        traj = trajectory(Y0, eig, 1e-3, 4)
         for t in range(1, 5):
             np.testing.assert_allclose(
                 traj[t].columns, eigen_form(Y0, eig, 1e-3, model.K, model.n, t),
@@ -372,16 +372,16 @@ class TestDeflatedTrajectory:
 
     def test_dense_trajectory_is_the_eigen_form(self):
         model = PERTURBED_MODEL
-        eig = numeric_eigensystem(build_gram(model))
+        eig = numeric_eigensystem(build_gram(model), model.K)
         Y0 = random_one_hot(model)
         K, n = model.K, model.n
-        traj = trajectory(Y0, eig, 1e-3, K, n, 3)
+        traj = trajectory(Y0, eig, 1e-3, 3)
         np.testing.assert_array_equal(traj[0].columns, Y0.columns)
         for t in range(1, 4):
             np.testing.assert_allclose(traj[t].columns, eigen_form(Y0, eig, 1e-3, K, n, t),
                                        rtol=0, atol=1e-13)
             # round t chains round t - 1: the round-t operator on round 0
-            rows = averaging_operator(eig, 1e-3, K, n, t).apply(Y0.columns - 1.0 / K)
+            rows = averaging_operator(eig, 1e-3, t).apply(Y0.columns - 1.0 / K)
             assert np.array_equal(traj[t].columns, rows + 1.0 / K)
 
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
@@ -392,7 +392,7 @@ class TestDeflatedTrajectory:
         K, n, lam = model.K, model.n, 1e-3
         gram = build_gram(model)
         rows = random_one_hot(model).columns - 1.0 / K
-        eig = numeric_eigensystem(gram)
+        eig = numeric_eigensystem(gram, K)
         ratios = eig.values / (K * K * n * lam + eig.values)
         eigen_form = rows @ eig.vectors * ratios @ eig.vectors.T
         shift = K * K * n * lam
@@ -409,7 +409,7 @@ class TestTrajectory:
         la = realize_labels(C, n=6, seed=0)
         model = GramModel(case=GramCase.III, K=4, n=6, c=0.4, d=0.1)
         eig = analytic_eigensystem(model)
-        traj = trajectory(one_hot_from(la), eig, 1e-3, 4, 6, 3)
+        traj = trajectory(one_hot_from(la), eig, 1e-3, 3)
         np.testing.assert_array_equal(traj[0].columns, one_hot_from(la).columns)
         assert [m.round for m in traj] == [0, 1, 2, 3]
 
@@ -418,7 +418,7 @@ class TestTrajectory:
         C = make_corruption("symmetric", 0.0, 4)
         la = realize_labels(C, n=100, seed=0)
         eig = analytic_eigensystem(model)
-        traj = trajectory(one_hot_from(la), eig, SETUP_A_LAMBDA, 4, 100, 1000)
+        traj = trajectory(one_hot_from(la), eig, SETUP_A_LAMBDA, 1000)
         # slowest surviving mode decays like q^t (the balanced all-ones mode
         # carries no weight): ~3e-4 at t=500, below 1e-6 by t=1000
         assert np.abs(traj[500].columns - 0.25).max() < 1e-3
@@ -431,7 +431,7 @@ class TestTrajectory:
         C = make_corruption("symmetric", 0.5, K)
         la = realize_labels(C, n=n, seed=4)
         eig = analytic_eigensystem(model)
-        traj = trajectory(one_hot_from(la), eig, SETUP_A_LAMBDA, K, n, 1)
+        traj = trajectory(one_hot_from(la), eig, SETUP_A_LAMBDA, 1)
         tc = theory_constants(model, SETUP_A_LAMBDA)
         clean = np.nonzero((la.true_labels == 1) & (la.given_labels == 1))[0][0]
         expected = closed_form_output((1, 1), C, tc, 1)
@@ -442,7 +442,7 @@ class TestTrajectory:
         la = realize_labels(C, n=10, seed=2)
         model = GramModel(case=GramCase.III, K=4, n=10, c=0.5, d=0.2)
         eig = analytic_eigensystem(model)
-        for m in trajectory(one_hot_from(la), eig, 1e-3, 4, 10, 6):
+        for m in trajectory(one_hot_from(la), eig, 1e-3, 6):
             np.testing.assert_allclose(m.columns.sum(axis=0), 1.0, atol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
@@ -450,7 +450,20 @@ class TestTrajectory:
         eig = analytic_eigensystem(model)
         y0 = OutputMatrix.from_labels(np.array([1, 2, 3, 4]), 4)
         with pytest.raises(ValidationError):
-            trajectory(y0, eig, 1e-3, 4, 10, 1)
+            trajectory(y0, eig, 1e-3, 1)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_targets_of_another_class_count_are_rejected(self, dense):
+        # 3 classes of 8 samples or 4 of 6: the same 24 columns
+        model = STRUCTURED_MODELS["I"]
+        eig = (numeric_eigensystem(build_gram(model), model.K) if dense
+               else analytic_eigensystem(model))
+        labels = np.arange(model.size) % 4 + 1
+        with pytest.raises(ValidationError, match="targets have 4 classes, the eigensystem 3"):
+            trajectory(OutputMatrix.from_labels(labels, 4), eig, 1e-3, 1)
+        refined = pll_refine(OutputMatrix(np.full((4, model.size), 0.25), round=1))
+        with pytest.raises(ValidationError, match="targets have 4 classes, the eigensystem 3"):
+            pll_student(refined, eig, 1e-3)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -466,8 +479,8 @@ class TestTrajectory:
         eig = analytic_eigensystem(model)
         labels = rng.integers(1, K + 1, size=K * n)
         y0 = OutputMatrix.from_labels(labels, K)
-        traj = trajectory(y0, eig, lam, K, n, 8)
-        step = averaging_operator(eig, lam, K, n, 1).matrix
+        traj = trajectory(y0, eig, lam, 8)
+        step = averaging_operator(eig, lam, 1).matrix
         cur = y0.columns
         for t in range(1, 9):
             cur = (cur - 1.0 / K) @ step + 1.0 / K
@@ -516,7 +529,7 @@ class TestClosedFormOutput:
             la = realize_labels(C, n=model.n, seed=1)
             tc = theory_constants(model, 1e-3)
             eig = analytic_eigensystem(model)
-            traj = trajectory(one_hot_from(la), eig, 1e-3, 4, model.n, 4)
+            traj = trajectory(one_hot_from(la), eig, 1e-3, 4)
             emp = la.empirical_corruption()
             for t in (1, 2, 4):
                 for i in (0, 13, 25, 47):
@@ -549,7 +562,7 @@ class TestClosedFormOutput:
         assert not C.is_block_confined(model.effective_map())
         la = realize_labels(C, n=model.n, seed=3)
         tc = theory_constants(model, 1e-3)
-        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), 1e-3, 4, model.n, 3)
+        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), 1e-3, 3)
         for t in (1, 2, 3):
             closed = np.stack([closed_form_output((int(y), int(g)), C, tc, t)
                                for y, g in zip(la.true_labels, la.given_labels)], axis=1)
@@ -568,7 +581,7 @@ class TestClosedFormOutput:
         C = make_corruption("symmetric", 1.0 / 3.0, 3)
         la = realize_labels(C, n=12, seed=5)
         eig = analytic_eigensystem(model)
-        traj = trajectory(one_hot_from(la), eig, 1e-3, 3, 12, 3)
+        traj = trajectory(one_hot_from(la), eig, 1e-3, 3)
         emp = la.empirical_corruption()
         for i in (0, 13, 26):
             expected = closed_form_output(
@@ -645,7 +658,7 @@ class TestCoupledSuperclasses:
         C = make_corruption("superclass", 0.2, 4, superclass_map=smap)
         la = realize_labels(C, n=n, seed=9)
         eig = analytic_eigensystem(model)
-        traj = trajectory(one_hot_from(la), eig, lam, K, n, 3)
+        traj = trajectory(one_hot_from(la), eig, lam, 3)
         for t in (1, 2, 3):
             for i in (0, 60, 120, 199):
                 expected = closed_form_output(
@@ -661,7 +674,7 @@ class TestCoupledSuperclasses:
         tc = theory_constants(model, lam)
         C = make_corruption("superclass", 0.5, K, superclass_map=smap)
         la = realize_labels(C, n=n, seed=3)
-        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, K, n, 3)
+        traj = trajectory(one_hot_from(la), analytic_eigensystem(model), lam, 3)
         for t in (1, 2, 3):
             for i in range(model.size):
                 expected = closed_form_output(
@@ -713,8 +726,8 @@ class TestCellOutputs:
         la = realize_labels(C, n, seed=seed)
         cells = [(int(y), int(g)) for y, g in zip(la.true_labels, la.given_labels)]
         # the dense eigen form shares no code with the class block
-        for eig in (analytic_eigensystem(model), numeric_eigensystem(build_gram(model))):
-            traj = trajectory(one_hot_from(la), eig, lam, K, n, 3)
+        for eig in (analytic_eigensystem(model), numeric_eigensystem(build_gram(model), model.K)):
+            traj = trajectory(one_hot_from(la), eig, lam, 3)
             for t in range(4):
                 engine = cell_outputs(one_hot_cells(K), C, tc, t)
                 per_sample = engine[:, la.true_labels - 1, la.given_labels - 1]
@@ -748,8 +761,8 @@ class TestCellOutputs:
         cells = cell_pll_outputs(C, theory_constants(model, lam))
         la = realize_labels(C, n, seed=0)
         eig = analytic_eigensystem(model)
-        refined = pll_refine(trajectory(one_hot_from(la), eig, lam, K, n, 1)[1])
-        student = pll_student(refined, eig, lam, K, n)
+        refined = pll_refine(trajectory(one_hot_from(la), eig, lam, 1)[1])
+        student = pll_student(refined, eig, lam)
         np.testing.assert_allclose(
             student.columns, cells[:, la.true_labels - 1, la.given_labels - 1],
             rtol=0, atol=1e-12,
@@ -820,10 +833,8 @@ class TestPllRefine:
                           e=0.05 if case is GramCase.V else 0.0, superclass_map=smap)
         C = make_corruption(kind, eta, K, superclass_map=smap)
         Y0 = one_hot_from(realize_labels(C, n, seed=0))
-        targets = [
-            pll_refine(trajectory(Y0, eig, SETUP_A_LAMBDA, K, n, 1)[1]).columns
-            for eig in (analytic_eigensystem(model), numeric_eigensystem(build_gram(model)))
-        ]
+        eigs = (analytic_eigensystem(model), numeric_eigensystem(build_gram(model), K))
+        targets = [pll_refine(trajectory(Y0, eig, SETUP_A_LAMBDA, 1)[1]).columns for eig in eigs]
         np.testing.assert_array_equal(targets[0], targets[1])
 
 
@@ -837,8 +848,8 @@ class TestCellPllStudent:
         for seed in range(10):
             C = _realizable_corruption(K, n, model.effective_map(), True, rng)
             la = realize_labels(C, n, seed=seed)
-            refined = pll_refine(trajectory(one_hot_from(la), eig, lam, K, n, 1)[1])
-            student = pll_student(refined, eig, lam, K, n)
+            refined = pll_refine(trajectory(one_hot_from(la), eig, lam, 1)[1])
+            student = pll_student(refined, eig, lam)
             cells = cell_pll_outputs(C, tc)
             np.testing.assert_allclose(
                 student.columns, cells[:, la.true_labels - 1, la.given_labels - 1],
@@ -898,9 +909,9 @@ class TestOutputMatrixIO:
     @pytest.mark.parametrize("name", ["perturbed", "unperturbed"])
     def test_writes_the_bytes_of_a_per_value_writer(self, tmp_path, name):
         model = PERTURBED_MODEL if name == "perturbed" else STRUCTURED_MODELS["III"]
-        eig = (numeric_eigensystem(build_gram(model)) if name == "perturbed"
+        eig = (numeric_eigensystem(build_gram(model), model.K) if name == "perturbed"
                else analytic_eigensystem(model))
-        m = trajectory(random_one_hot(model), eig, 1e-3, model.K, model.n, 2)[2]
+        m = trajectory(random_one_hot(model), eig, 1e-3, 2)[2]
         distinct = np.unique(m.columns).size
         # every value distinct when perturbed; repeated per cell otherwise
         assert (distinct == m.columns.size) == (name == "perturbed")

@@ -50,3 +50,26 @@ def test_bench_traces_and_pins_names_that_exist(monkeypatch):
     # module globals the bench reads after the tracer rebinds them
     assert cli.solve_round is oracle.solve_round
     assert oracle.analytic_eigensystem is gram_models.analytic_eigensystem
+
+
+def _layout_parameter(param) -> bool:
+    return any(name in str(param.annotation) for name in ("EigenSystem", "CellGram"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_export_takes_k_or_n_beside_a_layout(name):
+    # an EigenSystem or a CellGram fixes the run's K and n; a loose copy
+    # beside it could disagree with it
+    module = importlib.import_module(name)
+    loose = []
+    for attr in getattr(module, "__all__", []):
+        obj = getattr(module, attr)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # the exception classes have no inspectable signature
+            continue
+        if any(map(_layout_parameter, params)):
+            loose += [f"{attr}({p.name})" for p in params if p.name in ("K", "n")]
+    assert loose == []

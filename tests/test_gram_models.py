@@ -115,7 +115,7 @@ class TestBuildGram:
         # K_s*n*d + n(c-d) + (1-c) = 2*100*0.1 + 100*0.3 + 0.6 = 50.6 (x2)
         # n(c-d) + (1-c) = 30.6 (x2); 1-c = 0.6 (x396)
         model = model_case(GramCase.IV, K=4, n=100, c=0.4, d=0.1, sizes=(2, 2))
-        vals = numeric_eigensystem(build_gram(model)).values
+        vals = numeric_eigensystem(build_gram(model), model.K).values
         expected = np.concatenate([[50.6] * 2, [30.6] * 2, [0.6] * 396])
         np.testing.assert_allclose(vals, expected, atol=1e-8)
 
@@ -199,6 +199,10 @@ class TestAnalyticEigensystem:
         es = analytic_eigensystem(model_case(GramCase.I, K=3, n=2, c=0.0))
         np.testing.assert_array_equal(es.values, np.ones(6))
 
+    def test_classes_and_samples_are_the_models(self):
+        es = analytic_eigensystem(model_case(GramCase.III, K=4, n=7, c=0.4, d=0.1))
+        assert (es.K, es.n, es.size) == (4, 7, 28)
+
     def test_case5_e_zero_matches_case4(self):
         m4 = model_case(GramCase.IV, K=4, n=10, c=0.4, d=0.1, sizes=(2, 2))
         m5 = model_case(GramCase.V, K=4, n=10, c=0.4, d=0.1, e=0.0, sizes=(2, 2))
@@ -244,7 +248,7 @@ class TestAnalyticEigensystem:
         model = model_case(case, K=4, n=5, **kwargs)
         es = analytic_eigensystem(model)
         gram = build_gram(model)
-        dense = numeric_eigensystem(gram)
+        dense = numeric_eigensystem(gram, model.K)
         np.testing.assert_allclose(es.values, dense.values, atol=1e-8)
         np.testing.assert_allclose((es.vectors * es.values) @ es.vectors.T, gram, atol=1e-8)
         np.testing.assert_allclose(es.vectors.T @ es.vectors, np.eye(model.size), rtol=0, atol=1e-10)
@@ -258,26 +262,35 @@ class TestAnalyticEigensystem:
 
 
 class TestNumericEigensystem:
+    def test_classes_are_given_and_samples_are_the_size_over_them(self):
+        es = numeric_eigensystem(np.eye(12), 4)
+        assert (es.K, es.n, es.size) == (4, 3, 12)
+
+    @pytest.mark.parametrize("K", [0, 5, 7, 13])
+    def test_rejects_a_class_count_that_does_not_divide_the_size(self, K):
+        with pytest.raises(ValidationError, match=f"K={K} classes do not divide the N=12 "):
+            numeric_eigensystem(np.eye(12), K)
+
     def test_two_by_two_closed_form(self):
-        es = numeric_eigensystem(np.array([[1.0, 0.4], [0.4, 1.0]]))
+        es = numeric_eigensystem(np.array([[1.0, 0.4], [0.4, 1.0]]), 2)
         np.testing.assert_allclose(es.values, [1.4, 0.6], atol=1e-12)
 
     def test_diagonal_matrix(self):
-        es = numeric_eigensystem(np.diag([3.0, 2.0, 1.0]))
+        es = numeric_eigensystem(np.diag([3.0, 2.0, 1.0]), 3)
         np.testing.assert_allclose(es.values, [3.0, 2.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(es.vectors), np.eye(3), atol=1e-14)
 
     def test_matches_analytic_on_case4(self):
         model = model_case(GramCase.IV, K=4, n=5, c=0.4, d=0.1, sizes=(2, 2))
         np.testing.assert_allclose(
-            numeric_eigensystem(build_gram(model)).values,
+            numeric_eigensystem(build_gram(model), model.K).values,
             analytic_eigensystem(model).values,
             atol=1e-8,
         )
 
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValidationError):
-            numeric_eigensystem(np.array([[1.0, 0.2], [0.1, 1.0]]))
+            numeric_eigensystem(np.array([[1.0, 0.2], [0.1, 1.0]]), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("row", [0, 200])
@@ -288,7 +301,7 @@ class TestNumericEigensystem:
         a[row, row + 1] = a[row + 1, row] = bad
         with pytest.raises(ValidationError, match=f"NaN or infinite entry in row {row}; "
                                                   "give a Gram whose every entry is finite"):
-            numeric_eigensystem(a)
+            numeric_eigensystem(a, 3)
 
     def test_symmetry_check_reads_every_block_and_allocates_one_block(self):
         gram = build_gram(DENSE_MODEL)
@@ -299,7 +312,7 @@ class TestNumericEigensystem:
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=r"max \|A - A\^T\| = 3\.000e-10"):
-                numeric_eigensystem(gram)
+                numeric_eigensystem(gram, DENSE_MODEL.K)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,7 +322,7 @@ class TestNumericEigensystem:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         a = (a + a.T) / 2
-        e1, e2 = numeric_eigensystem(a), numeric_eigensystem(a)
+        e1, e2 = numeric_eigensystem(a, 2), numeric_eigensystem(a, 2)
         np.testing.assert_array_equal(e1.values, e2.values)
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
@@ -404,7 +417,7 @@ class TestEigensystemLayout:
     def test_numeric_bitwise_equal_to_column_loops(self, n):
         model = model_case(GramCase.III, K=3, n=n, c=0.4, d=0.1, amp=0.01, seed=5)
         gram = build_gram(model)
-        es = numeric_eigensystem(gram)
+        es = numeric_eigensystem(gram, model.K)
         # the values are eigvalsh's; the vectors, built on first read, eigh's
         assert np.array_equal(es.values, np.linalg.eigvalsh(gram)[::-1])
         assert "vectors" not in es.__dict__
@@ -418,16 +431,17 @@ class TestEigensystemLayout:
         with pytest.raises(ValidationError, match="exactly one layout"):
             EigenSystem(values=np.ones(6), model=model, gram=gram)
         # a dense system is given its values, a class-structured one builds them
-        for bad in (dict(gram=gram), dict(values=np.ones(6), model=model)):
+        for bad in (dict(gram=gram), dict(values=np.ones(6), model=model),
+                    dict(values=np.ones(6), gram=gram), dict(model=model, K=2)):
             with pytest.raises(ValidationError, match="exactly one layout"):
                 EigenSystem(**bad)
         assert "values" not in analytic_eigensystem(model).__dict__
         assert not analytic_eigensystem(model).vectors.flags.writeable
-        assert not numeric_eigensystem(gram).vectors.flags.writeable
+        assert not numeric_eigensystem(gram, model.K).vectors.flags.writeable
 
     def test_dense_vectors_check_their_residual(self):
         gram = build_gram(model_case(GramCase.III, K=3, n=8, c=0.4, d=0.1, amp=0.01, seed=5))
-        es = EigenSystem(values=np.linalg.eigvalsh(gram)[::-1] * (1 + 1e-6), gram=gram)
+        es = EigenSystem(values=np.linalg.eigvalsh(gram)[::-1] * (1 + 1e-6), gram=gram, K=3)
         with pytest.raises(NumericalError, match="eigendecomposition residual"):
             es.vectors
 

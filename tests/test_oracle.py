@@ -75,7 +75,7 @@ def small_round(K=2, n=1, lam=0.25, labels=(1, 2), gram=None, **cfg):
     gram = np.eye(K * n) if gram is None else gram
     Y_prev = OutputMatrix.from_labels(np.array(labels), K)
     config = SolverConfig(**cfg) if cfg else SolverConfig()
-    return solve_round(Y_prev, sample_cells(gram), lam, K, n, config), Y_prev, gram
+    return solve_round(Y_prev, sample_cells(gram), lam, config), Y_prev, gram
 
 
 class TestSolveRound:
@@ -83,7 +83,7 @@ class TestSolveRound:
         K, n = 3, 2
         Y_prev_cols = np.full((K, K * n), 1.0 / K)
         Y_prev = OutputMatrix(Y_prev_cols, round=1)
-        res = solve_round(Y_prev, sample_cells(np.eye(K * n)), 0.1, K, n, SolverConfig())
+        res = solve_round(Y_prev, sample_cells(np.eye(K * n)), 0.1, SolverConfig())
         assert res.converged
         np.testing.assert_allclose(res.outputs.columns, 1.0 / K, atol=1e-9)
         assert res.outputs.round == 2
@@ -105,14 +105,33 @@ class TestSolveRound:
         assert np.abs(R).max() <= res.final_loss + 1e-15
         assert np.abs(R).max() < 1e-10
 
-    def test_solver_seed_leaves_the_round_bit_identical(self):
-        # every round starts at the zero dual: the seed places labels only
-        a, b, c = (small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3), seed=seed)[0]
-                   for seed in (1, 2, 3))
-        for other in (b, c):
-            assert np.array_equal(a.outputs.columns, other.outputs.columns)
-            assert a.iterations_used == other.iterations_used
-            assert a.final_loss == other.final_loss
+    def test_solver_takes_no_seed(self):
+        # every round starts at the zero dual; the model's seed places labels
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iterations",
+                                                                      "tolerance"]
+        with pytest.raises(TypeError):
+            SolverConfig(seed=1)
+        a, b = (small_round(K=3, n=2, lam=0.1, labels=(1, 2, 3, 1, 2, 3))[0] for _ in range(2))
+        assert np.array_equal(a.outputs.columns, b.outputs.columns)
+        assert a.iterations_used == b.iterations_used and a.final_loss == b.final_loss
+
+    @pytest.mark.parametrize("K, n", [(4, 100), (3, 2**53 - 1), (7, 2**52 + 3), (9, 2**53)])
+    def test_c_is_the_weight_sum_times_lam(self, monkeypatch, K, n):
+        # the cell counts sum to N = K n, which fsum rounds once, as K * n * lam does
+        class Seen(Exception):
+            pass
+
+        def record(Y, Y_prev, matrix, c):
+            raise Seen(c)
+
+        monkeypatch.setattr(oracle, "_residual", record)
+        model = GramModel(case=GramCase.III, K=K, n=n, c=0.4, d=0.1)
+        C = make_corruption("symmetric", (K - 1) / K, K)
+        cells = cell_gram(model, realize_labels(nearest_realizable(C, n), n))
+        for lam in (1e-3, 1.0 / 3.0, SETUP_A_LAMBDA):
+            with pytest.raises(Seen) as seen:
+                solve_round(OutputMatrix.from_labels(cells.cells[:, 1], K), cells, lam)
+            assert seen.value.args[0] == K * n * lam
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):
@@ -128,9 +147,9 @@ class TestSolveRound:
         C = make_corruption("symmetric", 0.5, K)
         la = realize_labels(C, n=n, seed=0)
         Y_prev = OutputMatrix.from_labels(la.given_labels, K)
-        plain = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig()).outputs.columns
+        plain = solve_round(Y_prev, sample_cells(gram), lam, SolverConfig()).outputs.columns
         for tau in (0.5, 2.0):
-            Y = solve_round(Y_prev, sample_cells(gram), lam * tau, K, n,
+            Y = solve_round(Y_prev, sample_cells(gram), lam * tau,
                             SolverConfig()).outputs.columns
             logits = (Y_prev.columns - Y) @ gram / (K * n * lam)
             assert np.abs(Y - softmax(logits / tau)).max() <= 1e-9
@@ -141,7 +160,7 @@ class TestSolveRound:
         gram[0, 0] = np.nan
         Y_prev = OutputMatrix.from_labels(np.array([1, 2]), 2)
         with pytest.raises(NumericalError):
-            solve_round(Y_prev, sample_cells(gram), 0.25, 2, 1, SolverConfig(max_iterations=5))
+            solve_round(Y_prev, sample_cells(gram), 0.25, SolverConfig(max_iterations=5))
 
     def test_unconverged_result_flagged(self):
         res, *_ = small_round(K=4, n=2, lam=1e-4,
@@ -189,7 +208,7 @@ class TestNewtonSolver:
         gram = build_gram(model)
         labels = np.random.default_rng(7).integers(1, K + 1, size=model.size)
         Y_prev = OutputMatrix.from_labels(labels, K)
-        res = solve_round(Y_prev, sample_cells(gram), lam, K, n, SolverConfig(tolerance=tol))
+        res = solve_round(Y_prev, sample_cells(gram), lam, SolverConfig(tolerance=tol))
         assert res.converged
         R = fixed_point_residual(res.outputs.columns, Y_prev.columns, gram, lam, K, n)
         assert np.abs(R).max() < tol
@@ -210,7 +229,7 @@ class TestNewtonSolver:
         C = make_corruption("symmetric", 0.5, model.K)
         la = realize_labels(nearest_realizable(C, model.n), model.n, seed=0)
         Y_prev = OutputMatrix.from_labels(la.given_labels, model.K)
-        res = solve_round(Y_prev, sample_cells(build_gram(model)), SETUP_A_LAMBDA, model.K, model.n,
+        res = solve_round(Y_prev, sample_cells(build_gram(model)), SETUP_A_LAMBDA,
                           SolverConfig(tolerance=1e-10))
         assert res.converged
         # 10 steps from the zero dual (15 from the random start it replaced)
@@ -224,7 +243,7 @@ class TestNewtonSolver:
         C = make_corruption("superclass", 0.3, K, superclass_map=model.effective_map())
         la = realize_labels(C, n, seed=0)
         Y0 = OutputMatrix.from_labels(la.given_labels, K)
-        rounds = oracle_trajectory(Y0, sample_cells(build_gram(model)), lam, K, n, 3,
+        rounds = oracle_trajectory(Y0, sample_cells(build_gram(model)), lam, 3,
                                    SolverConfig(tolerance=1e-9))
         assert len(rounds) == 3
         # [9, 8, 10] from the zero dual ([14, 12, 15] from the random start)
@@ -235,7 +254,7 @@ class TestNewtonSolver:
         # and the iterates cycled between two points with residual 0.99
         K, lam = 3, 2.0**-8
         Y0 = OutputMatrix.from_labels(np.arange(1, K + 1), K)
-        rounds = oracle_trajectory(Y0, sample_cells(np.eye(K)), lam, K, 1, 2,
+        rounds = oracle_trajectory(Y0, sample_cells(np.eye(K)), lam, 2,
                                    SolverConfig(tolerance=1e-12, max_iterations=100))
         assert [r.converged for r in rounds] == [True, True]
 
@@ -243,7 +262,7 @@ class TestNewtonSolver:
         K, n = 3, 2
         Y_prev = OutputMatrix.from_labels(np.array([1, 2, 3, 1, 2, 3]), K)
         with pytest.raises(NumericalError, match="positive definite"):
-            solve_round(Y_prev, sample_cells(-np.eye(K * n)), 0.1, K, n, SolverConfig())
+            solve_round(Y_prev, sample_cells(-np.eye(K * n)), 0.1, SolverConfig())
 
 
 class TestMeasureApproxError:
@@ -285,15 +304,16 @@ class TestMeasureApproxError:
         K, n, lam = model.K, model.n, 0.02
         kind, eta = CASE_NOISE[name]
         C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
-        config = SolverConfig(seed=3)
+        model = dataclasses.replace(model, seed=3)
+        config = SolverConfig()
         gap = measure_approx_error(model, C, lam, t=3, config=config)
         # recompute by hand: chain the oracle on the cells, compare to the
         # closed form of each cell
-        la = realize_labels(C, n, seed=config.seed)
+        la = realize_labels(C, n, seed=model.seed)
         cells = cell_gram(model, la)
         true, given = (cells.cells - 1).T
         tc = theory_constants(model, lam)
-        rounds = oracle_trajectory(OutputMatrix.from_labels(given + 1, K), cells, lam, K, n, 3,
+        rounds = oracle_trajectory(OutputMatrix.from_labels(given + 1, K), cells, lam, 3,
                                    config)
         worst = max(
             float(np.abs(r.outputs.columns
@@ -305,10 +325,10 @@ class TestMeasureApproxError:
         # within the solver tolerance
         gram = build_gram(model)
         Y0 = OutputMatrix.from_labels(la.given_labels, K)
-        traj = trajectory(Y0, analytic_eigensystem(model), lam, K, n, 3)
+        traj = trajectory(Y0, analytic_eigensystem(model), lam, 3)
         cur, worst = Y0, 0.0
         for t in range(1, 4):
-            cur = solve_round(cur, sample_cells(gram), lam, K, n, config).outputs
+            cur = solve_round(cur, sample_cells(gram), lam, config).outputs
             worst = max(worst, float(np.abs(cur.columns - traj[t].columns).max()))
         assert gap == pytest.approx(worst, abs=1e-9)
 
@@ -318,12 +338,12 @@ class TestMeasureApproxError:
                           superclass_map=SuperclassMap((1, 1, 2, 2)),
                           perturbation_amplitude=0.01, seed=5)
         C = make_corruption("superclass", 1.0 / 3.0, K, superclass_map=model.effective_map())
-        config = SolverConfig(seed=2)
+        config = SolverConfig()
         gap = measure_approx_error(model, C, lam, t=3, config=config)
         gram = build_gram(model)
-        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=config.seed).given_labels, K)
-        traj = trajectory(Y0, numeric_eigensystem(gram), lam, K, n, 3)
-        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, 3, config)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=model.seed).given_labels, K)
+        traj = trajectory(Y0, numeric_eigensystem(gram, K), lam, 3)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, 3, config)
         worst = max(float(np.abs(r.outputs.columns - traj[t].columns).max())
                     for t, r in enumerate(rounds, start=1))
         assert gap == pytest.approx(worst, abs=1e-12)
@@ -336,10 +356,11 @@ class TestMeasureApproxError:
         K, n, lam, t = model.K, model.n, 0.02, 3
         kind, eta = CASE_NOISE[name]
         C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
-        config = SolverConfig(seed=3)
-        cells = cell_gram(model, realize_labels(C, n, seed=config.seed))
+        model = dataclasses.replace(model, seed=3)
+        config = SolverConfig()
+        cells = cell_gram(model, realize_labels(C, n, seed=model.seed))
         Y0 = OutputMatrix.from_labels(cells.cells[:, 1], K)
-        rounds = oracle_trajectory(Y0, cells, lam, K, n, t, config)
+        rounds = oracle_trajectory(Y0, cells, lam, t, config)
         want = max(
             float(np.abs(r.outputs.columns
                          - (_class_round(Y0.columns - 1.0 / K, cells.cells[:, 0] - 1,
@@ -353,13 +374,13 @@ class TestMeasureApproxError:
         # _shifted_rounds on a fresh factor of the shifted Gram
         model, C = perturbed_case_iv(n=20, seed=7)
         K, n, lam = model.K, model.n, 1e-3
-        config = SolverConfig(seed=1)
+        config = SolverConfig()
         gram = build_gram(model)
-        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=config.seed).given_labels, K)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=model.seed).given_labels, K)
         shift = K * K * n * lam
         linear = gram_models._shifted_rounds(gram, gram_models._shifted_factor(gram, shift),
                                              shift, Y0.columns - 1.0 / K, t)
-        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, t, config)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, t, config)
         want = max(float(np.abs(r.outputs.columns - (rows + 1.0 / K)).max())
                    for r, rows in zip(rounds, linear))
         assert measure_approx_error(model, C, lam, t, config) == want
@@ -421,11 +442,11 @@ class TestCellGram:
         K, tol = model.K, 1e-12
         la = partly_shuffled_assignment(K, n, seed % (model.size + 1), seed)
         gram, cells = build_gram(model), cell_gram(model, la)
-        config = SolverConfig(tolerance=tol, seed=seed)
+        config = SolverConfig(tolerance=tol)
         dense = oracle_trajectory(OutputMatrix.from_labels(la.given_labels, K), sample_cells(gram),
-                                  lam, K, n, t_max, config)
+                                  lam, t_max, config)
         by_cell = oracle_trajectory(OutputMatrix.from_labels(cells.cells[:, 1], K), cells,
-                                    lam, K, n, t_max, config)
+                                    lam, t_max, config)
         previous = OutputMatrix.from_labels(la.given_labels, K).columns
         for d, c in zip(dense, by_cell):
             per_sample = c.outputs.columns[:, cells.sample_cell]
@@ -452,7 +473,7 @@ class TestCellGram:
         rows = OutputMatrix.from_labels(cells.cells[:, 1], K).columns - 1.0 / K
         shifted = cells.matrix + shift * np.eye(cells.weights.size)
         closed = trajectory(OutputMatrix.from_labels(la.given_labels, K),
-                            analytic_eigensystem(model), lam, K, n, 4)
+                            analytic_eigensystem(model), lam, 4)
         chained = rows
         for t in range(1, 5):
             chained = np.linalg.solve(shifted.T, (chained @ cells.matrix).T).T
@@ -484,9 +505,9 @@ class TestCellGram:
         C = make_corruption(kind, eta, K, superclass_map=model.effective_map())
         cells = cell_gram(model, realize_labels(C, n, seed=2))
         Y_prev = OutputMatrix.from_labels(cells.cells[:, 1], K)
-        config = SolverConfig(seed=5)
-        by_cell = solve_round(Y_prev, cells, lam, K, n, config)
-        bare = solve_round(Y_prev, sample_cells(build_gram(model)), lam, K, n, config)
+        config = SolverConfig()
+        by_cell = solve_round(Y_prev, cells, lam, config)
+        bare = solve_round(Y_prev, sample_cells(build_gram(model)), lam, config)
         assert by_cell.converged
         assert np.array_equal(by_cell.outputs.columns, bare.outputs.columns)
         assert by_cell.convergence_report() == bare.convergence_report()
@@ -514,10 +535,10 @@ class TestRunRounds:
            st.sampled_from([1e-4, 1e-3, 1e-2]), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_cell_rounds_score_and_gather_as_the_per_sample_rounds(self, name, n, lam, seed):
-        model = dataclasses.replace(CASE_MODELS[name], n=n)
+        model = dataclasses.replace(CASE_MODELS[name], n=n, seed=seed)
         K = model.K
         C = nearest_realizable(random_doubly_stochastic(K, np.random.default_rng(seed)), n)
-        run = run_rounds(model, C, lam, 4, ("closed_form", "pll"), SolverConfig(seed=seed))
+        run = run_rounds(model, C, lam, 4, ("closed_form", "pll"), SolverConfig())
         assert np.array_equal(run.assignment.counts, np.rint(C.entries * n))
         # the labels built on first read are the ones drawn at once
         true, given = eager_labels(run.assignment.counts, seed)
@@ -533,18 +554,33 @@ class TestRunRounds:
             np.testing.assert_allclose(by_cell.columns[:, sample_cell], by_sample.columns,
                                        rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_the_models_seed_places_the_labels(self, perturbed):
+        model, C = perturbed_case_iv(n=20, seed=1)
+        if not perturbed:
+            model = dataclasses.replace(model, perturbation_amplitude=0.0)
+        runs = [run_rounds(dataclasses.replace(model, seed=seed), C, 1e-3, 1, ALL_STAGES,
+                           SolverConfig()) for seed in (1, 2)]
+        a, b = (run.assignment for run in runs)
+        assert np.array_equal(a.counts, b.counts)
+        assert (a.seed, b.seed) == (1, 2)
+        assert not np.array_equal(a.given_labels, b.given_labels)
+        for run, seed in zip(runs, (1, 2)):
+            la = realize_labels(C, model.n, seed=seed)
+            assert np.array_equal(run.assignment.given_labels, la.given_labels)
+
     def test_overlapped_stages_equal_the_stages_run_one_after_the_other(self):
         model, C = perturbed_case_iv()
         K, n, lam, t_max = model.K, model.n, 1e-3, 3
-        solver = SolverConfig(tolerance=1e-9, seed=6)
+        solver = SolverConfig(tolerance=1e-9)
         run = run_rounds(model, C, lam, t_max, ALL_STAGES, solver)
-        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=solver.seed).given_labels, K)
+        Y0 = OutputMatrix.from_labels(realize_labels(C, n, seed=model.seed).given_labels, K)
         gram = build_gram(model)
-        eig = numeric_eigensystem(gram)
-        closed = trajectory(Y0, eig, lam, K, n, t_max)
+        eig = numeric_eigensystem(gram, K)
+        closed = trajectory(Y0, eig, lam, t_max)
         refined = pll_refine(closed[1])
-        student = pll_student(refined, eig, lam, K, n)
-        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, K, n, t_max, solver)
+        student = pll_student(refined, eig, lam)
+        rounds = oracle_trajectory(Y0, sample_cells(gram), lam, t_max, solver)
         assert np.array_equal(run.gram.matrix, gram)
         assert np.array_equal(run.eig.values, eig.values)
         assert np.array_equal(run.eig.vectors, eig.vectors)
@@ -575,7 +611,7 @@ class TestRunRounds:
         assert threading.active_count() == before
 
     def test_closed_form_error_wins_over_the_oracle_error(self, monkeypatch):
-        def failing_eigensystem(gram):
+        def failing_eigensystem(gram, K):
             raise NumericalError("closed-form stage failed")
 
         calls = []
