@@ -127,8 +127,13 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
-    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues
+    # each round's text of each distinct eigenvalue, told apart by its bits
+    # as fmt_all tells numbers apart; index i reads entry inverse[i]
+    _, first, inverse = np.unique(run.eig.values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    spectra = [fmt_all(averaging_operator(run.eig, config.lam, t).eigenvalues[first])
                for t in range(config.t_max + 1)]
+    inverse = inverse.tolist()
     cells, sample_cell = run.gram.cells, run.gram.sample_cell
     run = run._replace(eig=None, gram=None)
     written: list[str] = []
@@ -155,12 +160,12 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         p, ["round", "sample_index", "true_label", "given_label", "x", "y",
             *(f"y_{k}" for k in range(1, model.K + 1))],
         map(projection_rows, run.closed), sample_cell))
-    size = spectra[0].size
+    size = len(inverse)
     emit("eigenvalues.csv", lambda p: write_csv(
         p, ("round", "index", "eigenvalue"),
         [index_runs(len(spectra), size),
          chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
-         np.concatenate(spectra)]))
+         chain.from_iterable(map(text.__getitem__, inverse) for text in spectra)]))
     if run.student is not None:
         emit_rounds("pll_targets.csv", run.refined)
         emit_rounds("pll_outputs.csv", run.student)

@@ -487,6 +487,38 @@ class TestTrajectoryCommand:
         assert len(readings) == len(written) == 13
         assert max(readings) < K * K * n * 8
 
+    def test_more_rounds_hold_no_more_spectra_while_files_are_written(
+            self, tmp_path, monkeypatch):
+        # unperturbed, the eigenvalue table keeps each round's text of the
+        # 2K distinct eigenvalues and each index's entry among them, not an
+        # N-float spectrum per round
+        K, n = 10, 3000
+        held = []
+
+        class FirstFile(Exception):
+            pass
+
+        def held_at_the_first_file(directory, name):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise FirstFile
+
+        monkeypatch.setattr(cli, "_out_path", held_at_the_first_file)
+        configs = [ExperimentConfig.load(str(write_config(
+            tmp_path, gram={"case": "III", "K": K, "n": n, "c": 0.4, "d": 0.1},
+            corruption={"kind": "symmetric", "eta": 0.3}, t_max=t_max,
+            modes=["closed_form"]))) for t_max in (1, 2)]
+        # untraced first: what a first run leaves cached
+        for config, traced in ((configs[0], False), *zip(configs, (True, True))):
+            if traced:
+                tracemalloc.start()
+            try:
+                with pytest.raises(FirstFile):
+                    cmd_trajectory(config)
+            finally:
+                tracemalloc.stop()
+        # one more round adds 8 kB of cell outputs; its spectrum would be 240 kB
+        assert held[2] - held[1] < K * n * 8 / 4
+
     def test_projection_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, t_max=1, modes=["closed_form"])
         main(["trajectory", "--config", str(cfg)])
