@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import read_csv, write_cell_rows, write_csv
+from .csvio import fmt, read_csv, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
 
@@ -78,14 +78,15 @@ class CorruptionMatrix:
         bad = np.nonzero(np.abs(row - 1.0) > STOCHASTIC_TOL)[0]
         if bad.size:
             raise ValidationError(
-                f"row {bad[0] + 1} sums to {row[bad[0]]!r}, expected 1 within {STOCHASTIC_TOL:.0e}"
+                f"row {bad[0] + 1} sums to {float(row[bad[0]])!r}, expected 1 within "
+                f"{STOCHASTIC_TOL:.0e}"
             )
         col = m.sum(axis=0)
         bad = np.nonzero(np.abs(col - 1.0) > STOCHASTIC_TOL)[0]
         if bad.size:
             raise ValidationError(
-                f"column {bad[0] + 1} sums to {col[bad[0]]!r}, expected 1 within {STOCHASTIC_TOL:.0e} "
-                "(the dataset must be balanced in given labels too)"
+                f"column {bad[0] + 1} sums to {float(col[bad[0]])!r}, expected 1 within "
+                f"{STOCHASTIC_TOL:.0e} (the dataset must be balanced in given labels too)"
             )
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -106,7 +107,11 @@ class CorruptionMatrix:
         return bool(np.all(np.abs(self.entries[cross]) <= STOCHASTIC_TOL))
 
     def to_csv(self, path) -> None:
-        write_csv(path, (), list(self.entries.T))
+        """One row per true class, each entry to 12 significant digits when
+        that text reads back as the same float and in full (``repr``)
+        otherwise, so that :meth:`from_csv` reads back this matrix."""
+        write_csv(path, (), [[fmt(x) if float(fmt(x)) == x else repr(x) for x in column]
+                             for column in self.entries.T.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":

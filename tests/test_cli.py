@@ -326,6 +326,31 @@ class TestConfig:
 
 
 class TestTrajectoryCommand:
+    @pytest.mark.parametrize("kind, eta, rows", [
+        ("explicit", 0.0, [[4, 1, 1], [1, 4, 1], [1, 1, 4]]),
+        ("symmetric", 1.0 / 3.0, None),
+        ("asymmetric", 0.3, None),
+    ])
+    def test_written_corruption_reads_back_as_the_explicit_matrix(self, tmp_path, kind, eta,
+                                                                   rows):
+        # each run's corruption.csv is a matrix_path that reruns the same run
+        corruption = {"kind": kind, "eta": eta}
+        if rows is not None:
+            np.savetxt(tmp_path / "C.csv", np.array(rows) / 6, fmt="%.17g", delimiter=",")
+            corruption = {"kind": "explicit", "matrix_path": str(tmp_path / "C.csv")}
+        gram = {"case": "III", "K": 3, "n": 30, "c": 0.4, "d": 0.1}
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["trajectory", "--config", str(write_config(
+            tmp_path, gram=gram, corruption=corruption, t_max=2, modes=["closed_form"])),
+            "--out", str(first)]) == 0
+        assert main(["trajectory", "--config", str(write_config(
+            tmp_path, gram=gram, t_max=2, modes=["closed_form"],
+            corruption={"kind": "explicit", "matrix_path": str(first / "corruption.csv")})),
+            "--out", str(second)]) == 0
+        for name in ("corruption.csv", "labels.csv", "outputs_round_000.csv",
+                     "outputs_round_001.csv", "outputs_round_002.csv"):
+            assert filecmp.cmp(first / name, second / name, shallow=False), name
+
     def test_round_files_and_dispersion_shrinks(self, tmp_path):
         cfg = write_config(tmp_path, t_max=6)
         assert main(["trajectory", "--config", str(cfg)]) == 0

@@ -87,6 +87,27 @@ class TestCorruptionMatrix:
         loaded = CorruptionMatrix.from_csv(path)
         np.testing.assert_allclose(loaded.entries, C.entries, atol=1e-12)
 
+    @pytest.mark.parametrize("counts, n, fields", [
+        ([[4, 1, 1], [1, 4, 1], [1, 1, 4]], 6, {"0.16666666666666666", "0.6666666666666666"}),
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], 3, {"0", "0.3333333333333333", "0.6666666666666666"}),
+        ([[3, 1], [1, 3]], 4, {"0.75", "0.25"}),
+    ])
+    def test_csv_reads_back_bitwise(self, tmp_path, counts, n, fields):
+        C = CorruptionMatrix(np.array(counts) / n)
+        C.to_csv(tmp_path / "corruption.csv")
+        assert np.array_equal(CorruptionMatrix.from_csv(tmp_path / "corruption.csv").entries,
+                              C.entries)
+        # 12 digits where they hold the entry exactly, every digit elsewhere
+        text = (tmp_path / "corruption.csv").read_text()
+        assert set(text.replace("\n", ",").split(",")) - {""} == fields
+
+    def test_sums_are_reported_as_plain_floats(self):
+        rows = np.array([[0.666666666667, 0.166666666667, 0.166666666667]] * 3)
+        with pytest.raises(ValidationError, match=r"row 1 sums to 1\.000000000001, expected"):
+            CorruptionMatrix(rows)
+        with pytest.raises(ValidationError, match=r"column 1 sums to 0\.7, expected"):
+            CorruptionMatrix(np.array([[0.5, 0.5], [0.2, 0.8]]))
+
 
 class TestRealizeLabels:
     def test_identity_reproduces_true_labels(self):
