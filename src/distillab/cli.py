@@ -127,11 +127,12 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     C = config.corruption_matrix()
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
-    # each round's text of each distinct eigenvalue, told apart by its bits
-    # as fmt_all tells numbers apart; index i reads entry inverse[i]
+    # each round's distinct eigenvalues, told apart by their bits as fmt_all
+    # tells numbers apart, each formatted as the table is written; index i
+    # reads entry inverse[i]
     _, first, inverse = np.unique(run.eig.values.view(np.int64), return_index=True,
                                   return_inverse=True)
-    spectra = [fmt_all(averaging_operator(run.eig, config.lam, t).eigenvalues[first])
+    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues[first]
                for t in range(config.t_max + 1)]
     inverse = inverse.tolist()
     cells, sample_cell = run.gram.cells, run.gram.sample_cell
@@ -165,7 +166,7 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         p, ("round", "index", "eigenvalue"),
         [index_runs(len(spectra), size),
          chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
-         chain.from_iterable(map(text.__getitem__, inverse) for text in spectra)]))
+         chain.from_iterable(map(fmt_all(values).__getitem__, inverse) for values in spectra)]))
     if run.student is not None:
         emit_rounds("pll_targets.csv", run.refined)
         emit_rounds("pll_outputs.csv", run.student)
