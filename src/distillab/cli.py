@@ -30,14 +30,13 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import cannot_write, fmt, fmt_all, index_runs, write_cell_rows, write_csv
+from .csvio import cannot_write, fmt, fmt_all, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -117,9 +116,10 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
 
     Every result is computed before the first file is written, so a
     numerical failure writes nothing.  The rounds stay on the cells of the
-    run: each per-sample file is written from its cells' text, formatted
-    once per cell, sample ``i`` reading cell ``sample_cell[i]``, so no
-    per-sample output array is built.  The eigensystem and the Gram are
+    run, and each per-sample file goes through ``write_cell_rows``, sample
+    ``i`` reading cell ``sample_cell[i]``; so does the eigenvalue table, one
+    pass per round, its cells the distinct eigenvalues.  No per-sample
+    output array or text is built.  The eigensystem and the Gram are
     dropped before the first file: no ``N x N`` array (a perturbed Gram or
     its factor) is alive while files are written."""
     _check_sweep(config, "trajectory")
@@ -128,13 +128,12 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
     run = run_rounds(model, C, config.lam, config.t_max, ("closed_form", *config.modes),
                      config.solver())
     # each round's distinct eigenvalues, told apart by their bits as fmt_all
-    # tells numbers apart, each formatted as the table is written; index i
-    # reads entry inverse[i]
+    # tells numbers apart: the eigenvalue table's cells, index i reading
+    # cell inverse[i]
     _, first, inverse = np.unique(run.eig.values.view(np.int64), return_index=True,
                                   return_inverse=True)
     spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues[first]
                for t in range(config.t_max + 1)]
-    inverse = inverse.tolist()
     cells, sample_cell = run.gram.cells, run.gram.sample_cell
     run = run._replace(eig=None, gram=None)
     written: list[str] = []
@@ -161,12 +160,9 @@ def cmd_trajectory(config: ExperimentConfig) -> list[str]:
         p, ["round", "sample_index", "true_label", "given_label", "x", "y",
             *(f"y_{k}" for k in range(1, model.K + 1))],
         map(projection_rows, run.closed), sample_cell))
-    size = len(inverse)
-    emit("eigenvalues.csv", lambda p: write_csv(
+    emit("eigenvalues.csv", lambda p: write_cell_rows(
         p, ("round", "index", "eigenvalue"),
-        [index_runs(len(spectra), size),
-         chain.from_iterable(repeat(list(map(str, range(size))), len(spectra))),
-         chain.from_iterable(map(fmt_all(values).__getitem__, inverse) for values in spectra)]))
+        (((str(t),), 1, fmt_all(values)) for t, values in enumerate(spectra)), inverse))
     if run.student is not None:
         emit_rounds("pll_targets.csv", run.refined)
         emit_rounds("pll_outputs.csv", run.student)

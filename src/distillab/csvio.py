@@ -1,22 +1,21 @@
 """The two CSV writers every output file goes through, and the one reader
 every input file goes through.
 
-All three stream, so their memory does not grow with the file.  A table
-is written column-wise by :func:`write_csv`, a block of about
-:data:`BLOCK_FIELDS` fields at a time: the block's float columns are
-formatted together by one :func:`fmt_all` call, its lines joined and
-written, and the next block taken.  A per-sample file whose samples share
-the lines of their cell, but for the sample index, is written by
-:func:`write_cell_rows` from the cells' text, formatted once per cell: each
-sample's lines are its cell's template filled with its index, a block of
-about :data:`BLOCK_FIELDS` fields per join.  A file is read record by
-record into one flat typed buffer, which is reshaped once at the end.
+All three stream, so their memory does not grow with the file.  A file of
+per-sample (or per-index) lines, each sample's lines its cell's but for the
+index, is written by :func:`write_cell_rows` from the cells' text,
+formatted once per cell: each sample's lines are its cell's template
+filled with its index, a block of about :data:`BLOCK_FIELDS` fields per
+join.  Any other table is written column-wise by :func:`write_csv`, a
+block at a time: the block's float columns are formatted together by one
+:func:`fmt_all` call, its lines joined and written.  A file is read record
+by record into one flat typed buffer, which is reshaped once at the end.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import chain, count, islice, repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -50,18 +49,14 @@ def fmt_all(values) -> list:
     return text[inverse.reshape(values.shape)].tolist()
 
 
-def index_runs(count: int, length: int):
-    """A column of the indices ``0..count-1`` as strings, each ``length`` times."""
-    return chain.from_iterable(map(repeat, map(str, range(count)), repeat(length)))
-
-
 def cannot_write(path, exc: OSError) -> ValidationError:
     """The error for an output ``path`` the system refused with ``exc``."""
     return ValidationError(f"{path}: cannot write the file ({exc.strerror}); choose another --out")
 
 
 def write_csv(path, header, columns) -> None:
-    """A header line, then one line per row, with ``\\r\\n`` line ends.
+    """A header line, then one line per row, with ``\\r\\n`` line ends: a
+    table whose rows are not samples (those go through :func:`write_cell_rows`).
 
     ``header`` is a sequence of names, or empty for no header line.  Each
     column is either a 1-D float array, whose entries are written by

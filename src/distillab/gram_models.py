@@ -449,8 +449,8 @@ class CellGram(NamedTuple):
     """A Gram on outputs constant on each cell: ``cells[j]`` is cell ``j``'s
     1-based (true class, given label) pair and ``weights[j]`` its sample
     count.  ``X @ matrix`` is the cell form of ``X[:, sample_cell] @ G``.
-    ``assignment`` holds the labels that :attr:`sample_cell` reads; it is
-    ``None`` when each cell is one sample, in sample order."""
+    ``assignment`` holds the placement that :attr:`sample_cell` reads; it
+    is ``None`` when each cell is one sample, in sample order."""
 
     cells: np.ndarray
     weights: np.ndarray
@@ -473,14 +473,15 @@ def cell_gram(model: GramModel, assignment) -> CellGram:
     per-sample array: with ``B`` the :attr:`GramModel.class_gram`, a sample
     of class ``k`` sees ``1 - omega_k`` from itself and ``B[k', k]`` from
     each sample of class ``k'``.  On a perturbed one a cell per sample, of
-    weight 1, on the read-only :func:`build_gram`."""
+    weight 1, on the read-only :func:`build_gram`: sample ``i``'s cell is
+    the pair ``assignment.cells[assignment.sample_cell[i]]``."""
     if (assignment.K, assignment.n) != (model.K, model.n):
         raise ValidationError("label assignment size does not match the model")
     if model.perturbation_amplitude:
         matrix = build_gram(model)
         matrix.flags.writeable = False
-        return CellGram(np.column_stack([assignment.true_labels, assignment.given_labels]),
-                        np.ones(model.size), matrix, None)
+        return CellGram(assignment.cells[assignment.sample_cell], np.ones(model.size),
+                        matrix, None)
     cells = assignment.cells
     true, given = (cells - 1).T
     weights = assignment.counts[true, given].astype(float)

@@ -173,11 +173,12 @@ class LabelAssignment:
 
     ``counts[k-1, k'-1]`` samples of true class ``k`` carry given label
     ``k'``; every row and column sums to ``n``.  A run on an unperturbed
-    model reads only these.  The per-sample :attr:`true_labels`,
-    :attr:`given_labels` and :attr:`sample_cell` are built on first read:
-    class ``k``'s given labels are its counts' labels in label order,
-    shuffled by ``default_rng(seed)`` (one shuffle per class, in class
-    order).  :meth:`from_labels` keeps the per-sample labels it is given.
+    model reads only these.  The one per-sample record is
+    :attr:`sample_cell`, each sample's row of :attr:`cells`, built on first
+    read: class ``k``'s block of cell rows, in label order, shuffled by
+    ``default_rng(seed)`` (one shuffle per class, in class order).
+    :attr:`true_labels` and :attr:`given_labels` are read from it on each
+    read.  :meth:`from_labels` keeps the placement it is given.
     """
 
     counts: np.ndarray
@@ -201,21 +202,6 @@ class LabelAssignment:
     def n(self) -> int:
         return int(self.counts[0].sum())
 
-    @cached_property
-    def true_labels(self) -> np.ndarray:
-        return _read_only(np.repeat(np.arange(1, self.K + 1), self.n))
-
-    @cached_property
-    def given_labels(self) -> np.ndarray:
-        K, n = self.K, self.n
-        rng = np.random.default_rng(self.seed)
-        given = np.empty(K * n, dtype=int)
-        for k in range(K):
-            block = np.repeat(np.arange(1, K + 1), self.counts[k])
-            rng.shuffle(block)
-            given[k * n : (k + 1) * n] = block
-        return _read_only(given)
-
     @property
     def cells(self) -> np.ndarray:
         """The realised (true class, given label) pairs, 1-based, one row per
@@ -225,21 +211,37 @@ class LabelAssignment:
     @cached_property
     def sample_cell(self) -> np.ndarray:
         """Each sample's row of :attr:`cells`."""
-        position = np.cumsum(self.counts.ravel() > 0) - 1
-        return _read_only(position[(self.true_labels - 1) * self.K + self.given_labels - 1])
+        nonzero = self.counts[self.counts > 0]
+        sample_cell = np.repeat(np.arange(nonzero.size), nonzero)
+        rng = np.random.default_rng(self.seed)
+        # a shuffle's draws depend only on the block's length
+        for block in sample_cell.reshape(self.K, self.n):
+            rng.shuffle(block)
+        return _read_only(sample_cell)
+
+    @property
+    def true_labels(self) -> np.ndarray:
+        return _read_only(self.cells[self.sample_cell, 0])
+
+    @property
+    def given_labels(self) -> np.ndarray:
+        return _read_only(self.cells[self.sample_cell, 1])
 
     @classmethod
     def from_labels(cls, true_labels, given_labels) -> "LabelAssignment":
         """The assignment of per-sample labels, sorted by true label."""
-        t, g = (_read_only(np.array(x, dtype=int)) for x in (true_labels, given_labels))
+        t, g = (np.asarray(x, dtype=int) for x in (true_labels, given_labels))
         K = int(t.max(initial=0))
         if (t.shape != g.shape or t.ndim != 1 or np.any(np.diff(t) < 0)
                 or min(t.min(initial=1), g.min(initial=1)) < 1 or g.max(initial=1) > K):
             raise ValidationError("true and given labels must be equal-length vectors "
                                   "in 1..K, sorted by true label")
-        assignment = cls(np.bincount((t - 1) * K + g - 1, minlength=K * K).reshape(K, K))
+        cell = (t - 1) * K + g - 1
+        counts = np.bincount(cell, minlength=K * K)
+        assignment = cls(counts.reshape(K, K))
         # sorted and balanced, so the true labels are the canonical ones
-        object.__setattr__(assignment, "given_labels", g)
+        position = np.cumsum(counts > 0) - 1
+        object.__setattr__(assignment, "sample_cell", _read_only(position[cell]))
         return assignment
 
     def empirical_corruption(self) -> CorruptionMatrix:

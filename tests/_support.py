@@ -8,9 +8,9 @@ import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap, analytic_eigensystem
 from distillab.cli import simplex_projection
-from distillab.csvio import index_runs, write_csv
-from distillab.distillation import (OutputMatrix, cell_outputs, pll_refine, pll_student,
-                                    trajectory)
+from distillab.csvio import write_csv
+from distillab.distillation import (OutputMatrix, averaging_operator, cell_outputs, pll_refine,
+                                    pll_student, trajectory)
 from distillab.gram_models import SOLVE_BLOCK, CellGram
 from distillab.noise_theory import (TIE_TOL, CorruptionMatrix, nearest_realizable,
                                     theory_constants)
@@ -75,6 +75,11 @@ def eager_labels(counts, seed):
     return np.repeat(np.arange(1, K + 1), n), given
 
 
+def index_runs(count, length):
+    """A column of the indices ``0..count-1`` as strings, each ``length`` times."""
+    return chain.from_iterable(map(repeat, map(str, range(count)), repeat(length)))
+
+
 def per_sample_rounds(model, given, lam, t_max):
     """The closed-form rounds ``0..t_max``, the top-2 targets and the top-2
     student of an unperturbed ``model`` with one column per sample, as runs
@@ -90,7 +95,8 @@ def per_sample_trajectory(config, directory):
     ``directory`` as the command wrote them before it wrote from the cells:
     every round, the top-2 targets and student and every oracle round
     gathered to one column per sample, the projection stacked per sample,
-    and each file written by ``write_csv``.  Returns the file names."""
+    every round's full operator spectrum, and each file written by
+    ``write_csv``.  Returns the file names."""
     K = config.gram.K
     run = run_rounds(config.gram_model(), config.corruption_matrix(), config.lam, config.t_max,
                      ("closed_form", *config.modes), config.solver())
@@ -121,6 +127,11 @@ def per_sample_trajectory(config, directory):
           [index_runs(len(closed), N), *(chain.from_iterable(repeat(c, len(closed)))
                                          for c in per_sample),
            *xy.T, *np.hstack(closed)])
+    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues
+               for t in range(config.t_max + 1)]
+    write("eigenvalues.csv", ("round", "index", "eigenvalue"),
+          [index_runs(len(spectra), N), chain.from_iterable(repeat(per_sample[0], len(spectra))),
+           np.concatenate(spectra)])
     if run.student is not None:
         write_long("pll_targets.csv", run.refined.columns, run.refined.source_round)
         write_long("pll_outputs.csv", run.student.columns, run.student.round)

@@ -544,6 +544,34 @@ class TestTrajectoryCommand:
         # one more round adds 8 kB of cell outputs; its spectrum would be 240 kB
         assert held[2] - held[1] < K * n * 8 / 4
 
+    def test_the_eigenvalue_table_holds_no_text_per_index(self, tmp_path, monkeypatch):
+        # unperturbed, N = 30,000: the table goes through write_cell_rows like
+        # every per-sample file, so its write holds a block of text at a time
+        # above what the phase holds, not an index string per index
+        K, n = 10, 3000
+        config = ExperimentConfig.load(str(write_config(
+            tmp_path, gram={"case": "III", "K": K, "n": n, "c": 0.4, "d": 0.1},
+            corruption={"kind": "symmetric", "eta": 0.3}, t_max=2,
+            modes=["closed_form", "pll"])))
+        readings = []
+        out_path = cli._out_path
+
+        def traced_out_path(directory, name):
+            # (name, held now, peak since the previous file began)
+            readings.append((name, *tracemalloc.get_traced_memory()))
+            tracemalloc.reset_peak()
+            return out_path(directory, name)
+
+        monkeypatch.setattr(cli, "_out_path", traced_out_path)
+        tracemalloc.start()
+        try:
+            cmd_trajectory(config)
+        finally:
+            tracemalloc.stop()
+        names = [name for name, _, _ in readings]
+        at = names.index("eigenvalues.csv")
+        assert readings[at + 1][2] - readings[at][1] < 16 * K * n
+
     def test_projection_matches_columns(self, tmp_path):
         cfg = write_config(tmp_path, t_max=1, modes=["closed_form"])
         main(["trajectory", "--config", str(cfg)])
@@ -599,8 +627,7 @@ class TestCellWriter:
             "seed": seed, "output_dir": str(tmp_path / "cells")})
         written = {os.path.basename(p) for p in cmd_trajectory(config)}
         names = per_sample_trajectory(config, tmp_path / "samples")
-        assert set(names) == {w for w in written if w.endswith(".csv")} - {
-            "corruption.csv", "eigenvalues.csv"}
+        assert set(names) == {w for w in written if w.endswith(".csv")} - {"corruption.csv"}
         for file in names:
             assert filecmp.cmp(tmp_path / "cells" / file, tmp_path / "samples" / file,
                                shallow=False), file

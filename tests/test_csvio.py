@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _support import index_runs
 from distillab import csvio
-from distillab.csvio import fmt, fmt_all, index_runs, read_csv, write_csv
+from distillab.csvio import fmt, fmt_all, read_csv, write_csv
 from distillab.errors import ValidationError
 
 # values fmt prints in ways a value-level dedup could confuse: signed zeros,
@@ -55,6 +56,7 @@ def test_empty():
 
 
 def test_index_runs():
+    # the index column of the tests' per-sample reference writer
     assert list(index_runs(3, 2)) == ["0", "0", "1", "1", "2", "2"]
     assert list(index_runs(0, 4)) == list(index_runs(4, 0)) == []
 

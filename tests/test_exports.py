@@ -1,6 +1,7 @@
 """Every exported name resolves: the benchmark tracer wraps each name in a
 module's ``__all__``, so a stale export breaks a traced run."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -20,6 +21,37 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert [attr for attr in exported if not hasattr(module, attr)] == []
     assert len(set(exported)) == len(exported)
+
+
+def _unused_imports(path: str) -> list:
+    """The names ``path`` imports but never reads and does not list in its
+    ``__all__``; imports on a line marked ``# noqa``, star imports and
+    ``__future__`` features are exempt."""
+    with open(path) as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {const.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for const in ast.walk(node.value) if isinstance(const, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name != "*" and name not in read | exported:
+                unused.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read_or_exported(name):
+    assert _unused_imports(importlib.import_module(name).__file__) == []
 
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from _support import (
     CASE_MODELS,
+    CASE_NOISE,
     SETUP_A_LAMBDA,
     cell_accuracy,
+    eager_labels,
     one_hot_cells,
     random_doubly_stochastic,
     realizable_block_confined,
@@ -164,16 +166,33 @@ class TestRealizeLabels:
         with pytest.raises(ValidationError, match=re.escape(f"{path}:5: index 4 where 3")):
             LabelAssignment.from_csv(path)
 
-    def test_counts_are_the_labels_and_build_them_on_first_read(self):
+    @pytest.mark.parametrize("name", sorted(CASE_MODELS))
+    def test_sample_cell_is_the_one_per_sample_record(self, tmp_path, name):
+        # the labels are read from each sample's cell on each read, so a
+        # written assignment holds no per-sample copy of them
+        from distillab.noise_theory import LabelAssignment
+
+        model = CASE_MODELS[name]
+        kind, eta = CASE_NOISE[name]
+        C = make_corruption(kind, eta, model.K, superclass_map=model.effective_map())
+        for seed in range(5):
+            la = realize_labels(C, model.n, seed=seed)
+            la.to_csv(tmp_path / "labels.csv")
+            assert sorted(vars(la)) == ["counts", "sample_cell", "seed"]
+            true, given = eager_labels(la.counts, seed)
+            for labels, expected in ((la.true_labels, true), (la.given_labels, given)):
+                assert np.array_equal(labels, expected) and not labels.flags.writeable
+            again = LabelAssignment.from_labels(true, given)
+            assert sorted(vars(again)) == ["counts", "sample_cell", "seed"]
+            assert np.array_equal(again.counts, la.counts)
+            assert np.array_equal(again.sample_cell, la.sample_cell)
+            assert np.array_equal(again.given_labels, given)
+
+    def test_unbalanced_or_unsorted_labels_are_rejected(self):
         from distillab.noise_theory import LabelAssignment
 
         la = realize_labels(make_corruption("symmetric", 0.5, 4), n=6, seed=3)
         assert la.counts.tolist() == [[3, 1, 1, 1], [1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3]]
-        assert "given_labels" not in la.__dict__ and la.seed == 3
-        again = LabelAssignment.from_labels(la.true_labels, la.given_labels)
-        assert np.array_equal(again.counts, la.counts)
-        assert np.array_equal(again.given_labels, la.given_labels)
-        assert not again.given_labels.flags.writeable
         with pytest.raises(ValidationError, match="balanced"):
             LabelAssignment(np.array([[2, 0], [1, 1]]))
         with pytest.raises(ValidationError, match="sorted by true label"):
