@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .distillation import argmax_accuracy, averaging_operator
-from .csvio import cannot_write, fmt, fmt_all, write_cell_rows, write_csv
+from .csvio import cannot_write, fmt, fmt_all, open_output, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
 from .gram_models import FeatureMatrix, gram_statistics
 from .noise_theory import (
@@ -63,11 +63,7 @@ __all__ = [
 
 
 def _write_json(path, report: dict) -> None:
-    try:
-        fh = open(path, "w")
-    except OSError as exc:
-        raise cannot_write(path, exc) from exc
-    with fh:
+    with open_output(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -228,7 +224,7 @@ def cmd_phase(config: ExperimentConfig) -> str:
     chunks = _sweep(config, "phase", config.corruption.eta, _phase_point)
     path = _out_path(config.output_dir, "phase.csv")
     write_csv(path, ("eta", "model", "predicted_accuracy", "empirical_accuracy"),
-              zip(*(row for chunk in chunks for row in chunk)))
+              (row for chunk in chunks for row in chunk))
     return path
 
 
@@ -254,7 +250,7 @@ def cmd_approx_error(config: ExperimentConfig) -> str:
         raise ValidationError("the approx-error command needs the oracle mode enabled")
     rows = _sweep(config, "approx-error", config.gram.n, _approx_point)
     path = _out_path(config.output_dir, "approx_error.csv")
-    write_csv(path, ("n", "max_linf_error", "converged"), zip(*rows))
+    write_csv(path, ("n", "max_linf_error", "converged"), rows)
     return path
 
 

@@ -1,28 +1,26 @@
-"""The two CSV writers every output file goes through, and the one reader
-every input file goes through.
+"""The CSV writers, the one reader, and :func:`open_output`, which opens
+every output file.
 
-All three stream, so their memory does not grow with the file.  A file of
-per-sample (or per-index) lines, each sample's lines its cell's but for the
-index, is written by :func:`write_cell_rows` from the cells' text,
-formatted once per cell: each sample's lines are its cell's template
-filled with its index, a block of about :data:`BLOCK_FIELDS` fields per
-join.  Any other table is written column-wise by :func:`write_csv`, a
-block at a time: the block's float columns are formatted together by one
-:func:`fmt_all` call, its lines joined and written.  A file is read record
-by record into one flat typed buffer, which is reshaped once at the end.
+The writers and the reader stream, so their memory does not grow with the
+file.  The per-sample (or per-index) files of ``trajectory`` are written
+by :func:`write_cell_rows` from the cells' text, formatted once per cell:
+each sample's lines are its cell's template filled with its index.  The
+small tables (``phase.csv``, ``approx_error.csv``, ``corruption.csv``, a
+feature file) are written row by row by :func:`write_csv` from fields
+their callers format.  A file is read record by record into one flat
+typed buffer, which is reshaped once at the end.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import count, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ValidationError
 
-# fields per written block: the block's float fields share one dedupe in
-# fmt_all, and its text is all the writer holds beside its inputs
+# fields per block that write_cell_rows joins and writes in one call
 BLOCK_FIELDS = 8192
 
 
@@ -34,13 +32,12 @@ def fmt(x: float) -> str:
 def fmt_all(values) -> list:
     """:func:`fmt` of every entry of ``values``, nested as ``values.tolist()``.
 
-    A 2-D table gives one list per row, so the writer's block of float
-    columns, stacked as rows, gives one list of fields per column.  Each
-    distinct number is formatted once per call, all of them by one ``%``
-    on a repeated ``%.12g`` template, whose text is :func:`fmt`'s for every
-    double, ``nan``, ``inf`` and ``-0`` included.  Numbers are told apart by
-    their bit patterns, so ``-0.0`` and ``0.0``, which print differently,
-    stay apart.
+    A 2-D table gives one list of fields per row.  Each distinct number is
+    formatted once per call, all of them by one ``%`` on a repeated
+    ``%.12g`` template, whose text is :func:`fmt`'s for every double,
+    ``nan``, ``inf`` and ``-0`` included.  Numbers are told apart by their
+    bit patterns, so ``-0.0`` and ``0.0``, which print differently, stay
+    apart.
     """
     values = np.asarray(values, dtype=float)
     bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
@@ -54,43 +51,27 @@ def cannot_write(path, exc: OSError) -> ValidationError:
     return ValidationError(f"{path}: cannot write the file ({exc.strerror}); choose another --out")
 
 
-def write_csv(path, header, columns) -> None:
-    """A header line, then one line per row, with ``\\r\\n`` line ends: a
-    table whose rows are not samples (those go through :func:`write_cell_rows`).
-
-    ``header`` is a sequence of names, or empty for no header line.  Each
-    column is either a 1-D float array, whose entries are written by
-    :func:`fmt`, or an iterable of field strings; a constant field is given
-    as ``itertools.repeat(s)``.  The table has as many rows as its shortest
-    column, so at least one column must be finite.  Rows go out in blocks
-    of :data:`BLOCK_FIELDS` fields: each block formats its float columns in
-    one :func:`fmt_all` call and writes its lines in one join, so the
-    writer holds one block of text at a time.  Fields are written as given:
-    the bytes ``csv.writer`` writes for fields that need no quoting
-    (numbers, bare words, and empty fields in rows of two or more, as every
-    field here is).
-    """
-    columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
-    floats = [isinstance(c, np.ndarray) for c in columns]
-    rows = max(1, BLOCK_FIELDS // max(1, len(columns)))
+def open_output(path):
+    """``path`` opened to write text as given, or :func:`cannot_write`'s error."""
     try:
-        fh = open(path, "w", newline="")
+        return open(path, "w", newline="")
     except OSError as exc:
         raise cannot_write(path, exc) from exc
-    with fh:
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line (none when ``header`` is empty), then a line for each
+    row of field strings, read once, with ``\\r\\n`` line ends: a table
+    whose rows are not samples (those go through :func:`write_cell_rows`).
+    Fields are written as given: the bytes ``csv.writer`` writes for fields
+    that need no quoting (numbers, bare words, and empty fields in rows of
+    two or more, as every field here is).
+    """
+    with open_output(path) as fh:
         if header:
             fh.write(",".join(header) + "\r\n")
-        for start in count(0, rows):
-            block = [c[start:start + rows] if f else list(islice(c, rows))
-                     for c, f in zip(columns, floats)]
-            height = min(map(len, block), default=0)
-            text = iter(fmt_all([b[:height] for b, f in zip(block, floats) if f]))
-            block = [next(text) if f else b for b, f in zip(block, floats)]
-            if height:
-                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
-            # a short block is the last one: some column ended inside it
-            if height < rows:
-                break
+        for row in rows:
+            fh.write(",".join(row) + "\r\n")
 
 
 def write_cell_rows(path, header, passes, sample_cell) -> None:
@@ -112,11 +93,7 @@ def write_cell_rows(path, header, passes, sample_cell) -> None:
     :func:`write_csv`, and hold no ``\\0`` or ``\\1``.
     """
     sample_cell = np.asarray(sample_cell)
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise cannot_write(path, exc) from exc
-    with fh:
+    with open_output(path) as fh:
         fh.write(",".join(header) + "\r\n")
         for lead, lines, fields in passes:
             fields = tuple(fields)

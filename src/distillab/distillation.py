@@ -74,7 +74,7 @@ class OutputMatrix:
             raise ValidationError("round must be >= 0")
         sums = cols.sum(axis=0)
         worst = float(np.abs(sums - 1.0).max()) if cols.size else 0.0
-        if worst > COLUMN_SUM_TOL:
+        if not worst <= COLUMN_SUM_TOL:  # a NaN sum fails it
             raise ValidationError(
                 f"output columns must sum to 1 within {COLUMN_SUM_TOL:.0e}; worst {worst:.3e}"
             )

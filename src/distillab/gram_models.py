@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import fmt_all, read_csv, write_csv
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -608,7 +608,7 @@ class FeatureMatrix:
             raise ValidationError("labels are 1-based class indices")
         norms = np.linalg.norm(feats, axis=1)
         worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:  # a NaN norm fails it
             raise ValidationError(
                 f"feature rows must be unit-norm to {UNIT_NORM_TOL:.0e}; worst deviation {worst:.3e}"
             )
@@ -633,8 +633,9 @@ class FeatureMatrix:
         return self.features.shape[0]
 
     def to_csv(self, path) -> None:
-        """One row per sample: feature components then the integer label."""
-        write_csv(path, (), [*self.features.T, map(str, self.labels.tolist())])
+        """One row per sample: its features (one ``fmt_all``), then its label."""
+        write_csv(path, (), ([*fmt_all(row), str(label)]
+                             for row, label in zip(self.features, self.labels.tolist())))
 
     @classmethod
     def from_csv(cls, path, superclass_path=None) -> "FeatureMatrix":
@@ -647,6 +648,10 @@ class FeatureMatrix:
         feats, labels = table[:, :-1], table[:, -1]
         if np.any(labels % 1 != 0):
             raise ValidationError(f"{path}: the last column must hold integer class labels")
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"{path}: data row {int(np.argmin(finite)) + 1} has a NaN or "
+                                  "infinite feature; give finite features")
         if feats.size:
             norms = np.linalg.norm(feats, axis=1)
             worst = float(np.abs(norms - 1.0).max())

@@ -69,20 +69,20 @@ class CorruptionMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"corruption matrix must be square, got {m.shape}")
-        if np.any(m < -STOCHASTIC_TOL) or np.any(m > 1.0 + STOCHASTIC_TOL):
+        if not np.all((-STOCHASTIC_TOL <= m) & (m <= 1.0 + STOCHASTIC_TOL)):  # NaN fails
             k, kp = np.unravel_index(int(np.argmin(np.minimum(m, 1.0 - m))), m.shape)
             raise ValidationError(
                 f"corruption entries must lie in [0, 1]; entry ({k + 1},{kp + 1}) = {m[k, kp]}"
             )
         row = m.sum(axis=1)
-        bad = np.nonzero(np.abs(row - 1.0) > STOCHASTIC_TOL)[0]
+        bad = np.nonzero(~(np.abs(row - 1.0) <= STOCHASTIC_TOL))[0]
         if bad.size:
             raise ValidationError(
                 f"row {bad[0] + 1} sums to {float(row[bad[0]])!r}, expected 1 within "
                 f"{STOCHASTIC_TOL:.0e}"
             )
         col = m.sum(axis=0)
-        bad = np.nonzero(np.abs(col - 1.0) > STOCHASTIC_TOL)[0]
+        bad = np.nonzero(~(np.abs(col - 1.0) <= STOCHASTIC_TOL))[0]
         if bad.size:
             raise ValidationError(
                 f"column {bad[0] + 1} sums to {float(col[bad[0]])!r}, expected 1 within "
@@ -110,8 +110,8 @@ class CorruptionMatrix:
         """One row per true class, each entry to 12 significant digits when
         that text reads back as the same float and in full (``repr``)
         otherwise, so that :meth:`from_csv` reads back this matrix."""
-        write_csv(path, (), [[fmt(x) if float(fmt(x)) == x else repr(x) for x in column]
-                             for column in self.entries.T.tolist()])
+        write_csv(path, (), [[fmt(x) if float(fmt(x)) == x else repr(x) for x in row]
+                             for row in self.entries.tolist()])
 
     @classmethod
     def from_csv(cls, path) -> "CorruptionMatrix":

@@ -1,14 +1,14 @@
 """Shared helpers for the test suite."""
 
+import csv
 import math
 import os
-from itertools import chain, cycle, repeat
 
 import numpy as np
 
 from distillab import GramCase, GramModel, SuperclassMap, analytic_eigensystem
 from distillab.cli import simplex_projection
-from distillab.csvio import write_csv
+from distillab.csvio import fmt
 from distillab.distillation import (OutputMatrix, averaging_operator, cell_outputs, pll_refine,
                                     pll_student, trajectory)
 from distillab.gram_models import SOLVE_BLOCK, CellGram
@@ -75,11 +75,6 @@ def eager_labels(counts, seed):
     return np.repeat(np.arange(1, K + 1), n), given
 
 
-def index_runs(count, length):
-    """A column of the indices ``0..count-1`` as strings, each ``length`` times."""
-    return chain.from_iterable(map(repeat, map(str, range(count)), repeat(length)))
-
-
 def per_sample_rounds(model, given, lam, t_max):
     """The closed-form rounds ``0..t_max``, the top-2 targets and the top-2
     student of an unperturbed ``model`` with one column per sample, as runs
@@ -94,9 +89,10 @@ def per_sample_trajectory(config, directory):
     """The per-sample files of ``cmd_trajectory(config)``, written to
     ``directory`` as the command wrote them before it wrote from the cells:
     every round, the top-2 targets and student and every oracle round
-    gathered to one column per sample, the projection stacked per sample,
-    every round's full operator spectrum, and each file written by
-    ``write_csv``.  Returns the file names."""
+    gathered to one column per sample, the projection per sample, every
+    round's full operator spectrum, each number formatted by ``fmt`` on its
+    own and each file written by ``csv.writer``, sharing no code with the
+    program's writers.  Returns the file names."""
     K = config.gram.K
     run = run_rounds(config.gram_model(), config.corruption_matrix(), config.lam, config.t_max,
                      ("closed_form", *config.modes), config.solver())
@@ -106,32 +102,37 @@ def per_sample_trajectory(config, directory):
     closed = [mat.columns[:, sample_cell] for mat in run.closed]
     names = []
 
-    def write(name, header, columns):
-        write_csv(os.path.join(directory, name), header, columns)
+    def write(name, header, rows):
+        with open(os.path.join(directory, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         names.append(name)
 
     def write_long(name, columns, round_idx):
+        columns = columns[:, sample_cell].T.tolist()
         write(name, ("round", "sample_index", "class_index", "value"),
-              [repeat(str(round_idx)), index_runs(N, K),
-               cycle([str(k) for k in range(1, K + 1)]), columns[:, sample_cell].T.ravel()])
+              ((round_idx, i, k, fmt(value)) for i in range(N)
+               for k, value in enumerate(columns[i], start=1)))
 
     os.makedirs(directory, exist_ok=True)
-    write("labels.csv", ("index", "true_label", "given_label"),
-          [map(str, range(N)), map(str, true), map(str, given)])
+    write("labels.csv", ("index", "true_label", "given_label"), zip(range(N), true, given))
     for mat in run.closed:
         write_long(f"outputs_round_{mat.round:03d}.csv", mat.columns, mat.round)
-    xy = np.vstack([simplex_projection(columns) for columns in closed])
-    per_sample = [list(map(str, range(N))), list(map(str, true)), list(map(str, given))]
+
+    def projection_rows():
+        for t, gathered in enumerate(closed):
+            xy, columns = simplex_projection(gathered).tolist(), gathered.T.tolist()
+            for i in range(N):
+                yield (t, i, true[i], given[i], *map(fmt, xy[i]), *map(fmt, columns[i]))
+
     write("projection.csv", ["round", "sample_index", "true_label", "given_label", "x", "y",
-                             *(f"y_{k}" for k in range(1, K + 1))],
-          [index_runs(len(closed), N), *(chain.from_iterable(repeat(c, len(closed)))
-                                         for c in per_sample),
-           *xy.T, *np.hstack(closed)])
-    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues
+                             *(f"y_{k}" for k in range(1, K + 1))], projection_rows())
+    spectra = [averaging_operator(run.eig, config.lam, t).eigenvalues.tolist()
                for t in range(config.t_max + 1)]
     write("eigenvalues.csv", ("round", "index", "eigenvalue"),
-          [index_runs(len(spectra), N), chain.from_iterable(repeat(per_sample[0], len(spectra))),
-           np.concatenate(spectra)])
+          ((t, i, fmt(value)) for t, spectrum in enumerate(spectra)
+           for i, value in enumerate(spectrum)))
     if run.student is not None:
         write_long("pll_targets.csv", run.refined.columns, run.refined.source_round)
         write_long("pll_outputs.csv", run.student.columns, run.student.round)

@@ -324,6 +324,19 @@ class TestConfig:
         assert main(["theory", "--config", str(cfg)]) == 1
         assert f"{matrix}:2: malformed field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["theory", "phase", "trajectory", "approx-error"])
+    def test_nan_in_corruption_matrix_exits_one_naming_the_entry(self, tmp_path, capsys,
+                                                                 command):
+        matrix = tmp_path / "corruption.csv"
+        matrix.write_text("0.5,0.5\nnan,0.5\n")
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 2, "n": 10, "c": 0.4, "d": 0.1},
+                           corruption={"kind": "explicit", "matrix_path": str(matrix)},
+                           modes=["oracle"] if command == "approx-error" else [])
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: corruption entries must lie in [0, 1]; "
+                                           "entry (2,1) = nan\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrajectoryCommand:
     @pytest.mark.parametrize("kind, eta, rows", [
@@ -1114,6 +1127,15 @@ class TestIngestCommand:
             fpath.write_text(text)
         assert main(["ingest", str(fpath), "--out", str(tmp_path / "out")]) == 1
         assert f"{fpath}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_exits_one_naming_the_row(self, tmp_path, capsys, bad):
+        fpath = tmp_path / "features.csv"
+        fpath.write_text(f"1,0,1\n{bad},1,1\n0,1,2\n")
+        assert main(["ingest", str(fpath), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: {fpath}: data row 2 has a NaN or infinite "
+                                           "feature; give finite features\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_class_exits_one_naming_the_absent_labels(self, tmp_path, capsys):
         fpath = tmp_path / "features.csv"

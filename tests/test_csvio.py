@@ -2,16 +2,12 @@ import csv
 import io
 import math
 import tracemalloc
-from itertools import repeat
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _support import index_runs
-from distillab import csvio
 from distillab.csvio import fmt, fmt_all, read_csv, write_csv
 from distillab.errors import ValidationError
 
@@ -55,91 +51,48 @@ def test_empty():
     assert fmt_all(np.zeros((3, 0))) == [[], [], []]
 
 
-def test_index_runs():
-    # the index column of the tests' per-sample reference writer
-    assert list(index_runs(3, 2)) == ["0", "0", "1", "1", "2", "2"]
-    assert list(index_runs(0, 4)) == list(index_runs(4, 0)) == []
-
-
 # a field as the program writes it: a number through fmt, or a bare word
 FIELDS = st.one_of(VALUES.map(fmt), st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True))
 
 
-def standard_bytes(header, columns) -> bytes:
-    """What csv.writer writes for ``columns``, float arrays written by fmt."""
+def standard_bytes(header, rows) -> bytes:
+    """What csv.writer writes for ``header`` (no line when empty) and ``rows``."""
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     if header:
         writer.writerow(header)
-    writer.writerows(zip(*(map(fmt, c.tolist()) if isinstance(c, np.ndarray) else c
-                           for c in columns)))
+    writer.writerows(rows)
     return expected.getvalue().encode()
 
 
-def block_heights(rows):
-    """Table heights around the block boundaries of ``rows`` rows a block."""
-    return sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows + 1})
-
-
-@given(header=st.lists(FIELDS, max_size=4), block_fields=st.integers(1, 16),
-       kinds=st.lists(st.sampled_from(["float", "strings", "repeat"]), min_size=1, max_size=4),
-       data=st.data())
-def test_bytes_match_the_standard_library_writer(tmp_path_factory, header, block_fields, kinds,
-                                                 data):
-    # a small block puts every height of interest within a few dozen rows
-    width = len(kinds)
-    heights = block_heights(max(1, block_fields // width))
+@given(header=st.lists(FIELDS, max_size=4), width=st.integers(1, 4), data=st.data())
+def test_rows_of_fields_give_the_standard_library_writers_bytes(tmp_path_factory, header,
+                                                                 width, data):
     # csv.writer quotes an empty field only when it is the whole row
     fields = FIELDS if width == 1 else st.one_of(FIELDS, st.just(""))
-    # the first column is finite, so the table is; each finite column has a
-    # height of its own and the table ends at the shortest
-    kinds[0] = kinds[0].replace("repeat", "strings")
-    columns = []
-    for kind in kinds:
-        if kind == "repeat":
-            columns.append(data.draw(fields))
-            continue
-        height = data.draw(st.sampled_from(heights))
-        if kind == "float":
-            columns.append(np.array(data.draw(st.lists(VALUES, min_size=height,
-                                                       max_size=height)), dtype=float))
-        else:
-            columns.append(data.draw(st.lists(fields, min_size=height, max_size=height)))
-
-    def live(columns):
-        return [repeat(c) if isinstance(c, str) else c for c in columns]
-
+    rows = data.draw(st.lists(st.lists(fields, min_size=width, max_size=width), max_size=20))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    with mock.patch.object(csvio, "BLOCK_FIELDS", block_fields):
-        write_csv(path, header, live(columns))
-    assert path.read_bytes() == standard_bytes(header, live(columns))
+    # an iterator, as the callers' generators, which can be read only once
+    write_csv(path, header, iter(rows))
+    assert path.read_bytes() == standard_bytes(header, rows)
 
 
-@pytest.mark.parametrize("width", [1, 4])
-def test_bytes_match_across_the_real_block_boundaries(tmp_path, width):
-    rows = csvio.BLOCK_FIELDS // width
-    pool = np.array([*SPECIAL, 0.1, -2.5e-7, 1 / 3, 6.02214076e23], dtype=float)
-    for height in block_heights(rows):
-        values = np.resize(pool, height + 3)
-        # a float column of the table's height, one three rows longer, a
-        # string column of the table's height and a constant column
-        columns = [values[:height], values * 3.0, [str(i) for i in range(height)],
-                   repeat("w")][:width]
-        path = tmp_path / f"{height}.csv"
-        write_csv(path, ("a", "b", "c", "d")[:width], columns)
-        assert path.read_bytes() == standard_bytes(("a", "b", "c", "d")[:width], columns)
+def test_writer_memory_does_not_grow_with_the_file(tmp_path):
+    values = np.random.default_rng(5).standard_normal((200_000, 6))
 
+    def rows():
+        # formatted a thousand rows at a time, so the rows are not all held
+        for start in range(0, len(values), 1000):
+            yield from fmt_all(values[start:start + 1000])
 
-def test_writer_memory_stays_one_block(tmp_path):
-    columns = list(np.random.default_rng(5).standard_normal((6, 200_000)))
     path = tmp_path / "table.csv"
     tracemalloc.start()
     try:
-        write_csv(path, (), columns)
+        write_csv(path, (), rows())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the file is about 18 MB; one block of text is well under a megabyte
+    # the file is about 18 MB; a thousand rows of text are well under a megabyte
     assert path.stat().st_size > 15e6
     assert peak < 4e6
 
@@ -241,7 +194,7 @@ def test_reader_matches_the_reference_on_drawn_tables(tmp_path_factory, table, b
 def test_reader_memory_stays_near_the_array(tmp_path, dtype):
     values = np.random.default_rng(6).integers(-10**6, 10**6, (100_000, 4)).astype(dtype)
     path = tmp_path / "table.csv"
-    write_csv(path, ("a", "b", "c", "d"), [list(map(str, c)) for c in values.T.tolist()])
+    write_csv(path, ("a", "b", "c", "d"), (map(str, row) for row in values.tolist()))
     tracemalloc.start()
     try:
         got = read_csv(path, dtype, header=True)

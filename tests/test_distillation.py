@@ -941,6 +941,11 @@ class TestOutputMatrixIO:
         with pytest.raises(ValidationError):
             OutputMatrix(np.array([[0.6], [0.6]]), round=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_is_rejected(self, bad):
+        with pytest.raises(ValidationError, match="output columns must sum to 1"):
+            OutputMatrix(np.array([[0.5, 1.0], [bad, 0.0]]), round=1)
+
     def test_partial_label_matrix_validation(self):
         with pytest.raises(ValidationError):
             PartialLabelMatrix(np.array([[0.5], [0.25], [0.25]]))

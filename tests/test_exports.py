@@ -54,6 +54,38 @@ def test_every_import_is_read_or_exported(name):
     assert _unused_imports(importlib.import_module(name).__file__) == []
 
 
+def _write_opens(path: str) -> list:
+    """``(file, function)`` of each ``open(...)`` call in ``path`` given a
+    mode other than ``"r"``; a call outside any function is named
+    ``<module>``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "open"):
+                mode = [*child.args[1:2], *(k.value for k in child.keywords if k.arg == "mode")]
+                if mode and not (isinstance(mode[0], ast.Constant) and mode[0].value == "r"):
+                    found.append((os.path.basename(path), where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_output_file_opens_in_one_place():
+    # csvio.open_output turns a refused path into "choose another --out";
+    # an open elsewhere would let an unwritable output end in a traceback
+    opens = [site for name in MODULES
+             for site in _write_opens(importlib.import_module(name).__file__)]
+    assert opens == [("csvio.py", "open_output")]
+
+
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 

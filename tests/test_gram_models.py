@@ -646,6 +646,11 @@ class TestFeatureMatrixIO:
         with pytest.raises(ValidationError):
             FeatureMatrix(np.array([[1.0, 1.0]]), np.array([1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        with pytest.raises(ValidationError, match="feature rows must be unit-norm"):
+            FeatureMatrix(np.array([[1.0, 0.0], [bad, 0.0]]), np.array([1, 2]))
+
     def test_csv_round_trip(self, tmp_path):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
         fm = FeatureMatrix(feats, np.array([1, 2, 2]))

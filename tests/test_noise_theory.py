@@ -78,6 +78,11 @@ class TestCorruptionMatrix:
         with pytest.raises(ValidationError, match="row 1"):
             CorruptionMatrix(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        with pytest.raises(ValidationError, match=re.escape(f"entry (2,1) = {bad}")):
+            CorruptionMatrix(np.array([[0.5, 0.5], [bad, 0.5]]))
+
     def test_explicit_is_not_a_generated_kind(self):
         with pytest.raises(ValidationError, match="unknown corruption kind 'explicit'"):
             make_corruption("explicit", 0.0, 2)
