@@ -164,9 +164,14 @@ class ExperimentConfig:
     sample counts in ``1..2**53`` for ``n``, as ``gram.n``, and corruption
     rates in ``[0, 1]`` for ``eta``.
 
-    ``seed`` is the seed of :meth:`gram_model`, which places the labels
-    and draws the Gram perturbation, and nothing else: the exact oracle
-    starts every round at the same point.
+    ``seed``, in ``0..2**64 - 1``, is the seed of :meth:`gram_model`,
+    which places the labels and draws the Gram perturbation, and nothing
+    else: the exact oracle starts every round at the same point.  Both
+    draws read the package's counter-based stream, each class's placement
+    and each block of Gram rows on its own
+    (:class:`~distillab.noise_theory.LabelAssignment`,
+    :func:`~distillab.gram_models.build_gram`), so a seed gives the same
+    dataset on every numpy release.
     """
 
     gram: GramConfig = field(default_factory=GramConfig)
@@ -190,6 +195,8 @@ class ExperimentConfig:
             raise ValidationError("t_max must be >= 0")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.seed >= 2**64:  # the stream keys are 64-bit, so larger seeds would repeat
+            raise ValidationError(f"seed must be below 2**64, got {self.seed}")
         known_modes = {"closed_form", "oracle", "pll", "theory"}
         unknown = set(self.modes) - known_modes
         if unknown:

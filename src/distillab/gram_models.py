@@ -68,6 +68,19 @@ UNIT_NORM_TOL = 1e-6
 # rows or columns per block of the perturbed draw, the symmetry check, the
 # in-place factorisation and the substitutions of the dense path
 SOLVE_BLOCK = 128
+# rows per chunk of a block's draw, whose mixing and float conversion each
+# hold one chunk-sized temporary
+DRAW_ROWS = 16
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio counter
+# step, and its finaliser's (shift, multiplier) rounds then its last shift
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+               (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_MIX_LAST_SHIFT = np.uint64(31)
+# bits >> 11 keeps the 53 that a float64 fraction holds exactly
+_FRACTION_SHIFT = np.uint64(11)
+# the stream of the Gram perturbation; class k's placement is stream k
+GRAM_STREAM = 0
 
 
 class GramCase(enum.Enum):
@@ -148,8 +161,10 @@ class GramModel:
     single-superclass specialisation.  A positive ``perturbation_amplitude``
     adds a symmetric matrix of i.i.d. uniform entries in ``+-amplitude`` to
     the off-diagonal (diagonal kept at 1, lower triangle mirrored from the
-    upper), drawn reproducibly from ``seed``, which also places a run's
-    labels (:func:`~distillab.oracle.run_rounds`).
+    upper).  It is drawn from ``seed`` by the package's counter-based
+    stream (:func:`build_gram`), each block of rows on its own; the same
+    seed places a run's labels (:func:`~distillab.oracle.run_rounds`).  A
+    seed below 2**64 names a stream of its own.
     """
 
     case: GramCase
@@ -415,6 +430,33 @@ def _shifted_rounds(gram: np.ndarray, factor: np.ndarray, shift: float,
         rhs = product
 
 
+def _mix_bits(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on the ``uint64`` array ``z``,
+    with one temporary of its size; returns ``z``."""
+    shifted = np.empty_like(z)
+    for shift, multiplier in _MIX_ROUNDS:
+        np.bitwise_xor(z, np.right_shift(z, shift, out=shifted), out=z)
+        np.multiply(z, multiplier, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, _MIX_LAST_SHIFT, out=shifted), out=z)
+
+
+def _draw_bits(seed: int, stream: int, counters: np.ndarray) -> np.ndarray:
+    """The 64 random bits at ``(seed, stream, counter)`` for each ``uint64``
+    counter, written over ``counters``, which is returned.
+
+    A counter-based stream (Salmon et al., SC 2011): the bits at a counter
+    are SplitMix64's finaliser of ``counter * 0x9E3779B97F4A7C15 ^ key``,
+    with ``key`` the finaliser of ``finaliser(seed) ^ stream``, so any part
+    of a stream is drawn on its own, with no state and no generator.  For
+    one stream, seeds in ``0..2**64 - 1`` get distinct keys, as do streams
+    of one seed.
+    """
+    key = _mix_bits(_mix_bits(np.array([seed], dtype=np.uint64)) ^ np.uint64(stream))
+    np.multiply(counters, _GOLDEN_GAMMA, out=counters)
+    np.bitwise_xor(counters, key, out=counters)
+    return _mix_bits(counters)
+
+
 def build_gram(model: GramModel) -> np.ndarray:
     """Realize the structured Gram matrix for ``model``.
 
@@ -422,27 +464,49 @@ def build_gram(model: GramModel) -> np.ndarray:
     samples ``i != j`` is the :attr:`GramModel.class_gram` entry of their
     classes; the diagonal is exactly 1 before perturbation.
 
-    The perturbation is drawn from one seeded generator, :data:`SOLVE_BLOCK`
-    rows at a time in row order, which is the stream of a single ``N x N``
-    draw.  Each block keeps its entries right of the diagonal and is added
-    to its rows and, transposed, to its columns, so each off-diagonal entry
-    gets exactly one nonzero addition.  The result is bitwise that of the
-    full draw, while only the Gram and one block are alive.
+    The perturbation of entry ``i < j`` is ``-a + 2a u`` (``a`` the
+    amplitude), where ``u = (bits >> 11) 2**-53`` and ``bits`` are
+    :func:`_draw_bits` of ``model.seed``, stream :data:`GRAM_STREAM`, at the
+    counter ``i N + j``.  Entry ``(j, i)`` mirrors it, and the diagonal stays
+    1.  Each block of :data:`SOLVE_BLOCK` rows is drawn on its own, in place
+    in its buffer, :data:`DRAW_ROWS` rows at a time.  It is then added to
+    its rows right of the diagonal and, transposed, to its columns below
+    it, so each off-diagonal entry gets exactly one nonzero addition.  The
+    result is exactly symmetric and bitwise the same for any blocking,
+    while only the Gram and about one block are alive.
     """
     labels = model.class_of_sample() - 1
     gram = model.class_gram[np.ix_(labels, labels)]
     np.fill_diagonal(gram, 1.0)
     amplitude, size = model.perturbation_amplitude, gram.shape[0]
     if amplitude > 0.0:
-        rng = np.random.default_rng(model.seed)
         for s in range(0, size, SOLVE_BLOCK):
             e = min(s + SOLVE_BLOCK, size)
-            upper = rng.uniform(-amplitude, amplitude, size=(e - s, size))
-            upper[np.tri(e - s, size, s, dtype=bool)] = 0.0
-            gram[s:e] += upper
-            gram[:, s:e] += upper.T
+            upper = _perturbation_rows(model.seed, amplitude, size, s, e)
+            upper[:, :e - s][np.tri(e - s, dtype=bool)] = 0.0
+            gram[s:e, s:] += upper
+            gram[s:, s:e] += upper.T
             del upper  # before the next block's draw
     return gram
+
+
+def _perturbation_rows(seed: int, amplitude: float, size: int, s: int, e: int) -> np.ndarray:
+    """:func:`build_gram`'s draws ``-a + 2a u`` at rows ``s:e`` and columns
+    ``s:size`` of an ``N = size`` Gram, drawn in place in the returned
+    buffer through a ``uint64`` view, :data:`DRAW_ROWS` rows at a time."""
+    upper = np.empty((e - s, size - s))
+    bits = upper.view(np.uint64)
+    columns = np.arange(s, size, dtype=np.uint64)
+    for r in range(0, e - s, DRAW_ROWS):
+        chunk = bits[r:r + DRAW_ROWS]
+        rows = np.arange(s + r, s + r + chunk.shape[0], dtype=np.uint64)
+        np.add.outer(rows * np.uint64(size), columns, out=chunk)
+        np.right_shift(_draw_bits(seed, GRAM_STREAM, chunk), _FRACTION_SHIFT, out=chunk)
+        upper[r:r + DRAW_ROWS] = chunk  # exact, each value being below 2**53
+    upper *= 2.0**-53
+    upper *= 2.0 * amplitude
+    upper -= amplitude
+    return upper
 
 
 class CellGram(NamedTuple):
@@ -606,12 +670,15 @@ class FeatureMatrix:
             raise ValidationError("labels must have one entry per feature row")
         if labels.size and labels.min() < 1:
             raise ValidationError("labels are 1-based class indices")
-        norms = np.linalg.norm(feats, axis=1)
-        worst = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-        if not worst <= UNIT_NORM_TOL:  # a NaN norm fails it
-            raise ValidationError(
-                f"feature rows must be unit-norm to {UNIT_NORM_TOL:.0e}; worst deviation {worst:.3e}"
-            )
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"feature rows must be unit-norm to {UNIT_NORM_TOL:.0e}; row "
+                                  f"{int(np.argmin(finite))} has a NaN or infinite entry")
+        deviation = np.abs(np.linalg.norm(feats, axis=1) - 1.0)
+        if deviation.max(initial=0.0) > UNIT_NORM_TOL:
+            worst = int(np.argmax(deviation))
+            raise ValidationError(f"feature rows must be unit-norm to {UNIT_NORM_TOL:.0e}; row "
+                                  f"{worst} deviates by {deviation[worst]:.3e}")
         if labels.size:
             K = int(labels.max())
             absent = np.setdiff1d(np.arange(1, K + 1), labels)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .csvio import fmt, read_csv, write_cell_rows, write_csv
 from .errors import NumericalError, ValidationError
-from .gram_models import GramCase, GramModel, SuperclassMap, _head_columns
+from .gram_models import GramCase, GramModel, SuperclassMap, _draw_bits, _head_columns
 
 __all__ = [
     "CorruptionMatrix",
@@ -175,8 +175,10 @@ class LabelAssignment:
     ``k'``; every row and column sums to ``n``.  A run on an unperturbed
     model reads only these.  The one per-sample record is
     :attr:`sample_cell`, each sample's row of :attr:`cells`, built on first
-    read: class ``k``'s block of cell rows, in label order, shuffled by
-    ``default_rng(seed)`` (one shuffle per class, in class order).
+    read: class ``k``'s block of cell rows, in label order, permuted by the
+    stable argsort of the bits of stream ``k`` of ``seed`` at counters
+    ``0..n-1`` (:func:`~distillab.gram_models._draw_bits`), so each class
+    is placed on its own.  ``seed`` must be below 2**64.
     :attr:`true_labels` and :attr:`given_labels` are read from it on each
     read.  :meth:`from_labels` keeps the placement it is given.
     """
@@ -213,10 +215,9 @@ class LabelAssignment:
         """Each sample's row of :attr:`cells`."""
         nonzero = self.counts[self.counts > 0]
         sample_cell = np.repeat(np.arange(nonzero.size), nonzero)
-        rng = np.random.default_rng(self.seed)
-        # a shuffle's draws depend only on the block's length
-        for block in sample_cell.reshape(self.K, self.n):
-            rng.shuffle(block)
+        for k, block in enumerate(sample_cell.reshape(self.K, self.n), start=1):
+            draws = _draw_bits(self.seed, k, np.arange(self.n, dtype=np.uint64))
+            block[:] = block[np.argsort(draws, kind="stable")]
         return _read_only(sample_cell)
 
     @property

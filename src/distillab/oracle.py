@@ -351,9 +351,10 @@ def run_rounds(model: GramModel, C: CorruptionMatrix, lam: float, t_max: int,
     Gram, shared by the rounds and the student, so each dense stage holds
     the Gram plus at most one ``N x N`` working array; the returned
     :class:`Rounds` holds both as long as it lives.  ``lam`` is checked
-    first.  ``model.seed`` places the labels, as it draws a perturbation; a
-    ``C`` off the ``n``-sample grid raises, or with ``snap`` runs on
-    :func:`nearest_realizable`.
+    first.  ``model.seed`` places the labels, each class on its own, as it
+    draws a perturbation, each block of Gram rows on its own, both from the
+    package's counter-based stream.  A ``C`` off the ``n``-sample grid
+    raises, or with ``snap`` runs on :func:`nearest_realizable`.
 
     The oracle rounds run on one helper thread only beside dense
     closed-form stages (a perturbed model), whose eigensystem and factor

@@ -60,19 +60,45 @@ def sample_cells(gram):
     return CellGram(np.ones((size, 2), dtype=int), np.ones(size), gram, None)
 
 
+U64 = 2**64 - 1
+
+
+def splitmix_finaliser(z):
+    """SplitMix64's finaliser on one Python int below 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & U64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & U64
+    return z ^ (z >> 31)
+
+
+def stream_bits(seed, stream, counter):
+    """The 64 bits of the seeded stream at ``(seed, stream, counter)``, one
+    element in Python ints modulo 2**64: the finaliser of ``counter *
+    0x9E3779B97F4A7C15`` xor the key ``finaliser(finaliser(seed) ^
+    stream)``."""
+    key = splitmix_finaliser(splitmix_finaliser(seed) ^ stream)
+    return splitmix_finaliser(counter * 0x9E3779B97F4A7C15 & U64 ^ key)
+
+
+def perturbation_entry(model, i, j):
+    """The perturbation ``-a + 2a u`` of Gram entry ``i < j``, ``u`` the top
+    53 bits of stream 0 at counter ``i N + j`` over 2**53."""
+    a = model.perturbation_amplitude
+    u = (stream_bits(model.seed, 0, i * model.size + j) >> 11) * 2.0**-53
+    return -a + 2 * a * u
+
+
 def eager_labels(counts, seed):
     """The per-sample true and given labels of a ``K x K`` count matrix,
-    drawn at once as runs drew them before labels were kept as counts:
-    ``default_rng(seed)``, then one shuffle of each class's given labels,
-    in class order."""
+    drawn at once: class ``k``'s given labels, in label order, are sorted
+    by the bits of stream ``k`` at counters ``0..n-1``, ties kept in
+    order."""
     K, n = counts.shape[0], int(counts[0].sum())
-    rng = np.random.default_rng(seed)
-    given = np.empty(K * n, dtype=int)
-    for k in range(K):
-        block = np.repeat(np.arange(1, K + 1), counts[k])
-        rng.shuffle(block)
-        given[k * n:(k + 1) * n] = block
-    return np.repeat(np.arange(1, K + 1), n), given
+    given = []
+    for k in range(1, K + 1):
+        block = [label for label in range(1, K + 1) for _ in range(int(counts[k - 1, label - 1]))]
+        order = sorted(range(n), key=lambda i: stream_bits(seed, k, i))
+        given += [block[i] for i in order]
+    return np.repeat(np.arange(1, K + 1), n), np.array(given, dtype=int)
 
 
 def per_sample_rounds(model, given, lam, t_max):
@@ -143,18 +169,17 @@ def per_sample_trajectory(config, directory):
 
 
 def full_draw_gram(model):
-    """``build_gram`` as one ``N x N`` uniform draw: the structured Gram plus
-    the draw's strict upper triangle and its transpose."""
+    """``build_gram`` drawn one entry at a time: the structured Gram plus
+    :func:`perturbation_entry` at each ``i < j`` and its mirror."""
     labels = model.class_of_sample() - 1
     gram = model.class_gram[np.ix_(labels, labels)]
     np.fill_diagonal(gram, 1.0)
     if model.perturbation_amplitude > 0.0:
-        rng = np.random.default_rng(model.seed)
-        upper = rng.uniform(-model.perturbation_amplitude, model.perturbation_amplitude,
-                            size=gram.shape)
-        upper[np.tri(gram.shape[0], dtype=bool)] = 0.0
-        gram += upper
-        gram += upper.T
+        for i in range(model.size):
+            for j in range(i + 1, model.size):
+                value = perturbation_entry(model, i, j)
+                gram[i, j] += value
+                gram[j, i] += value
     return gram
 
 

@@ -24,7 +24,7 @@ from distillab import (
     ValidationError,
     build_gram,
 )
-from distillab import cli, oracle
+from distillab import cli, noise_theory, oracle
 from distillab.cli import cmd_trajectory, main, simplex_projection, suggest_lambda
 from distillab.config import CorruptionConfig, GramConfig
 from distillab.noise_theory import (eigen_ratio, make_corruption, nearest_realizable,
@@ -98,6 +98,14 @@ class TestConfig:
         assert main(["trajectory", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "out").exists()
+
+    def test_seed_past_the_stream_keys_exits_one(self, tmp_path, capsys):
+        # 2**64 would draw seed 0's streams
+        assert main(["trajectory", "--seed", str(2**64), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: seed must be below 2**64, got {2**64}\n"
+        assert not (tmp_path / "out").exists()
+        assert main(["trajectory", "--seed", str(2**64 - 1), "--set", "gram.n=6",
+                     "--out", str(tmp_path / "out")]) == 0
 
     # JSON reads NaN and Infinity as floats; each float key must be finite
     @pytest.mark.parametrize("key", ["gram.c", "gram.d", "gram.e", "gram.perturbation_amplitude",
@@ -1047,17 +1055,17 @@ class TestApproxErrorCommand:
         assert main(["approx-error", "--config", str(cfg)]) == 1
 
     def test_indefinite_gram_is_rejected_as_trajectory_rejects_it(self, tmp_path, capsys):
-        # smallest Gram eigenvalue -0.108: the oracle alone converges here, but
+        # smallest Gram eigenvalue -0.106: the oracle alone converges here, but
         # the dense closed-form reference of the same run refuses the Gram
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 240, "c": 0.4, "d": 0.1,
                                            "perturbation_amplitude": 0.02},
                            lam=1e-2, t_max=1, modes=["oracle"])
         assert main(["approx-error", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: n=240: Gram eigenvalue -1.077e-01 below -1e-08")
+        assert err.startswith("error: n=240: Gram eigenvalue -1.060e-01 below -1e-08")
         assert "lower gram.perturbation_amplitude" in err
         assert main(["trajectory", "--config", str(cfg)]) == 1
-        assert "error: Gram eigenvalue -1.077e-01 below -1e-08" in capsys.readouterr().err
+        assert "error: Gram eigenvalue -1.060e-01 below -1e-08" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -1203,33 +1211,36 @@ class TestStartup:
         assert out.stdout.strip() == "[]"
 
 
-    # the solver starts at the zero dual, so an unperturbed oracle run draws
-    # no random number either
-    @pytest.mark.parametrize("command,modes", [("approx-error", ["oracle"]),
-                                               ("phase", ["oracle", "pll"])])
-    def test_unperturbed_oracle_run_never_imports_numpy_random(self, tmp_path, command, modes):
-        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
-                           modes=modes, t_max=2, lam=1e-3)
+    # every seeded draw (label placement, the Gram perturbation) is the
+    # package's own counter-based stream, and the oracle starts at the zero
+    # dual; phase and theory refuse a perturbed model
+    @pytest.mark.parametrize("amplitude", [0.0, 0.01])
+    @pytest.mark.parametrize("command,settings", [
+        ("trajectory", {"modes": ["closed_form", "pll", "oracle"]}),
+        ("phase", {"modes": ["oracle", "pll"], "sweep_parameter": "eta",
+                   "sweep_values": [0.0, 0.5]}),
+        ("approx-error", {"modes": ["oracle"]}),
+        ("theory", {}),
+    ], ids=["trajectory", "phase", "approx-error", "theory"])
+    def test_no_command_imports_numpy_random(self, tmp_path, command, settings, amplitude):
+        cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1,
+                                           "perturbation_amplitude": amplitude},
+                           t_max=2, lam=1e-3, **settings)
         code = ("import sys\nfrom distillab import cli\n"
-                f"assert cli.main([{command!r}, '--config', {str(cfg)!r}]) == 0\n"
-                "print('numpy.random' in sys.modules)")
+                f"print(cli.main([{command!r}, '--config', {str(cfg)!r}]), "
+                "'numpy.random' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True, timeout=60)
-        assert out.stdout.split()[-1] == "False"
+        refused = amplitude and command in ("phase", "theory")
+        assert out.stdout.split()[-2:] == ["1" if refused else "0", "False"]
 
-    def test_unperturbed_phase_draws_no_labels(self, tmp_path):
-        # the run reads the label counts only: no per-sample shuffle, so
-        # numpy.random is never imported
+    def test_unperturbed_phase_draws_no_labels(self, tmp_path, monkeypatch):
+        # the run reads the label counts only: no class is placed
+        monkeypatch.setattr(noise_theory, "_draw_bits", None)
         cfg = write_config(tmp_path, gram={"case": "III", "K": 4, "n": 12, "c": 0.4, "d": 0.1},
                            sweep_parameter="eta", sweep_values=[0.0, 0.25, 0.5])
-        code = ("import sys\nfrom distillab import cli\n"
-                f"assert cli.main(['phase', '--config', {str(cfg)!r}]) == 0\n"
-                "print('numpy.random' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True, timeout=60)
-        assert out.stdout.split()[-1] == "False"
+        assert main(["phase", "--config", str(cfg)]) == 0
         rows = read_csv_rows(tmp_path / "out" / "phase.csv")[1]
         assert len(rows) == 15 and all(row[3] for row in rows)
 

@@ -54,10 +54,9 @@ def test_every_import_is_read_or_exported(name):
     assert _unused_imports(importlib.import_module(name).__file__) == []
 
 
-def _write_opens(path: str) -> list:
-    """``(file, function)`` of each ``open(...)`` call in ``path`` given a
-    mode other than ``"r"``; a call outside any function is named
-    ``<module>``."""
+def _sites(path: str, matches) -> list:
+    """``(file, function)`` of each node of ``path`` that ``matches``; a
+    node outside any function is in ``<module>``."""
     with open(path) as fh:
         tree = ast.parse(fh.read())
     found = []
@@ -67,23 +66,53 @@ def _write_opens(path: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "open"):
-                mode = [*child.args[1:2], *(k.value for k in child.keywords if k.arg == "mode")]
-                if mode and not (isinstance(mode[0], ast.Constant) and mode[0].value == "r"):
-                    found.append((os.path.basename(path), where))
+            if matches(child):
+                found.append((os.path.basename(path), where))
             visit(child, where)
 
     visit(tree, "<module>")
     return found
 
 
+def _opens_for_writing(node) -> bool:
+    """An ``open(...)`` call given a mode other than ``"r"``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    mode = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+    return bool(mode) and not (isinstance(mode[0], ast.Constant) and mode[0].value == "r")
+
+
+def _names_numpy_random(node) -> bool:
+    """An ``np.random`` or ``numpy.random`` attribute, or an import of
+    ``numpy.random`` or of a module in it."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any(m == "numpy.random" or m.startswith("numpy.random.") for m in modules)
+
+
 def test_every_output_file_opens_in_one_place():
     # csvio.open_output turns a refused path into "choose another --out";
     # an open elsewhere would let an unwritable output end in a traceback
     opens = [site for name in MODULES
-             for site in _write_opens(importlib.import_module(name).__file__)]
+             for site in _sites(importlib.import_module(name).__file__, _opens_for_writing)]
     assert opens == [("csvio.py", "open_output")]
+
+
+def test_no_module_uses_numpy_random():
+    # every seeded draw is gram_models._draw_bits, whose stream the package
+    # owns: numpy does not promise its generators' streams across releases,
+    # and importing numpy.random adds about 5 MB to a run's peak RSS
+    uses = [site for name in MODULES
+            for site in _sites(importlib.import_module(name).__file__, _names_numpy_random)]
+    assert uses == []
 
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import (CASE_MODELS, DENSE_STAGE_MODEL, embed_gram, full_draw_gram,
-                      one_hot_cells, whole_panel_factor)
+from _support import (CASE_MODELS, DENSE_STAGE_MODEL, eager_labels, embed_gram, full_draw_gram,
+                      one_hot_cells, perturbation_entry, whole_panel_factor)
 from distillab import (
     EigenSystem,
     FeatureMatrix,
     GramCase,
     GramModel,
+    LabelAssignment,
     NumericalError,
     SuperclassMap,
     ValidationError,
@@ -155,7 +156,10 @@ class TestBuildGram:
         g2 = build_gram(model_case(GramCase.III, K=3, n=4, c=0.5, d=0.2, amp=0.05, seed=8))
         assert not np.array_equal(g1, g2)
         # the seeded upper-triangular draw, mirrored: (G0 + U) + U^T
-        upper = np.triu(np.random.default_rng(7).uniform(-0.05, 0.05, size=(12, 12)), k=1)
+        upper = np.zeros((12, 12))
+        for i in range(12):
+            for j in range(i + 1, 12):
+                upper[i, j] = perturbation_entry(pert, i, j)
         assert np.array_equal(g1, g0 + upper + upper.T)
 
     def test_unperturbed_peak_memory_is_one_gram_matrix(self):
@@ -170,7 +174,6 @@ class TestBuildGram:
 
     def test_perturbed_peak_memory_is_one_gram_matrix_and_a_block(self):
         model = DENSE_MODEL
-        np.random.default_rng()  # its first call imports modules
         tracemalloc.start()
         try:
             build_gram(model)
@@ -186,6 +189,23 @@ class TestBuildGram:
         model = sized_case_model(name, size, perturbation_amplitude=0.03, seed=size)
         assert model.size == size
         assert np.array_equal(build_gram(model), full_draw_gram(model))
+
+
+class TestSeededStream:
+    def test_a_seeds_draws_are_pinned(self):
+        # any edit of the stream moves a seed's dataset, so it must fail here
+        assignment = LabelAssignment(np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), seed=5)
+        sample_cell = [1, 0, 2, 0, 5, 3, 4, 4, 8, 6, 8, 7]
+        assert assignment.sample_cell.tolist() == sample_cell
+        given = eager_labels(assignment.counts, 5)[1]
+        assert given.tolist() == assignment.cells[sample_cell, 1].tolist()
+        model = model_case(GramCase.III, K=3, n=4, c=0.5, d=0.2, amp=0.05, seed=7)
+        first_row = [1.0, 0.5330524891389141, 0.5479281206545441, 0.4650511055922075,
+                     0.16535236179622467, 0.23300893774975953, 0.196542231499613,
+                     0.23591080490919414, 0.2451549412887924, 0.22888745523676884,
+                     0.24251921289132344, 0.15315376192600366]
+        assert build_gram(model)[0].tolist() == first_row
+        assert full_draw_gram(model)[0].tolist() == first_row
 
 
 class TestAnalyticEigensystem:
@@ -645,11 +665,18 @@ class TestFeatureMatrixIO:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValidationError):
             FeatureMatrix(np.array([[1.0, 1.0]]), np.array([1]))
+        # the worst row is named
+        with pytest.raises(ValidationError, match="; row 1 deviates by 4.142e-01$"):
+            FeatureMatrix(np.array([[1.0, 0.1], [1.0, 1.0], [0.0, 1.0]]), np.array([1, 2, 2]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_rows(self, bad):
         with pytest.raises(ValidationError, match="feature rows must be unit-norm"):
             FeatureMatrix(np.array([[1.0, 0.0], [bad, 0.0]]), np.array([1, 2]))
+        # the first non-finite row is named, before a worse finite one
+        with pytest.raises(ValidationError, match="; row 2 has a NaN or infinite entry$"):
+            FeatureMatrix(np.array([[1.0, 0.0], [9.0, 0.0], [0.0, bad], [bad, 0.0]]),
+                          np.array([1, 2, 2, 2]))
 
     def test_csv_round_trip(self, tmp_path):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
